@@ -1,9 +1,10 @@
 """clgeom: Cameron-Liebler k-sets in finite projective and affine spaces.
 
-Exact-arithmetic toolkit: finite field and geometry enumeration, rational
-incidence linear algebra, the CL membership decision, trivial constructions
-and transforms, brute-force verification of the counting identities, and a
-parameter feasibility sieve with a CLI front end.
+Exact-arithmetic toolkit: finite field and geometry enumeration, the CL
+membership decision (a closed-form 2-design identity in integer arithmetic,
+with rational rank and kernel routes kept as independent oracles), trivial
+constructions and transforms, brute-force verification of the counting
+identities, and a parameter feasibility sieve with a CLI front end.
 """
 
 from .clcore import (
@@ -48,6 +49,6 @@ from .geometry import (
 )
 from .sieve import SieveReport, sieve, trivial_params
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,7 +3,11 @@ and brute-force verification of every counting identity.
 
 A family is a set of k-space indices into its geometry's enumeration.  The
 CL decision tests whether the 0/1 characteristic vector lies in the rational
-row space of the point-(k-space) incidence matrix.  Every checker computes
+row space of the point-(k-space) incidence matrix P.  Points and k-spaces
+form a 2-design, so P P^T = (r-lambda) I + lambda J and the test is a
+closed-form integer identity over the geometry's point table (see
+``is_cl``); the rational rank and kernel routes of ``linalg`` stay
+available as independent oracles.  Every checker computes
 its counts by brute force over the geometry and compares them with the
 closed-form prediction in exact rational arithmetic; checkers report
 violations instead of raising, so they double as falsification tools.
@@ -27,9 +31,11 @@ from .errors import (
     NotASpread,
     NotContained,
     NotDisjoint,
+    NotPrime,
     PointNotInSubspace,
     PreconditionNotMet,
 )
+from .ff import MAX_ORDER, factor_prime_power
 from .geometry import (
     Geometry,
     Subspace,
@@ -123,18 +129,69 @@ def _incidence_ratmatrix(geom: Geometry, k: int) -> RatMatrix:
     return _ROWSPACE[key]
 
 
-def is_cl(F: KFamily, method: str = "rank") -> CLReport:
-    """Decide membership of the characteristic vector in Im(P^T) / Im(A^T)."""
-    M = _incidence_ratmatrix(F.geom, F.k)
-    ok = in_rowspace(M, [int(c) for c in F.chi], method=method)
-    certificate = "rank-augmentation" if method == "rank" else "kernel-orthogonality"
+def _design_in_rowspace(F: KFamily) -> bool:
+    """chi in Im(P^T), decided by the 2-design identity of the point table.
+
+    Points against k-spaces of PG(n,q), and points against k-flats of
+    AG(n,q), form a 2-(v, theta, lambda) design with every point on r
+    blocks, so P P^T = (r-lambda) I + lambda J and r - lambda + v lambda =
+    r theta.  For r > lambda the orthogonal projection of chi onto Im(P^T)
+    is (P^T P chi - lambda theta |L| / r) / (r - lambda), so chi lies in
+    Im(P^T) exactly when r P^T P chi - lambda theta |L| == r (r-lambda) chi.
+    For k = n (one block, r = lambda) both sides vanish, as they should:
+    Im(P^T) is then all of R^1.
+    """
+    geom = F.geom
+    table = geom.point_table(F.k)
+    nblocks, theta = table.shape
+    v = geom.num_points
+    on = np.bincount(table.ravel(), minlength=v)
+    r = int(on[0])
+    assert len(on) == v and (on == r).all(), "not every point lies on r blocks"
+    lam, rest = divmod(r * (theta - 1), v - 1)
+    assert rest == 0, "points and blocks do not form a 2-design"
+    assert r - lam + v * lam == r * theta
+    # Every term below lies in [0, r*theta*N] (a <= r, b <= r*theta,
+    # lambda <= r, |L| <= N).  With N*theta = v*r and Fisher's v <= N for
+    # 0 < k < n, r*theta*N = v*r^2 <= N^3 <= 10^18 below SUBSPACE_CAP; for
+    # k = 0 and k = n it is v.
+    assert r * theta * nblocks < 2 ** 63
+    members = np.fromiter(F.members, dtype=np.intp, count=F.size)
+    a = np.bincount(table[members].ravel(), minlength=v)  # P chi
+    b = a[table].sum(axis=1)                               # P^T P chi
+    chi = np.zeros(nblocks, dtype=np.int64)
+    chi[members] = 1
+    return np.array_equal(r * b - lam * theta * F.size, r * (r - lam) * chi)
+
+
+_CERTIFICATES = {
+    "design": "design-identity",
+    "rank": "rank-augmentation",
+    "kernel": "kernel-orthogonality",
+}
+
+
+def is_cl(F: KFamily, method: str = "design") -> CLReport:
+    """Decide membership of the characteristic vector in Im(P^T) / Im(A^T).
+
+    method="design" (the default) checks the closed-form 2-design identity
+    on the point table in integer arithmetic.  method="rank" and
+    method="kernel" reduce against the rational incidence matrix instead;
+    they are independent oracles for tests and small geometries."""
+    if method not in _CERTIFICATES:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "design":
+        ok = _design_in_rowspace(F)
+    else:
+        M = _incidence_ratmatrix(F.geom, F.k)
+        ok = in_rowspace(M, [int(c) for c in F.chi], method=method)
     x = F.x
     q, n, k = F.geom.q, F.geom.n, F.k
     if F.geom.kind == "PG":
         assert 0 <= x <= Fraction(q ** (n + 1) - 1, q ** (k + 1) - 1)
     else:
         assert 0 <= x <= q ** (n - k)
-    return CLReport(ok, x, certificate)
+    return CLReport(ok, x, _CERTIFICATES[method])
 
 
 def x_max(geom: Geometry, k: int) -> Fraction:
@@ -658,26 +715,61 @@ def save_family(F: KFamily, path: str) -> None:
         fh.write("\n")
 
 
+def _header_int(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FamilyFormatError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _header_order(p: int, h: int) -> int:
+    """The order p**h, after bounding p and h so that computing it is cheap."""
+    # p >= 2 and p**h <= MAX_ORDER force h < MAX_ORDER.bit_length()
+    if not (2 <= p <= MAX_ORDER and 1 <= h < MAX_ORDER.bit_length()) \
+            or p ** h > MAX_ORDER:
+        raise FamilyFormatError(
+            f"field order p^h with p={p}, h={h} is not in [2, {MAX_ORDER}]")
+    q = p ** h
+    try:
+        named = factor_prime_power(q)
+    except NotPrime as exc:
+        raise FamilyFormatError(f"{p}^{h} is not a prime power") from exc
+    if named != (p, h):
+        raise FamilyFormatError(
+            f"p={p}, h={h} does not name GF({q}) by its characteristic: "
+            f"expected p={named[0]}, h={named[1]}")
+    return q
+
+
 def family_from_dict(data: dict) -> KFamily:
+    if not isinstance(data, dict):
+        raise FamilyFormatError("family JSON must be an object")
     for key in ("space", "p", "h", "n", "k", "members"):
         if key not in data:
             raise FamilyFormatError(f"missing key {key!r}")
     space = data["space"]
     if space not in ("PG", "AG"):
         raise FamilyFormatError(f"space must be PG or AG, got {space!r}")
-    p, h, n, k = data["p"], data["h"], data["n"], data["k"]
-    geom = geometry(space, n, p ** h)
+    p, h, n, k = (_header_int(data, key) for key in ("p", "h", "n", "k"))
+    q = _header_order(p, h)
+    if not 0 <= k <= n or n < 1:
+        raise FamilyFormatError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
+    if not isinstance(data["members"], list):
+        raise FamilyFormatError("members must be a list")
+    geom = geometry(space, n, q)
     field = geom.field
     index = geom.subspace_index(k)
     members = set()
     for mi, mat in enumerate(data["members"]):
-        if len(mat) != k + 1 or any(len(row) != n + 1 for row in mat):
+        if not isinstance(mat, list) or len(mat) != k + 1 or any(
+                not isinstance(row, list) or len(row) != n + 1 for row in mat):
             raise FamilyFormatError(
                 f"member {mi}: expected a {k + 1}x{n + 1} matrix")
         rows = []
         for row in mat:
             for c in row:
-                if not isinstance(c, int) or not 0 <= c < field.q:
+                if isinstance(c, bool) or not isinstance(c, int) \
+                        or not 0 <= c < field.q:
                     raise FamilyFormatError(
                         f"member {mi}: entry {c!r} is not a code in [0, {field.q})")
             rows.append(tuple(row))

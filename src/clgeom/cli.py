@@ -51,6 +51,18 @@ def _parse_q(value: str) -> int:
     return q
 
 
+def _parse_precision(value: str) -> int:
+    try:
+        dps = int(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") \
+            from exc
+    if dps <= 0:
+        raise argparse.ArgumentTypeError(
+            f"precision must be a positive number of digits, got {dps}")
+    return dps
+
+
 def _fraction_str(x: Fraction) -> str:
     """Exact decimal when the denominator is 2^a 5^b, else num/den."""
     den = x.denominator
@@ -305,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cameron-Liebler k-set toolkit for PG(n,q) / AG(n,q)")
     ap.add_argument("--no-cache", action="store_true",
                     help="disable the on-disk geometry cache")
-    ap.add_argument("--precision", type=int, default=DEFAULT_DPS,
+    ap.add_argument("--precision", type=_parse_precision,
+                    default=DEFAULT_DPS,
                     help="decimal digits for irrational bound evaluation")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -268,6 +268,7 @@ class Geometry:
         self._subspaces = {}
         self._subspace_index = {}
         self._incidence = {}
+        self._tables = {}
         self._masks = {}
 
     @property
@@ -415,6 +416,21 @@ class Geometry:
                 if i is not None:
                     mat[i, j] = 1
         return mat
+
+    def point_table(self, k: int) -> np.ndarray:
+        """N x theta array whose row j lists the point indices of k-space j.
+
+        Derived from incidence(k) and kept in memory only; every k-space has
+        the same number theta of points, so the table is rectangular."""
+        if k not in self._tables:
+            # nonzero of the transpose lists points block by block, in order
+            blocks, pts = np.nonzero(self.incidence(k).T)
+            sizes = np.bincount(blocks, minlength=self.subspace_count(k))
+            assert (sizes == sizes[0]).all()
+            table = pts.reshape(len(sizes), sizes[0])
+            table.setflags(write=False)
+            self._tables[k] = table
+        return self._tables[k]
 
     def point_masks(self, k: int):
         """Per k-space bitmask of incident point indices."""

@@ -5,6 +5,11 @@ on integer-scaled rows; membership reduces against a cached integer echelon
 basis of the row space, which is exactly the rank-augmentation test.  A
 kernel-orthogonality route is available as an independent cross-check and
 caches the kernel per matrix.
+
+``clcore.is_cl`` decides CL membership by the 2-design identity on the
+point table by default; these two routes are its independent oracles
+(``is_cl(..., method="rank" | "kernel")``).  Building an incidence matrix
+as rationals limits them to small geometries.
 """
 
 from __future__ import annotations

@@ -231,7 +231,8 @@ def _lines_rule_applies(n: int, k: int, q: int, x: Fraction) -> bool:
             and x < Fraction(q ** (n - k) - 1, q ** (k + 1) - 1))
 
 
-def classification_rules(space: str, n: int, k: int, q: int, x: Fraction):
+def classification_rules(space: str, n: int, k: int, q: int, x: Fraction,
+                         dps: int = DEFAULT_DPS):
     """Interval/classification exclusions for a (possibly rational) x.
 
     Returns the list of firing rule ids; trivial parameters never fire."""
@@ -241,7 +242,7 @@ def classification_rules(space: str, n: int, k: int, q: int, x: Fraction):
     if space == "PG" and n >= 3 * k + 2:
         if (0 < x < 1) or (1 < x < 2):
             out.append("unit-intervals")
-        C = classification_threshold(n, k, q)
+        C = classification_threshold(n, k, q, dps)
         if x >= 2 and _below(x, C):
             out.append("c-interval")
     if space == "PG" and k >= 2 and n >= 2 * k + 1 and q <= 5:
@@ -276,7 +277,7 @@ def _firing_rules(space: str, n: int, k: int, q: int, x: Fraction,
             out.append("affine-modular")
         if n >= 2 * k + 2 and 0 < x < affine_pencil_bound(n, k, q):
             out.append("affine-bound")
-    out.extend(classification_rules(space, n, k, q, x))
+    out.extend(classification_rules(space, n, k, q, x, dps))
     return out
 
 

@@ -81,6 +81,79 @@ def test_random_same_size_families_are_not_cl():
         checked += 1
 
 
+# Each (kind, n, q, k): PG and AG, k = 0, 1, 2 and k = n, GF(2), GF(3), GF(4).
+ORACLE_GEOMS = [("PG", 3, 2, 0), ("PG", 3, 2, 1), ("PG", 3, 2, 2),
+                ("PG", 3, 2, 3), ("PG", 4, 2, 2), ("PG", 3, 3, 1),
+                ("PG", 2, 4, 1), ("AG", 3, 2, 0), ("AG", 3, 2, 1),
+                ("AG", 3, 2, 2), ("AG", 3, 2, 3), ("AG", 3, 3, 1),
+                ("AG", 2, 4, 1)]
+
+
+def oracle_families(geom, k, seed):
+    """Trivial families and complements, one-member swaps of each, and
+    seeded random families of random size."""
+    rng = random.Random(seed)
+    total = geom.subspace_count(k)
+    fams = [fam for fam, _ in trivial_families(geom, k)]
+    for fam in list(fams):
+        if 0 < fam.size < total:
+            out_idx = rng.choice(sorted(set(range(total)) - fam.members))
+            dropped = rng.choice(sorted(fam.members))
+            fams.append(cc.KFamily(geom, k,
+                                   (fam.members - {dropped}) | {out_idx}))
+    for _ in range(6):
+        fams.append(cc.KFamily(geom, k, rng.sample(range(total),
+                                                   rng.randint(0, total))))
+    return fams
+
+
+@pytest.mark.parametrize("kind,n,q,k", ORACLE_GEOMS)
+def test_design_route_agrees_with_oracles(kind, n, q, k):
+    geom = geometry(kind, n, q)
+    verdicts = []
+    for fam in oracle_families(geom, k, seed=f"{kind}{n}{q}{k}"):
+        rep = cc.is_cl(fam)
+        assert rep.certificate == "design-identity"
+        assert rep.x == fam.x
+        assert rep.is_cl == cc.is_cl(fam, method="rank").is_cl, fam
+        assert rep.is_cl == cc.is_cl(fam, method="kernel").is_cl, fam
+        verdicts.append(rep.is_cl)
+    assert True in verdicts
+    if 0 < k < n and geom.num_points < geom.subspace_count(k):
+        # Im(P^T) is a proper subspace: the swaps must leave it
+        assert False in verdicts
+    else:
+        # P^T has full row rank (k = 0, k = n, projective planes)
+        assert all(verdicts)
+
+
+def test_design_route_builds_no_rational_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational route used")
+
+    monkeypatch.setattr(cc, "in_rowspace", refuse)
+    monkeypatch.setattr(cc.RatMatrix, "from_numpy", refuse)
+    monkeypatch.setattr(cc, "_ROWSPACE", {})
+    geom = geometry("PG", 4, 2)
+    assert cc.is_cl(cc.construct_trivial(geom, 2, "point_pencil")).is_cl
+    with pytest.raises(AssertionError, match="rational route"):
+        cc.is_cl(cc.KFamily(geom, 2, ()), method="rank")
+
+
+def test_is_cl_rejects_unknown_method():
+    with pytest.raises(ValueError):
+        cc.is_cl(cc.KFamily(geometry("PG", 3, 2), 1, ()), method="qr")
+
+
+def test_design_route_pg53_lines():
+    """PG(5,3) k=1 (11011 lines): out of reach of the rational oracles."""
+    geom = geometry("PG", 5, 3)
+    pencil = cc.construct_trivial(geom, 1, "point_pencil")
+    rep = cc.is_cl(pencil)
+    assert rep.is_cl and rep.x == 1
+    assert not cc.is_cl(corrupted(pencil)).is_cl
+
+
 def test_parameter_and_size():
     geom = geometry("PG", 3, 2)
     pencil = cc.construct_trivial(geom, 1, "point_pencil")
@@ -378,3 +451,64 @@ def test_family_json_rejects_noncanonical():
     del bad["k"]
     with pytest.raises(FamilyFormatError):
         cc.family_from_dict(bad)
+
+
+def _pencil_dict():
+    return cc.family_to_dict(
+        cc.construct_trivial(geometry("PG", 3, 2), 1, "point_pencil"))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p", "2"), ("p", 2.0), ("p", True), ("h", None), ("h", True),
+    ("n", 3.0), ("n", False), ("k", "1"), ("k", True)])
+def test_family_header_rejects_non_int(key, value):
+    d = _pencil_dict()
+    d[key] = value
+    with pytest.raises(FamilyFormatError):
+        cc.family_from_dict(d)
+
+
+def test_family_rejects_bool_entries():
+    d = _pencil_dict()
+    row = d["members"][0][0]
+    row[row.index(1)] = True
+    with pytest.raises(FamilyFormatError):
+        cc.family_from_dict(d)
+
+
+@pytest.mark.parametrize("p,h", [(2, 10 ** 6), (10 ** 30, 1), (2, 0), (1, 5),
+                                 (0, 1), (-2, 2), (2, 21)])
+def test_family_rejects_field_order_before_computing_it(p, h):
+    import time
+    d = _pencil_dict()
+    d["p"], d["h"] = p, h
+    t0 = time.perf_counter()
+    with pytest.raises(FamilyFormatError):
+        cc.family_from_dict(d)
+    assert time.perf_counter() - t0 < 0.25
+
+
+@pytest.mark.parametrize("p,h", [(4, 1), (8, 1), (6, 1), (9, 1)])
+def test_family_rejects_header_naming_another_field(p, h):
+    d = _pencil_dict()
+    d["p"], d["h"] = p, h
+    with pytest.raises(FamilyFormatError):
+        cc.family_from_dict(d)
+
+
+def test_family_gf4_header_roundtrip():
+    fam = cc.construct_trivial(geometry("PG", 2, 4), 1, "point_pencil")
+    d = cc.family_to_dict(fam)
+    assert (d["p"], d["h"]) == (2, 2)
+    assert cc.family_to_dict(cc.family_from_dict(d)) == d
+
+
+@pytest.mark.parametrize("data", [
+    [], {"space": "PG", "p": 2, "h": 1, "n": 3, "k": 4, "members": []},
+    {"space": "PG", "p": 2, "h": 1, "n": 0, "k": 0, "members": []},
+    {"space": "PG", "p": 2, "h": 1, "n": 3, "k": 1, "members": {}},
+    {"space": "PG", "p": 2, "h": 1, "n": 3, "k": 1, "members": [7]},
+    {"space": "PG", "p": 2, "h": 1, "n": 3, "k": 1, "members": [[1, 2]]}])
+def test_family_rejects_malformed_shapes(data):
+    with pytest.raises(FamilyFormatError):
+        cc.family_from_dict(data)

@@ -154,3 +154,43 @@ def test_cache_toggle_same_output(capsys, tmp_path, monkeypatch):
         assert out1 == out2
     finally:
         set_cache_enabled(True)
+
+
+def test_precision_must_be_positive(capsys):
+    for bad in ("0", "-5", "ten"):
+        rc, out, _ = run(capsys, "--precision", bad, "bounds", "-n", "8",
+                         "-k", "1", "-q", "7")
+        assert rc == 2 and out == ""
+    rc, out, _ = run(capsys, "--precision", "5", "bounds", "-n", "8", "-k",
+                     "1", "-q", "7")
+    assert rc == 0
+    assert "evaluated at 5 decimal digits" in out
+
+
+def test_verify_rejects_bad_family_header(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    rc, _, _ = run(capsys, "construct", "--kind", "point-pencil", "-n", "3",
+                   "-k", "1", "-q", "2", "-o", str(path))
+    assert rc == 0
+    good = json.loads(path.read_text())
+    for key, value in (("h", 10 ** 6), ("p", 4), ("k", True), ("n", "3")):
+        bad = dict(good, **{key: value})
+        path.write_text(json.dumps(bad))
+        rc, out, err = run(capsys, "verify", str(path), "--checks", "cl")
+        assert rc == 2, (key, value)
+        assert "error:" in err
+    bad = json.loads(json.dumps(good))
+    bad["members"][0][0][-1] = True
+    path.write_text(json.dumps(bad))
+    rc, _, _ = run(capsys, "verify", str(path), "--checks", "cl")
+    assert rc == 2
+
+
+def test_version_matches_pyproject():
+    import re
+    from pathlib import Path
+
+    import clgeom
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+    assert clgeom.__version__ == version == "0.1.0"

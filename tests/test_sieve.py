@@ -145,6 +145,22 @@ def test_classification_rules():
     assert "unit-intervals" not in classification_rules("PG", 8, 1, 9, F(3))
 
 
+def test_classification_threshold_receives_sieve_dps(monkeypatch):
+    import importlib
+    sv = importlib.import_module("clgeom.sieve")  # the package re-exports sieve()
+    real = sv.classification_threshold
+    seen = []
+
+    def spy(n, k, q, dps=DEFAULT_DPS):
+        seen.append(dps)
+        return real(n, k, q, dps)
+
+    monkeypatch.setattr(sv, "classification_threshold", spy)
+    report = sieve("PG", 5, 1, 2, x_range=(2, 12), dps=23)
+    assert seen and set(seen) == {23}
+    assert "c-interval" in report.entry(2).rules
+
+
 # -- reports ----------------------------------------------------------------
 
 def test_sieve_pg33():
