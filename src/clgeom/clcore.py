@@ -49,6 +49,7 @@ from .geometry import (
     rref,
 )
 from .linalg import RatMatrix, in_rowspace
+from .sieve import x_max_param
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +187,8 @@ def is_cl(F: KFamily, method: str = "design") -> CLReport:
         M = _incidence_ratmatrix(F.geom, F.k)
         ok = in_rowspace(M, [int(c) for c in F.chi], method=method)
     x = F.x
-    q, n, k = F.geom.q, F.geom.n, F.k
-    if F.geom.kind == "PG":
-        assert 0 <= x <= Fraction(q ** (n + 1) - 1, q ** (k + 1) - 1)
-    else:
-        assert 0 <= x <= q ** (n - k)
+    assert 0 <= x <= x_max_param(F.geom.kind, F.geom.n, F.k, F.geom.q)
     return CLReport(ok, x, _CERTIFICATES[method])
-
-
-def x_max(geom: Geometry, k: int) -> Fraction:
-    """Largest possible parameter (the full family's parameter)."""
-    q, n = geom.q, geom.n
-    if geom.kind == "PG":
-        return Fraction(q ** (n + 1) - 1, q ** (k + 1) - 1)
-    return Fraction(q ** (n - k))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +214,7 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
     if kind == "empty":
         fam = KFamily(geom, k, ())
     elif kind == "point_pencil":
-        p_idx = _resolve_point(geom, point)
-        inc = geom.incidence(k)
-        fam = KFamily(geom, k, np.flatnonzero(inc[p_idx, :]))
+        fam = KFamily(geom, k, _pencil(geom, k, _resolve_point(geom, point)))
     elif kind == "hyperplane_class":
         if geom.kind != "PG":
             raise AnchorInvalid("hyperplane_class is a projective construction")
@@ -240,8 +227,7 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
         p_idx = _resolve_point(geom, point)
         if point_in_subspace(geom.field, geom.points[p_idx], H):
             raise AnchorInvalid("anchor point lies in the anchor hyperplane")
-        inc = geom.incidence(k)
-        pencil = set(int(j) for j in np.flatnonzero(inc[p_idx, :]))
+        pencil = set(_pencil(geom, k, p_idx))
         cls = _indices_inside(geom, k, H)
         assert not pencil & cls
         fam = KFamily(geom, k, pencil | cls)
@@ -264,6 +250,11 @@ def _resolve_point(geom: Geometry, point) -> int:
     if idx is None:
         raise AnchorInvalid(f"{pt} is not a point of {geom!r}")
     return idx
+
+
+def _pencil(geom: Geometry, k: int, p_idx: int):
+    """Indices of the k-spaces through point p_idx, read off the point table."""
+    return np.flatnonzero((geom.point_table(k) == p_idx).any(axis=1)).tolist()
 
 
 def _indices_inside(geom: Geometry, k: int, outer: Subspace):

@@ -35,7 +35,6 @@ from .geometry import (
     geometry,
     make_subspace,
     point_in_subspace,
-    set_cache_enabled,
 )
 
 DEFAULT_SEED = 2024
@@ -315,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="clgeom",
         description="Cameron-Liebler k-set toolkit for PG(n,q) / AG(n,q)")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="disable the on-disk geometry cache")
     ap.add_argument("--precision", type=_parse_precision,
                     default=DEFAULT_DPS,
                     help="decimal digits for irrational bound evaluation")
@@ -378,8 +375,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.no_cache:
-        set_cache_enabled(False)
     if hasattr(args, "space"):
         args.space = args.space.upper()
     try:

@@ -145,17 +145,8 @@ def _is_irreducible(F, f, d):
     """Irreducibility of monic f of degree d over the field F."""
     if d == 1:
         return True
-    if d <= 4:
-        # brute-force divisor search; degrees in practice are tiny
-        from itertools import product
-
-        for e in range(1, d // 2 + 1):
-            for tail in product(range(F.q), repeat=e):
-                g = list(tail) + [1]
-                if not _pmod(F, f, g):
-                    return False
-        return True
-    # Frobenius test: x^(Q^d) == x mod f and gcd(x^(Q^(d/r)) - x, f) trivial
+    # Rabin's test: x^(Q^d) == x mod f and gcd(x^(Q^(d/r)) - x, f) trivial
+    # for every prime r dividing d
     x = [0, 1]
     if _ppowmod(F, x, F.q ** d, f) != x:
         return False

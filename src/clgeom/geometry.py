@@ -8,17 +8,14 @@ hyperplane at infinity fixed at X0 = 0: affine points are the projective
 points with X0 = 1, affine k-spaces the projective k-spaces not contained
 in X0 = 0.
 
-Enumerations and incidence matrices are cached in memory and, optionally,
-on disk (directory from the CLGEOM_CACHE environment variable, magic header
-CLG1).  The cache is purely a performance layer; results are identical with
-it disabled.
+Enumerations are kept in memory and nothing is stored on disk.  The one
+stored form of incidence is the point table (``Geometry.point_table``), built
+in numpy from the RREF matrices; the dense incidence matrix and the point
+bitmasks are derived from it.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -36,7 +33,9 @@ from .ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 
 SUBSPACE_CAP = 10 ** 6
 
-_CACHE_MAGIC = b"CLG1"
+# entries of one numpy chunk in the point table and mask builders; small
+# chunks keep the temporaries in cache and the peak memory flat
+_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -185,63 +184,54 @@ def _normalize_point(field: FieldCtx, coords):
 
 
 # ---------------------------------------------------------------------------
-# disk cache
+# numpy field arithmetic for the point table
 # ---------------------------------------------------------------------------
 
-_cache_enabled = True
-_cache_warned = False
+_LOG_TABLES: dict = {}
 
 
-def set_cache_enabled(flag: bool) -> None:
-    global _cache_enabled
-    _cache_enabled = bool(flag)
+def _log_tables(field: FieldCtx):
+    """(log, exp) arrays of GF(p^h), h > 1, for a primitive element g.
+
+    exp[i] = g^i, repeated to length 2(q-1) so exp[log a + log b] needs no
+    reduction.  Built once per field, with about q field multiplications."""
+    key = (field.p, field.h)
+    if key not in _LOG_TABLES:
+        q = field.q
+        for g in range(2, q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = field.mul(x, g)
+            if len(powers) == q - 1:
+                break
+        exp = np.array(powers * 2, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp[:q - 1]] = np.arange(q - 1)
+        _LOG_TABLES[key] = log, exp
+    return _LOG_TABLES[key]
 
 
-def cache_dir() -> str:
-    d = os.environ.get("CLGEOM_CACHE")
-    if not d:
-        d = os.path.join(os.path.expanduser("~"), ".cache", "clgeom")
-    return d
-
-
-def _cache_path(key: str) -> str:
-    return os.path.join(cache_dir(), key + ".clg")
-
-
-def _cache_load(key: str):
-    if not _cache_enabled:
-        return None
-    path = _cache_path(key)
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
-        return None
-    if not blob.startswith(_CACHE_MAGIC):
-        return None
-    try:
-        return pickle.loads(blob[len(_CACHE_MAGIC):])
-    except Exception:
-        return None
-
-
-def _cache_store(key: str, payload) -> None:
-    global _cache_warned
-    if not _cache_enabled:
-        return
-    path = _cache_path(key)
-    tmp = path + ".tmp"
-    try:
-        os.makedirs(cache_dir(), exist_ok=True)
-        with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(pickle.dumps(payload, protocol=4))
-        os.replace(tmp, path)
-    except OSError:
-        if not _cache_warned:
-            warnings.warn(f"geometry cache directory {cache_dir()} not writable; "
-                          "falling back to in-memory only")
-            _cache_warned = True
+def _combine(field: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """c.M for every row c of coeffs (theta x r) and every block M of mats
+    (B x r x ncols), as a B x theta x ncols array of field codes."""
+    if field.h == 1:
+        return np.matmul(coeffs, mats) % field.p
+    p = field.p
+    log, exp = _log_tables(field)
+    out = np.zeros((len(mats), len(coeffs), mats.shape[2]), dtype=np.int64)
+    for i in range(coeffs.shape[1]):
+        c = coeffs[None, :, i, None]
+        m = mats[:, None, i, :]
+        prod = np.where((c == 0) | (m == 0), 0, exp[log[c] + log[m]])
+        # addition adds the base-p digits of the codes mod p
+        total, unit = 0, 1
+        for _ in range(field.h):
+            total = total + (out // unit + prod // unit) % p * unit
+            unit *= p
+        out = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +239,7 @@ def _cache_store(key: str, payload) -> None:
 # ---------------------------------------------------------------------------
 
 class Geometry:
-    """Enumerated PG(n,q) or AG(n,q) with cached incidence matrices.
+    """Enumerated PG(n,q) or AG(n,q) with in-memory point tables.
 
     Immutable after construction; all enumerations are lazy and cached.
     """
@@ -267,7 +257,6 @@ class Geometry:
         self._point_index = None
         self._subspaces = {}
         self._subspace_index = {}
-        self._incidence = {}
         self._tables = {}
         self._masks = {}
 
@@ -288,14 +277,18 @@ class Geometry:
 
     @property
     def points(self):
+        """Lexicographically sorted normalized coordinate tuples.
+
+        Points are the 0-spaces, so SUBSPACE_CAP bounds them too."""
         if self._points is None:
+            if self.num_points > SUBSPACE_CAP:
+                raise TooManySubspaces(self.num_points, SUBSPACE_CAP)
             if self.kind == "PG":
-                pts = _normalized_vectors(self.q, self.n + 1)
-                # replace nonzero entries by field codes: codes coincide with
-                # the integers 0..q-1 used by _normalized_vectors
-                self._points = pts
+                self._points = _normalized_vectors(self.q, self.n + 1)
             else:
-                self._points = [p for p in self.closure().points if p[0] != 0]
+                # the closure's points with X0 = 1, in the same order
+                self._points = [(1,) + t
+                                for t in product(range(self.q), repeat=self.n)]
         return self._points
 
     @property
@@ -335,14 +328,7 @@ class Geometry:
                 full = self.closure().subspaces(k)
                 subs = tuple(s for s in full if any(row[0] for row in s.mat))
             else:
-                key = self._cache_key(k, "subspaces")
-                data = _cache_load(key)
-                if data is None:
-                    subs = tuple(self._enumerate_pg(k))
-                    _cache_store(key, [(s.mat, s.pivots) for s in subs])
-                else:
-                    subs = tuple(Subspace(tuple(map(tuple, m)), tuple(p), self.n + 1)
-                                 for m, p in data)
+                subs = tuple(self._enumerate_pg(k))
             assert len(subs) == count
             self._subspaces[k] = subs
         return self._subspaces[k]
@@ -382,66 +368,65 @@ class Geometry:
 
     # -- incidence --
 
-    def incidence(self, k: int) -> np.ndarray:
-        """0/1 point-(k-space) incidence matrix (P_n for PG, A_n for AG)."""
-        if k not in self._incidence:
-            key = self._cache_key(k, "incidence")
-            data = _cache_load(key)
-            if data is None:
-                data = self._build_incidence(k)
-                _cache_store(key, data)
-            data.setflags(write=False)
-            self._incidence[k] = data
-        return self._incidence[k]
-
-    def _build_incidence(self, k: int) -> np.ndarray:
-        subs = self.subspaces(k)
-        pidx = self.point_index
-        field = self.field
-        mat = np.zeros((len(self.points), len(subs)), dtype=np.uint8)
-        coeffs = _normalized_vectors(self.q, k + 1)
-        n1 = self.n + 1
-        for j, s in enumerate(subs):
-            rows = s.mat
-            for cv in coeffs:
-                pt = [0] * n1
-                for ci, c in enumerate(cv):
-                    if c:
-                        row = rows[ci]
-                        for t in range(n1):
-                            if row[t]:
-                                pt[t] = field.add(pt[t], field.mul(c, row[t]))
-                p = _normalize_point(field, pt)
-                i = pidx.get(p)
-                if i is not None:
-                    mat[i, j] = 1
-        return mat
-
     def point_table(self, k: int) -> np.ndarray:
-        """N x theta array whose row j lists the point indices of k-space j.
+        """N x theta int64 array whose row j lists, ascending, the indices of
+        the points on k-space j: the one stored form of the incidence.
 
-        Derived from incidence(k) and kept in memory only; every k-space has
-        the same number theta of points, so the table is rectangular."""
+        Every point of an RREF block M is c.M for a normalized coefficient
+        vector c, and c.M is already normalized (its leading entry sits in a
+        pivot column of M, where M has an identity column).  The products are
+        computed in numpy, encoded as base-q integers and looked up among the
+        points' codes; in AG the misses are the points at infinity."""
         if k not in self._tables:
-            # nonzero of the transpose lists points block by block, in order
-            blocks, pts = np.nonzero(self.incidence(k).T)
-            sizes = np.bincount(blocks, minlength=self.subspace_count(k))
-            assert (sizes == sizes[0]).all()
-            table = pts.reshape(len(sizes), sizes[0])
+            subs = self.subspaces(k)
+            q, n1 = self.q, self.n + 1
+            weights = q ** np.arange(n1 - 1, -1, -1, dtype=np.int64)
+            # lexicographic order of the points is the order of their codes
+            codes = np.array(self.points, dtype=np.int64) @ weights
+            if k == self.n:
+                table = np.arange(len(codes))[None, :]
+            else:
+                coeffs = np.array(_normalized_vectors(q, k + 1), dtype=np.int64)
+                theta = len(coeffs) if self.kind == "PG" else q ** k
+                table = np.empty((len(subs), theta), dtype=np.int64)
+                step = max(1, _CHUNK // (len(coeffs) * n1))
+                for lo in range(0, len(subs), step):
+                    mats = np.array([s.mat for s in subs[lo:lo + step]],
+                                    dtype=np.int64)
+                    # for k = 0 the single row is the point itself
+                    vecs = mats if k == 0 else _combine(self.field, coeffs, mats)
+                    keys = vecs @ weights
+                    pos = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+                    hit = codes[pos] == keys
+                    assert (hit.sum(axis=1) == theta).all()
+                    table[lo:lo + len(mats)] = np.sort(
+                        pos[hit].reshape(len(mats), theta), axis=1)
             table.setflags(write=False)
             self._tables[k] = table
         return self._tables[k]
 
+    def incidence(self, k: int) -> np.ndarray:
+        """0/1 point-(k-space) incidence matrix (P_n for PG, A_n for AG),
+        scattered from the point table into a fresh array on every call."""
+        table = self.point_table(k)
+        inc = np.zeros((self.num_points, len(table)), dtype=np.uint8)
+        inc[table, np.arange(len(table))[:, None]] = 1
+        return inc
+
     def point_masks(self, k: int):
-        """Per k-space bitmask of incident point indices."""
+        """Per k-space bitmask of incident point indices (bit i = point i),
+        packed from the point table."""
         if k not in self._masks:
-            inc = self.incidence(k)
+            table = self.point_table(k)
+            v = self.num_points
             masks = []
-            for j in range(inc.shape[1]):
-                m = 0
-                for i in np.flatnonzero(inc[:, j]):
-                    m |= 1 << int(i)
-                masks.append(m)
+            step = max(1, 8 * _CHUNK // v)
+            for lo in range(0, len(table), step):
+                rows = table[lo:lo + step]
+                dense = np.zeros((len(rows), v), dtype=np.uint8)
+                dense[np.arange(len(rows))[:, None], rows] = 1
+                packed = np.packbits(dense, axis=1, bitorder="little")
+                masks.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
             self._masks[k] = masks
         return self._masks[k]
 
@@ -463,9 +448,6 @@ class Geometry:
             if i is not None:
                 mask |= 1 << i
         return mask
-
-    def _cache_key(self, k: int, what: str) -> str:
-        return f"{self.kind}-p{self.field.p}-h{self.field.h}-n{self.n}-k{k}-{what}"
 
 
 _GEOMETRIES: dict = {}

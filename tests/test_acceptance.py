@@ -15,7 +15,7 @@ from clgeom.geometry import (
     make_subspace,
     point_in_subspace,
 )
-from clgeom.sieve import sieve
+from clgeom.sieve import sieve, x_max_param
 
 
 class _Gate:
@@ -50,7 +50,7 @@ def trivial_set(geom, k):
         out.append((cc.construct_trivial(geom, k, "pencil_plus_hyperplane",
                                          point=_off_hyperplane_point(geom)),
                     1 + xh))
-    xmax = cc.x_max(geom, k)
+    xmax = x_max_param(geom.kind, geom.n, k, geom.q)
     out += [(cc.complement(f), xmax - x) for f, x in list(out)]
     return out
 

@@ -25,6 +25,7 @@ from clgeom.geometry import (
     make_subspace,
     point_in_subspace,
 )
+from clgeom.sieve import x_max_param
 
 
 def hyperplane_param(n, k, q):
@@ -41,7 +42,7 @@ def trivial_families(geom, k):
         out.append((cc.construct_trivial(geom, k, "pencil_plus_hyperplane",
                                          point=_off_hyperplane_point(geom)),
                     1 + xh))
-    xmax = cc.x_max(geom, k)
+    xmax = x_max_param(geom.kind, geom.n, k, geom.q)
     out += [(cc.complement(f), xmax - x) for f, x in list(out)]
     return out
 
@@ -160,7 +161,7 @@ def test_parameter_and_size():
     assert pencil.size == 7
     assert pencil.x == 1
     full = cc.complement(cc.KFamily(geom, 1, ()))
-    assert full.x == Fraction(15, 3) == cc.x_max(geom, 1)
+    assert full.x == Fraction(15, 3) == x_max_param("PG", 3, 1, 2)
 
 
 def test_set_algebra():

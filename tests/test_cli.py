@@ -1,7 +1,7 @@
 import json
+import time
 
 from clgeom.cli import main
-from clgeom.geometry import set_cache_enabled
 
 
 def run(capsys, *argv):
@@ -143,17 +143,56 @@ def test_usage_errors(capsys):
     assert rc == 2
 
 
-def test_cache_toggle_same_output(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CLGEOM_CACHE", str(tmp_path))
-    try:
-        rc1, out1, _ = run(capsys, "enumerate", "--space", "pg", "-n", "2",
-                           "-k", "1", "-q", "3")
-        rc2, out2, _ = run(capsys, "--no-cache", "enumerate", "--space", "pg",
-                           "-n", "2", "-k", "1", "-q", "3")
-        assert rc1 == rc2 == 0
-        assert out1 == out2
-    finally:
-        set_cache_enabled(True)
+def test_construct_verify_write_nothing_under_home(capsys, tmp_path,
+                                                   monkeypatch):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.delenv("CLGEOM_CACHE", raising=False)
+    path = tmp_path / "f.json"
+    rc, _, _ = run(capsys, "construct", "--space", "pg", "-n", "3", "-k", "1",
+                   "-q", "5", "--kind", "point-pencil", "-o", str(path))
+    assert rc == 0
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0 and "FAIL" not in out
+    assert list(home.iterdir()) == []
+
+
+def test_construct_and_cl_build_no_dense_incidence(capsys, tmp_path,
+                                                  monkeypatch):
+    from clgeom.geometry import Geometry
+
+    def refuse(self, k):
+        raise AssertionError("dense incidence built")
+
+    monkeypatch.setattr(Geometry, "incidence", refuse)
+    for kind in ("point-pencil", "pencil-plus-hyperplane"):
+        path = tmp_path / f"{kind}.json"
+        rc, _, _ = run(capsys, "construct", "--space", "pg", "-n", "4", "-k",
+                       "1", "-q", "3", "--kind", kind, "--point", "1,0,0,0,0",
+                       "-o", str(path))
+        assert rc == 0
+        rc, out, _ = run(capsys, "verify", str(path), "--checks", "cl")
+        assert rc == 0 and out.split() == ["cl", "pass"]
+
+
+def test_verify_rejects_too_many_points(capsys, tmp_path):
+    """A one-block family with k = n passes the subspace cap; its 2^31 - 1
+    points must not be enumerated."""
+    path = tmp_path / "f.json"
+    identity = [[int(i == j) for j in range(31)] for i in range(31)]
+    path.write_text(json.dumps({"space": "PG", "p": 2, "h": 1, "n": 30,
+                                "k": 30, "members": [identity]}))
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "verify", str(path), "--checks", "cl")
+    assert rc == 2 and "exceeds cap" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_no_cache_flag_is_gone(capsys):
+    rc, out, _ = run(capsys, "--no-cache", "enumerate", "--space", "pg",
+                     "-n", "2", "-k", "1", "-q", "3")
+    assert rc == 2 and out == ""
 
 
 def test_precision_must_be_positive(capsys):

@@ -47,6 +47,24 @@ def test_gf9_modulus_is_smallest():
     assert F.modulus == (1, 0, 1)  # t^2 + 1 is irreducible over GF(3)
 
 
+@pytest.mark.parametrize("p,h,modulus", [
+    (2, 2, (1, 1, 1)),
+    (2, 3, (1, 1, 0, 1)),
+    (2, 4, (1, 1, 0, 0, 1)),
+    (3, 2, (1, 0, 1)),
+    (3, 3, (1, 2, 0, 1)),
+    (3, 4, (2, 1, 0, 0, 1)),
+    (5, 2, (2, 0, 1)),
+])
+def test_smallest_moduli_pinned(p, h, modulus):
+    assert ff_create(p, h).modulus == modulus
+
+
+def test_extension_modulus_pinned():
+    # GF(16) as GF(4)[t]/(t^2 + t + w), w the generator (code 2) of GF(4)
+    assert ff_extend(ff_create(2, 2), 2).modulus == (2, 1, 1)
+
+
 @pytest.mark.parametrize("p,h", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (5, 1)])
 def test_field_axioms_exhaustive(p, h):
     F = ff_create(p, h)

@@ -1,4 +1,4 @@
-import os
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from clgeom.geometry import (
     point_in_subspace,
     project_subspace,
     rref,
-    set_cache_enabled,
     span,
     subspace_contains,
 )
@@ -106,6 +105,52 @@ def test_incidence_column_sums():
     assert set(ai.sum(axis=1)) == {7}
 
 
+ORACLE_GEOMS = [(kind, n, q) for kind in ("PG", "AG")
+                for n, q in ((3, 2), (3, 3), (3, 4), (2, 8), (2, 9))]
+
+
+@pytest.mark.parametrize("kind,n,q", ORACLE_GEOMS)
+def test_point_table_matches_membership_oracle(kind, n, q):
+    """Table rows against brute-force membership; incidence and masks
+    against the table."""
+    g = geometry(kind, n, q)
+    for k in range(n + 1):
+        table = g.point_table(k)
+        subs = g.subspaces(k)
+        assert table.shape[0] == len(subs) and table.dtype == np.int64
+        inc = g.incidence(k)
+        assert inc.shape == (len(g.points), len(subs)) and inc.dtype == np.uint8
+        assert inc.sum() == table.size
+        masks = g.point_masks(k)
+        assert len(masks) == len(subs)
+        for j, (row, sub) in enumerate(zip(table, subs)):
+            expect = [i for i, p in enumerate(g.points)
+                      if point_in_subspace(g.field, p, sub)]
+            assert row.tolist() == expect
+            assert np.flatnonzero(inc[:, j]).tolist() == expect
+            assert masks[j] == sum(1 << i for i in expect)
+
+
+def test_point_table_over_large_field():
+    """k = 0 and k = n need no field products, so no per-field tables."""
+    t0 = time.perf_counter()
+    g = geometry("PG", 1, 1024)
+    for k, shape in ((0, (1025, 1)), (1, (1, 1025))):
+        table = g.point_table(k)
+        assert table.shape == shape
+        assert table.ravel().tolist() == list(range(1025))
+        assert g.incidence(k).sum() == 1025
+        assert sum(m.bit_count() for m in g.point_masks(k)) == 1025
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_point_cap():
+    g = geometry("PG", 30, 2)
+    assert g.subspace_count(30) == 1
+    with pytest.raises(TooManySubspaces):
+        g.points
+
+
 def test_incidence_row_sums_match_pencil_size():
     g = geometry("PG", 4, 3)
     inc = g.incidence(1)
@@ -176,42 +221,6 @@ def test_projection():
                          pt, beta)
     with pytest.raises(NotSkew):
         project_subspace(g.field, line, pt, span(g.field, pt, beta))
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLGEOM_CACHE", str(tmp_path))
-    set_cache_enabled(True)
-    try:
-        g = geometry("PG", 2, 5)
-        g._subspaces.clear()
-        first = g.subspaces(1)
-        files = os.listdir(tmp_path)
-        assert any(f.endswith(".clg") for f in files)
-        g._subspaces.clear()
-        again = g.subspaces(1)
-        assert [s.mat for s in first] == [s.mat for s in again]
-        # cache off gives identical enumeration
-        set_cache_enabled(False)
-        g._subspaces.clear()
-        off = g.subspaces(1)
-        assert [s.mat for s in first] == [s.mat for s in off]
-    finally:
-        set_cache_enabled(True)
-
-
-def test_corrupt_cache_ignored(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLGEOM_CACHE", str(tmp_path))
-    set_cache_enabled(True)
-    try:
-        g = geometry("PG", 2, 7)
-        g._subspaces.clear()
-        good = g.subspaces(1)
-        path = next(tmp_path.glob("*.clg"))
-        path.write_bytes(b"garbage not a cache file")
-        g._subspaces.clear()
-        assert [s.mat for s in g.subspaces(1)] == [s.mat for s in good]
-    finally:
-        set_cache_enabled(True)
 
 
 @settings(max_examples=30, deadline=None)
