@@ -34,15 +34,13 @@ from .clcore import (
     union_disjoint,
 )
 from .errors import ClgeomError
-from .ff import ff_create, ff_extend, field_for_order
+from .ff import ff_create, ff_extend
 from .geometry import (
     Geometry,
     Subspace,
-    enumerate_subspaces,
     field_reduction_spread,
     gauss_binom,
     geometry,
-    incidence_matrix,
     make_subspace,
     meet,
     span,

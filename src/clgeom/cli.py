@@ -175,7 +175,9 @@ ALL_CHECKS = ("cl", "disjoint", "profile", "spread", "drudge", "aid",
 def _default_checks(fam) -> list:
     checks = ["cl"]
     if fam.geom.kind == "PG":
-        checks += ["disjoint", "profile", "drudge"]
+        checks += ["disjoint", "profile"]
+        if fam.geom.n >= fam.k + 2:
+            checks.append("drudge")
         if (fam.geom.n + 1) % (fam.k + 1) == 0:
             checks.append("spread")
         if 2 * fam.k + 1 <= fam.geom.n - 1 and fam.geom.n >= 2 * fam.k + 2:
@@ -212,8 +214,11 @@ def _run_check(fam, name: str, rng: random.Random):
         ok = clcore.check_spread(fam, S)
         return ok, [] if ok else [f"spread intersection != x = {fam.x}"]
     if name == "drudge":
+        dims = range(k + 1, geom.n)
+        if not dims:
+            raise GuardViolated(
+                f"drudge needs n >= k + 2, got n = {geom.n}, k = {k}")
         bad = []
-        dims = [d for d in range(k + 1, geom.n) ]
         for _ in range(20):
             i = rng.choice(dims)
             taus = geom.subspaces(i)

@@ -1,11 +1,12 @@
-"""Exact arithmetic in GF(q) for prime powers q = p^h, plus extensions.
+"""Exact arithmetic in GF(q), q = p^h, and in towers of extensions.
 
-Elements are integer codes: the element with coefficient vector
-(c_0, ..., c_{h-1}) over GF(p) has code sum(c_i * p**i).  Code 0 is the
-additive identity, code 1 the multiplicative identity.  The reducing modulus
-is always the lexicographically smallest monic irreducible polynomial of the
-right degree (coefficient tuples (c_{h-1}, ..., c_0) compared ascending), so
-every run constructs the same field.
+``FieldCtx`` is the one field class (its docstring gives the element
+codes): ``ff_create(p, h)`` is GF(p) extended by h, and ``ff_extend(F, d)``
+is F extended by d.  The reducing modulus is always the lexicographically
+smallest monic irreducible polynomial of the right degree (coefficient
+tuples (c_{d-1}, ..., c_0) compared ascending), so every run constructs the
+same field.  Up to order ``_TABLE_MAX`` a field multiplies and inverts
+through log/exp tables, which ``geometry`` also reads as numpy arrays.
 
 Polynomials are coefficient lists, constant term first, trailing zeros
 stripped ([] is the zero polynomial).
@@ -13,12 +14,15 @@ stripped ([] is the zero polynomial).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DivisionByZero, GuardViolated, NotPrime, OrderTooLarge
 
 MAX_ORDER = 1 << 20
 
-# Multiplication/inverse lookup tables are built below this order.
-_TABLE_MAX = 512
+# log/exp tables are built up to this order; SUBSPACE_CAP keeps every
+# geometry that forms products over GF(p^h), h > 1, at q <= 961
+_TABLE_MAX = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -66,16 +70,6 @@ def _ptrim(c):
     return c
 
 
-def _padd(F, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(F.add(x, y))
-    return _ptrim(out)
-
-
 def _psub(F, a, b):
     n = max(len(a), len(b))
     out = []
@@ -99,25 +93,18 @@ def _pmul(F, a, b):
     return _ptrim(out)
 
 
-def _pdivmod(F, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _pmod(F, a, b):
+    """Remainder of a modulo the nonzero polynomial b."""
     a = list(a)
     lead_inv = F.inv(b[-1])
     db = len(b) - 1
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
+    while len(a) > db:
         shift = len(a) - 1 - db
         c = F.mul(a[-1], lead_inv)
-        quot[shift] = c
         for i in range(len(b)):
             a[shift + i] = F.sub(a[shift + i], F.mul(c, b[i]))
         _ptrim(a)
-    return _ptrim(quot), a
-
-
-def _pmod(F, a, b):
-    return _pdivmod(F, a, b)[1]
+    return a
 
 
 def _pgcd(F, a, b):
@@ -179,101 +166,75 @@ def _smallest_irreducible(F, d):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-class _PrimeOps:
-    """Arithmetic mod p on integer codes, used while bootstrapping a field."""
-
-    def __init__(self, p):
-        self.p = p
-        self.q = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-
 # ---------------------------------------------------------------------------
-# field contexts
+# the field class
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
-    """GF(p^h) with elements as integer codes in [0, q).
+    """GF(Q^d) as the polynomials of degree < d over a base field GF(Q),
+    reduced by ``modulus``; elements are integer codes in [0, Q^d).
+
+    Code sum(c_i * Q**i) is the polynomial with coefficient codes
+    (c_0, ..., c_{d-1}) of the base field (``to_vector``); code 0 is zero
+    and code 1 is one.  GF(p) is its own base, with d = 1 and modulus x.
+    Whatever the tower, a code is its own base-p digit vector over
+    h = h_base * d digits, so addition is digitwise mod p and needs no
+    base field.
 
     Immutable after construction; safe for concurrent reads.
     """
 
-    def __init__(self, p: int, h: int):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if h < 1:
-            raise GuardViolated("extension degree must be >= 1")
-        if p ** h > MAX_ORDER:
-            raise OrderTooLarge(f"{p}^{h} exceeds maximum order {MAX_ORDER}")
-        self.p = p
-        self.h = h
-        self.q = p ** h
-        if h == 1:
+    def __init__(self, base: FieldCtx | int, d: int = 1):
+        """GF(Q^d) over the field ``base``; an int ``base`` is a prime p,
+        and then the field is GF(p) itself (d must be 1)."""
+        self.tables = self._log = self._exp = None
+        if isinstance(base, int):
+            if not is_prime(base):
+                raise NotPrime(f"{base} is not prime")
+            if d != 1:
+                raise GuardViolated("GF(p) is its own base; extend it instead")
+            if base > MAX_ORDER:
+                raise OrderTooLarge(f"{base} exceeds maximum order {MAX_ORDER}")
+            self.p = self.q = base
+            self.h = self.d = 1
+            self.base = self
             self.modulus = (0, 1)
-        else:
-            self.modulus = _smallest_irreducible(_PrimeOps(p), h)
-        self._mul_table = None
-        self._inv_table = None
-        if h > 1 and self.q <= _TABLE_MAX:
+            return
+        if d < 1:
+            raise GuardViolated("extension degree must be >= 1")
+        if base.q ** d > MAX_ORDER:
+            raise OrderTooLarge(f"{base.q}^{d} exceeds maximum order {MAX_ORDER}")
+        self.p = base.p
+        self.h = base.h * d
+        self.q = base.q ** d
+        self.base = base
+        self.d = d
+        self.modulus = _smallest_irreducible(base, d)
+        if self.q <= _TABLE_MAX:
             self._build_tables()
 
-    # -- codecs --
+    # -- coordinate map GF(Q^d) <-> GF(Q)^d --
 
-    def decode(self, a: int):
-        """Coefficient tuple (c_0, ..., c_{h-1}) of code a."""
-        p = self.p
-        return tuple((a // p ** i) % p for i in range(self.h))
+    def to_vector(self, a: int):
+        """Coefficient codes (c_0, ..., c_{d-1}) over the base field."""
+        Q = self.base.q
+        return tuple((a // Q ** i) % Q for i in range(self.d))
 
-    def encode(self, coeffs) -> int:
-        p = self.p
-        return sum(int(c) % p * p ** i for i, c in enumerate(coeffs))
-
-    def elements(self):
-        return range(self.q)
+    def from_vector(self, vec) -> int:
+        Q = self.base.q
+        return sum(int(c) * Q ** i for i, c in enumerate(vec))
 
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
         if self.h == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.h):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
         if self.h == 1:
             return (a - b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.h):
-            out += ((a - b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
@@ -281,8 +242,8 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.h == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]]
         return self._poly_mul(a, b)
 
     def inv(self, a: int) -> int:
@@ -290,8 +251,8 @@ class FieldCtx:
             raise DivisionByZero("inverse of 0")
         if self.h == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
+        if self._exp is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -308,166 +269,75 @@ class FieldCtx:
 
     # -- internals --
 
+    def _digitwise(self, a, b, sign):
+        """a + sign * b, base-p digit by digit mod p."""
+        p = self.p
+        out = 0
+        unit = 1
+        for _ in range(self.h):
+            out += (a + sign * b) % p * unit
+            a //= p
+            b //= p
+            unit *= p
+        return out
+
     def _poly_mul(self, a, b):
-        ops = _PrimeOps(self.p)
-        pa = _ptrim(list(self.decode(a)))
-        pb = _ptrim(list(self.decode(b)))
-        return self.encode(_pmod(ops, _pmul(ops, pa, pb), list(self.modulus))
-                           + [0] * self.h)
+        """Product by polynomial multiplication mod the modulus: the
+        reference the tables are built from."""
+        B = self.base
+        prod = _pmul(B, _ptrim(list(self.to_vector(a))),
+                     _ptrim(list(self.to_vector(b))))
+        return self.from_vector(_pmod(B, prod, list(self.modulus)))
 
     def _build_tables(self):
+        """log/exp tables of the smallest primitive element g.
+
+        exp[i] = g^i for i < 2(q-1), so exp[log a + log b] needs no
+        reduction; log 0 = 2(q-1) points past that into zeros, so products
+        with 0 need no branch.  ``tables`` holds the same two lists as
+        int64 arrays for the numpy code in geometry."""
         q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._poly_mul(a, b)
-                table[a * q + b] = v
-                table[b * q + a] = v
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow(a, q - 2)
-        self._inv_table = inv
+        for g in range(2, q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = self._poly_mul(x, g)
+            if len(powers) == q - 1:
+                break
+        zero = 2 * (q - 1)
+        self._exp = powers * 2 + [0] * (zero + 1)
+        self._log = [zero] * q
+        for i, x in enumerate(powers):
+            self._log[x] = i
+        self.tables = (np.array(self._log, dtype=np.int64),
+                       np.array(self._exp, dtype=np.int64))
 
     def __repr__(self):
-        return f"FieldCtx(GF({self.q}))"
+        if self.base.h == 1:
+            return f"FieldCtx(GF({self.q}))"
+        return f"FieldCtx(GF({self.base.q})^{self.d})"
 
 
 _FIELDS: dict = {}
 
 
 def ff_create(p: int, h: int = 1) -> FieldCtx:
-    """Construct (and cache) the canonical GF(p^h)."""
+    """Construct (and cache) the canonical GF(p^h): GF(p) extended by h."""
     key = (p, h)
     if key not in _FIELDS:
-        _FIELDS[key] = FieldCtx(p, h)
+        _FIELDS[key] = FieldCtx(p) if h == 1 else FieldCtx(ff_create(p), h)
     return _FIELDS[key]
-
-
-def field_for_order(q: int) -> FieldCtx:
-    """GF(q) for a prime power q."""
-    p, h = factor_prime_power(q)
-    return ff_create(p, h)
-
-
-class ExtFieldCtx:
-    """GF(q^d) as a d-dimensional vector space over a base GF(q).
-
-    Element codes are integers in [0, q^d); code sum(c_i * q**i) has
-    coordinate vector (c_0, ..., c_{d-1}) of base-field codes.
-    """
-
-    def __init__(self, base: FieldCtx, d: int):
-        if d < 2:
-            raise GuardViolated("extension degree must be >= 2")
-        if base.q ** d > MAX_ORDER:
-            raise OrderTooLarge(f"{base.q}^{d} exceeds maximum order {MAX_ORDER}")
-        self.base = base
-        self.d = d
-        self.q = base.q ** d
-        self.modulus = _smallest_irreducible(base, d)
-        self._mul_table = None
-        self._inv_table = None
-        if self.q <= _TABLE_MAX:
-            self._build_tables()
-
-    # -- coordinate map GF(q^d) <-> GF(q)^d --
-
-    def to_vector(self, a: int):
-        Q = self.base.q
-        return tuple((a // Q ** i) % Q for i in range(self.d))
-
-    def from_vector(self, vec) -> int:
-        Q = self.base.q
-        return sum(int(c) * Q ** i for i, c in enumerate(vec))
-
-    def elements(self):
-        return range(self.q)
-
-    # -- arithmetic --
-
-    def add(self, a: int, b: int) -> int:
-        B = self.base
-        Q = B.q
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += B.add(a % Q, b % Q) * mult
-            a //= Q
-            b //= Q
-            mult *= Q
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        B = self.base
-        Q = B.q
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += B.sub(a % Q, b % Q) * mult
-            a //= Q
-            b //= Q
-            mult *= Q
-        return out
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._poly_mul(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    def _poly_mul(self, a, b):
-        B = self.base
-        pa = _ptrim(list(self.to_vector(a)))
-        pb = _ptrim(list(self.to_vector(b)))
-        red = _pmod(B, _pmul(B, pa, pb), list(self.modulus))
-        return self.from_vector(red + [0] * (self.d - len(red)))
-
-    def _build_tables(self):
-        q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._poly_mul(a, b)
-                table[a * q + b] = v
-                table[b * q + a] = v
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow(a, q - 2)
-        self._inv_table = inv
-
-    def __repr__(self):
-        return f"ExtFieldCtx(GF({self.base.q}^{self.d}))"
 
 
 _EXTENSIONS: dict = {}
 
 
-def ff_extend(ctx: FieldCtx, d: int) -> ExtFieldCtx:
+def ff_extend(ctx: FieldCtx, d: int) -> FieldCtx:
     """Degree-d extension of GF(q), with the GF(q)^d coordinate map."""
-    key = (ctx.p, ctx.h, d)
+    if d < 2:
+        raise GuardViolated("extension degree must be >= 2")
+    key = (ctx, d)
     if key not in _EXTENSIONS:
-        _EXTENSIONS[key] = ExtFieldCtx(ctx, d)
+        _EXTENSIONS[key] = FieldCtx(ctx, d)
     return _EXTENSIONS[key]

@@ -10,8 +10,9 @@ in X0 = 0.
 
 Enumerations are kept in memory and nothing is stored on disk.  The one
 stored form of incidence is the point table (``Geometry.point_table``), built
-in numpy from the RREF matrices; the dense incidence matrix and the point
-bitmasks are derived from it.
+in numpy from the RREF matrices (over GF(p^h), h > 1, through the field's
+log/exp tables); the dense incidence matrix and the point bitmasks are
+derived from it.
 """
 
 from __future__ import annotations
@@ -187,44 +188,20 @@ def _normalize_point(field: FieldCtx, coords):
 # numpy field arithmetic for the point table
 # ---------------------------------------------------------------------------
 
-_LOG_TABLES: dict = {}
-
-
-def _log_tables(field: FieldCtx):
-    """(log, exp) arrays of GF(p^h), h > 1, for a primitive element g.
-
-    exp[i] = g^i, repeated to length 2(q-1) so exp[log a + log b] needs no
-    reduction.  Built once per field, with about q field multiplications."""
-    key = (field.p, field.h)
-    if key not in _LOG_TABLES:
-        q = field.q
-        for g in range(2, q):
-            powers = [1]
-            x = g
-            while x != 1:
-                powers.append(x)
-                x = field.mul(x, g)
-            if len(powers) == q - 1:
-                break
-        exp = np.array(powers * 2, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp[:q - 1]] = np.arange(q - 1)
-        _LOG_TABLES[key] = log, exp
-    return _LOG_TABLES[key]
-
-
 def _combine(field: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """c.M for every row c of coeffs (theta x r) and every block M of mats
     (B x r x ncols), as a B x theta x ncols array of field codes."""
     if field.h == 1:
         return np.matmul(coeffs, mats) % field.p
+    # SUBSPACE_CAP keeps q <= 961 here (0 < k < n), within the tables
+    assert field.tables is not None
+    log, exp = field.tables
     p = field.p
-    log, exp = _log_tables(field)
     out = np.zeros((len(mats), len(coeffs), mats.shape[2]), dtype=np.int64)
     for i in range(coeffs.shape[1]):
         c = coeffs[None, :, i, None]
         m = mats[:, None, i, :]
-        prod = np.where((c == 0) | (m == 0), 0, exp[log[c] + log[m]])
+        prod = exp[log[c] + log[m]]
         # addition adds the base-p digits of the codes mod p
         total, unit = 0, 1
         for _ in range(field.h):
@@ -249,6 +226,10 @@ class Geometry:
             raise ValueError(f"kind must be PG or AG, got {kind!r}")
         if n < 1:
             raise ValueError("dimension must be >= 1")
+        # codes, Geometry.key and the caches keyed by it assume the
+        # canonical field; a tower such as GF(4)^2 has GF(16)'s p and h
+        if field is not ff_create(field.p, field.h):
+            raise ValueError(f"{field!r} is not the canonical GF({field.q})")
         self.kind = kind
         self.n = n
         self.field = field
@@ -460,15 +441,6 @@ def geometry(kind: str, n: int, q: int) -> Geometry:
     if key not in _GEOMETRIES:
         _GEOMETRIES[key] = Geometry(kind, n, ff_create(p, h))
     return _GEOMETRIES[key]
-
-
-def enumerate_subspaces(geom: Geometry, k: int):
-    """Ordered list of all k-spaces of the geometry."""
-    return geom.subspaces(k)
-
-
-def incidence_matrix(geom: Geometry, k: int) -> np.ndarray:
-    return geom.incidence(k)
 
 
 # ---------------------------------------------------------------------------

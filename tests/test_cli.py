@@ -99,6 +99,18 @@ def test_verify_default_checks_and_json(capsys, tmp_path):
         {r["check"] for r in d["results"]}
 
 
+def test_verify_drudge_needs_n_at_least_k_plus_2(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    run(capsys, "construct", "--kind", "point-pencil", "--space", "pg",
+        "-n", "2", "-k", "1", "-q", "3", "-o", str(path))
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0
+    assert "cl" in out and "drudge" not in out
+    rc, _, err = run(capsys, "verify", str(path), "--checks", "drudge")
+    assert rc == 2
+    assert "drudge" in err
+
+
 def test_project_command(capsys, tmp_path):
     path = tmp_path / "pen.json"
     run(capsys, "construct", "--kind", "point-pencil", "--space", "pg",

@@ -1,8 +1,12 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+from clgeom import ff
 from clgeom.errors import DivisionByZero, NotPrime, OrderTooLarge
-from clgeom.ff import factor_prime_power, ff_create, ff_extend, field_for_order
+from clgeom.ff import factor_prime_power, ff_create, ff_extend
 
 
 def test_factor_prime_power():
@@ -125,6 +129,64 @@ def test_to_vector_roundtrip():
         assert E.from_vector(v) == a
 
 
-def test_field_for_order():
-    assert field_for_order(8).q == 8
-    assert field_for_order(8) is ff_create(2, 3)
+def _poly_inv(F, a):
+    """a^(q-2) by square-and-multiply on the polynomial product."""
+    result, e = 1, F.q - 2
+    while e:
+        if e & 1:
+            result = F._poly_mul(result, a)
+        a = F._poly_mul(a, a)
+        e >>= 1
+    return result
+
+
+# GF(p^h), extended by d when d > 1
+@pytest.mark.parametrize("p,h,d", [
+    (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 4, 1), (5, 2, 1), (3, 3, 1),
+    (2, 2, 2), (3, 2, 2), (2, 2, 3),
+])
+def test_tables_match_polynomial_reference(p, h, d):
+    F = ff_create(p, h)
+    if d > 1:
+        F = ff_extend(F, d)
+    assert F.tables is not None
+    for a in range(F.q):
+        for b in range(a, F.q):
+            assert F.mul(a, b) == F.mul(b, a) == F._poly_mul(a, b)
+        if a:
+            assert F.inv(a) == _poly_inv(F, a)
+
+
+@pytest.mark.parametrize("p,h", [(2, 9), (31, 2), (2, 10)])
+def test_tables_match_polynomial_reference_sampled(p, h):
+    F = ff_create(p, h)
+    assert F.tables is not None
+    q = F.q
+    rng = random.Random(q)
+    pairs = [(0, rng.randrange(q)), (rng.randrange(q), 0), (1, q - 1)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(500)]
+    for a, b in pairs:
+        assert F.mul(a, b) == F._poly_mul(a, b)
+        if a:
+            assert F.inv(a) == _poly_inv(F, a)
+
+
+def test_tables_stop_above_table_max():
+    F = ff_create(2, 11)
+    assert F.tables is None
+    a, b = 1234, 777
+    assert F.mul(a, b) == F._poly_mul(a, b)
+    assert F.mul(a, F.inv(a)) == 1
+
+
+def test_table_build_is_cheap(monkeypatch):
+    # both took seconds while a q x q product table was filled
+    monkeypatch.setattr(ff, "_FIELDS", {})
+    monkeypatch.setattr(ff, "_EXTENSIONS", {})
+    start = time.perf_counter()
+    ff_create(2, 9)
+    assert time.perf_counter() - start < 0.5
+    base = ff_create(2, 3)
+    start = time.perf_counter()
+    ff_extend(base, 3)
+    assert time.perf_counter() - start < 0.5

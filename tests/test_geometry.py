@@ -11,7 +11,9 @@ from clgeom.errors import (
     NotSkew,
     TooManySubspaces,
 )
+from clgeom.ff import ff_create, ff_extend
 from clgeom.geometry import (
+    Geometry,
     canonical_complement,
     field_reduction_spread,
     gauss0,
@@ -132,7 +134,7 @@ def test_point_table_matches_membership_oracle(kind, n, q):
 
 
 def test_point_table_over_large_field():
-    """k = 0 and k = n need no field products, so no per-field tables."""
+    """k = 0 and k = n need no field products."""
     t0 = time.perf_counter()
     g = geometry("PG", 1, 1024)
     for k, shape in ((0, (1025, 1)), (1, (1, 1025))):
@@ -142,6 +144,13 @@ def test_point_table_over_large_field():
         assert g.incidence(k).sum() == 1025
         assert sum(m.bit_count() for m in g.point_masks(k)) == 1025
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_geometry_rejects_non_canonical_field():
+    # GF(4)^2 has GF(16)'s p and h, but other codes
+    with pytest.raises(ValueError):
+        Geometry("PG", 2, ff_extend(ff_create(2, 2), 2))
+    assert geometry("PG", 2, 16).field is ff_create(2, 4)
 
 
 def test_point_cap():
