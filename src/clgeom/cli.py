@@ -113,7 +113,11 @@ def cmd_bounds(args) -> int:
                   f"  (exact {v.numerator}/{v.denominator})")
         else:
             with mpmath.workdps(dps):
-                print(f"{name:20s} {float(v):>18.6f}  (rounded down)")
+                micros = int(mpmath.floor(v * 10 ** 6))
+            sign = "-" if micros < 0 else ""
+            whole, frac = divmod(abs(micros), 10 ** 6)
+            print(f"{name:20s} {f'{sign}{whole}.{frac:06d}':>18s}"
+                  "  (rounded down)")
     print(f"irrational values evaluated at {dps} decimal digits, "
           "rounded toward the non-excluding side")
     return 0
@@ -321,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cameron-Liebler k-set toolkit for PG(n,q) / AG(n,q)")
     ap.add_argument("--precision", type=_parse_precision,
                     default=DEFAULT_DPS,
-                    help="decimal digits for irrational bound evaluation")
+                    help="decimal digits of the irrational values that "
+                         "bounds prints; sieve decisions are exact")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_geom(p, space=True):

@@ -6,25 +6,35 @@ classified as TRIVIAL (realized by a trivial family or its complement),
 EXCLUDED (with the ids of every firing rule), or OPEN.
 
 Conservatism contract: trivially realized parameters are never excluded,
-rules never fire outside their guards, and comparisons against irrational
-bounds are rounded toward the safe side (a candidate within 1e-20 of a
-bound is NOT excluded).  Rules are also applied to the complement
-parameter X_max - x when it is an integer; such hits are tagged with a
-"[complement]" suffix.
+rules never fire outside their guards, and every comparison is exact.  The
+irrational bounds (c-interval, improved-lift, hyperplane-average) are
+increasing affine images a*C + b of a classification threshold C whose
+eighth power is rational, so x < a*C + b is decided in `Fraction` by
+comparing ((x - b)/a)^8 with C^8.  The mpmath functions below evaluate the
+bounds for display only; no decision calls them.  Rules are also applied
+to the complement parameter X_max - x when it is an integer; such hits are
+tagged with a "[complement]" suffix.
+
+`sieve()` reduces each rule to integers once per call: the least integer
+at or above each bound, and the table of non-solvable residues of each
+congruence, which depends only on x mod 2(q+1).  The per-x route
+`_firing_rules` evaluates the same rules directly and is kept as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
 from .errors import GuardViolated
 
 DEFAULT_DPS = 60
-_SAFETY = Fraction(1, 10 ** 20)  # never exclude on numerical noise
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +144,65 @@ def lift_bound(B_t, t: int, n: int, k: int, q: int):
 
 
 # ---------------------------------------------------------------------------
+# exact forms of the irrational bounds
+# ---------------------------------------------------------------------------
+
+class _Root(NamedTuple):
+    """The irrational bound a*C + b with a > 0, where C > 0 is the eighth
+    root of the rational c8."""
+    a: Fraction
+    b: Fraction
+    c8: Fraction
+
+
+def _c8(n: int, k: int, q: int) -> Fraction:
+    """C(n,k,q)^8 = q^(4n-2k^2-6k-12) (q-1)^(2k^2-2k+4) (q^2+q+1)^4 / 2."""
+    return (Fraction(q) ** (4 * n - 2 * k * k - 6 * k - 12)
+            * (q - 1) ** (2 * k * k - 2 * k + 4)
+            * (q * q + q + 1) ** 4 / 2)
+
+
+def _improved_lift_root(n: int, k: int, q: int) -> _Root:
+    """improved_lift_bound(n, k, q) = (C' - 1) s + 1, exactly."""
+    s = Fraction(q ** (n - k) - 1, q ** (2 * k + 2) - 1)
+    return _Root(s, 1 - s, _c8(3 * k + 2, k, q))
+
+
+def _hyperplane_average_root(n: int, k: int, q: int) -> _Root:
+    """hyperplane_average_bound(n, k, q) = ((C' - 1) s + 1) r, exactly."""
+    s = Fraction(q ** (n - k - 1) - 1, q ** (2 * k + 2) - 1)
+    r = Fraction(q ** (n + 1) - 1, q ** n - 1)
+    return _Root(r * s, r * (1 - s), _c8(3 * k + 2, k, q))
+
+
+def _below(x, bound) -> bool:
+    """Exact x < bound, for a rational bound or a _Root.
+
+    x < a*C + b holds exactly when y = (x - b)/a is <= 0 or y^8 < C^8."""
+    if not isinstance(bound, _Root):
+        return x < bound
+    y = (x - bound.b) / bound.a
+    return y <= 0 or y ** 8 < bound.c8
+
+
+def _threshold(bound) -> int:
+    """Least integer t >= 0 with not (t < bound).
+
+    For every integer x >= 0, x < bound exactly when x < t.  A _Root
+    bound a*C + b lies in [Z + b, Z + 1 + b) with Z = floor(a*C), the
+    integer 8th root of floor(a^8 C^8) (three nested isqrt), so t is
+    found after at most two exact comparisons."""
+    low = bound
+    if isinstance(bound, _Root):
+        r = math.isqrt
+        low = r(r(r(math.floor(bound.a ** 8 * bound.c8)))) + bound.b
+    t = max(0, math.ceil(low))
+    while _below(t, bound):
+        t += 1
+    return t
+
+
+# ---------------------------------------------------------------------------
 # modular congruences (solvability in the local count m is necessary)
 # ---------------------------------------------------------------------------
 
@@ -217,68 +286,120 @@ RULES = (
 RULES_BY_ID = {r.id: r for r in RULES}
 
 
-def _below(x: Fraction, bound) -> bool:
-    """Conservative strict comparison x < bound (safe side for mpf)."""
-    if isinstance(bound, Fraction):
-        return x < bound
-    eps = mpmath.mpf(1) / _SAFETY.denominator
-    return mpmath.mpf(x.numerator) / x.denominator < bound - eps
+def _lower_bounds(space: str, n: int, k: int, q: int) -> list:
+    """(id, bound) of every lower-bound rule whose guard holds; the rule
+    excludes each x with 0 < x < bound.  Bounds are exact: a Fraction or a
+    _Root."""
+    if space == "AG":
+        if n >= 2 * k + 2:
+            return [("affine-bound", affine_pencil_bound(n, k, q))]
+        return []
+    out = []
+    if n >= 3 * k + 3:
+        out.append(("pencil-lift", pencil_lift_bound(n, k, q)))
+        out.append(("improved-lift", _improved_lift_root(n, k, q)))
+    if n >= 3 * k:
+        out.append(("ihringer", ihringer_bound(n, k, q)))
+    if n >= 3 * k + 4:
+        out.append(("hyperplane-average", _hyperplane_average_root(n, k, q)))
+    return out
 
 
-def _lines_rule_applies(n: int, k: int, q: int, x: Fraction) -> bool:
-    """The paper's guard of the line-class congruence, one for every k."""
-    return (n >= 2 * k + 1 and (n - k) % 2 == 0 and n - k + 1 >= 7
-            and x < Fraction(q ** (n - k) - 1, q ** (k + 1) - 1))
+def _congruences(space: str, n: int, k: int, q: int) -> list:
+    """(id, solvable, cap) of every congruence rule whose guard holds; the
+    rule excludes each integer x with not solvable(x, q), and only below
+    cap unless cap is None."""
+    if space == "AG":
+        if (n - k) % 2 == 0 and n - k >= 2:
+            return [("affine-modular", affine_condition, None)]
+        return []
+    out = []
+    if n == 3 and k == 1:
+        out.append(("gm-modular", gm_condition_solvable, None))
+    # the paper's guard of the line-class congruence, one for every k
+    if n >= 2 * k + 1 and (n - k) % 2 == 0 and n - k + 1 >= 7:
+        out.append(("lines-modular", line_condition_solvable,
+                    Fraction(q ** (n - k) - 1, q ** (k + 1) - 1)))
+    return out
 
 
-def classification_rules(space: str, n: int, k: int, q: int, x: Fraction,
-                         dps: int = DEFAULT_DPS):
+def _c_interval_bound(space: str, n: int, k: int, q: int):
+    """classification_threshold(n, k, q) as an exact _Root where the
+    classified interval is known, else None; unit-intervals shares the
+    guard."""
+    if space == "PG" and n >= 3 * k + 2:
+        return _Root(Fraction(1), Fraction(0), _c8(n, k, q))
+    return None
+
+
+def _small_q_trivial(space: str, n: int, k: int, q: int) -> bool:
+    """The guard of small-q-trivial, which fires on every non-trivial x."""
+    return space == "PG" and k >= 2 and n >= 2 * k + 1 and q <= 5
+
+
+def classification_rules(space: str, n: int, k: int, q: int, x: Fraction):
     """Interval/classification exclusions for a (possibly rational) x.
 
     Returns the list of firing rule ids; trivial parameters never fire."""
     if x in trivial_params(space, n, k, q):
         return []
     out = []
-    if space == "PG" and n >= 3 * k + 2:
+    C = _c_interval_bound(space, n, k, q)
+    if C is not None:
         if (0 < x < 1) or (1 < x < 2):
             out.append("unit-intervals")
-        C = classification_threshold(n, k, q, dps)
         if x >= 2 and _below(x, C):
             out.append("c-interval")
-    if space == "PG" and k >= 2 and n >= 2 * k + 1 and q <= 5:
+    if _small_q_trivial(space, n, k, q):
         out.append("small-q-trivial")
     return out
 
 
-def _firing_rules(space: str, n: int, k: int, q: int, x: Fraction,
-                  dps: int) -> list:
-    """Ids of every rule excluding the (non-trivial) parameter x."""
+def _firing_rules(space: str, n: int, k: int, q: int, x: Fraction) -> list:
+    """Ids of every rule excluding the (non-trivial) parameter x, each rule
+    evaluated on x directly; the reference for `_RuleTable`."""
     out = []
-    xi = int(x) if x.denominator == 1 else None
-    if space == "PG":
-        if n == 3 and k == 1 and xi is not None \
-                and not gm_condition_solvable(xi, q):
-            out.append("gm-modular")
-        if xi is not None and _lines_rule_applies(n, k, q, x) \
-                and not line_condition_solvable(xi, q):
-            out.append("lines-modular")
-        if x > 0:
-            if n >= 3 * k + 3 and x < pencil_lift_bound(n, k, q):
-                out.append("pencil-lift")
-            if n >= 3 * k and x < ihringer_bound(n, k, q):
-                out.append("ihringer")
-            if n >= 3 * k + 3 and _below(x, improved_lift_bound(n, k, q, dps)):
-                out.append("improved-lift")
-            if n >= 3 * k + 4 and _below(x, hyperplane_average_bound(n, k, q, dps)):
-                out.append("hyperplane-average")
-    else:
-        if (n - k) % 2 == 0 and n - k >= 2 and xi is not None \
-                and not affine_condition(xi, q):
-            out.append("affine-modular")
-        if n >= 2 * k + 2 and 0 < x < affine_pencil_bound(n, k, q):
-            out.append("affine-bound")
-    out.extend(classification_rules(space, n, k, q, x, dps))
+    if x.denominator == 1:
+        out += [rid for rid, solvable, cap in _congruences(space, n, k, q)
+                if (cap is None or x < cap) and not solvable(int(x), q)]
+    if x > 0:
+        out += [rid for rid, bound in _lower_bounds(space, n, k, q)
+                if _below(x, bound)]
+    out.extend(classification_rules(space, n, k, q, x))
     return out
+
+
+class _RuleTable:
+    """The rules of one geometry on the integers x >= 0, reduced once to
+    integer thresholds and residue tables, so that `firing` costs only
+    integer comparisons and set lookups."""
+
+    def __init__(self, space: str, n: int, k: int, q: int):
+        # gm-, lines- and affine-modular depend only on x mod 2(q+1)
+        self.period = 2 * (q + 1)
+        self.congruences = [
+            (rid,
+             frozenset(r for r in range(self.period) if not solvable(r, q)),
+             None if cap is None else _threshold(cap))
+            for rid, solvable, cap in _congruences(space, n, k, q)]
+        self.bounds = [(rid, _threshold(bound))
+                       for rid, bound in _lower_bounds(space, n, k, q)]
+        self.bounds_top = max((t for _, t in self.bounds), default=0)
+        C = _c_interval_bound(space, n, k, q)
+        self.c_top = 0 if C is None else _threshold(C)
+        self.always = (["small-q-trivial"]
+                       if _small_q_trivial(space, n, k, q) else [])
+
+    def firing(self, x: int) -> list:
+        """Ids of every rule excluding the non-trivial integer x >= 0."""
+        r = x % self.period
+        out = [rid for rid, bad, cap in self.congruences
+               if r in bad and (cap is None or x < cap)]
+        if 0 < x < self.bounds_top:
+            out += [rid for rid, t in self.bounds if x < t]
+        if 2 <= x < self.c_top:
+            out.append("c-interval")
+        return out + self.always
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +424,11 @@ class SieveReport:
     notes: list = dc_field(default_factory=list)
 
     def entry(self, x: int) -> SieveEntry:
-        for e in self.entries:
-            if e.x == x:
-                return e
-        raise KeyError(x)
+        """The entry of x; entries hold consecutive x, so this is an index."""
+        i = x - self.entries[0].x if self.entries else -1
+        if not 0 <= i < len(self.entries):
+            raise KeyError(x)
+        return self.entries[i]
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,7 +451,11 @@ class SieveReport:
 
 def sieve(space: str, n: int, k: int, q: int, x_range=None,
           dps: int = DEFAULT_DPS) -> SieveReport:
-    """Classify every integer parameter in range for the given geometry."""
+    """Classify every integer parameter in range for the given geometry.
+
+    x_range = (lo, hi) defaults to (0, X_max) and may reach past X_max;
+    lo < 0 raises GuardViolated.  Every decision is exact, so `dps` changes
+    no entry; it is accepted for callers that pass a precision through."""
     space = space.upper()
     if space not in ("PG", "AG") or not (0 < k < n) or q < 2:
         raise GuardViolated(f"malformed sieve config {space},{n},{k},{q}")
@@ -340,21 +466,22 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
         lo, hi = x_range
         if lo > hi:
             raise GuardViolated("empty x range")
-    trivial = trivial_params(space, n, k, q)
+        if lo < 0:
+            raise GuardViolated("x must be nonnegative")
+    trivial = {int(t) for t in trivial_params(space, n, k, q)
+               if t.denominator == 1}
+    table = _RuleTable(space, n, k, q)
+    top = int(xm) if xm.denominator == 1 else None  # complements are integers
     entries = []
-    with mpmath.workdps(dps):
-        for xi in range(lo, hi + 1):
-            x = Fraction(xi)
-            if x in trivial:
-                entries.append(SieveEntry(xi, "TRIVIAL"))
-                continue
-            ids = _firing_rules(space, n, k, q, x, dps)
-            comp = xm - x
-            if comp >= 0 and comp.denominator == 1 and comp != x:
-                ids.extend(r + "[complement]"
-                           for r in _firing_rules(space, n, k, q, comp, dps))
-            ids = sorted(set(ids))
-            entries.append(SieveEntry(xi, "EXCLUDED" if ids else "OPEN", ids))
+    for x in range(lo, hi + 1):
+        if x in trivial:
+            entries.append(SieveEntry(x, "TRIVIAL"))
+            continue
+        ids = table.firing(x)
+        if top is not None and top - x >= 0 and top - x != x:
+            ids += [r + "[complement]" for r in table.firing(top - x)]
+        ids = sorted(set(ids))
+        entries.append(SieveEntry(x, "EXCLUDED" if ids else "OPEN", ids))
     notes = []
     if space == "PG" and (n - k) % 2 == 0:
         notes.append("n-k even: nontrivial parameters below "

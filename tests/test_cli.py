@@ -21,6 +21,13 @@ def test_bounds_paper_example(capsys):
     assert abs(float(line.split()[1]) - 5482.9585) < 0.5
 
 
+def test_bounds_rounds_down(capsys):
+    # improved-lift for PG(8,7) k=1 is 5476.99761790...
+    rc, out, _ = run(capsys, "bounds", "-n", "8", "-k", "1", "-q", "7")
+    line = next(l for l in out.splitlines() if l.startswith("improved-lift"))
+    assert rc == 0 and line.split()[1] == "5476.997617"
+
+
 def test_bounds_guard_not_met(capsys):
     rc, out, _ = run(capsys, "bounds", "-n", "3", "-k", "1", "-q", "2")
     assert rc == 0
@@ -153,6 +160,15 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "verify", __file__, "--checks", "nonsense")
     assert rc == 2
+
+
+def test_sieve_rejects_negative_x(capsys):
+    # PG(3,7) has the gm congruence and PG(8,7) has none; both must refuse
+    for n in ("3", "8"):
+        rc, out, err = run(capsys, "sieve", "-n", n, "-k", "1", "-q", "7",
+                           "--x-min", "-3", "--x-max", "2")
+        assert rc == 2 and out == ""
+        assert "x must be nonnegative" in err
 
 
 def test_construct_verify_write_nothing_under_home(capsys, tmp_path,

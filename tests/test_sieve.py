@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -6,9 +8,14 @@ import pytest
 
 from clgeom.errors import GuardViolated
 from clgeom.sieve import (
-    DEFAULT_DPS,
     RULES_BY_ID,
+    _RuleTable,
+    _below,
+    _c_interval_bound,
     _firing_rules,
+    _hyperplane_average_root,
+    _improved_lift_root,
+    _threshold,
     affine_condition,
     affine_pencil_bound,
     classification_rules,
@@ -145,20 +152,105 @@ def test_classification_rules():
     assert "unit-intervals" not in classification_rules("PG", 8, 1, 9, F(3))
 
 
-def test_classification_threshold_receives_sieve_dps(monkeypatch):
-    import importlib
-    sv = importlib.import_module("clgeom.sieve")  # the package re-exports sieve()
-    real = sv.classification_threshold
-    seen = []
+# -- exact decisions ---------------------------------------------------------
 
-    def spy(n, k, q, dps=DEFAULT_DPS):
-        seen.append(dps)
-        return real(n, k, q, dps)
+def test_pg157_k2_open_at_every_precision():
+    # hyperplane-average is 33386206.9885..., so x lies just above it; an
+    # absolute safety margin on an 8-digit evaluation once excluded it
+    x = 33386207
+    for dps in range(1, 61):
+        r = sieve("PG", 15, 2, 7, x_range=(x, x), dps=dps)
+        assert r.entry(x).status == "OPEN", dps
 
-    monkeypatch.setattr(sv, "classification_threshold", spy)
+
+@pytest.mark.parametrize("n,k,q,x_range", [(8, 1, 7, (0, 6000)),
+                                           (7, 1, 4, None)])
+def test_entries_do_not_depend_on_dps(n, k, q, x_range):
+    ref = sieve("PG", n, k, q, x_range=x_range).entries
+    for dps in (1, 8, 60, 120):
+        assert sieve("PG", n, k, q, x_range=x_range, dps=dps).entries == ref
+
+
+# (rule, exact form, mpf definition, guard n >= 3k + guard)
+_MPF_BOUNDS = (
+    ("c-interval", lambda n, k, q: _c_interval_bound("PG", n, k, q),
+     classification_threshold, 2),
+    ("improved-lift", _improved_lift_root, improved_lift_bound, 3),
+    ("hyperplane-average", _hyperplane_average_root,
+     hyperplane_average_bound, 4),
+)
+
+
+def test_exact_below_matches_200_digit_mpmath():
+    checked = 0
+    for k in (1, 2):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for n in range(3 * k + 2, 3 * k + 9):
+                for rid, exact, mpf_bound, guard in _MPF_BOUNDS:
+                    if n < 3 * k + guard:
+                        continue
+                    root = exact(n, k, q)
+                    t = _threshold(root)
+                    with mpmath.workdps(200):
+                        v = mpf_bound(n, k, q, 200)
+                        for x in (t - 1, t, t + 1):
+                            if x < 0:
+                                continue
+                            assert abs(x - v) > mpmath.mpf(10) ** -150
+                            assert _below(F(x), root) == (x < v), \
+                                (rid, n, k, q, x)
+                            checked += 1
+                    assert t == 0 or _below(F(t - 1), root)
+                    assert not _below(F(t), root)
+    assert checked > 500
+
+
+def test_sieve_calls_no_mpf_bound(monkeypatch):
+    sv = importlib.import_module("clgeom.sieve")  # the module, not sieve()
+    ref = sieve("PG", 8, 1, 7, x_range=(0, 6000))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a sieve decision evaluated an mpf bound")
+
+    for name in ("classification_threshold", "step_factor",
+                 "improved_lift_bound", "hyperplane_average_bound"):
+        monkeypatch.setattr(sv, name, boom)
+    assert sieve("PG", 8, 1, 7, x_range=(0, 6000)).entries == ref.entries
+    # C(5,1,2) = 2.43..., so c-interval fires at x = 2 without the mpf
+    # classification_threshold
     report = sieve("PG", 5, 1, 2, x_range=(2, 12), dps=23)
-    assert seen and set(seen) == {23}
     assert "c-interval" in report.entry(2).rules
+
+
+def _direct_entry(space, n, k, q, x):
+    """Status and rules of x from the per-x rules, the sieve's reference."""
+    if F(x) in trivial_params(space, n, k, q):
+        return "TRIVIAL", []
+    ids = _firing_rules(space, n, k, q, F(x))
+    comp = x_max_param(space, n, k, q) - x
+    if comp >= 0 and comp.denominator == 1 and comp != x:
+        ids += [r + "[complement]"
+                for r in _firing_rules(space, n, k, q, comp)]
+    ids = sorted(set(ids))
+    return ("EXCLUDED" if ids else "OPEN"), ids
+
+
+def test_rule_table_matches_direct_rules():
+    # every x up to 20 and within 2 of a threshold of the table, or of the
+    # complement of one
+    for space, k, q in itertools.product(("PG", "AG"), (1, 2), (2, 3, 4, 7)):
+        for n in range(k + 1, 3 * k + 6):
+            top = int(x_max_param(space, n, k, q))
+            table = _RuleTable(space, n, k, q)
+            cuts = [t for _, t in table.bounds] + [table.c_top] + \
+                [cap for _, _, cap in table.congruences if cap]
+            xs = set(range(min(top, 20) + 1))
+            for c in cuts + [top - t for t in cuts]:
+                xs |= set(range(max(0, c - 2), min(top, c + 2) + 1))
+            for x in sorted(xs):
+                e = sieve(space, n, k, q, x_range=(x, x)).entry(x)
+                want = _direct_entry(space, n, k, q, x)
+                assert (e.status, e.rules) == want, (space, n, k, q, x)
 
 
 # -- reports ----------------------------------------------------------------
@@ -231,8 +323,7 @@ def test_lines_rule_silent_on_trivial_params(n, q):
     params = [t for t in trivial_params("PG", n, 1, q) if t.denominator == 1]
     assert any(not line_condition_solvable(int(t), q) for t in params)
     for t in params:
-        assert "lines-modular" not in _firing_rules("PG", n, 1, q, t,
-                                                    DEFAULT_DPS), t
+        assert "lines-modular" not in _firing_rules("PG", n, 1, q, t), t
 
 
 def test_precision_monotone_conservative():
@@ -279,3 +370,11 @@ def test_malformed_config():
         sieve("PG", 3, 3, 2)
     with pytest.raises(GuardViolated):
         sieve("PG", 3, 1, 2, x_range=(5, 2))
+
+
+def test_entry_lookup():
+    r = sieve("PG", 3, 1, 3, x_range=(2, 8))
+    assert r.entry(2) is r.entries[0] and r.entry(8) is r.entries[-1]
+    for miss in (1, 9):
+        with pytest.raises(KeyError):
+            r.entry(miss)
