@@ -7,15 +7,20 @@ row space of the point-(k-space) incidence matrix P.  Points and k-spaces
 form a 2-design, so P P^T = (r-lambda) I + lambda J and the test is a
 closed-form integer identity over the geometry's point table (see
 ``is_cl``); the rational rank and kernel routes of ``linalg`` stay
-available as independent oracles.  Every checker computes
-its counts by brute force over the geometry and compares them with the
-closed-form prediction in exact rational arithmetic; checkers report
-violations instead of raising, so they double as falsification tools.
+available as independent oracles.
+
+Every route here reads incidence from the point table, and the points of
+other subspaces from ``Geometry.points_of``.  Every checker computes its
+counts by brute force over the geometry (most of them from one meet
+profile, counted in numpy) and compares them with the closed-form
+prediction in exact rational arithmetic; checkers report violations
+instead of raising, so they double as falsification tools.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -37,6 +42,7 @@ from .errors import (
 )
 from .ff import MAX_ORDER, factor_prime_power
 from .geometry import (
+    _CHUNK,
     Geometry,
     Subspace,
     canonical_complement,
@@ -44,7 +50,6 @@ from .geometry import (
     gauss_binom,
     geometry,
     make_subspace,
-    point_in_subspace,
     project_subspace,
     rref,
 )
@@ -68,7 +73,6 @@ class KFamily:
             raise ValueError("member index out of range")
         self._chi = None
         self._profile = None
-        self._restrict_params = {}
 
     @property
     def size(self) -> int:
@@ -83,15 +87,10 @@ class KFamily:
     def chi(self) -> np.ndarray:
         if self._chi is None:
             v = np.zeros(self.geom.subspace_count(self.k), dtype=np.uint8)
-            for m in self.members:
-                v[m] = 1
+            v[list(self.members)] = 1
             v.setflags(write=False)
             self._chi = v
         return self._chi
-
-    def member_masks(self):
-        masks = self.geom.point_masks(self.k)
-        return [masks[m] for m in sorted(self.members)]
 
     def __eq__(self, other):
         return (isinstance(other, KFamily)
@@ -225,7 +224,7 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
             raise AnchorInvalid("pencil_plus_hyperplane is a projective construction")
         H = hyperplane if hyperplane is not None else _default_hyperplane(geom)
         p_idx = _resolve_point(geom, point)
-        if point_in_subspace(geom.field, geom.points[p_idx], H):
+        if p_idx in geom.points_of(H):
             raise AnchorInvalid("anchor point lies in the anchor hyperplane")
         pencil = set(_pencil(geom, k, p_idx))
         cls = _indices_inside(geom, k, H)
@@ -258,9 +257,8 @@ def _pencil(geom: Geometry, k: int, p_idx: int):
 
 
 def _indices_inside(geom: Geometry, k: int, outer: Subspace):
-    hmask = geom.point_mask_of(outer)
-    masks = geom.point_masks(k)
-    return {j for j, m in enumerate(masks) if m & hmask == m}
+    inside = np.isin(geom.point_table(k), geom.points_of(outer)).all(axis=1)
+    return set(np.flatnonzero(inside).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +303,15 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
         raise DimensionTooSmall(f"dim pi = {i} < k+1 = {F.k + 1}")
     geom = F.geom
     sub_geom = geometry("PG", i, geom.q)
-    pimask = geom.point_mask_of(pi)
-    masks = geom.point_masks(F.k)
     subs = geom.subspaces(F.k)
     index = sub_geom.subspace_index(F.k)
     out = set()
-    for m in F.members:
-        if masks[m] & pimask == masks[m]:
-            rows = [tuple(row[c] for c in pi.pivots) for row in subs[m].mat]
-            mat, _ = rref(rows, geom.field)
-            out.add(index[mat])
+    members = np.flatnonzero(F.chi)
+    inside = np.isin(geom.point_table(F.k)[members], geom.points_of(pi))
+    for m in members[inside.all(axis=1)].tolist():
+        rows = [tuple(row[c] for c in pi.pivots) for row in subs[m].mat]
+        mat, _ = rref(rows, geom.field)
+        out.add(index[mat])
     return KFamily(sub_geom, F.k, out)
 
 
@@ -329,17 +326,19 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
-    pimask = geom.point_mask_of(pi)
-    masks = geom.point_masks(F.k)
+    members = np.flatnonzero(F.chi)
+    pi_pts = geom.points_of(pi)
+    # member rows hold distinct points, so pi lies in those holding all of it
+    through = np.isin(geom.point_table(F.k)[members],
+                      pi_pts).sum(axis=1) == len(pi_pts)
     subs = geom.subspaces(F.k)
     index = sub_geom.subspace_index(F.k - i - 1)
     out = set()
-    for m in F.members:
-        if masks[m] & pimask == pimask:
-            img = project_subspace(geom.field, subs[m], pi, beta)
-            idx = index[img.mat]
-            assert idx not in out, "projection produced a duplicate image"
-            out.add(idx)
+    for m in members[through].tolist():
+        img = project_subspace(geom.field, subs[m], pi, beta)
+        idx = index[img.mat]
+        assert idx not in out, "projection produced a duplicate image"
+        out.add(idx)
     return KFamily(sub_geom, F.k - i - 1, out)
 
 
@@ -427,35 +426,79 @@ def ag_to_pg(F: KFamily) -> KFamily:
 # counting-identity checkers
 # ---------------------------------------------------------------------------
 
-_MEET_SIZE_TO_DIM: dict = {}
+def _meets(geom: Geometry, k: int, blocks: np.ndarray,
+           rows: np.ndarray) -> np.ndarray:
+    """For each block (a row of point indices), the subspaces `rows`
+    counted by their meet with it: in column d + 1 those meeting it in a
+    d-space (d <= k; [d+1 1]_q points in PG, q^d affine points in AG), in
+    column 0 those sharing no point.
+
+    Lists the subspaces through each point, gathers them over each block's
+    points, and counts each (block, subspace) pair.  About eight arrays as
+    long as a chunk's pairs are alive at once, so a chunk holds _CHUNK // 8
+    pairs."""
+    sizes = [gauss_binom(d + 1, 1, geom.q) if geom.kind == "PG"
+             else geom.q ** d for d in range(k + 1)]
+    column = np.full(sizes[-1] + 1, -1, dtype=np.int64)
+    column[[0] + sizes] = np.arange(k + 2)
+    out = np.zeros((len(blocks), k + 2), dtype=np.int64)
+    size = len(rows)
+    flat = rows.ravel()
+    through = np.argsort(flat, kind="stable") // rows.shape[1]  # by point
+    deg = np.bincount(flat, minlength=geom.num_points)
+    start = np.cumsum(deg) - deg
+    load = deg[blocks].sum(axis=1)  # pairs gathered by each block
+    ends = np.cumsum(load)
+    lo = 0
+    while lo < len(blocks):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1,
+                 int(np.searchsorted(ends, base + _CHUNK // 8, "right")))
+        pts = blocks[lo:hi].ravel()
+        lens = deg[pts]
+        idx = np.repeat(start[pts] - (np.cumsum(lens) - lens), lens)
+        idx += np.arange(len(idx))
+        key = np.repeat(np.arange(hi - lo) * size, load[lo:hi])
+        key += through[idx]
+        pairs, shared = np.unique(key, return_counts=True)
+        cols = column[shared]
+        assert (cols > 0).all(), "two subspaces share a non-subspace"
+        out[lo:hi] = np.bincount(pairs // size * (k + 2) + cols,
+                                 minlength=(hi - lo) * (k + 2)).reshape(hi - lo, -1)
+        lo = hi
+    out[:, 0] = size - out[:, 1:].sum(axis=1)
+    return out
 
 
-def _meet_dim_table(q: int, kmax: int):
-    key = (q, kmax)
-    if key not in _MEET_SIZE_TO_DIM:
-        table = {0: -1}
-        for d in range(kmax + 1):
-            table[(q ** (d + 1) - 1) // (q - 1)] = d
-        _MEET_SIZE_TO_DIM[key] = table
-    return _MEET_SIZE_TO_DIM[key]
+def _pair_profile(F: KFamily) -> np.ndarray:
+    """N x (k+2) int64 array: row K counts the members by their meet with
+    K (see _meets).
 
-
-def _pair_profile(F: KFamily):
-    """For every k-space K: counts of members by projective meet dimension."""
+    A family with more than half the blocks is profiled through its
+    complement.  The collineation group is transitive on k-spaces, so every
+    K meets the N blocks as block 0 does."""
     if F._profile is None:
-        geom = F.geom
-        masks = geom.point_masks(F.k)
-        mem = F.member_masks()
-        table = _meet_dim_table(geom.q, F.k)
-        kk = F.k + 2  # dims -1..k shifted by +1
-        prof = []
-        for Km in masks:
-            counts = [0] * kk
-            for mm in mem:
-                counts[table[(Km & mm).bit_count()] + 1] += 1
-            prof.append(counts)
+        geom, k = F.geom, F.k
+        table = geom.point_table(k)
+        if 2 * F.size > len(table):
+            every = _meets(geom, k, table, table[:1]).sum(axis=0)
+            prof = every - _meets(geom, k, table, table[F.chi == 0])
+        else:
+            prof = _meets(geom, k, table, table[F.chi == 1])
+        prof.setflags(write=False)
         F._profile = prof
     return F._profile
+
+
+def _violations(F: KFamily, actual: np.ndarray, expected: tuple) -> list:
+    """(K, expected, actual) for each K, ascending, whose entry of the
+    profile column `actual` is not expected[chi(K)]."""
+    chi = F.chi
+    # counts are never negative, so -1 stands for a non-integer prediction
+    wanted = np.array([e.numerator if e.denominator == 1 else -1
+                       for e in expected])[chi]
+    return [(K, expected[chi[K]], int(actual[K]))
+            for K in np.flatnonzero(actual != wanted).tolist()]
 
 
 def check_disjoint_count(F: KFamily) -> CheckReport:
@@ -464,17 +507,10 @@ def check_disjoint_count(F: KFamily) -> CheckReport:
     if F.geom.kind != "PG":
         raise GuardViolated("disjoint-count identity is projective")
     geom, k = F.geom, F.k
-    n, q = geom.n, geom.q
+    factor = gauss0(geom.n - k - 1, k, geom.q) * geom.q ** (k * k + k)
     x = F.x
-    factor = gauss0(n - k - 1, k, q) * q ** (k * k + k)
-    prof = _pair_profile(F)
-    violations = []
-    for K in range(len(prof)):
-        chi = 1 if K in F.members else 0
-        expected = (x - chi) * factor
-        actual = prof[K][0]
-        if expected != actual:
-            violations.append((K, expected, actual))
+    violations = _violations(F, _pair_profile(F)[:, 0],
+                             (x * factor, (x - 1) * factor))
     return CheckReport(not violations, violations)
 
 
@@ -499,15 +535,9 @@ def check_meet_profile(F: KFamily, i: int) -> CheckReport:
         raise GuardViolated("meet-profile identity is projective")
     if not 1 <= i <= F.k + 1:
         raise GuardViolated(f"i must be in [1, k+1], got {i}")
-    prof = _pair_profile(F)
-    slot = F.k - i + 1  # meet dim (k-i) shifted by +1
-    violations = []
-    for K in range(len(prof)):
-        member = K in F.members
-        expected = meet_profile_expected(F, i, member)
-        actual = prof[K][slot]
-        if expected != actual:
-            violations.append((K, expected, actual))
+    expected = tuple(meet_profile_expected(F, i, member)
+                     for member in (False, True))
+    violations = _violations(F, _pair_profile(F)[:, F.k - i + 1], expected)
     return CheckReport(not violations, violations)
 
 
@@ -519,16 +549,16 @@ def check_spread(F: KFamily, S) -> bool:
     geom, k = F.geom, F.k
     index = geom.subspace_index(k)
     idxs = []
-    cover = 0
+    covered = np.zeros(geom.num_points, dtype=bool)
     for s in S:
         if s.mat not in index:
             raise NotASpread("element is not a k-space of the geometry")
         idxs.append(index[s.mat])
-        m = geom.point_mask_of(s)
-        if cover & m:
+        pts = geom.point_table(k)[idxs[-1]]
+        if covered[pts].any():
             raise NotASpread("elements are not pairwise disjoint")
-        cover |= m
-    if cover != (1 << geom.num_points) - 1:
+        covered[pts] = True
+    if not covered.all():
         raise NotASpread("elements do not cover every point")
     return sum(1 for j in idxs if j in F.members) == F.x
 
@@ -541,23 +571,16 @@ def check_affine_line(F: KFamily) -> CheckReport:
     geom = F.geom
     n, q = geom.n, geom.q
     x = F.x
-    masks = geom.point_masks(1)
-    mem = F.member_masks()
-    expected_factor = q * q * gauss0(n - 2, 1, q) + 1
-    violations = []
-    for j, Lm in enumerate(masks):
-        chi = 1 if j in F.members else 0
-        expected = (x - chi) * expected_factor
-        actual = sum(1 for mm in mem if mm & Lm == 0)
-        if expected != actual:
-            violations.append(("line", j, expected, actual))
+    factor = q * q * gauss0(n - 2, 1, q) + 1
+    violations = [("line",) + v for v in _violations(
+        F, _pair_profile(F)[:, 0], (x * factor, (x - 1) * factor))]
+    # the second RREF row of an affine line is its direction, the point
+    # at infinity of its closure
     subs = geom.subspaces(1)
-    field = geom.field
-    member_subs = [subs[m] for m in sorted(F.members)]
+    through = Counter(subs[m].mat[1] for m in F.members)
     for pt in geom.infinite_points():
-        actual = sum(1 for s in member_subs if point_in_subspace(field, pt, s))
-        if actual != x:
-            violations.append(("infinite-point", pt, x, actual))
+        if through[pt] != x:
+            violations.append(("infinite-point", pt, x, through[pt]))
     return CheckReport(not violations, violations)
 
 
@@ -568,22 +591,16 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     geom, k = F.geom, F.k
     n, q = geom.n, geom.q
     p_idx = _resolve_point(geom, p)
-    if not point_in_subspace(geom.field, geom.points[p_idx], tau):
+    tau_pts = geom.points_of(tau)
+    if p_idx not in tau_pts:
         raise PointNotInSubspace("p must lie in tau")
     i = tau.k
     if i < k + 1:
         raise GuardViolated("tau must have dimension >= k+1")
-    taumask = geom.point_mask_of(tau)
-    pbit = 1 << p_idx
-    masks = geom.point_masks(k)
-    a = b = c = 0
-    for m in F.members:
-        mm = masks[m]
-        through_p = bool(mm & pbit)
-        inside = mm & taumask == mm
-        a += through_p
-        b += inside
-        c += through_p and inside
+    rows = geom.point_table(k)[np.flatnonzero(F.chi)]
+    through_p = (rows == p_idx).any(axis=1)
+    inside = np.isin(rows, tau_pts).all(axis=1)
+    a, b, c = (int(m.sum()) for m in (through_p, inside, through_p & inside))
     g_n1k = gauss_binom(n - 1, k, q)
     g_i1k = gauss_binom(i - 1, k, q)
     lhs = Fraction(a) + Fraction(g_n1k * (q ** k - 1), g_i1k * (q ** i - 1)) * b
@@ -594,32 +611,29 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
 def check_aid_identity(F: KFamily, K: int, t: int) -> bool:
     """The parameter equals the stated average of restricted parameters over
     all t-spaces through a fixed k-space K."""
+    return _aid_value(F, K, t) == F.x
+
+
+def _aid_value(F: KFamily, K: int, t: int) -> Fraction:
+    """The average of check_aid_identity, from K's meet profile.
+
+    The restricted parameters sum by double counting: a member m meeting K
+    in a d-space spans with K a w-space, w = 2k - d, and lies in the
+    [n-w t-w]_q t-spaces through K + m, so the sum over tau of |L ∩ tau|
+    is a weighted sum of K's meet profile."""
     geom, k = F.geom, F.k
     n, q = geom.n, geom.q
     if not (2 * k + 1 <= t <= n - 1 and n >= 2 * k + 2):
         raise GuardViolated("requires 2k+1 <= t <= n-1 and n >= 2k+2")
-    params = _restricted_params(F, t)
-    tmasks = geom.point_masks(t)
-    Kmask = geom.point_masks(k)[K]
+    if geom.kind != "PG":
+        raise GuardViolated("averaging identity is projective")
+    prof = _pair_profile(F)[K]
+    pairs = sum(int(prof[d + 1]) * gauss_binom(n - 2 * k + d, t - 2 * k + d, q)
+                for d in range(-1, k + 1))
+    total = Fraction(pairs, gauss_binom(t, k, q))
     chi = 1 if K in F.members else 0
-    total = Fraction(0)
-    for j, tm in enumerate(tmasks):
-        if tm & Kmask == Kmask:
-            total += params[j]
-    value = (total - gauss_binom(n - k, t - k, q) * chi) \
+    return (total - gauss_binom(n - k, t - k, q) * chi) \
         / gauss_binom(n - k - 1, t - k - 1, q) + chi
-    return value == F.x
-
-
-def _restricted_params(F: KFamily, t: int):
-    """Parameter of F restricted to each t-space (computed via restrict)."""
-    if t not in F._restrict_params:
-        geom = F.geom
-        params = []
-        for tau in geom.subspaces(t):
-            params.append(restrict(F, tau).x)
-        F._restrict_params[t] = params
-    return F._restrict_params[t]
 
 
 def find_skew_space(F: KFamily):
@@ -630,26 +644,16 @@ def find_skew_space(F: KFamily):
     if F.geom.kind != "PG":
         raise GuardViolated("skew-space search is projective")
     geom, k = F.geom, F.k
-    kmasks = geom.point_masks(k)
-    tmasks = geom.point_masks(k + 1)
-    mem = F.member_masks()
-    occupied: dict = {}
-
-    def tau_occupied(j):
-        if j not in occupied:
-            tm = tmasks[j]
-            occupied[j] = any(mm & tm == mm for mm in mem)
-        return occupied[j]
-
-    members = F.members
-    for K in range(len(kmasks)):
-        if K in members:
-            continue
-        Km = kmasks[K]
-        for j, tm in enumerate(tmasks):
-            if tm & Km == Km and not tau_occupied(j):
-                return geom.subspaces(k + 1)[j]
-    return None
+    table, upper = geom.point_table(k), geom.point_table(k + 1)
+    # the (k+1)-spaces holding no member; the k-spaces inside one of them,
+    # none of which is a member
+    free = np.flatnonzero(_meets(geom, k, upper, table[F.chi == 1])[:, -1] == 0)
+    inside = np.flatnonzero(_meets(geom, k, table, upper[free])[:, -1])
+    if not len(inside):
+        return None
+    K = table[inside[0]]
+    j = free[np.isin(upper[free], K).sum(axis=1) == len(K)][0]
+    return geom.subspaces(k + 1)[j]
 
 
 def check_pencil_propagation(F: KFamily, pi: Subspace) -> bool:
@@ -659,27 +663,18 @@ def check_pencil_propagation(F: KFamily, pi: Subspace) -> bool:
     sub_geom = R.geom
     if not R.members:
         raise PreconditionNotMet("restriction is empty")
-    common = ~0
-    for mm in R.member_masks():
-        common &= mm
-    if common == 0:
+    rows = sub_geom.point_table(R.k)[np.flatnonzero(R.chi)]
+    common = np.flatnonzero(
+        np.bincount(rows.ravel(), minlength=sub_geom.num_points) == len(rows))
+    if not len(common):
         raise PreconditionNotMet("restriction has no common point")
-    p_int = (common & -common).bit_length() - 1
+    p_int = int(common[0])
     pencil = construct_trivial(sub_geom, R.k, "point_pencil", point=p_int)
     if R != pencil:
         raise PreconditionNotMet("restriction is not a point-pencil")
-    # map the internal point back to full coordinates
-    internal = sub_geom.points[p_int]
-    field = F.geom.field
-    n1 = F.geom.n + 1
-    coords = [0] * n1
-    for c, row in zip(internal, pi.mat):
-        if c:
-            for t in range(n1):
-                if row[t]:
-                    coords[t] = field.add(coords[t], field.mul(c, row[t]))
-    from .geometry import _normalize_point
-    p_full = F.geom.point_index[_normalize_point(field, coords)]
+    # c -> c.M keeps the lexicographic order (see Geometry._locate), so
+    # internal point j of pi is the j-th point of pi in full coordinates
+    p_full = int(F.geom.points_of(pi)[p_int])
     return F == construct_trivial(F.geom, F.k, "point_pencil", point=p_full)
 
 
@@ -732,6 +727,27 @@ def _header_order(p: int, h: int) -> int:
     return q
 
 
+def subspace_from_codes(rows, field, ncols: int, what: str) -> Subspace:
+    """The subspace of an untrusted matrix of field codes, named `what` in
+    errors: a list of at most ncols rows, each a list of ncols ints (not
+    bools) in [0, q), in reduced row echelon form and of full rank."""
+    if not isinstance(rows, list) or len(rows) > ncols or any(
+            not isinstance(row, list) or len(row) != ncols for row in rows):
+        raise FamilyFormatError(
+            f"{what}: expected a list of at most {ncols} rows of {ncols} codes")
+    for row in rows:
+        for c in row:
+            if isinstance(c, bool) or not isinstance(c, int) \
+                    or not 0 <= c < field.q:
+                raise FamilyFormatError(
+                    f"{what}: entry {c!r} is not a code in [0, {field.q})")
+    sub = make_subspace(rows, field, ncols)
+    if sub.mat != tuple(map(tuple, rows)):
+        raise FamilyFormatError(
+            f"{what}: not in reduced row echelon form or not of full rank")
+    return sub
+
+
 def family_from_dict(data: dict) -> KFamily:
     if not isinstance(data, dict):
         raise FamilyFormatError("family JSON must be an object")
@@ -748,31 +764,17 @@ def family_from_dict(data: dict) -> KFamily:
     if not isinstance(data["members"], list):
         raise FamilyFormatError("members must be a list")
     geom = geometry(space, n, q)
-    field = geom.field
     index = geom.subspace_index(k)
     members = set()
     for mi, mat in enumerate(data["members"]):
-        if not isinstance(mat, list) or len(mat) != k + 1 or any(
-                not isinstance(row, list) or len(row) != n + 1 for row in mat):
+        if not isinstance(mat, list) or len(mat) != k + 1:
             raise FamilyFormatError(
                 f"member {mi}: expected a {k + 1}x{n + 1} matrix")
-        rows = []
-        for row in mat:
-            for c in row:
-                if isinstance(c, bool) or not isinstance(c, int) \
-                        or not 0 <= c < field.q:
-                    raise FamilyFormatError(
-                        f"member {mi}: entry {c!r} is not a code in [0, {field.q})")
-            rows.append(tuple(row))
-        canon, _ = rref(rows, field)
-        if canon != tuple(rows):
-            raise FamilyFormatError(
-                f"member {mi}: matrix is not in reduced row echelon form "
-                f"or not full rank")
-        idx = index.get(canon)
+        sub = subspace_from_codes(mat, geom.field, n + 1, f"member {mi}")
+        idx = index.get(sub.mat)
         if idx is None:
             raise FamilyFormatError(
-                f"member {mi}: not a {k}-space of {space}({n},{field.q})")
+                f"member {mi}: not a {k}-space of {space}({n},{q})")
         members.add(idx)
     return KFamily(geom, k, members)
 

@@ -30,12 +30,7 @@ from .sieve import (
 )
 from .errors import ClgeomError, GuardViolated
 from .ff import factor_prime_power
-from .geometry import (
-    field_reduction_spread,
-    geometry,
-    make_subspace,
-    point_in_subspace,
-)
+from .geometry import field_reduction_spread, geometry
 
 DEFAULT_SEED = 2024
 
@@ -227,9 +222,7 @@ def _run_check(fam, name: str, rng: random.Random):
             i = rng.choice(dims)
             taus = geom.subspaces(i)
             tau = taus[rng.randrange(len(taus))]
-            pts = [j for j, p in enumerate(geom.points)
-                   if point_in_subspace(geom.field, p, tau)]
-            p = rng.choice(pts)
+            p = rng.choice(geom.points_of(tau).tolist())
             if not clcore.check_drudge_identity(fam, p, tau):
                 bad.append(f"p={p}, tau={tau.mat}")
         return not bad, bad
@@ -287,11 +280,8 @@ def cmd_project(args) -> int:
     fam = clcore.load_family(args.family)
     if fam.geom.kind != "PG":
         raise GuardViolated("projection is defined on projective families")
-    rows = json.loads(args.pi)
-    field = fam.geom.field
-    pi = make_subspace(rows, field, fam.geom.n + 1)
-    if pi.mat != tuple(tuple(r) for r in rows):
-        raise GuardViolated("--pi matrix must be in reduced row echelon form")
+    pi = clcore.subspace_from_codes(json.loads(args.pi), fam.geom.field,
+                                    fam.geom.n + 1, "--pi")
     image = clcore.project(fam, pi)
     payload = clcore.family_to_dict(image)
     text = json.dumps(payload, indent=1) + "\n"

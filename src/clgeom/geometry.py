@@ -9,10 +9,11 @@ points with X0 = 1, affine k-spaces the projective k-spaces not contained
 in X0 = 0.
 
 Enumerations are kept in memory and nothing is stored on disk.  The one
-stored form of incidence is the point table (``Geometry.point_table``), built
-in numpy from the RREF matrices (over GF(p^h), h > 1, through the field's
-log/exp tables); the dense incidence matrix and the point bitmasks are
-derived from it.
+form of incidence is the point table (``Geometry.point_table``), built in
+numpy from the RREF matrices (over GF(p^h), h > 1, through the field's
+log/exp tables); ``Geometry.points_of`` gives the points of any other
+subspace by the same lookup.  The dense incidence matrix and the point
+bitmasks are views derived from the table on request.
 """
 
 from __future__ import annotations
@@ -174,16 +175,6 @@ def _normalized_vectors(q: int, length: int):
     return vecs
 
 
-def _normalize_point(field: FieldCtx, coords):
-    for c in coords:
-        if c:
-            if c == 1:
-                return tuple(coords)
-            s = field.inv(c)
-            return tuple(field.mul(s, v) for v in coords)
-    raise ValueError("zero vector is not a projective point")
-
-
 # ---------------------------------------------------------------------------
 # numpy field arithmetic for the point table
 # ---------------------------------------------------------------------------
@@ -238,6 +229,7 @@ class Geometry:
         self._point_index = None
         self._subspaces = {}
         self._subspace_index = {}
+        self._codes = None
         self._tables = {}
         self._masks = {}
 
@@ -349,42 +341,65 @@ class Geometry:
 
     # -- incidence --
 
-    def point_table(self, k: int) -> np.ndarray:
-        """N x theta int64 array whose row j lists, ascending, the indices of
-        the points on k-space j: the one stored form of the incidence.
+    def _locate(self, mats: np.ndarray):
+        """Point indices of a stack of RREF matrices (B x r x ncols) with
+        r rows each, as a B x theta array of positions among the points and
+        a mask of the hits; in AG the misses are the points at infinity.
 
-        Every point of an RREF block M is c.M for a normalized coefficient
+        Every point of an RREF matrix M is c.M for a normalized coefficient
         vector c, and c.M is already normalized (its leading entry sits in a
         pivot column of M, where M has an identity column).  The products are
         computed in numpy, encoded as base-q integers and looked up among the
-        points' codes; in AG the misses are the points at infinity."""
+        points' codes.  c -> c.M keeps the lexicographic order (c reappears
+        in M's pivot columns, and the columns before a pivot depend only on
+        earlier entries of c), so each row's positions come out ascending."""
+        q, n1 = self.q, self.n + 1
+        weights = q ** np.arange(n1 - 1, -1, -1, dtype=np.int64)
+        if self._codes is None:
+            # lexicographic order of the points is the order of their codes
+            self._codes = np.array(self.points, dtype=np.int64) @ weights
+        codes = self._codes
+        r = mats.shape[1]
+        # for r = 1 the single row is the point itself
+        vecs = mats if r == 1 else _combine(
+            self.field, np.array(_normalized_vectors(q, r), dtype=np.int64), mats)
+        keys = vecs @ weights
+        pos = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+        return pos, codes[pos] == keys
+
+    def point_table(self, k: int) -> np.ndarray:
+        """N x theta int64 array whose row j lists, ascending, the indices of
+        the points on k-space j: the one stored form of the incidence, from
+        which every checker and transform reads."""
         if k not in self._tables:
             subs = self.subspaces(k)
-            q, n1 = self.q, self.n + 1
-            weights = q ** np.arange(n1 - 1, -1, -1, dtype=np.int64)
-            # lexicographic order of the points is the order of their codes
-            codes = np.array(self.points, dtype=np.int64) @ weights
             if k == self.n:
-                table = np.arange(len(codes))[None, :]
+                table = np.arange(len(self.points))[None, :]
             else:
-                coeffs = np.array(_normalized_vectors(q, k + 1), dtype=np.int64)
-                theta = len(coeffs) if self.kind == "PG" else q ** k
+                theta = (gauss_binom(k + 1, 1, self.q) if self.kind == "PG"
+                         else self.q ** k)
                 table = np.empty((len(subs), theta), dtype=np.int64)
-                step = max(1, _CHUNK // (len(coeffs) * n1))
+                step = max(1, _CHUNK // (theta * (self.n + 1)))
                 for lo in range(0, len(subs), step):
                     mats = np.array([s.mat for s in subs[lo:lo + step]],
                                     dtype=np.int64)
-                    # for k = 0 the single row is the point itself
-                    vecs = mats if k == 0 else _combine(self.field, coeffs, mats)
-                    keys = vecs @ weights
-                    pos = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
-                    hit = codes[pos] == keys
+                    pos, hit = self._locate(mats)
                     assert (hit.sum(axis=1) == theta).all()
-                    table[lo:lo + len(mats)] = np.sort(
-                        pos[hit].reshape(len(mats), theta), axis=1)
+                    table[lo:lo + len(mats)] = pos[hit].reshape(len(mats),
+                                                                theta)
             table.setflags(write=False)
             self._tables[k] = table
         return self._tables[k]
+
+    def points_of(self, sub: Subspace) -> np.ndarray:
+        """Ascending indices of this geometry's points that lie in an
+        arbitrary subspace (given in the closure's coordinates for AG)."""
+        if sub.k < 0:
+            return np.empty(0, dtype=np.int64)
+        if sub.k == self.n:
+            return np.arange(len(self.points))
+        pos, hit = self._locate(np.array([sub.mat], dtype=np.int64))
+        return pos[hit]
 
     def incidence(self, k: int) -> np.ndarray:
         """0/1 point-(k-space) incidence matrix (P_n for PG, A_n for AG),
@@ -396,7 +411,8 @@ class Geometry:
 
     def point_masks(self, k: int):
         """Per k-space bitmask of incident point indices (bit i = point i),
-        packed from the point table."""
+        packed from the point table.  A derived view only: no library route
+        reads it; the checkers and transforms work on the table."""
         if k not in self._masks:
             table = self.point_table(k)
             v = self.num_points
@@ -410,25 +426,6 @@ class Geometry:
                 masks.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
             self._masks[k] = masks
         return self._masks[k]
-
-    def point_mask_of(self, sub: Subspace) -> int:
-        """Bitmask of this geometry's points lying in an arbitrary subspace."""
-        field = self.field
-        pidx = self.point_index
-        mask = 0
-        n1 = self.n + 1
-        for cv in _normalized_vectors(self.q, sub.k + 1):
-            pt = [0] * n1
-            for ci, c in enumerate(cv):
-                if c:
-                    row = sub.mat[ci]
-                    for t in range(n1):
-                        if row[t]:
-                            pt[t] = field.add(pt[t], field.mul(c, row[t]))
-            i = pidx.get(_normalize_point(field, pt))
-            if i is not None:
-                mask |= 1 << i
-        return mask
 
 
 _GEOMETRIES: dict = {}

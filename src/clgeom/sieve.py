@@ -430,17 +430,40 @@ class SieveReport:
             raise KeyError(x)
         return self.entries[i]
 
-    def to_json_dict(self) -> dict:
+    def _json_head(self) -> dict:
         return {
             "config": {"space": self.space, "n": self.n, "k": self.k,
                        "q": self.q},
             "x_max": f"{self.x_max.numerator}/{self.x_max.denominator}",
-            "entries": [{"x": e.x, "status": e.status, "rules": e.rules}
-                        for e in self.entries],
         }
 
+    def to_json_dict(self) -> dict:
+        return {**self._json_head(),
+                "entries": [{"x": e.x, "status": e.status, "rules": e.rules}
+                            for e in self.entries]}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1) + "\n"
+        """json.dumps(self.to_json_dict(), indent=1) + "\\n", byte for byte.
+
+        The indenting encoder is pure Python, so the entries are written
+        into the same frame from one template per (status, rules), with
+        the strings escaped by the C encoder."""
+        head = json.dumps({**self._json_head(), "entries": []}, indent=1)
+        if not self.entries:
+            return head + "\n"
+        tails: dict = {}
+        parts = []
+        for e in self.entries:
+            key = (e.status, *e.rules)
+            tail = tails.get(key)
+            if tail is None:
+                rules = "".join(f"\n    {json.dumps(r)}," for r in e.rules)
+                tail = tails[key] = (
+                    f',\n   "status": {json.dumps(e.status)},\n   "rules": '
+                    + (f"[{rules[:-1]}\n   ]" if rules else "[]") + "\n  }")
+            parts.append(f'  {{\n   "x": {e.x}{tail}')
+        # head ends in "[]\n}"
+        return f"{head[:-4]}[\n" + ",\n".join(parts) + "\n ]\n}\n"
 
     def to_csv(self) -> str:
         lines = ["x,status,rules"]

@@ -182,12 +182,12 @@ def test_acceptance_4_spreads():
         for n, k, q in [(3, 1, 2), (3, 1, 3), (5, 1, 2)]:
             geom = geometry("PG", n, q)
             S = field_reduction_spread(n, k, q)
-            cover = 0
+            cover = set()
             for s in S:
-                m = geom.point_mask_of(s)
-                assert cover & m == 0
-                cover |= m
-            assert cover == (1 << geom.num_points) - 1
+                pts = set(geom.points_of(s).tolist())
+                assert not cover & pts
+                cover |= pts
+            assert cover == set(range(geom.num_points))
             pencil = cc.construct_trivial(geom, k, "point_pencil")
             assert cc.check_spread(pencil, S)
         # exhaustive oracle: PG(3,2) has exactly 56 line spreads

@@ -20,9 +20,11 @@ from clgeom.errors import (
 )
 from clgeom.geometry import (
     field_reduction_spread,
+    gauss0,
     gauss_binom,
     geometry,
     make_subspace,
+    meet,
     point_in_subspace,
 )
 from clgeom.sieve import x_max_param
@@ -364,9 +366,9 @@ def test_find_skew_space():
     tau = cc.find_skew_space(pencil)
     assert tau is not None and tau.k == 2
     # tau really contains no member
-    taumask = geom.point_mask_of(tau)
-    masks = geom.point_masks(1)
-    assert all(masks[m] & taumask != masks[m] for m in pencil.members)
+    taupts = set(geom.points_of(tau).tolist())
+    table = geom.point_table(1)
+    assert all(not set(table[m].tolist()) <= taupts for m in pencil.members)
     full = cc.complement(cc.KFamily(geom, 1, ()))
     assert cc.find_skew_space(full) is None
 
@@ -513,3 +515,164 @@ def test_family_gf4_header_roundtrip():
 def test_family_rejects_malformed_shapes(data):
     with pytest.raises(FamilyFormatError):
         cc.family_from_dict(data)
+
+
+# -- point-table routes against brute-force oracles ---------------------------
+
+PROFILE_GEOMS = [("PG", 3, 2, 1), ("PG", 3, 2, 2), ("PG", 3, 3, 1),
+                 ("PG", 3, 3, 2), ("PG", 2, 4, 1), ("PG", 2, 4, 2),
+                 ("PG", 4, 2, 1), ("PG", 4, 2, 2), ("AG", 3, 3, 1)]
+
+
+_MEET_COLUMNS: dict = {}
+
+
+def oracle_profile(F):
+    """Meet profile by meet() on every pair of k-spaces: column d + 1
+    counts members meeting K in a d-space, column 0 the rest; in AG a meet
+    inside the hyperplane at infinity shares no affine point."""
+    geom, k = F.geom, F.k
+    key = (geom.key, k)
+    if key not in _MEET_COLUMNS:
+        subs = geom.subspaces(k)
+        cols = []
+        for A in subs:
+            row = []
+            for B in subs:
+                M = meet(geom.field, A, B)
+                affine = geom.kind == "PG" or any(r[0] for r in M.mat)
+                row.append(M.k + 1 if affine else 0)
+            cols.append(row)
+        _MEET_COLUMNS[key] = cols
+    members = sorted(F.members)
+    return [[sum(row[m] == c for m in members) for c in range(k + 2)]
+            for row in _MEET_COLUMNS[key]]
+
+
+def profile_families(geom, k, seed):
+    if k == geom.n:
+        return [cc.KFamily(geom, k, ()), cc.KFamily(geom, k, (0,))]
+    return oracle_families(geom, k, seed)
+
+
+@pytest.mark.parametrize("kind,n,q,k", PROFILE_GEOMS)
+def test_pair_profile_matches_meet_oracle(kind, n, q, k):
+    geom = geometry(kind, n, q)
+    fams = profile_families(geom, k, seed=f"profile{kind}{n}{q}{k}")
+    total = geom.subspace_count(k)
+    assert any(2 * f.size > total for f in fams)  # the complement route
+    assert any(2 * f.size <= total for f in fams)
+    for fam in fams:
+        assert cc._pair_profile(fam).tolist() == oracle_profile(fam), fam
+
+
+def oracle_violations(F, column, expected):
+    """(K, expected, actual) in K order, from the oracle profile."""
+    out = []
+    for K, row in enumerate(oracle_profile(F)):
+        e = expected[K in F.members]
+        if e != row[column]:
+            out.append((K, e, row[column]))
+    return out
+
+
+@pytest.mark.parametrize("kind,n,q,k", [("PG", 3, 3, 1), ("PG", 4, 2, 2),
+                                        ("AG", 3, 3, 1)])
+def test_violation_lists_of_non_cl_families(kind, n, q, k):
+    geom = geometry(kind, n, q)
+    for fam in oracle_families(geom, k, seed=f"violations{kind}{n}{q}{k}"):
+        x = fam.x
+        if kind == "AG":
+            factor = q * q * gauss_binom(n - 2, 1, q) + 1
+            expect = [("line",) + v for v in oracle_violations(
+                fam, 0, (x * factor, (x - 1) * factor))]
+            got = cc.check_affine_line(fam).violations
+            got = [v for v in got if v[0] == "line"]
+            reports = [(got, expect)]
+        else:
+            factor = gauss0(n - k - 1, k, q) * q ** (k * k + k)
+            reports = [(cc.check_disjoint_count(fam).violations,
+                        oracle_violations(fam, 0, (x * factor,
+                                                   (x - 1) * factor)))]
+            for i in range(1, k + 2):
+                expected = (cc.meet_profile_expected(fam, i, False),
+                            cc.meet_profile_expected(fam, i, True))
+                reports.append((cc.check_meet_profile(fam, i).violations,
+                                oracle_violations(fam, k - i + 1, expected)))
+        for got, expect in reports:
+            assert got == expect
+            for v in got:
+                K, e, a = v[-3:]
+                assert type(K) is int and type(a) is int
+                assert type(e) is Fraction
+
+
+def restrict_based_aid_value(F, K, t):
+    """The averaging identity's value from restrict() on every t-space
+    through K: the route the double count replaced."""
+    geom, k = F.geom, F.k
+    n, q = geom.n, geom.q
+    kpts = set(geom.point_table(k)[K].tolist())
+    total = Fraction(0)
+    for tau in geom.subspaces(t):
+        if kpts <= set(geom.points_of(tau).tolist()):
+            total += cc.restrict(F, tau).x
+    chi = 1 if K in F.members else 0
+    return (total - gauss_binom(n - k, t - k, q) * chi) \
+        / gauss_binom(n - k - 1, t - k - 1, q) + chi
+
+
+@pytest.mark.parametrize("n,q,k", [(5, 2, 1), (6, 2, 2)])
+def test_aid_double_count_matches_restriction(n, q, k):
+    geom = geometry("PG", n, q)
+    rng = random.Random(f"aid{n}{q}{k}")
+    total = geom.subspace_count(k)
+    pencil = cc.construct_trivial(geom, k, "point_pencil")
+    fams = [pencil, corrupted(pencil),
+            cc.construct_trivial(geom, k, "hyperplane_class",
+                                 complement_of=True),
+            cc.KFamily(geom, k, rng.sample(range(total), total // 3)),
+            cc.KFamily(geom, k, rng.sample(range(total), 2 * total // 3))]
+    t = 2 * k + 1
+    for fam in fams:
+        for K in sorted(fam.members)[:2] + rng.sample(range(total), 2):
+            value = restrict_based_aid_value(fam, K, t)
+            assert cc._aid_value(fam, K, t) == value
+            assert cc.check_aid_identity(fam, K, t) == (value == fam.x)
+
+
+def test_checkers_and_transforms_build_no_masks(monkeypatch, tmp_path,
+                                                capsys):
+    """No library route reads the bitmasks or the dense incidence."""
+    from clgeom.cli import main
+    from clgeom.geometry import Geometry
+
+    def refuse(self, k):
+        raise AssertionError("bitmask or dense incidence used")
+
+    monkeypatch.setattr(Geometry, "point_masks", refuse)
+    monkeypatch.setattr(Geometry, "incidence", refuse)
+    for kind, n, q in (("PG", 4, 2), ("AG", 3, 3)):
+        geom = geometry(kind, n, q)
+        for fam in (cc.construct_trivial(geom, 1, "point_pencil"),
+                    corrupted(cc.construct_trivial(geom, 1, "point_pencil"))):
+            path = tmp_path / f"{kind}.json"
+            cc.save_family(fam, str(path))
+            assert main(["verify", str(path)]) in (0, 1)
+            if kind == "AG":
+                assert cc.pg_to_ag(cc.ag_to_pg(fam)) == fam
+                continue
+            cc.restrict(fam, geom.subspaces(3)[5])
+            cc.project(fam, make_subspace([geom.points[3]], geom.field))
+            cc.pg_to_ag(cc.construct_trivial(geom, 1, "hyperplane_class",
+                                             complement_of=True))
+            cc.find_skew_space(fam)
+            anchor = geom.points[0]
+            solid = next(s for s in geom.subspaces(3)
+                         if point_in_subspace(geom.field, anchor, s))
+            try:
+                cc.check_pencil_propagation(fam, solid)
+            except PreconditionNotMet:
+                pass
+    out = capsys.readouterr().out
+    assert "affine-line" in out and "aid" in out and "drudge" in out

@@ -1,5 +1,8 @@
 import json
+import random
 import time
+
+import pytest
 
 from clgeom.cli import main
 
@@ -140,6 +143,46 @@ def test_project_rejects_non_rref(capsys, tmp_path):
     rc, _, err = run(capsys, "project", str(path), "--pi", "[[0,0,0,2]]")
     assert rc == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("pi", ["[[7,0,0,0]]", "[[true,0,0,0]]", "[[1,0,0]]",
+                                '{"a":1}', "[[1.5,0,0,0]]"])
+def test_project_rejects_malformed_pi(capsys, tmp_path, pi):
+    path = tmp_path / "pen.json"
+    run(capsys, "construct", "--kind", "point-pencil", "--space", "pg",
+        "-n", "3", "-k", "1", "-q", "2", "-o", str(path))
+    out_path = tmp_path / "img.json"
+    rc, _, err = run(capsys, "project", str(path), "--pi", pi,
+                     "-o", str(out_path))
+    assert rc == 2
+    assert err.startswith("error: --pi: ") and "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_verify_drudge_pick_matches_membership_scan(tmp_path):
+    """The CLI draws each drudge point from tau's points in index order, as
+    the scan over every point with point_in_subspace did."""
+    from clgeom import clcore
+    from clgeom.cli import _run_check
+    from clgeom.geometry import geometry, point_in_subspace
+
+    geom = geometry("PG", 4, 2)
+    pencil = clcore.construct_trivial(geom, 1, "point_pencil")
+    members = sorted(pencil.members)
+    bad = clcore.KFamily(geom, 1, set(members[1:]) | {
+        next(j for j in range(geom.subspace_count(1))
+             if j not in pencil.members)})
+    rng = random.Random(5)
+    expect = []
+    for _ in range(20):
+        tau = geom.subspaces(rng.choice(range(2, 4)))
+        tau = tau[rng.randrange(len(tau))]
+        p = rng.choice([j for j, pt in enumerate(geom.points)
+                        if point_in_subspace(geom.field, pt, tau)])
+        if not clcore.check_drudge_identity(bad, p, tau):
+            expect.append(f"p={p}, tau={tau.mat}")
+    ok, got = _run_check(bad, "drudge", random.Random(5))
+    assert expect and not ok and got == expect
 
 
 def test_enumerate(capsys):

@@ -113,8 +113,8 @@ ORACLE_GEOMS = [(kind, n, q) for kind in ("PG", "AG")
 
 @pytest.mark.parametrize("kind,n,q", ORACLE_GEOMS)
 def test_point_table_matches_membership_oracle(kind, n, q):
-    """Table rows against brute-force membership; incidence and masks
-    against the table."""
+    """Table rows and points_of against brute-force membership; incidence
+    and masks against the table."""
     g = geometry(kind, n, q)
     for k in range(n + 1):
         table = g.point_table(k)
@@ -129,8 +129,23 @@ def test_point_table_matches_membership_oracle(kind, n, q):
             expect = [i for i, p in enumerate(g.points)
                       if point_in_subspace(g.field, p, sub)]
             assert row.tolist() == expect
+            assert g.points_of(sub).tolist() == expect
             assert np.flatnonzero(inc[:, j]).tolist() == expect
             assert masks[j] == sum(1 << i for i in expect)
+
+
+def test_points_of_subspaces_at_infinity():
+    """An AG geometry's points_of takes any subspace of the closure: those
+    inside X0 = 0 hold no affine point, the others q^k of them."""
+    g = geometry("AG", 3, 3)
+    for k in range(4):
+        for sub in g.closure().subspaces(k):
+            expect = [i for i, p in enumerate(g.points)
+                      if point_in_subspace(g.field, p, sub)]
+            got = g.points_of(sub).tolist()
+            assert got == expect
+            assert len(got) == (3 ** k if any(r[0] for r in sub.mat) else 0)
+    assert g.points_of(make_subspace([], g.field, 4)).tolist() == []
 
 
 def test_point_table_over_large_field():
@@ -201,14 +216,14 @@ def test_field_reduction_spread(n, k, q, count):
     g = geometry("PG", n, q)
     S = field_reduction_spread(n, k, q)
     assert len(S) == count
-    cover = 0
+    cover = set()
     index = g.subspace_index(k)
     for s in S:
         assert s.mat in index
-        m = g.point_mask_of(s)
-        assert cover & m == 0
-        cover |= m
-    assert cover == (1 << g.num_points) - 1
+        pts = set(g.points_of(s).tolist())
+        assert not cover & pts
+        cover |= pts
+    assert cover == set(range(g.num_points))
 
 
 def test_spread_divisibility_guard():

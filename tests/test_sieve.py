@@ -9,6 +9,8 @@ import pytest
 from clgeom.errors import GuardViolated
 from clgeom.sieve import (
     RULES_BY_ID,
+    SieveEntry,
+    SieveReport,
     _RuleTable,
     _below,
     _c_interval_bound,
@@ -343,6 +345,24 @@ def test_report_serialization():
     csv = r.to_csv().splitlines()
     assert csv[0] == "x,status,rules"
     assert csv[3] == "2,EXCLUDED,affine-modular"
+
+
+def test_to_json_matches_indented_dumps():
+    reports = [sieve("PG", 4, 1, 2), sieve("PG", 3, 1, 3),
+               sieve("AG", 3, 1, 2), sieve("AG", 4, 2, 3),
+               sieve("PG", 8, 1, 7, x_range=(0, 400)),
+               SieveReport("PG", 3, 1, 2, F(5), []),
+               SieveReport("AG", 2, 1, 3, F(9), [
+                   SieveEntry(3, "OPEN", ['a"b', "\u00e9"]),
+                   SieveEntry(4, "OPEN", [])])]
+    rules = [r for rep in reports for e in rep.entries for r in e.rules]
+    assert any(r.endswith("[complement]") for r in rules)
+    assert any(not e.rules for rep in reports for e in rep.entries)
+    assert any(rep.x_max.denominator > 1 for rep in reports)
+    assert any(rep.notes for rep in reports)
+    assert any(not rep.notes for rep in reports)
+    for rep in reports:
+        assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=1) + "\n"
 
 
 def test_rules_registry():
