@@ -6,6 +6,7 @@ which are excluded (and by which rules), and which remain open.
 """
 
 from clgeom.sieve import (
+    exact_floor,
     hyperplane_average_bound,
     improved_lift_bound,
     pencil_lift_bound,
@@ -13,11 +14,19 @@ from clgeom.sieve import (
     x_max_param,
 )
 
+
+
+def decimal(bound) -> str:
+    """The bound rounded down to three decimals, computed exactly."""
+    whole, frac = divmod(exact_floor(bound, 1000), 1000)
+    return f"{whole}.{frac:03d}"
+
+
 n, k, q = 8, 1, 7
 print(f"PG({n},{q}), k={k}: parameter range [0, {x_max_param('PG', n, k, q)}]")
-print(f"  basic lift bound     {float(pencil_lift_bound(n, k, q)):12.3f}")
-print(f"  improved lift bound  {float(improved_lift_bound(n, k, q)):12.3f}")
-print(f"  hyperplane average   {float(hyperplane_average_bound(n, k, q)):12.3f}")
+print(f"  basic lift bound     {decimal(pencil_lift_bound(n, k, q)):>12s}")
+print(f"  improved lift bound  {decimal(improved_lift_bound(n, k, q)):>12s}")
+print(f"  hyperplane average   {decimal(hyperplane_average_bound(n, k, q)):>12s}")
 print("every nontrivial class must have parameter above the largest bound\n")
 
 for space, nn, kk, qq in [("PG", 3, 1, 3), ("AG", 3, 1, 2)]:

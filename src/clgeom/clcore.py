@@ -210,6 +210,9 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
                       complement_of: bool = False) -> KFamily:
     """Build a trivial family: empty, point_pencil, hyperplane_class,
     pencil_plus_hyperplane, or the complement of any of these."""
+    # refuses a geometry past SUBSPACE_CAP before an anchor of n+1
+    # coordinates is built
+    geom.subspaces(k)
     if kind == "empty":
         fam = KFamily(geom, k, ())
     elif kind == "point_pencil":

@@ -13,13 +13,12 @@ import random
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import clcore
 from .sieve import (
-    DEFAULT_DPS,
     affine_pencil_bound,
+    check_config,
     classification_threshold,
+    exact_floor,
     hyperplane_average_bound,
     ihringer_bound,
     improved_lift_bound,
@@ -43,18 +42,6 @@ def _parse_q(value: str) -> int:
         raise argparse.ArgumentTypeError(f"{value!r} is not a prime power") \
             from exc
     return q
-
-
-def _parse_precision(value: str) -> int:
-    try:
-        dps = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") \
-            from exc
-    if dps <= 0:
-        raise argparse.ArgumentTypeError(
-            f"precision must be a positive number of digits, got {dps}")
-    return dps
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -83,17 +70,16 @@ def _fraction_str(x: Fraction) -> str:
 
 def cmd_bounds(args) -> int:
     n, k, q = args.n, args.k, args.q
+    check_config("PG", n, k, q)
     xm = x_max_param("PG", n, k, q)
     print(f"X_max = {xm.numerator}/{xm.denominator} = {_fraction_str(xm)}")
-    dps = args.precision
     rows = [
-        ("c-threshold", lambda: classification_threshold(n, k, q, dps)),
-        ("step-factor", lambda: step_factor(k, q, dps)),
+        ("c-threshold", lambda: classification_threshold(n, k, q)),
+        ("step-factor", lambda: step_factor(k, q)),
         ("pencil-lift", lambda: pencil_lift_bound(n, k, q)),
         ("ihringer", lambda: ihringer_bound(n, k, q)),
-        ("improved-lift", lambda: improved_lift_bound(n, k, q, dps)),
-        ("hyperplane-average",
-         lambda: hyperplane_average_bound(n, k, q, dps)),
+        ("improved-lift", lambda: improved_lift_bound(n, k, q)),
+        ("hyperplane-average", lambda: hyperplane_average_bound(n, k, q)),
         ("affine-bound", lambda: affine_pencil_bound(n, k, q)),
     ]
     for name, fn in rows:
@@ -102,31 +88,26 @@ def cmd_bounds(args) -> int:
         except GuardViolated as exc:
             print(f"{name:20s} guard not met ({exc})")
             continue
-        if isinstance(v, Fraction):
-            dec = mpmath.mpf(v.numerator) / v.denominator
-            print(f"{name:20s} {mpmath.nstr(dec, 13, strip_zeros=False):>18s}"
-                  f"  (exact {v.numerator}/{v.denominator})")
-        else:
-            with mpmath.workdps(dps):
-                micros = int(mpmath.floor(v * 10 ** 6))
-            sign = "-" if micros < 0 else ""
-            whole, frac = divmod(abs(micros), 10 ** 6)
-            print(f"{name:20s} {f'{sign}{whole}.{frac:06d}':>18s}"
-                  "  (rounded down)")
-    print(f"irrational values evaluated at {dps} decimal digits, "
-          "rounded toward the non-excluding side")
+        micros = exact_floor(v, 10 ** 6)
+        sign = "-" if micros < 0 else ""
+        whole, frac = divmod(abs(micros), 10 ** 6)
+        tag = (f"exact {v.numerator}/{v.denominator}"
+               if isinstance(v, Fraction) else "rounded down")
+        print(f"{name:20s} {f'{sign}{whole}.{frac:06d}':>18s}  ({tag})")
+    print("every value is rounded down to 6 decimals, toward the "
+          "non-excluding side")
     return 0
 
 
 def cmd_sieve(args) -> int:
     x_range = None
     if args.x_min is not None or args.x_max is not None:
+        check_config(args.space, args.n, args.k, args.q)
         xm = x_max_param(args.space, args.n, args.k, args.q)
         lo = args.x_min if args.x_min is not None else 0
         hi = args.x_max if args.x_max is not None else int(xm)
         x_range = (lo, hi)
-    report = run_sieve(args.space, args.n, args.k, args.q,
-                            x_range=x_range, dps=args.precision)
+    report = run_sieve(args.space, args.n, args.k, args.q, x_range=x_range)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
@@ -313,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="clgeom",
         description="Cameron-Liebler k-set toolkit for PG(n,q) / AG(n,q)")
-    ap.add_argument("--precision", type=_parse_precision,
-                    default=DEFAULT_DPS,
-                    help="decimal digits of the irrational values that "
-                         "bounds prints; sieve decisions are exact")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_geom(p, space=True):

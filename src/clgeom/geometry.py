@@ -254,8 +254,7 @@ class Geometry:
 
         Points are the 0-spaces, so SUBSPACE_CAP bounds them too."""
         if self._points is None:
-            if self.num_points > SUBSPACE_CAP:
-                raise TooManySubspaces(self.num_points, SUBSPACE_CAP)
+            self._capped_count(0)
             if self.kind == "PG":
                 self._points = _normalized_vectors(self.q, self.n + 1)
             else:
@@ -291,12 +290,24 @@ class Geometry:
             return gauss_binom(self.n + 1, k + 1, self.q)
         return self.q ** (self.n - k) * gauss_binom(self.n, k, self.q)
 
+    def _capped_count(self, k: int) -> int:
+        """subspace_count(k), refused above SUBSPACE_CAP.
+
+        PG(n,q) and AG(n,q) both have at least q^e k-spaces, e = (k+1)(n-k),
+        and q^e > SUBSPACE_CAP once e reaches the cap's bit length, so a huge
+        geometry is refused before any power of q is built."""
+        e = (k + 1) * (self.n - k)
+        if e >= SUBSPACE_CAP.bit_length():
+            raise TooManySubspaces(f"at least {self.q}^{e}", SUBSPACE_CAP)
+        count = self.subspace_count(k)
+        if count > SUBSPACE_CAP:
+            raise TooManySubspaces(count, SUBSPACE_CAP)
+        return count
+
     def subspaces(self, k: int):
         """Ordered tuple of all k-spaces (lexicographic canonical matrices)."""
         if k not in self._subspaces:
-            count = self.subspace_count(k)
-            if count > SUBSPACE_CAP:
-                raise TooManySubspaces(count, SUBSPACE_CAP)
+            count = self._capped_count(k)
             if self.kind == "AG":
                 full = self.closure().subspaces(k)
                 subs = tuple(s for s in full if any(row[0] for row in s.mat))

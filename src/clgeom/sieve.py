@@ -10,10 +10,10 @@ rules never fire outside their guards, and every comparison is exact.  The
 irrational bounds (c-interval, improved-lift, hyperplane-average) are
 increasing affine images a*C + b of a classification threshold C whose
 eighth power is rational, so x < a*C + b is decided in `Fraction` by
-comparing ((x - b)/a)^8 with C^8.  The mpmath functions below evaluate the
-bounds for display only; no decision calls them.  Rules are also applied
-to the complement parameter X_max - x when it is an integer; such hits are
-tagged with a "[complement]" suffix.
+comparing ((x - b)/a)^8 with C^8; `exact_floor` gives their decimals from
+the same form.  Rules are also applied to the complement parameter
+X_max - x when it is an integer; such hits are tagged with a
+"[complement]" suffix.
 
 `sieve()` reduces each rule to integers once per call: the least integer
 at or above each bound, and the table of non-solvable residues of each
@@ -30,16 +30,20 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
-
 from .errors import GuardViolated
-
-DEFAULT_DPS = 60
 
 
 # ---------------------------------------------------------------------------
 # trivial parameters
 # ---------------------------------------------------------------------------
+
+def check_config(space: str, n: int, k: int, q: int) -> None:
+    """Refuse a geometry outside the rules' domain: PG or AG, 0 < k < n and
+    q >= 2."""
+    if space not in ("PG", "AG") or not (0 < k < n) or q < 2:
+        raise GuardViolated(f"malformed config {space},{n},{k},{q}: "
+                            "need PG or AG, 0 < k < n and q >= 2")
+
 
 def x_max_param(space: str, n: int, k: int, q: int) -> Fraction:
     if space == "PG":
@@ -64,26 +68,39 @@ def trivial_params(space: str, n: int, k: int, q: int):
 # bounds
 # ---------------------------------------------------------------------------
 
-def classification_threshold(n: int, k: int, q: int,
-                             dps: int = DEFAULT_DPS) -> mpmath.mpf:
+class _Root(NamedTuple):
+    """The irrational bound a*C + b with a > 0, where C > 0 is the eighth
+    root of the rational c8.  C is irrational because the 2-adic valuation
+    of c8 is odd (see `_c8`)."""
+    a: Fraction
+    b: Fraction
+    c8: Fraction
+
+    def lift(self, s, t=0) -> "_Root":
+        """s*self + t, for rational s > 0 and t."""
+        return _Root(s * self.a, s * self.b + t, self.c8)
+
+
+def _c8(n: int, k: int, q: int) -> Fraction:
+    """C(n,k,q)^8 = q^(4n-2k^2-6k-12) (q-1)^(2k^2-2k+4) (q^2+q+1)^4 / 2.
+
+    Both exponents are even and q^2+q+1 is odd, so the 2-adic valuation of
+    the product is even, and that of c8 is odd."""
+    return (Fraction(q) ** (4 * n - 2 * k * k - 6 * k - 12)
+            * (q - 1) ** (2 * k * k - 2 * k + 4)
+            * (q * q + q + 1) ** 4 / 2)
+
+
+def classification_threshold(n: int, k: int, q: int) -> _Root:
     """Upper end C of the classified interval [2, C]; needs n >= 3k+2."""
     if n < 3 * k + 2:
         raise GuardViolated(f"requires n >= 3k+2, got n={n}, k={k}")
-    with mpmath.workdps(dps):
-        q_ = mpmath.mpf(q)
-        val = (mpmath.mpf(2) ** Fraction(-1, 8)
-               * q_ ** (Fraction(n, 2) - Fraction(k * k, 4)
-                        - Fraction(3 * k, 4) - Fraction(3, 2))
-               * (q_ - 1) ** (Fraction(k * k, 4) - Fraction(k, 4)
-                              + Fraction(1, 2))
-               * mpmath.sqrt(q_ * q_ + q_ + 1))
-        return +val
+    return _Root(Fraction(1), Fraction(0), _c8(n, k, q))
 
 
-def step_factor(k: int, q: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def step_factor(k: int, q: int) -> _Root:
     """The per-step factor of the lifted lower bounds: C(3k+2,k,q) - 1."""
-    with mpmath.workdps(dps):
-        return +(classification_threshold(3 * k + 2, k, q, dps) - 1)
+    return classification_threshold(3 * k + 2, k, q).lift(1, -1)
 
 
 def pencil_lift_bound(n: int, k: int, q: int) -> Fraction:
@@ -101,25 +118,21 @@ def ihringer_bound(n: int, k: int, q: int) -> Fraction:
                     q * (q ** k - 1) ** 2 * (q ** (k + 1) - 1))
 
 
-def improved_lift_bound(n: int, k: int, q: int,
-                        dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def improved_lift_bound(n: int, k: int, q: int) -> _Root:
     """Lift of the classified-interval bound through pencils of t-spaces."""
     if n < 3 * k + 3:
         raise GuardViolated(f"requires n >= 3k+3, got n={n}, k={k}")
-    with mpmath.workdps(dps):
-        D = step_factor(k, q, dps)
-        return +(D * Fraction(q ** (n - k) - 1, q ** (2 * k + 2) - 1) + 1)
+    s = Fraction(q ** (n - k) - 1, q ** (2 * k + 2) - 1)
+    return step_factor(k, q).lift(s, 1)
 
 
-def hyperplane_average_bound(n: int, k: int, q: int,
-                             dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def hyperplane_average_bound(n: int, k: int, q: int) -> _Root:
     """Sharpened lift via averaging over hyperplane sections."""
     if n < 3 * k + 4:
         raise GuardViolated(f"requires n >= 3k+4, got n={n}, k={k}")
-    with mpmath.workdps(dps):
-        D = step_factor(k, q, dps)
-        inner = D * Fraction(q ** (n - k - 1) - 1, q ** (2 * k + 2) - 1) + 1
-        return +(inner * Fraction(q ** (n + 1) - 1, q ** n - 1))
+    s = Fraction(q ** (n - k - 1) - 1, q ** (2 * k + 2) - 1)
+    r = Fraction(q ** (n + 1) - 1, q ** n - 1)
+    return step_factor(k, q).lift(s, 1).lift(r)
 
 
 def affine_pencil_bound(n: int, k: int, q: int) -> Fraction:
@@ -130,49 +143,14 @@ def affine_pencil_bound(n: int, k: int, q: int) -> Fraction:
 
 
 def lift_bound(B_t, t: int, n: int, k: int, q: int):
-    """Lift a lower bound B_t valid in dimension t up to dimension n.
-
-    Exact when B_t is rational, mpf otherwise."""
+    """Lift a rational lower bound B_t valid in dimension t up to
+    dimension n."""
     if t < 3 * k + 2:
         raise GuardViolated(f"requires t >= 3k+2, got t={t}, k={k}")
     if n < t + 1:
         raise GuardViolated(f"requires n >= t+1, got n={n}, t={t}")
     step = Fraction(q ** (n - k) - 1, q ** (t - k) - 1)
-    if isinstance(B_t, (int, Fraction)):
-        return (B_t - 1) * step + 1
-    return (B_t - 1) * mpmath.mpf(step.numerator) / step.denominator + 1
-
-
-# ---------------------------------------------------------------------------
-# exact forms of the irrational bounds
-# ---------------------------------------------------------------------------
-
-class _Root(NamedTuple):
-    """The irrational bound a*C + b with a > 0, where C > 0 is the eighth
-    root of the rational c8."""
-    a: Fraction
-    b: Fraction
-    c8: Fraction
-
-
-def _c8(n: int, k: int, q: int) -> Fraction:
-    """C(n,k,q)^8 = q^(4n-2k^2-6k-12) (q-1)^(2k^2-2k+4) (q^2+q+1)^4 / 2."""
-    return (Fraction(q) ** (4 * n - 2 * k * k - 6 * k - 12)
-            * (q - 1) ** (2 * k * k - 2 * k + 4)
-            * (q * q + q + 1) ** 4 / 2)
-
-
-def _improved_lift_root(n: int, k: int, q: int) -> _Root:
-    """improved_lift_bound(n, k, q) = (C' - 1) s + 1, exactly."""
-    s = Fraction(q ** (n - k) - 1, q ** (2 * k + 2) - 1)
-    return _Root(s, 1 - s, _c8(3 * k + 2, k, q))
-
-
-def _hyperplane_average_root(n: int, k: int, q: int) -> _Root:
-    """hyperplane_average_bound(n, k, q) = ((C' - 1) s + 1) r, exactly."""
-    s = Fraction(q ** (n - k - 1) - 1, q ** (2 * k + 2) - 1)
-    r = Fraction(q ** (n + 1) - 1, q ** n - 1)
-    return _Root(r * s, r * (1 - s), _c8(3 * k + 2, k, q))
+    return (B_t - 1) * step + 1
 
 
 def _below(x, bound) -> bool:
@@ -185,21 +163,31 @@ def _below(x, bound) -> bool:
     return y <= 0 or y ** 8 < bound.c8
 
 
+def exact_floor(bound, scale: int = 1) -> int:
+    """floor(scale * bound) for a rational bound or a _Root, exactly;
+    scale is a positive integer, a power of ten to print decimals.
+
+    For a _Root, scale*bound lies in [Z + scale*b, Z + 1 + scale*b) with
+    Z = floor(scale*a*C), the integer 8th root of floor((scale*a)^8 C^8)
+    (three nested isqrt).  So the floor is m - 1 or m, m = floor(Z +
+    scale*b) + 1, and as scale*bound is irrational, it is m exactly when
+    m/scale < bound."""
+    if not isinstance(bound, _Root):
+        return math.floor(scale * bound)
+    r = math.isqrt
+    z = r(r(r(math.floor((scale * bound.a) ** 8 * bound.c8))))
+    m = math.floor(z + scale * bound.b) + 1
+    return m if _below(Fraction(m, scale), bound) else m - 1
+
+
 def _threshold(bound) -> int:
     """Least integer t >= 0 with not (t < bound).
 
     For every integer x >= 0, x < bound exactly when x < t.  A _Root
-    bound a*C + b lies in [Z + b, Z + 1 + b) with Z = floor(a*C), the
-    integer 8th root of floor(a^8 C^8) (three nested isqrt), so t is
-    found after at most two exact comparisons."""
-    low = bound
+    bound is irrational, so t is one above its floor."""
     if isinstance(bound, _Root):
-        r = math.isqrt
-        low = r(r(r(math.floor(bound.a ** 8 * bound.c8)))) + bound.b
-    t = max(0, math.ceil(low))
-    while _below(t, bound):
-        t += 1
-    return t
+        return max(0, exact_floor(bound) + 1)
+    return max(0, math.ceil(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +285,11 @@ def _lower_bounds(space: str, n: int, k: int, q: int) -> list:
     out = []
     if n >= 3 * k + 3:
         out.append(("pencil-lift", pencil_lift_bound(n, k, q)))
-        out.append(("improved-lift", _improved_lift_root(n, k, q)))
+        out.append(("improved-lift", improved_lift_bound(n, k, q)))
     if n >= 3 * k:
         out.append(("ihringer", ihringer_bound(n, k, q)))
     if n >= 3 * k + 4:
-        out.append(("hyperplane-average", _hyperplane_average_root(n, k, q)))
+        out.append(("hyperplane-average", hyperplane_average_bound(n, k, q)))
     return out
 
 
@@ -324,11 +312,10 @@ def _congruences(space: str, n: int, k: int, q: int) -> list:
 
 
 def _c_interval_bound(space: str, n: int, k: int, q: int):
-    """classification_threshold(n, k, q) as an exact _Root where the
-    classified interval is known, else None; unit-intervals shares the
-    guard."""
+    """classification_threshold(n, k, q) where the classified interval is
+    known, else None; unit-intervals shares the guard."""
     if space == "PG" and n >= 3 * k + 2:
-        return _Root(Fraction(1), Fraction(0), _c8(n, k, q))
+        return classification_threshold(n, k, q)
     return None
 
 
@@ -473,15 +460,15 @@ class SieveReport:
 
 
 def sieve(space: str, n: int, k: int, q: int, x_range=None,
-          dps: int = DEFAULT_DPS) -> SieveReport:
+          dps=None) -> SieveReport:
     """Classify every integer parameter in range for the given geometry.
 
     x_range = (lo, hi) defaults to (0, X_max) and may reach past X_max;
-    lo < 0 raises GuardViolated.  Every decision is exact, so `dps` changes
-    no entry; it is accepted for callers that pass a precision through."""
+    lo < 0 raises GuardViolated.  `dps` is ignored: every decision is exact.
+    It stays for callers written when a working precision was passed, such
+    as the sieve-sweep benchmark's cross-check."""
     space = space.upper()
-    if space not in ("PG", "AG") or not (0 < k < n) or q < 2:
-        raise GuardViolated(f"malformed sieve config {space},{n},{k},{q}")
+    check_config(space, n, k, q)
     xm = x_max_param(space, n, k, q)
     if x_range is None:
         lo, hi = 0, int(xm)

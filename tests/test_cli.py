@@ -29,6 +29,43 @@ def test_bounds_rounds_down(capsys):
     rc, out, _ = run(capsys, "bounds", "-n", "8", "-k", "1", "-q", "7")
     line = next(l for l in out.splitlines() if l.startswith("improved-lift"))
     assert rc == 0 and line.split()[1] == "5476.997617"
+    # rational rows too, with their exact value
+    line = next(l for l in out.splitlines() if l.startswith("ihringer"))
+    assert line.split()[1:] == ["17157.142857", "(exact", "120100/7)"]
+
+
+# (k, q, n) of the bound grid, as in test_sieve.py
+GRID = [(k, q, n) for k in (1, 2, 3)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32)
+        for n in range(3 * k + 2, 3 * k + 30)]
+
+
+def test_bounds_decimals_bracket_the_bound_on_grid(capsys):
+    from fractions import Fraction
+
+    from clgeom.sieve import (_below, classification_threshold,
+                              hyperplane_average_bound, improved_lift_bound,
+                              step_factor)
+    micro = Fraction(1, 10 ** 6)
+    rows = 0
+    for k, q, n in GRID:
+        rc, out, _ = run(capsys, "bounds", "-n", str(n), "-k", str(k),
+                         "-q", str(q))
+        assert rc == 0
+        exact = {"c-threshold": lambda: classification_threshold(n, k, q),
+                 "step-factor": lambda: step_factor(k, q),
+                 "improved-lift": lambda: improved_lift_bound(n, k, q),
+                 "hyperplane-average":
+                     lambda: hyperplane_average_bound(n, k, q)}
+        for line in out.splitlines():
+            if line.endswith("(rounded down)"):
+                name, d = line.split()[:2]
+                bound = exact[name]()
+                # d <= bound < d + 10^-6; the bound is irrational
+                assert _below(Fraction(d), bound), line
+                assert not _below(Fraction(d) + micro, bound), line
+                rows += 1
+    assert rows == 3924
 
 
 def test_bounds_guard_not_met(capsys):
@@ -266,15 +303,39 @@ def test_no_cache_flag_is_gone(capsys):
     assert rc == 2 and out == ""
 
 
-def test_precision_must_be_positive(capsys):
-    for bad in ("0", "-5", "ten"):
-        rc, out, _ = run(capsys, "--precision", bad, "bounds", "-n", "8",
-                         "-k", "1", "-q", "7")
-        assert rc == 2 and out == ""
+def test_precision_flag_is_gone(capsys):
     rc, out, _ = run(capsys, "--precision", "5", "bounds", "-n", "8", "-k",
                      "1", "-q", "7")
-    assert rc == 0
-    assert "evaluated at 5 decimal digits" in out
+    assert rc == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["bounds", "sieve"])
+@pytest.mark.parametrize("k", ["-1", "5"])
+def test_bounds_and_sieve_need_k_between_0_and_n(capsys, command, k):
+    argv = [command, "-n", "3", "-k", k, "-q", "2"]
+    if command == "sieve":
+        argv += ["--x-min", "0"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "0 < k < n" in err
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 9])
+@pytest.mark.parametrize("command", ["verify", "enumerate", "construct"])
+def test_huge_n_refused_before_any_power(capsys, tmp_path, command, n):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"space": "PG", "p": 2, "h": 1, "n": n,
+                                "k": 0, "members": []}))
+    argv = {"verify": ["verify", str(path)],
+            "enumerate": ["enumerate", "-n", str(n), "-k", "0", "-q", "2",
+                          "--count-only"],
+            "construct": ["construct", "-n", str(n), "-k", "1", "-q", "2",
+                          "--kind", "hyperplane-class"]}[command]
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "exceeds cap" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_verify_rejects_bad_family_header(capsys, tmp_path):

@@ -255,3 +255,14 @@ def test_meet_is_commutative(i, j):
     a, b = lines[i], lines[j]
     assert meet(g.field, a, b).mat == meet(g.field, b, a).mat
     assert span(g.field, a, b).mat == span(g.field, b, a).mat
+
+
+@pytest.mark.parametrize("kind", ["PG", "AG"])
+def test_huge_dimension_refused_from_its_exponent(kind):
+    # at least q^((k+1)(n-k)) k-spaces; q^n is never built
+    g = geometry(kind, 10 ** 9, 3)
+    for k in (0, 1, 10 ** 9 - 1):
+        with pytest.raises(TooManySubspaces, match="at least 3\\^"):
+            g.subspaces(k)
+    with pytest.raises(TooManySubspaces):
+        g.points

@@ -1,7 +1,11 @@
-import importlib
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,17 +15,18 @@ from clgeom.sieve import (
     RULES_BY_ID,
     SieveEntry,
     SieveReport,
+    _Root,
     _RuleTable,
     _below,
     _c_interval_bound,
     _firing_rules,
-    _hyperplane_average_root,
-    _improved_lift_root,
+    _lower_bounds,
     _threshold,
     affine_condition,
     affine_pencil_bound,
     classification_rules,
     classification_threshold,
+    exact_floor,
     gm_condition_solvable,
     hyperplane_average_bound,
     ihringer_bound,
@@ -38,6 +43,42 @@ from clgeom.sieve import (
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+# (k, q, n) of the bound grid: n from 3k+2, where the classified interval
+# starts, to 3k+29
+GRID = [(k, q, n) for k in (1, 2, 3)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32)
+        for n in range(3 * k + 2, 3 * k + 30)]
+
+
+# -- the oracle: the paper's closed forms, evaluated in mpmath ---------------
+
+def mp_threshold(n, k, q):
+    """C(n,k,q) = 2^(-1/8) q^(n/2 - k^2/4 - 3k/4 - 3/2)
+    (q-1)^(k^2/4 - k/4 + 1/2) sqrt(q^2+q+1) at the working precision."""
+    q_ = mpmath.mpf(q)
+    return (mpmath.mpf(2) ** Fraction(-1, 8)
+            * q_ ** (Fraction(n, 2) - Fraction(k * k, 4) - Fraction(3 * k, 4)
+                     - Fraction(3, 2))
+            * (q_ - 1) ** (Fraction(k * k, 4) - Fraction(k, 4) + Fraction(1, 2))
+            * mpmath.sqrt(q_ * q_ + q_ + 1))
+
+
+def mp_bound(rid, n, k, q):
+    """The irrational bound of rule rid from the paper's formulas."""
+    if rid == "c-interval":
+        return mp_threshold(n, k, q)
+    D = mp_threshold(3 * k + 2, k, q) - 1
+
+    def frac(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    if rid == "improved-lift":
+        return D * frac(F(q ** (n - k) - 1, q ** (2 * k + 2) - 1)) + 1
+    assert rid == "hyperplane-average"
+    return ((D * frac(F(q ** (n - k - 1) - 1, q ** (2 * k + 2) - 1)) + 1)
+            * frac(F(q ** (n + 1) - 1, q ** n - 1)))
 
 
 # -- trivial parameters -----------------------------------------------------
@@ -59,21 +100,25 @@ def test_x_max():
 # -- bounds -----------------------------------------------------------------
 
 def test_step_factor_simplification_k1():
-    # at k = 1 the q exponent vanishes: D = 2^(-1/8) sqrt((q-1)(q^2+q+1)) - 1
+    # at k = 1 the q exponent vanishes: D = 2^(-1/8) sqrt((q-1)(q^2+q+1)) - 1;
+    # the exact floor of 10^40 D matches it at 200 digits
     for q in (2, 3, 7, 11):
-        direct = mpmath.mpf(2) ** mpmath.mpf("-0.125") \
-            * mpmath.sqrt((q - 1) * (q * q + q + 1)) - 1
-        assert abs(step_factor(1, q) - direct) < 1e-10
+        with mpmath.workdps(200):
+            direct = mpmath.mpf(2) ** mpmath.mpf("-0.125") \
+                * mpmath.sqrt((q - 1) * (q * q + q + 1)) - 1
+            want = int(mpmath.floor(direct * mpmath.mpf(10) ** 40))
+        assert exact_floor(step_factor(1, q), 10 ** 40) == want
 
 
 def test_step_factor_value():
-    assert abs(step_factor(1, 7) - 15.958) < 1e-3
+    # 15.958 <= D(1,7) < 15.959
+    assert exact_floor(step_factor(1, 7), 1000) == 15958
 
 
 def test_classification_threshold_guard():
     with pytest.raises(GuardViolated):
         classification_threshold(4, 1, 2)
-    assert classification_threshold(5, 1, 2) > 0
+    assert _below(0, classification_threshold(5, 1, 2))
 
 
 def test_exact_bounds():
@@ -89,8 +134,30 @@ def test_exact_bounds():
 
 
 def test_paper_example_values():
-    assert abs(improved_lift_bound(8, 1, 7) - 5476.998) < 0.5
-    assert abs(hyperplane_average_bound(8, 1, 7) - 5482.9585) < 0.5
+    # within 0.5 of the paper's 5476.998 and 5482.9585
+    for bound, paper in ((improved_lift_bound(8, 1, 7), F(5476998, 1000)),
+                         (hyperplane_average_bound(8, 1, 7),
+                          F(54829585, 10000))):
+        assert _below(paper - F(1, 2), bound)
+        assert not _below(paper + F(1, 2), bound)
+    assert exact_floor(improved_lift_bound(8, 1, 7), 10 ** 6) == 5476997617
+
+
+def test_exact_floor():
+    # rational bounds floor toward minus infinity
+    assert exact_floor(F(-1, 3), 10) == -4
+    assert exact_floor(F(31, 6), 10 ** 6) == 5166666
+    # the ninth and later digits of C(5,1,2) = 2.42616..., from the oracle
+    C = classification_threshold(5, 1, 2)
+    for scale in (1, 10, 10 ** 9, 10 ** 60):
+        with mpmath.workdps(200):
+            want = int(mpmath.floor(mp_threshold(5, 1, 2) * scale))
+        assert exact_floor(C, scale) == want
+    # step factors are negative at q = 2, k >= 4
+    D = step_factor(4, 2)
+    d = exact_floor(D, 10 ** 6)
+    assert d < 0 and _below(F(d, 10 ** 6), D)
+    assert not _below(F(d + 1, 10 ** 6), D)
 
 
 def test_lift_bound():
@@ -173,13 +240,11 @@ def test_entries_do_not_depend_on_dps(n, k, q, x_range):
         assert sieve("PG", n, k, q, x_range=x_range, dps=dps).entries == ref
 
 
-# (rule, exact form, mpf definition, guard n >= 3k + guard)
-_MPF_BOUNDS = (
-    ("c-interval", lambda n, k, q: _c_interval_bound("PG", n, k, q),
-     classification_threshold, 2),
-    ("improved-lift", _improved_lift_root, improved_lift_bound, 3),
-    ("hyperplane-average", _hyperplane_average_root,
-     hyperplane_average_bound, 4),
+# (rule, exact constructor, guard n >= 3k + guard)
+_IRRATIONAL = (
+    ("c-interval", classification_threshold, 2),
+    ("improved-lift", improved_lift_bound, 3),
+    ("hyperplane-average", hyperplane_average_bound, 4),
 )
 
 
@@ -188,13 +253,13 @@ def test_exact_below_matches_200_digit_mpmath():
     for k in (1, 2):
         for q in (2, 3, 4, 5, 7, 8, 9):
             for n in range(3 * k + 2, 3 * k + 9):
-                for rid, exact, mpf_bound, guard in _MPF_BOUNDS:
+                for rid, exact, guard in _IRRATIONAL:
                     if n < 3 * k + guard:
                         continue
                     root = exact(n, k, q)
                     t = _threshold(root)
                     with mpmath.workdps(200):
-                        v = mpf_bound(n, k, q, 200)
+                        v = mp_bound(rid, n, k, q)
                         for x in (t - 1, t, t + 1):
                             if x < 0:
                                 continue
@@ -207,20 +272,48 @@ def test_exact_below_matches_200_digit_mpmath():
     assert checked > 500
 
 
-def test_sieve_calls_no_mpf_bound(monkeypatch):
-    sv = importlib.import_module("clgeom.sieve")  # the module, not sieve()
-    ref = sieve("PG", 8, 1, 7, x_range=(0, 6000))
+def _threshold_by_search(bound):
+    """The least integer t >= 0 with not (t < bound), searched upward from
+    the integer 8th root of floor(a^8 C^8) plus b: the sieve's route before
+    `exact_floor`, kept as a reference."""
+    low = bound
+    if isinstance(bound, _Root):
+        r = math.isqrt
+        low = r(r(r(math.floor(bound.a ** 8 * bound.c8)))) + bound.b
+    t = max(0, math.ceil(low))
+    while _below(t, bound):
+        t += 1
+    return t
 
-    def boom(*args, **kwargs):
-        raise AssertionError("a sieve decision evaluated an mpf bound")
 
-    for name in ("classification_threshold", "step_factor",
-                 "improved_lift_bound", "hyperplane_average_bound"):
-        monkeypatch.setattr(sv, name, boom)
-    assert sieve("PG", 8, 1, 7, x_range=(0, 6000)).entries == ref.entries
-    # C(5,1,2) = 2.43..., so c-interval fires at x = 2 without the mpf
-    # classification_threshold
-    report = sieve("PG", 5, 1, 2, x_range=(2, 12), dps=23)
+def test_threshold_on_bound_grid():
+    roots = 0
+    for k, q, n in GRID:
+        bounds = _lower_bounds("PG", n, k, q)
+        bounds.append(("c-interval", _c_interval_bound("PG", n, k, q)))
+        for rid, bound in bounds:
+            t = _threshold(bound)
+            assert t == _threshold_by_search(bound), (rid, n, k, q)
+            if isinstance(bound, _Root):
+                roots += 1
+                with mpmath.workdps(200):
+                    ceil = int(mpmath.ceil(mp_bound(rid, n, k, q)))
+                assert t == max(0, ceil), (rid, n, k, q)
+    assert roots == 2916  # the 3924 irrational values less the step factors
+
+
+def test_sieve_and_cli_import_no_mpmath():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, clgeom.cli, clgeom.sieve\n"
+            "clgeom.cli.main(['bounds', '-n', '8', '-k', '1', '-q', '7'])\n"
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"
+    # C(5,1,2) = 2.43..., so c-interval fires at x = 2
+    report = sieve("PG", 5, 1, 2, x_range=(2, 12))
     assert "c-interval" in report.entry(2).rules
 
 
