@@ -23,6 +23,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -306,15 +307,15 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
         raise DimensionTooSmall(f"dim pi = {i} < k+1 = {F.k + 1}")
     geom = F.geom
     sub_geom = geometry("PG", i, geom.q)
-    subs = geom.subspaces(F.k)
-    index = sub_geom.subspace_index(F.k)
-    out = set()
     members = np.flatnonzero(F.chi)
-    inside = np.isin(geom.point_table(F.k)[members], geom.points_of(pi))
-    for m in members[inside.all(axis=1)].tolist():
-        rows = [tuple(row[c] for c in pi.pivots) for row in subs[m].mat]
-        mat, _ = rref(rows, geom.field)
-        out.add(index[mat])
+    inside = np.isin(geom.point_table(F.k)[members],
+                     geom.points_of(pi)).all(axis=1)
+    # a member inside pi is C.pi for the matrix C of its entries in pi's
+    # pivot columns, and C is already in RREF: row j of C leads where row
+    # j of the member does, at one of pi's pivots (see Geometry._locate)
+    coords = geom.subspaces(F.k).codes[members[inside]][:, :, list(pi.pivots)]
+    out = sub_geom.subspace_index(F.k, coords)
+    assert (out >= 0).all()
     return KFamily(sub_geom, F.k, out)
 
 
@@ -335,13 +336,12 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     through = np.isin(geom.point_table(F.k)[members],
                       pi_pts).sum(axis=1) == len(pi_pts)
     subs = geom.subspaces(F.k)
-    index = sub_geom.subspace_index(F.k - i - 1)
-    out = set()
-    for m in members[through].tolist():
-        img = project_subspace(geom.field, subs[m], pi, beta)
-        idx = index[img.mat]
-        assert idx not in out, "projection produced a duplicate image"
-        out.add(idx)
+    images = [project_subspace(geom.field, subs[m], pi, beta).mat
+              for m in members[through].tolist()]
+    out = sub_geom.subspace_index(F.k - i - 1, images)
+    assert (out >= 0).all()
+    assert len(set(out.tolist())) == len(out), \
+        "projection produced a duplicate image"
     return KFamily(sub_geom, F.k - i - 1, out)
 
 
@@ -396,21 +396,19 @@ def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
         raise GuardViolated("pg_to_ag expects a projective family")
     geom = F.geom
     field = geom.field
-    default_H = _default_hyperplane(geom)
-    subs = geom.subspaces(F.k)
-    mats = [subs[m].mat for m in sorted(F.members)]
-    if H is not None and H.mat != default_H.mat:
+    members = np.flatnonzero(F.chi)
+    mats = geom.subspaces(F.k).codes[members]
+    if H is not None and H.mat != _default_hyperplane(geom).mat:
         if H.k != geom.n - 1:
             raise GuardViolated("H must be a hyperplane")
         cols = _hyperplane_transform(geom, H)
-        mats = [rref(_apply_transform(field, m, cols), field)[0] for m in mats]
+        mats = [rref(_apply_transform(field, m, cols), field)[0]
+                for m in mats.tolist()]
     ag = geometry("AG", geom.n, geom.q)
-    ag_index = ag.subspace_index(F.k)
-    out = set()
-    for orig, mat in zip(sorted(F.members), mats):
-        if mat not in ag_index:
-            raise MemberInsideHyperplane(orig)
-        out.add(ag_index[mat])
+    out = ag.subspace_index(F.k, mats)
+    inside = np.flatnonzero(out < 0)
+    if len(inside):
+        raise MemberInsideHyperplane(int(members[inside[0]]))
     return KFamily(ag, F.k, out)
 
 
@@ -420,9 +418,10 @@ def ag_to_pg(F: KFamily) -> KFamily:
         raise GuardViolated("ag_to_pg expects an affine family")
     ag = F.geom
     pg = ag.closure()
-    ag_subs = ag.subspaces(F.k)
-    pg_index = pg.subspace_index(F.k)
-    return KFamily(pg, F.k, {pg_index[ag_subs[m].mat] for m in F.members})
+    out = pg.subspace_index(F.k,
+                            ag.subspaces(F.k).codes[np.flatnonzero(F.chi)])
+    assert (out >= 0).all()
+    return KFamily(pg, F.k, out)
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +549,23 @@ def check_spread(F: KFamily, S) -> bool:
     For AG families the spread must partition the affine points; parallel
     elements sharing a point at infinity are fine."""
     geom, k = F.geom, F.k
-    index = geom.subspace_index(k)
-    idxs = []
+    table = geom.point_table(k)
+    # elements of another shape are no k-spaces either
+    shaped = [j for j, s in enumerate(S)
+              if s.k == k and s.ncols == geom.n + 1]
+    idxs = np.full(len(S), -1)
+    idxs[shaped] = geom.subspace_index(k, [S[j].mat for j in shaped])
     covered = np.zeros(geom.num_points, dtype=bool)
-    for s in S:
-        if s.mat not in index:
+    for j in idxs.tolist():
+        if j < 0:
             raise NotASpread("element is not a k-space of the geometry")
-        idxs.append(index[s.mat])
-        pts = geom.point_table(k)[idxs[-1]]
+        pts = table[j]
         if covered[pts].any():
             raise NotASpread("elements are not pairwise disjoint")
         covered[pts] = True
     if not covered.all():
         raise NotASpread("elements do not cover every point")
-    return sum(1 for j in idxs if j in F.members) == F.x
+    return int(F.chi[idxs].sum()) == F.x
 
 
 def check_affine_line(F: KFamily) -> CheckReport:
@@ -579,8 +581,8 @@ def check_affine_line(F: KFamily) -> CheckReport:
         F, _pair_profile(F)[:, 0], (x * factor, (x - 1) * factor))]
     # the second RREF row of an affine line is its direction, the point
     # at infinity of its closure
-    subs = geom.subspaces(1)
-    through = Counter(subs[m].mat[1] for m in F.members)
+    directions = geom.subspaces(1).codes[np.flatnonzero(F.chi), 1]
+    through = Counter(map(tuple, directions.tolist()))
     for pt in geom.infinite_points():
         if through[pt] != x:
             violations.append(("infinite-point", pt, x, through[pt]))
@@ -687,14 +689,13 @@ def check_pencil_propagation(F: KFamily, pi: Subspace) -> bool:
 
 def family_to_dict(F: KFamily) -> dict:
     geom = F.geom
-    subs = geom.subspaces(F.k)
     return {
         "space": geom.kind,
         "p": geom.field.p,
         "h": geom.field.h,
         "n": geom.n,
         "k": F.k,
-        "members": [[list(row) for row in subs[m].mat] for m in sorted(F.members)],
+        "members": geom.subspaces(F.k).codes[np.flatnonzero(F.chi)].tolist(),
     }
 
 
@@ -767,19 +768,47 @@ def family_from_dict(data: dict) -> KFamily:
     if not isinstance(data["members"], list):
         raise FamilyFormatError("members must be a list")
     geom = geometry(space, n, q)
-    index = geom.subspace_index(k)
-    members = set()
+    geom.subspaces(k)  # refuses a level past SUBSPACE_CAP first
+    members = _member_codes(data["members"], k + 1, n + 1)
+    if members is not None:
+        found = geom.subspace_index(k, members)
+        if (found >= 0).all():
+            return KFamily(geom, k, found)
+    # some member is malformed or no k-space: the sequential check names
+    # the first such member
     for mi, mat in enumerate(data["members"]):
         if not isinstance(mat, list) or len(mat) != k + 1:
             raise FamilyFormatError(
                 f"member {mi}: expected a {k + 1}x{n + 1} matrix")
         sub = subspace_from_codes(mat, geom.field, n + 1, f"member {mi}")
-        idx = index.get(sub.mat)
-        if idx is None:
+        if geom.subspace_index(k, [sub.mat])[0] < 0:
             raise FamilyFormatError(
                 f"member {mi}: not a {k}-space of {space}({n},{q})")
-        members.add(idx)
-    return KFamily(geom, k, members)
+    raise AssertionError("a member missed the lookup but passed the check")
+
+
+def _member_codes(members: list, r: int, ncols: int):
+    """The members as an M x r x ncols int64 array when every one is a list
+    of r lists of ncols ints (not bools) that fit in int64; None otherwise.
+    The lookup refuses entries outside [0, q)."""
+    if not _all_lists(members, r):
+        return None
+    rows = list(chain.from_iterable(members))
+    if not _all_lists(rows, ncols):
+        return None
+    entries = list(chain.from_iterable(rows))
+    # the exact type: bool is a subclass of int
+    if not set(map(type, entries)) <= {int}:
+        return None
+    try:
+        codes = np.array(entries, dtype=np.int64)
+    except OverflowError:
+        return None
+    return codes.reshape(len(members), r, ncols)
+
+
+def _all_lists(items: list, length: int) -> bool:
+    return set(map(type, items)) <= {list} and set(map(len, items)) <= {length}
 
 
 def load_family(path: str) -> KFamily:

@@ -189,8 +189,8 @@ def _run_check(fam, name: str, rng: random.Random):
         S = field_reduction_spread(geom.n, k, geom.q)
         if geom.kind == "AG":
             # keep only elements not inside the hyperplane at infinity
-            index = geom.subspace_index(k)
-            S = [s for s in S if s.mat in index]
+            found = geom.subspace_index(k, [s.mat for s in S])
+            S = [s for s, j in zip(S, found) if j >= 0]
         ok = clcore.check_spread(fam, S)
         return ok, [] if ok else [f"spread intersection != x = {fam.x}"]
     if name == "drudge":

@@ -187,7 +187,7 @@ class FieldCtx:
     def __init__(self, base: FieldCtx | int, d: int = 1):
         """GF(Q^d) over the field ``base``; an int ``base`` is a prime p,
         and then the field is GF(p) itself (d must be 1)."""
-        self.tables = self._log = self._exp = None
+        self.tables = self._log = self._exp = self._succ = None
         if isinstance(base, int):
             if not is_prime(base):
                 raise NotPrime(f"{base} is not prime")
@@ -229,11 +229,20 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.h == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self._succ is not None:
+            return self._zech_add(a, b)
         return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
         if self.h == 1:
             return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self._succ is not None:
+            # -b = b * g^((q-1)/2), as g^((q-1)/2) = -1 for odd q
+            return self._zech_add(a, self._exp[self._log[b] + (self.q - 1) // 2])
         return self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
@@ -269,8 +278,19 @@ class FieldCtx:
 
     # -- internals --
 
+    def _zech_add(self, a, b):
+        """a + b = a * (1 + b/a) through the log/exp tables and the q-length
+        table of x + 1 (Zech's logarithm, indexed by code)."""
+        if a == 0:
+            return b
+        log, exp = self._log, self._exp
+        la = log[a]
+        # b/a = g^(log b - log a); for b = 0 the index lands in exp's zeros
+        return exp[la + log[self._succ[exp[log[b] - la + self.q - 1]]]]
+
     def _digitwise(self, a, b, sign):
-        """a + sign * b, base-p digit by digit mod p."""
+        """a + sign * b, base-p digit by digit mod p: the reference for the
+        other routes, and the route for odd p above the table order."""
         p = self.p
         out = 0
         unit = 1
@@ -295,7 +315,8 @@ class FieldCtx:
         exp[i] = g^i for i < 2(q-1), so exp[log a + log b] needs no
         reduction; log 0 = 2(q-1) points past that into zeros, so products
         with 0 need no branch.  ``tables`` holds the same two lists as
-        int64 arrays for the numpy code in geometry."""
+        int64 arrays for the numpy code in geometry.  For odd p, ``_succ``
+        maps each code x to x + 1, for the Zech addition."""
         q = self.q
         for g in range(2, q):
             powers = [1]
@@ -312,6 +333,8 @@ class FieldCtx:
             self._log[x] = i
         self.tables = (np.array(self._log, dtype=np.int64),
                        np.array(self._exp, dtype=np.int64))
+        if self.p != 2:
+            self._succ = [self._digitwise(x, 1, 1) for x in range(q)]
 
     def __repr__(self):
         if self.base.h == 1:

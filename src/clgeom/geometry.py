@@ -8,16 +8,24 @@ hyperplane at infinity fixed at X0 = 0: affine points are the projective
 points with X0 = 1, affine k-spaces the projective k-spaces not contained
 in X0 = 0.
 
-Enumerations are kept in memory and nothing is stored on disk.  The one
-form of incidence is the point table (``Geometry.point_table``), built in
-numpy from the RREF matrices (over GF(p^h), h > 1, through the field's
-log/exp tables); ``Geometry.points_of`` gives the points of any other
-subspace by the same lookup.  The dense incidence matrix and the point
+Each k-level (``Geometry.subspaces``) is one ``SubspaceLevel``: a numpy
+array of the canonical matrices' codes, generated pivot pattern by pivot
+pattern and sorted by key, from which ``Subspace`` objects are built only
+on demand; ``Geometry.subspace_index`` finds any stack of matrices by
+binary search over the keys.  The points of PG(n,q) are the rows of its
+0-level.  Enumerations are kept in memory and nothing is stored on disk.
+
+The one form of incidence is the point table (``Geometry.point_table``),
+built in numpy from a level's codes (over GF(p^h), h > 1, through the
+field's log/exp tables); ``Geometry.points_of`` gives the points of any
+other subspace by the same lookup.  The dense incidence matrix and the point
 bitmasks are views derived from the table on request.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -164,15 +172,97 @@ def meet(field: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
     return make_subspace(inter, field, nc)
 
 
-def _normalized_vectors(q: int, length: int):
-    """All vectors with leftmost nonzero entry 1, sorted lexicographically."""
-    vecs = []
-    for lead in range(length):
-        prefix = (0,) * lead + (1,)
-        for tail in product(range(q), repeat=length - lead - 1):
-            vecs.append(prefix + tail)
-    vecs.sort()
-    return vecs
+# ---------------------------------------------------------------------------
+# levels: all k-spaces as one code array
+# ---------------------------------------------------------------------------
+
+class SubspaceLevel(Sequence):
+    """The k-spaces of a geometry in lexicographic order of their canonical
+    matrices, stored as one read-only B x (k+1) x (n+1) array ``codes`` of
+    field codes (in the smallest unsigned dtype that holds q-1) and the
+    ascending ``keys`` of those matrices (see ``_keys``).
+
+    Indexing (negative indices too) and iteration build each ``Subspace``
+    on demand, with entries that are Python ints."""
+
+    def __init__(self, codes: np.ndarray, keys: np.ndarray):
+        codes.setflags(write=False)
+        keys.setflags(write=False)
+        self.codes = codes
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, j) -> Subspace:
+        return _subspace_of(self.codes[operator.index(j)].tolist())
+
+    def __iter__(self):
+        for lo in range(0, len(self.codes), _CHUNK):
+            for mat in self.codes[lo:lo + _CHUNK].tolist():
+                yield _subspace_of(mat)
+
+
+def _subspace_of(rows) -> Subspace:
+    """The Subspace of a canonical matrix given as lists of Python ints."""
+    # the leading entry of an RREF row, its first nonzero, is a 1
+    return Subspace(tuple(map(tuple, rows)),
+                    tuple(row.index(1) for row in rows), len(rows[0]))
+
+
+def _keys(mats: np.ndarray, q: int) -> np.ndarray:
+    """One key per matrix of a B x r x ncols stack of codes in [0, q),
+    ordered as the matrices are lexicographically: the base-q number of
+    the entries as an int64 while q^(r*ncols) < 2^63, otherwise the
+    entries' big-endian bytes.  Neither builds an int64 copy of the stack."""
+    b, r, ncols = mats.shape
+    flat = mats.reshape(b, r * ncols)
+    if q ** (r * ncols) < 2 ** 63:
+        key = np.zeros(b, dtype=np.int64)
+        for column in flat.T:
+            key *= q
+            key += column
+        return key
+    code = np.min_scalar_type(q - 1).newbyteorder(">")
+    return np.ascontiguousarray(flat, dtype=code).view(
+        f"S{r * ncols * code.itemsize}").ravel()
+
+
+def _codes_of(keys: np.ndarray, q: int, r: int, ncols: int) -> np.ndarray:
+    """The B x r x ncols code stack whose keys are `keys` (inverse of
+    _keys), in the smallest unsigned dtype that holds q-1."""
+    code = np.min_scalar_type(q - 1)
+    if keys.dtype != np.int64:
+        return keys.view(code.newbyteorder(">")).astype(code).reshape(
+            -1, r, ncols)
+    codes = np.empty((len(keys), r * ncols), dtype=code)
+    rest = keys
+    for j in range(r * ncols - 1, -1, -1):
+        rest, codes[:, j] = np.divmod(rest, q)
+    return codes.reshape(-1, r, ncols)
+
+
+def _enumerate_pg(q: int, ncols: int, r: int):
+    """Codes and ascending keys of all (r-1)-spaces of PG(ncols-1, q).
+
+    Each pivot pattern is one block: identity columns at the pivots, zeros
+    left of each pivot and in the other pivot columns, and the remaining
+    free entries running through GF(q) as a mixed-radix counter over
+    arange(q**f).  Only the blocks' keys are kept; the sorted keys are
+    decoded back into the level's codes."""
+    code = np.min_scalar_type(q - 1)
+    keys = []
+    for pivots in combinations(range(ncols), r):
+        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, ncols)
+                if c not in pivots]
+        block = np.zeros((q ** len(free), r, ncols), dtype=code)
+        block[:, range(r), pivots] = 1
+        counter = np.arange(len(block))
+        for i, c in reversed(free):
+            counter, block[:, i, c] = np.divmod(counter, q)
+        keys.append(_keys(block, q))
+    keys = np.sort(np.concatenate(keys))
+    return _codes_of(keys, q, r, ncols), keys
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +318,6 @@ class Geometry:
         self._points = None
         self._point_index = None
         self._subspaces = {}
-        self._subspace_index = {}
-        self._codes = None
         self._tables = {}
         self._masks = {}
 
@@ -254,11 +342,13 @@ class Geometry:
 
         Points are the 0-spaces, so SUBSPACE_CAP bounds them too."""
         if self._points is None:
-            self._capped_count(0)
             if self.kind == "PG":
-                self._points = _normalized_vectors(self.q, self.n + 1)
+                rows = self.subspaces(0).codes[:, 0].tolist()
+                self._points = list(map(tuple, rows))
             else:
-                # the closure's points with X0 = 1, in the same order
+                # the closure's points with X0 = 1, in the same order; built
+                # apart from the closure, which may hold more than the cap
+                self._capped_count(0)
                 self._points = [(1,) + t
                                 for t in product(range(self.q), repeat=self.n)]
         return self._points
@@ -304,51 +394,42 @@ class Geometry:
             raise TooManySubspaces(count, SUBSPACE_CAP)
         return count
 
-    def subspaces(self, k: int):
-        """Ordered tuple of all k-spaces (lexicographic canonical matrices)."""
+    def subspaces(self, k: int) -> "SubspaceLevel":
+        """All k-spaces, ordered by their canonical matrices."""
         if k not in self._subspaces:
             count = self._capped_count(k)
             if self.kind == "AG":
+                # the k-spaces not inside X0 = 0; a masked sorted level
+                # stays sorted
                 full = self.closure().subspaces(k)
-                subs = tuple(s for s in full if any(row[0] for row in s.mat))
+                keep = full.codes[:, :, 0].any(axis=1)
+                level = SubspaceLevel(full.codes[keep], full.keys[keep])
             else:
-                subs = tuple(self._enumerate_pg(k))
-            assert len(subs) == count
-            self._subspaces[k] = subs
+                level = SubspaceLevel(*_enumerate_pg(self.q, self.n + 1, k + 1))
+            assert len(level) == count
+            self._subspaces[k] = level
         return self._subspaces[k]
 
-    def _enumerate_pg(self, k: int):
-        n1 = self.n + 1
-        r = k + 1
-        q = self.q
-        mats = []
-        for pivots in combinations(range(n1), r):
-            pivset = set(pivots)
-            free = []  # (row, col) positions of free entries
-            for i in range(r):
-                for c in range(pivots[i] + 1, n1):
-                    if c not in pivset:
-                        free.append((i, c))
-            base = [[0] * n1 for _ in range(r)]
-            for i, c in enumerate(pivots):
-                base[i][c] = 1
-            for assignment in product(range(q), repeat=len(free)):
-                mat = [row[:] for row in base]
-                for (i, c), v in zip(free, assignment):
-                    mat[i][c] = v
-                mats.append(tuple(map(tuple, mat)))
-        mats.sort()
-        pivcache = {}
-        out = []
-        for m in mats:
-            pv = tuple(next(c for c in range(n1) if row[c]) for row in m)
-            out.append(Subspace(m, pivcache.setdefault(pv, pv), n1))
-        return out
-
-    def subspace_index(self, k: int):
-        if k not in self._subspace_index:
-            self._subspace_index[k] = {s.mat: i for i, s in enumerate(self.subspaces(k))}
-        return self._subspace_index[k]
+    def subspace_index(self, k: int, mats) -> np.ndarray:
+        """Positions in subspaces(k) of a stack of code matrices (each
+        (k+1) x (n+1)), by binary search over the level's sorted keys; -1
+        for a matrix that is not one of the k-spaces (not in RREF, not of
+        full rank, holding a non-code, or in AG inside X0 = 0)."""
+        level = self.subspaces(k)
+        mats = np.asarray(mats)
+        if not len(mats):
+            return np.empty(0, dtype=np.int64)
+        if mats.shape[1:] != (k + 1, self.n + 1):
+            raise DimensionMismatch(
+                f"expected {k + 1}x{self.n + 1} matrices, got {mats.shape[1:]}")
+        valid = ((mats >= 0) & (mats < self.q)).all(axis=(1, 2))
+        if not valid.all():
+            # a matrix holding a non-code is looked up as the zero matrix,
+            # which is no k-space
+            mats = np.where(valid[:, None, None], mats, 0)
+        keys = _keys(mats, self.q)
+        pos = np.minimum(np.searchsorted(level.keys, keys), len(level) - 1)
+        return np.where(level.keys[pos] == keys, pos, -1)
 
     # -- incidence --
 
@@ -361,39 +442,39 @@ class Geometry:
         vector c, and c.M is already normalized (its leading entry sits in a
         pivot column of M, where M has an identity column).  The products are
         computed in numpy, encoded as base-q integers and looked up among the
-        points' codes.  c -> c.M keeps the lexicographic order (c reappears
-        in M's pivot columns, and the columns before a pivot depend only on
-        earlier entries of c), so each row's positions come out ascending."""
+        keys of the 0-level.  c -> c.M keeps the lexicographic order (c
+        reappears in M's pivot columns, and the columns before a pivot depend
+        only on earlier entries of c), so each row's positions come out
+        ascending."""
         q, n1 = self.q, self.n + 1
         weights = q ** np.arange(n1 - 1, -1, -1, dtype=np.int64)
-        if self._codes is None:
-            # lexicographic order of the points is the order of their codes
-            self._codes = np.array(self.points, dtype=np.int64) @ weights
-        codes = self._codes
+        # the points' base-q keys, ascending; with at most SUBSPACE_CAP
+        # points (in the closure for AG) they are int64 (see _keys)
+        point_keys = self.subspaces(0).keys
         r = mats.shape[1]
-        # for r = 1 the single row is the point itself
+        # for r = 1 the single row is the point itself; otherwise the
+        # coefficient vectors are the points of PG(r-1,q), in order
         vecs = mats if r == 1 else _combine(
-            self.field, np.array(_normalized_vectors(q, r), dtype=np.int64), mats)
+            self.field, geometry("PG", r - 1, q).subspaces(0).codes[:, 0], mats)
         keys = vecs @ weights
-        pos = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
-        return pos, codes[pos] == keys
+        pos = np.minimum(np.searchsorted(point_keys, keys), len(point_keys) - 1)
+        return pos, point_keys[pos] == keys
 
     def point_table(self, k: int) -> np.ndarray:
         """N x theta int64 array whose row j lists, ascending, the indices of
         the points on k-space j: the one stored form of the incidence, from
         which every checker and transform reads."""
         if k not in self._tables:
-            subs = self.subspaces(k)
+            codes = self.subspaces(k).codes
             if k == self.n:
                 table = np.arange(len(self.points))[None, :]
             else:
                 theta = (gauss_binom(k + 1, 1, self.q) if self.kind == "PG"
                          else self.q ** k)
-                table = np.empty((len(subs), theta), dtype=np.int64)
+                table = np.empty((len(codes), theta), dtype=np.int64)
                 step = max(1, _CHUNK // (theta * (self.n + 1)))
-                for lo in range(0, len(subs), step):
-                    mats = np.array([s.mat for s in subs[lo:lo + step]],
-                                    dtype=np.int64)
+                for lo in range(0, len(codes), step):
+                    mats = codes[lo:lo + step].astype(np.int64)
                     pos, hit = self._locate(mats)
                     assert (hit.sum(axis=1) == theta).all()
                     table[lo:lo + len(mats)] = pos[hit].reshape(len(mats),
@@ -500,7 +581,7 @@ def field_reduction_spread(n: int, k: int, q: int):
     ext = ff_extend(field, d)
     Q = ext.q
     out = []
-    for w in _normalized_vectors(Q, m):
+    for w in _enumerate_pg(Q, m, 1)[0][:, 0].tolist():
         rows = []
         for j in range(d):
             alpha = q ** j  # code of t^j in the extension

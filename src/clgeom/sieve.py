@@ -39,10 +39,16 @@ from .errors import GuardViolated
 
 def check_config(space: str, n: int, k: int, q: int) -> None:
     """Refuse a geometry outside the rules' domain: PG or AG, 0 < k < n and
-    q >= 2."""
+    q >= 2, and q^(n+1) below 2^4096."""
     if space not in ("PG", "AG") or not (0 < k < n) or q < 2:
         raise GuardViolated(f"malformed config {space},{n},{k},{q}: "
                             "need PG or AG, 0 < k < n and q >= 2")
+    # q^(n+1) < 2^((n+1) * bit_length(q)), so this is decided before any
+    # power of q is built; past it X_max has more digits than Python prints
+    # and the bounds' eighth powers run to tens of thousands of bits
+    if (n + 1) * q.bit_length() > 4096:
+        raise GuardViolated(f"config {space},{n},{k},{q} too large: need "
+                            "(n+1) * bit_length(q) <= 4096")
 
 
 def x_max_param(space: str, n: int, k: int, q: int) -> Fraction:

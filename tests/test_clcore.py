@@ -517,6 +517,45 @@ def test_family_rejects_malformed_shapes(data):
         cc.family_from_dict(data)
 
 
+def _with_members(d, changes):
+    for mi, mat in changes:
+        d["members"][mi] = mat
+    return d
+
+
+@pytest.mark.parametrize("changes,message", [
+    # the first faulty member is named, whatever the faults of later ones
+    ([(1, [[0, 1, 0, 0], [1, 0, 0, 0]]), (4, [[1, 0, 2, 0], [0, 1, 0, 0]])],
+     "member 1: not in reduced row echelon form or not of full rank"),
+    ([(1, [[1, 0, 2, 0], [0, 1, 0, 0]]), (4, [[0, 1, 0, 0], [1, 0, 0, 0]])],
+     "member 1: entry 2 is not a code in [0, 2)"),
+    ([(2, [[1, 0, 0, 0]]), (3, [[True, 0, 0, 0], [0, 1, 0, 0]])],
+     "member 2: expected a 2x4 matrix"),
+    ([(3, [[True, 0, 0, 0], [0, 1, 0, 0]]), (5, [[1, 0, 0, 0], [0, 0, 0]])],
+     "member 3: entry True is not a code in [0, 2)"),
+    ([(5, [[1, 0, 0, 0], [1, 0, 0, 0]])],
+     "member 5: not in reduced row echelon form or not of full rank"),
+    ([(2, [[1, 0, 0, 0], [0, 1.0, 0, 0]])],
+     "member 2: entry 1.0 is not a code in [0, 2)"),
+    ([(6, [[1, 0, 0, 0], [0, 1, 0, 10 ** 30]])],
+     "member 6: entry 1000000000000000000000000000000 is not a code in "
+     "[0, 2)"),
+])
+def test_family_errors_name_the_first_faulty_member(changes, message):
+    with pytest.raises(FamilyFormatError) as exc:
+        cc.family_from_dict(_with_members(_pencil_dict(), changes))
+    assert str(exc.value) == message
+
+
+def test_family_rejects_affine_member_at_infinity():
+    d = cc.family_to_dict(
+        cc.construct_trivial(geometry("AG", 3, 2), 1, "point_pencil"))
+    d = _with_members(d, [(1, [[0, 1, 0, 0], [0, 0, 1, 0]])])
+    with pytest.raises(FamilyFormatError) as exc:
+        cc.family_from_dict(d)
+    assert str(exc.value) == "member 1: not a 1-space of AG(3,2)"
+
+
 # -- point-table routes against brute-force oracles ---------------------------
 
 PROFILE_GEOMS = [("PG", 3, 2, 1), ("PG", 3, 2, 2), ("PG", 3, 3, 1),

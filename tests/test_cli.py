@@ -365,3 +365,41 @@ def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
     assert clgeom.__version__ == version == "0.1.0"
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 9])
+@pytest.mark.parametrize("command", ["bounds", "sieve"])
+def test_bounds_and_sieve_refuse_huge_n_from_exponents(capsys, command, n):
+    argv = [command, "-n", str(n), "-k", "1", "-q", "2"]
+    if command == "sieve":
+        argv += ["--x-min", "0", "--x-max", "3"]
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: config PG,") and "too large" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_drudge_violations_pinned(capsys, tmp_path):
+    """The spaces a seed draws for drudge, pinned as the tuple-level
+    enumeration printed them: the code-array level keeps its order."""
+    path = tmp_path / "f.json"
+    run(capsys, "construct", "--kind", "point-pencil", "-n", "4", "-k", "1",
+        "-q", "2", "-o", str(path))
+    d = json.loads(path.read_text())
+    # swap one member for a line avoiding the anchor point
+    d["members"][0] = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
+    path.write_text(json.dumps(d))
+    report = tmp_path / "v.json"
+    rc, _, _ = run(capsys, "verify", str(path), "--checks", "drudge",
+                   "--seed", "11", "--json", str(report))
+    assert rc == 1
+    (result,) = json.loads(report.read_text())["results"]
+    assert result["violations"] == [
+        "p=3, tau=((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), "
+        "(0, 0, 0, 1, 0))",
+        "p=13, tau=((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))",
+        "p=0, tau=((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))",
+        "p=0, tau=((1, 0, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 0), "
+        "(0, 0, 0, 0, 1))",
+    ]

@@ -190,3 +190,27 @@ def test_table_build_is_cheap(monkeypatch):
     start = time.perf_counter()
     ff_extend(base, 3)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])
+def test_add_sub_match_digitwise(q):
+    """XOR for p = 2 and the Zech route for odd p, on every pair."""
+    F = ff_create(*factor_prime_power(q))
+    assert F.tables is not None and (F._succ is None) == (F.p == 2)
+    for a in range(q):
+        for b in range(q):
+            assert F.add(a, b) == F._digitwise(a, b, 1)
+            assert F.sub(a, b) == F._digitwise(a, b, -1)
+
+
+def test_add_sub_in_towers_and_without_tables():
+    # GF(9)^2 adds as GF(81) does; GF(3^7) is past the table order
+    for F in (ff_extend(ff_create(3, 2), 2), ff_create(3, 7)):
+        rng = random.Random(F.q)
+        pairs = [(0, 0), (0, 1), (1, 0), (F.q - 1, F.q - 1)]
+        pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(500)]
+        for a, b in pairs:
+            assert F.add(a, b) == F._digitwise(a, b, 1)
+            assert F.sub(a, b) == F._digitwise(a, b, -1)
+            assert F.add(F.sub(a, b), b) == a
+    assert ff_create(3, 7)._succ is None

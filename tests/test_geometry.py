@@ -1,10 +1,13 @@
+import importlib
 import time
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clgeom.errors import (
+    DimensionMismatch,
     InvalidRange,
     NotContaining,
     NotDivisible,
@@ -14,6 +17,7 @@ from clgeom.errors import (
 from clgeom.ff import ff_create, ff_extend
 from clgeom.geometry import (
     Geometry,
+    Subspace,
     canonical_complement,
     field_reduction_spread,
     gauss0,
@@ -27,6 +31,10 @@ from clgeom.geometry import (
     span,
     subspace_contains,
 )
+
+
+# the package re-exports the function geometry under the module's name
+geometry_module = importlib.import_module("clgeom.geometry")
 
 
 def gauss_oracle(n, k, q):
@@ -148,6 +156,88 @@ def test_points_of_subspaces_at_infinity():
     assert g.points_of(make_subspace([], g.field, 4)).tolist() == []
 
 
+def enumerate_oracle(kind, n, q, k):
+    """The k-spaces in pure Python: every pivot pattern with every
+    assignment of its free entries, sorted as tuples of tuples; AG keeps
+    those not inside X0 = 0."""
+    n1, r = n + 1, k + 1
+    mats = []
+    for pivots in combinations(range(n1), r):
+        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, n1)
+                if c not in pivots]
+        for assignment in product(range(q), repeat=len(free)):
+            mat = [[0] * n1 for _ in range(r)]
+            for i, c in enumerate(pivots):
+                mat[i][c] = 1
+            for (i, c), v in zip(free, assignment):
+                mat[i][c] = v
+            mats.append(tuple(map(tuple, mat)))
+    mats.sort()
+    if kind == "AG":
+        mats = [m for m in mats if any(row[0] for row in m)]
+    pivots = [tuple(next(c for c in range(n1) if row[c]) for row in m)
+              for m in mats]
+    return mats, pivots
+
+
+# every level of the oracle geometries, and PG(6,3) k=5, whose 1093 keys need
+# 67 bits and so take the byte-key route
+LEVELS = [(kind, n, q, k) for kind, n, q in ORACLE_GEOMS
+          for k in range(n + 1)] + [("PG", 6, 3, 5)]
+
+
+@pytest.mark.parametrize("kind,n,q,k", LEVELS)
+def test_level_matches_enumeration_oracle(kind, n, q, k):
+    g = geometry(kind, n, q)
+    level = g.subspaces(k)
+    mats, pivots = enumerate_oracle(kind, n, q, k)
+    assert [s.mat for s in level] == mats
+    assert [s.pivots for s in level] == pivots
+    assert [level[j].mat for j in (0, -1, len(mats) - 1)] == \
+        [mats[0], mats[-1], mats[-1]]
+    assert all(type(c) is int for s in level
+               for c in sum(s.mat, s.pivots) + (s.ncols,))
+    with pytest.raises(IndexError):
+        level[len(mats)]
+    # the table the parent route built from the oracle's matrices
+    pos, hit = g._locate(np.array(mats, dtype=np.int64))
+    assert np.array_equal(g.point_table(k),
+                          pos[hit].reshape(len(mats), -1))
+    order = np.arange(len(mats))
+    assert np.array_equal(g.subspace_index(k, mats), order)
+    assert np.array_equal(g.subspace_index(k, level.codes), order)
+    # non-members: the zero matrix (not of full rank), a non-code, a
+    # matrix with its rows swapped (not RREF) and, in AG, a k-space inside
+    # X0 = 0
+    zero = [[0] * (n + 1)] * (k + 1)
+    wide = [list(row) for row in mats[0]]
+    wide[0][-1] = q
+    misses = [zero, wide] + ([mats[0][::-1]] if k else [])
+    if kind == "AG" and k < n:
+        inside = [[int(c == i + 1) for c in range(n + 1)] for i in range(k + 1)]
+        misses.append(inside)
+        assert g.closure().subspace_index(k, [inside])[0] >= 0
+    assert g.subspace_index(k, misses).tolist() == [-1] * len(misses)
+    with pytest.raises(DimensionMismatch):
+        g.subspace_index(k, [[[0] * n] * (k + 1)])
+
+
+def test_level_builds_no_subspace_objects(monkeypatch):
+    """Enumeration and the point table work on the code array alone."""
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Subspace(*args)
+
+    monkeypatch.setattr(geometry_module, "Subspace", counting)
+    g = Geometry("PG", 5, ff_create(3))
+    assert len(g.subspaces(1)) == 11011
+    assert g.point_table(1).shape == (11011, 4)
+    assert made == []
+    assert g.subspaces(1)[7].k == 1 and len(made) == 1
+
+
 def test_point_table_over_large_field():
     """k = 0 and k = n need no field products."""
     t0 = time.perf_counter()
@@ -217,9 +307,8 @@ def test_field_reduction_spread(n, k, q, count):
     S = field_reduction_spread(n, k, q)
     assert len(S) == count
     cover = set()
-    index = g.subspace_index(k)
+    assert (g.subspace_index(k, [s.mat for s in S]) >= 0).all()
     for s in S:
-        assert s.mat in index
         pts = set(g.points_of(s).tolist())
         assert not cover & pts
         cover |= pts
