@@ -51,7 +51,6 @@ from .geometry import (
     gauss_binom,
     geometry,
     make_subspace,
-    project_subspace,
     rref,
 )
 from .linalg import RatMatrix, in_rowspace
@@ -73,6 +72,7 @@ class KFamily:
         if self.members and (min(self.members) < 0 or max(self.members) >= count):
             raise ValueError("member index out of range")
         self._chi = None
+        self._rows = None
         self._profile = None
 
     @property
@@ -261,8 +261,24 @@ def _pencil(geom: Geometry, k: int, p_idx: int):
 
 
 def _indices_inside(geom: Geometry, k: int, outer: Subspace):
-    inside = np.isin(geom.point_table(k), geom.points_of(outer)).all(axis=1)
+    inside = _point_mask(geom, outer)[geom.point_table(k)].all(axis=1)
     return set(np.flatnonzero(inside).tolist())
+
+
+def _point_mask(geom: Geometry, sub: Subspace) -> np.ndarray:
+    """Boolean mask over the geometry's points: True on those in sub."""
+    mask = np.zeros(geom.num_points, dtype=bool)
+    mask[geom.points_of(sub)] = True
+    return mask
+
+
+def _member_rows(F: KFamily) -> np.ndarray:
+    """The point-table rows of F's members in ascending order, cached on F."""
+    if F._rows is None:
+        rows = F.geom.point_table(F.k)[np.flatnonzero(F.chi)]
+        rows.setflags(write=False)
+        F._rows = rows
+    return F._rows
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +324,7 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     sub_geom = geometry("PG", i, geom.q)
     members = np.flatnonzero(F.chi)
-    inside = np.isin(geom.point_table(F.k)[members],
-                     geom.points_of(pi)).all(axis=1)
+    inside = _point_mask(geom, pi)[_member_rows(F)].all(axis=1)
     # a member inside pi is C.pi for the matrix C of its entries in pi's
     # pivot columns, and C is already in RREF: row j of C leads where row
     # j of the member does, at one of pi's pivots (see Geometry._locate)
@@ -331,14 +346,18 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
     members = np.flatnonzero(F.chi)
-    pi_pts = geom.points_of(pi)
+    in_pi = _point_mask(geom, pi)
     # member rows hold distinct points, so pi lies in those holding all of it
-    through = np.isin(geom.point_table(F.k)[members],
-                      pi_pts).sum(axis=1) == len(pi_pts)
-    subs = geom.subspaces(F.k)
-    images = [project_subspace(geom.field, subs[m], pi, beta).mat
-              for m in members[through].tolist()]
-    out = sub_geom.subspace_index(F.k - i - 1, images)
+    through = in_pi[_member_rows(F)].sum(axis=1) == in_pi.sum()
+    # pi's pivots are among those of a member K through it, so K ∩ beta is
+    # spanned by the k - i rows of K that lead elsewhere: they are zero in
+    # pi's pivot columns, and read in beta's pivot columns they are already
+    # an RREF matrix (as in restrict)
+    codes = geom.subspaces(F.k).codes[members[through]]
+    keep = ~np.isin((codes != 0).argmax(axis=2), pi.pivots)
+    assert (keep.sum(axis=1) == F.k - i).all()
+    images = codes[keep].reshape(len(codes), F.k - i, geom.n + 1)
+    out = sub_geom.subspace_index(F.k - i - 1, images[:, :, list(beta.pivots)])
     assert (out >= 0).all()
     assert len(set(out.tolist())) == len(out), \
         "projection produced a duplicate image"
@@ -437,8 +456,8 @@ def _meets(geom: Geometry, k: int, blocks: np.ndarray,
 
     Lists the subspaces through each point, gathers them over each block's
     points, and counts each (block, subspace) pair.  About eight arrays as
-    long as a chunk's pairs are alive at once, so a chunk holds _CHUNK // 8
-    pairs."""
+    long as a chunk's pairs are alive at once, so a chunk of _CHUNK // 2
+    pairs keeps them under 1 MB (larger chunks measured slower)."""
     sizes = [gauss_binom(d + 1, 1, geom.q) if geom.kind == "PG"
              else geom.q ** d for d in range(k + 1)]
     column = np.full(sizes[-1] + 1, -1, dtype=np.int64)
@@ -455,7 +474,7 @@ def _meets(geom: Geometry, k: int, blocks: np.ndarray,
     while lo < len(blocks):
         base = ends[lo - 1] if lo else 0
         hi = max(lo + 1,
-                 int(np.searchsorted(ends, base + _CHUNK // 8, "right")))
+                 int(np.searchsorted(ends, base + _CHUNK // 2, "right")))
         pts = blocks[lo:hi].ravel()
         lens = deg[pts]
         idx = np.repeat(start[pts] - (np.cumsum(lens) - lens), lens)
@@ -596,15 +615,15 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     geom, k = F.geom, F.k
     n, q = geom.n, geom.q
     p_idx = _resolve_point(geom, p)
-    tau_pts = geom.points_of(tau)
-    if p_idx not in tau_pts:
+    in_tau = _point_mask(geom, tau)
+    if not in_tau[p_idx]:
         raise PointNotInSubspace("p must lie in tau")
     i = tau.k
     if i < k + 1:
         raise GuardViolated("tau must have dimension >= k+1")
-    rows = geom.point_table(k)[np.flatnonzero(F.chi)]
+    rows = _member_rows(F)
     through_p = (rows == p_idx).any(axis=1)
-    inside = np.isin(rows, tau_pts).all(axis=1)
+    inside = in_tau[rows].all(axis=1)
     a, b, c = (int(m.sum()) for m in (through_p, inside, through_p & inside))
     g_n1k = gauss_binom(n - 1, k, q)
     g_i1k = gauss_binom(i - 1, k, q)
@@ -687,22 +706,39 @@ def check_pencil_propagation(F: KFamily, pi: Subspace) -> bool:
 # family JSON format
 # ---------------------------------------------------------------------------
 
-def family_to_dict(F: KFamily) -> dict:
+def _family_head(F: KFamily) -> dict:
     geom = F.geom
-    return {
-        "space": geom.kind,
-        "p": geom.field.p,
-        "h": geom.field.h,
-        "n": geom.n,
-        "k": F.k,
-        "members": geom.subspaces(F.k).codes[np.flatnonzero(F.chi)].tolist(),
-    }
+    return {"space": geom.kind, "p": geom.field.p, "h": geom.field.h,
+            "n": geom.n, "k": F.k}
+
+
+def family_to_dict(F: KFamily) -> dict:
+    codes = F.geom.subspaces(F.k).codes[np.flatnonzero(F.chi)]
+    return {**_family_head(F), "members": codes.tolist()}
+
+
+def family_json(F: KFamily) -> str:
+    """json.dumps(family_to_dict(F), indent=1) + "\\n", byte for byte.
+
+    The indenting encoder is pure Python, so the header goes through
+    json.dumps with no members, and every member through one %-template
+    of its (k+1)(n+1) codes, one per line in that encoder's layout."""
+    head = json.dumps({**_family_head(F), "members": []}, indent=1)
+    codes = F.geom.subspaces(F.k).codes[np.flatnonzero(F.chi)]
+    if not len(codes):
+        return head + "\n"
+    _, r, ncols = codes.shape
+    row = "   [\n" + ",\n".join(["    %d"] * ncols) + "\n   ]"
+    member = "  [\n" + ",\n".join([row] * r) + "\n  ]"
+    body = ",\n".join(member % tuple(m)
+                      for m in codes.reshape(len(codes), -1).tolist())
+    # head ends in "[]\n}"
+    return f"{head[:-4]}[\n{body}\n ]\n}}\n"
 
 
 def save_family(F: KFamily, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(family_to_dict(F), fh, indent=1)
-        fh.write("\n")
+        fh.write(family_json(F))
 
 
 def _header_int(data: dict, key: str) -> int:

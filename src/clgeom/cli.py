@@ -137,8 +137,7 @@ def cmd_construct(args) -> int:
     fam = clcore.construct_trivial(geom, args.k, _KINDS[args.kind],
                                    point=point,
                                    complement_of=args.complement)
-    payload = clcore.family_to_dict(fam)
-    text = json.dumps(payload, indent=1) + "\n"
+    text = clcore.family_json(fam)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -264,8 +263,7 @@ def cmd_project(args) -> int:
     pi = clcore.subspace_from_codes(json.loads(args.pi), fam.geom.field,
                                     fam.geom.n + 1, "--pi")
     image = clcore.project(fam, pi)
-    payload = clcore.family_to_dict(image)
-    text = json.dumps(payload, indent=1) + "\n"
+    text = clcore.family_json(image)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

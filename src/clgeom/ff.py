@@ -248,6 +248,21 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
+    def sub_scaled(self, v, f: int, row) -> list:
+        """v - f * row entry by entry, as a new list: the elimination step
+        of ``geometry.rref`` and ``geometry.point_in_subspace``."""
+        if self.h == 1:
+            p = self.p
+            return [(a - f * b) % p for a, b in zip(v, row)]
+        if self.p == 2 and self._exp is not None:
+            # subtraction is XOR; f * b through the tables, where log 0
+            # points into exp's zeros, so no entry needs a branch
+            log, exp = self._log, self._exp
+            lf = log[f]
+            return [a ^ exp[lf + log[b]] for a, b in zip(v, row)]
+        mul, sub = self.mul, self.sub
+        return [sub(a, mul(f, b)) for a, b in zip(v, row)]
+
     def mul(self, a: int, b: int) -> int:
         if self.h == 1:
             return (a * b) % self.p

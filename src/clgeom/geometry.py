@@ -118,9 +118,7 @@ def rref(rows, field: FieldCtx):
             m[r] = [field.mul(s, v) for v in m[r]]
         for i in range(nr):
             if i != r and m[i][c]:
-                f = m[i][c]
-                mr = m[r]
-                m[i] = [field.sub(m[i][j], field.mul(f, mr[j])) for j in range(nc)]
+                m[i] = field.sub_scaled(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == nr:
@@ -139,15 +137,24 @@ def make_subspace(rows, field: FieldCtx, ncols: int | None = None) -> Subspace:
 
 
 def point_in_subspace(field: FieldCtx, coords, sub: Subspace) -> bool:
-    """Row-space membership of a coordinate vector."""
+    """Row-space membership of a coordinate vector.
+
+    The rows are eliminated in pivot order.  A row is zero left of its
+    pivot and in the other pivot columns, so once the rows before it are
+    eliminated, the entries between the previous pivot and its own are
+    final: a nonzero one there decides the answer at once."""
     if len(coords) != sub.ncols:
         raise DimensionMismatch("coordinate length != ambient dimension")
-    v = list(coords)
+    v = coords
+    lo = 0
     for row, c in zip(sub.mat, sub.pivots):
+        if any(v[lo:c]):
+            return False
         f = v[c]
         if f:
-            v = [field.sub(v[j], field.mul(f, row[j])) for j in range(len(v))]
-    return not any(v)
+            v = field.sub_scaled(v, f, row)
+        lo = c + 1
+    return not any(v[lo:])
 
 
 def subspace_contains(field: FieldCtx, outer: Subspace, inner: Subspace) -> bool:
@@ -486,6 +493,10 @@ class Geometry:
     def points_of(self, sub: Subspace) -> np.ndarray:
         """Ascending indices of this geometry's points that lie in an
         arbitrary subspace (given in the closure's coordinates for AG)."""
+        if sub.ncols != self.n + 1:
+            raise DimensionMismatch(
+                f"subspace of {sub.ncols} coordinates in {self!r}, which "
+                f"has {self.n + 1}")
         if sub.k < 0:
             return np.empty(0, dtype=np.int64)
         if sub.k == self.n:
@@ -551,7 +562,11 @@ def canonical_complement(pi: Subspace, field: FieldCtx) -> Subspace:
 
 def project_subspace(field: FieldCtx, K: Subspace, pi: Subspace,
                      beta: Subspace) -> Subspace:
-    """K ∩ beta in beta's internal coordinates, for pi ⊆ K, beta skew to pi."""
+    """K ∩ beta in beta's internal coordinates, for pi ⊆ K, beta skew to pi.
+
+    By Zassenhaus meets and RREF, one subspace at a time: the test oracle
+    for ``clcore.project``, which gathers the same images from a level's
+    codes for the canonical complement beta of pi."""
     if not subspace_contains(field, K, pi):
         raise NotContaining("projection centre not contained in the subspace")
     if meet(field, beta, pi).k >= 0:

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from clgeom import clcore as cc
+import numpy as np
+
 from clgeom.errors import (
     AnchorInvalid,
+    DimensionMismatch,
     DimensionTooLarge,
     DimensionTooSmall,
     FamilyFormatError,
@@ -19,6 +22,7 @@ from clgeom.errors import (
     PreconditionNotMet,
 )
 from clgeom.geometry import (
+    canonical_complement,
     field_reduction_spread,
     gauss0,
     gauss_binom,
@@ -26,6 +30,7 @@ from clgeom.geometry import (
     make_subspace,
     meet,
     point_in_subspace,
+    project_subspace,
 )
 from clgeom.sieve import x_max_param
 
@@ -715,3 +720,153 @@ def test_checkers_and_transforms_build_no_masks(monkeypatch, tmp_path,
                 pass
     out = capsys.readouterr().out
     assert "affine-line" in out and "aid" in out and "drudge" in out
+
+
+# -- array-native routes against their Python oracles -----------------------
+
+def project_oracle(F, pi):
+    """project by Zassenhaus meets and RREF, member by member."""
+    geom, field = F.geom, F.geom.field
+    beta = canonical_complement(pi, field)
+    sub_geom = geometry("PG", geom.n - pi.k - 1, geom.q)
+    index = {s.mat: j for j, s in
+             enumerate(sub_geom.subspaces(F.k - pi.k - 1))}
+    subs = geom.subspaces(F.k)
+    return {index[project_subspace(field, subs[m], pi, beta).mat]
+            for m in sorted(F.members)
+            if all(point_in_subspace(field, r, subs[m]) for r in pi.mat)}
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 2, 1), (4, 2, 2), (5, 2, 3),
+                                   (3, 3, 2), (4, 3, 2), (3, 4, 2),
+                                   (3, 8, 1), (2, 9, 1)])
+def test_project_matches_oracle(n, q, k):
+    """Every i in [-1, k-1], centres at random, the whole level and a random
+    half of it: p = 2, odd p and h > 1."""
+    geom = geometry("PG", n, q)
+    rng = random.Random(f"{n}/{q}/{k}")
+    count = geom.subspace_count(k)
+    full = cc.KFamily(geom, k, range(count))
+    half = cc.KFamily(geom, k, rng.sample(range(count), count // 2))
+    for i in range(-1, k):
+        if i < 0:
+            centres = [make_subspace([], geom.field, n + 1)]
+        else:
+            level = geom.subspaces(i)
+            centres = [level[0], level[-1]] + [
+                level[rng.randrange(len(level))] for _ in range(2)]
+        for pi in centres:
+            for fam in (full, half):
+                img = cc.project(fam, pi)
+                assert img.geom.key == ("PG", geom.field.p, geom.field.h,
+                                        n - i - 1)
+                assert img.k == k - i - 1
+                assert img.members == project_oracle(fam, pi)
+            # every k-space through pi has its own image
+            assert cc.project(full, pi).size == gauss_binom(n - i, k - i, q)
+
+
+def drudge_isin_route(F, p, tau):
+    """check_drudge_identity as it read the point table through np.isin."""
+    geom, k = F.geom, F.k
+    n, q = geom.n, geom.q
+    p_idx = cc._resolve_point(geom, p)
+    tau_pts = geom.points_of(tau)
+    if p_idx not in tau_pts:
+        raise PointNotInSubspace("p must lie in tau")
+    i = tau.k
+    if i < k + 1:
+        raise GuardViolated("tau must have dimension >= k+1")
+    rows = geom.point_table(k)[np.flatnonzero(F.chi)]
+    through_p = (rows == p_idx).any(axis=1)
+    inside = np.isin(rows, tau_pts).all(axis=1)
+    a, b, c = (int(m.sum()) for m in (through_p, inside, through_p & inside))
+    g_n1k = gauss_binom(n - 1, k, q)
+    g_i1k = gauss_binom(i - 1, k, q)
+    lhs = Fraction(a) + Fraction(g_n1k * (q ** k - 1), g_i1k * (q ** i - 1)) * b
+    rhs = Fraction(g_n1k, g_i1k) * c + Fraction(q ** k - 1, q ** n - 1) * F.size
+    return lhs == rhs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PointNotInSubspace, GuardViolated) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 2, 1), (4, 2, 1), (4, 2, 2),
+                                   (3, 3, 1), (3, 4, 1)])
+def test_drudge_mask_route_matches_isin_route(n, q, k):
+    """Answers and errors of every (p, tau) draw, on CL and corrupted
+    families; a point off a too-small tau is PointNotInSubspace first."""
+    geom = geometry("PG", n, q)
+    rng = random.Random(f"drudge/{n}/{q}/{k}")
+    fams = [f for f, _ in trivial_families(geom, k)]
+    fams += [corrupted(f) for f in fams
+             if 0 < f.size < geom.subspace_count(k)]
+    seen = set()
+    for fam in fams:
+        for _ in range(12):
+            level = geom.subspaces(rng.randrange(n))
+            tau = level[rng.randrange(len(level))]
+            p = rng.randrange(geom.num_points)
+            want = _outcome(drudge_isin_route, fam, p, tau)
+            assert _outcome(cc.check_drudge_identity, fam, p, tau) == want
+            seen.add(want if isinstance(want, type) else bool(want))
+    assert {True, False, PointNotInSubspace, GuardViolated} <= seen
+    point = geom.subspaces(0)[0]
+    outside = int(np.setdiff1d(np.arange(geom.num_points),
+                               geom.points_of(point))[0])
+    with pytest.raises(PointNotInSubspace):
+        cc.check_drudge_identity(fams[1], outside, point)
+
+
+def test_centre_of_another_width_is_dimension_mismatch():
+    """restrict, project, check_drudge_identity and construct_trivial with
+    an anchor hyperplane name a subspace of the wrong width."""
+    geom = geometry("PG", 3, 2)
+    pen = cc.construct_trivial(geom, 1, "point_pencil")
+
+    def wide(rows):
+        return make_subspace([list(r) + [0] for r in rows], geom.field, 5)
+
+    def narrow(rows):
+        return make_subspace([list(r)[:3] for r in rows], geom.field, 3)
+
+    plane = make_subspace([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                          geom.field)
+    point = make_subspace([[1, 0, 0, 0]], geom.field)
+    for resize in (wide, narrow):
+        with pytest.raises(DimensionMismatch):
+            cc.restrict(pen, resize(plane.mat))
+        with pytest.raises(DimensionMismatch):
+            cc.project(pen, resize(point.mat))
+        with pytest.raises(DimensionMismatch):
+            cc.check_drudge_identity(pen, 0, resize(plane.mat))
+        for kind in ("hyperplane_class", "pencil_plus_hyperplane"):
+            with pytest.raises(DimensionMismatch):
+                cc.construct_trivial(geom, 1, kind, point=14,
+                                     hyperplane=resize(plane.mat))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cc.construct_trivial(geometry("PG", 3, 2), 1, "empty"),
+    lambda: cc.KFamily(geometry("PG", 4, 3), 2, [17]),
+    lambda: cc.construct_trivial(geometry("PG", 3, 4), 1, "point_pencil",
+                                 point=9),
+    lambda: cc.construct_trivial(geometry("AG", 3, 4), 1, "point_pencil"),
+    lambda: cc.construct_trivial(geometry("PG", 4, 3), 1, "hyperplane_class",
+                                 complement_of=True),
+    lambda: cc.construct_trivial(geometry("PG", 4, 2), 4, "point_pencil")],
+    ids=["empty", "one-member", "gf4", "ag-gf4", "complement", "k=n"])
+def test_family_json_is_indented_dumps(make, tmp_path):
+    """family_json and save_family write json.dumps(indent=1) byte for
+    byte."""
+    fam = make()
+    want = json.dumps(cc.family_to_dict(fam), indent=1) + "\n"
+    assert cc.family_json(fam) == want
+    path = tmp_path / "fam.json"
+    cc.save_family(fam, str(path))
+    assert path.read_text() == want
+    assert cc.load_family(str(path)) == fam

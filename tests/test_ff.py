@@ -214,3 +214,24 @@ def test_add_sub_in_towers_and_without_tables():
             assert F.sub(a, b) == F._digitwise(a, b, -1)
             assert F.add(F.sub(a, b), b) == a
     assert ff_create(3, 7)._succ is None
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (7, 1), (2, 3), (3, 2), (3, 7)])
+def test_sub_scaled_matches_sub_of_mul(p, h):
+    """Each route of the row kernel (mod p, XOR with tables, the generic
+    methods for odd p and for a field past the table order) against
+    sub(a, mul(f, b)) entry by entry."""
+    F = ff_create(p, h)
+    assert (F.tables is None) == (h == 1 or F.q > ff._TABLE_MAX)
+    rng = random.Random(F.q)
+    scalars = range(F.q) if F.q <= 16 else [0, 1, F.q - 1] + [
+        rng.randrange(F.q) for _ in range(30)]
+    for f in scalars:
+        for length in (0, 1, 5):
+            v = [rng.randrange(F.q) for _ in range(length)]
+            row = [rng.randrange(F.q) for _ in range(length)]
+            if length:
+                v[0], row[0] = 0, F.q - 1
+            got = F.sub_scaled(tuple(v), f, tuple(row))
+            assert isinstance(got, list)
+            assert got == [F.sub(a, F.mul(f, b)) for a, b in zip(v, row)]

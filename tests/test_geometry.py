@@ -355,3 +355,71 @@ def test_huge_dimension_refused_from_its_exponent(kind):
             g.subspaces(k)
     with pytest.raises(TooManySubspaces):
         g.points
+
+
+def full_elimination_member(field, coords, sub):
+    """Row-space membership by eliminating every row and only then looking
+    at the remainder: point_in_subspace before its early exit."""
+    v = list(coords)
+    for row, c in zip(sub.mat, sub.pivots):
+        f = v[c]
+        if f:
+            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
+    return not any(v)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (2, 4), (2, 9)])
+def test_point_in_subspace_matches_full_elimination(n, q):
+    """Every vector of GF(q)^(n+1), normalized or not, against every
+    subspace: equal to the full elimination and to the rank of the
+    extended matrix, and for points to points_of."""
+    g = geometry("PG", n, q)
+    vectors = list(product(range(q), repeat=n + 1))
+    for k in range(-1, n + 1):
+        subs = [make_subspace([], g.field, n + 1)] if k < 0 else g.subspaces(k)
+        for sub in subs:
+            inside = set(g.points_of(sub).tolist())
+            for v in vectors:
+                got = point_in_subspace(g.field, v, sub)
+                assert got == full_elimination_member(g.field, v, sub)
+                assert got == (len(rref(list(sub.mat) + [v], g.field)[0])
+                               == len(sub.mat))
+                if v in g.point_index:
+                    assert got == (g.point_index[v] in inside)
+
+
+def test_point_in_subspace_exits_before_eliminating(monkeypatch):
+    """A nonzero entry left of the next pivot decides at once."""
+    g = geometry("PG", 3, 2)
+    calls = []
+    real = type(g.field).sub_scaled
+
+    def counting(self, v, f, row):
+        calls.append(tuple(row))
+        return real(self, v, f, row)
+
+    monkeypatch.setattr(type(g.field), "sub_scaled", counting)
+    plane = make_subspace([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], g.field)
+    assert not point_in_subspace(g.field, (1, 1, 1, 1), plane)
+    assert calls == []
+    # pivots 0 and 2: column 1 is final once row 0 is eliminated
+    line = make_subspace([(1, 0, 0, 1), (0, 0, 1, 1)], g.field)
+    assert not point_in_subspace(g.field, (1, 1, 1, 0), line)
+    assert calls == [(1, 0, 0, 1)]
+    calls.clear()
+    assert point_in_subspace(g.field, (1, 0, 1, 0), line)
+    assert calls == [(1, 0, 0, 1), (0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("kind", ["PG", "AG"])
+def test_points_of_refuses_another_width(kind, monkeypatch):
+    """A subspace of the wrong number of coordinates is refused by name,
+    before the lookup runs."""
+    g = geometry(kind, 3, 2)
+    monkeypatch.setattr(Geometry, "_locate", None)
+    for ncols in (3, 5):
+        for rows in ([], [[1] + [0] * (ncols - 1)],
+                     [[int(i == j) for j in range(ncols)]
+                      for i in range(ncols)]):
+            with pytest.raises(DimensionMismatch, match="coordinates"):
+                g.points_of(make_subspace(rows, g.field, ncols))
