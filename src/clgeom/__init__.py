@@ -1,10 +1,9 @@
 """clgeom: Cameron-Liebler k-sets in finite projective and affine spaces.
 
 Exact-arithmetic toolkit: finite field and geometry enumeration, the CL
-membership decision (a closed-form 2-design identity in integer arithmetic,
-with rational rank and kernel routes kept as independent oracles), trivial
-constructions and transforms, brute-force verification of the counting
-identities, and a parameter feasibility sieve with a CLI front end.
+membership decision (a closed-form 2-design identity in integer arithmetic),
+trivial constructions and transforms, brute-force verification of the
+counting identities, and a parameter feasibility sieve with a CLI front end.
 """
 
 from .clcore import (

@@ -6,8 +6,7 @@ CL decision tests whether the 0/1 characteristic vector lies in the rational
 row space of the point-(k-space) incidence matrix P.  Points and k-spaces
 form a 2-design, so P P^T = (r-lambda) I + lambda J and the test is a
 closed-form integer identity over the geometry's point table (see
-``is_cl``); the rational rank and kernel routes of ``linalg`` stay
-available as independent oracles.
+``is_cl``); no rational matrix is built.
 
 Every route here reads incidence from the point table, and the points of
 other subspaces from ``Geometry.points_of``.  Every checker computes its
@@ -20,6 +19,7 @@ instead of raising, so they double as falsification tools.
 from __future__ import annotations
 
 import json
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -33,6 +33,7 @@ from .errors import (
     DimensionTooSmall,
     FamilyFormatError,
     GuardViolated,
+    InvalidRange,
     MemberInsideHyperplane,
     NotASpread,
     NotContained,
@@ -44,6 +45,7 @@ from .errors import (
 from .ff import MAX_ORDER, factor_prime_power
 from .geometry import (
     _CHUNK,
+    _combine,
     Geometry,
     Subspace,
     canonical_complement,
@@ -53,7 +55,6 @@ from .geometry import (
     make_subspace,
     rref,
 )
-from .linalg import RatMatrix, in_rowspace
 from .sieve import x_max_param
 
 
@@ -120,18 +121,9 @@ class CheckReport:
     violations: list = dc_field(default_factory=list)
 
 
-_ROWSPACE: dict = {}
-
-
-def _incidence_ratmatrix(geom: Geometry, k: int) -> RatMatrix:
-    key = (geom.key, k)
-    if key not in _ROWSPACE:
-        _ROWSPACE[key] = RatMatrix.from_numpy(geom.incidence(k))
-    return _ROWSPACE[key]
-
-
-def _design_in_rowspace(F: KFamily) -> bool:
-    """chi in Im(P^T), decided by the 2-design identity of the point table.
+def is_cl(F: KFamily) -> CLReport:
+    """Decide membership of the characteristic vector chi in Im(P^T) (for
+    AG, Im(A^T)) by the 2-design identity of the point table.
 
     Points against k-spaces of PG(n,q), and points against k-flats of
     AG(n,q), form a 2-(v, theta, lambda) design with every point on r
@@ -162,33 +154,10 @@ def _design_in_rowspace(F: KFamily) -> bool:
     b = a[table].sum(axis=1)                               # P^T P chi
     chi = np.zeros(nblocks, dtype=np.int64)
     chi[members] = 1
-    return np.array_equal(r * b - lam * theta * F.size, r * (r - lam) * chi)
-
-
-_CERTIFICATES = {
-    "design": "design-identity",
-    "rank": "rank-augmentation",
-    "kernel": "kernel-orthogonality",
-}
-
-
-def is_cl(F: KFamily, method: str = "design") -> CLReport:
-    """Decide membership of the characteristic vector in Im(P^T) / Im(A^T).
-
-    method="design" (the default) checks the closed-form 2-design identity
-    on the point table in integer arithmetic.  method="rank" and
-    method="kernel" reduce against the rational incidence matrix instead;
-    they are independent oracles for tests and small geometries."""
-    if method not in _CERTIFICATES:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "design":
-        ok = _design_in_rowspace(F)
-    else:
-        M = _incidence_ratmatrix(F.geom, F.k)
-        ok = in_rowspace(M, [int(c) for c in F.chi], method=method)
+    ok = np.array_equal(r * b - lam * theta * F.size, r * (r - lam) * chi)
     x = F.x
-    assert 0 <= x <= x_max_param(F.geom.kind, F.geom.n, F.k, F.geom.q)
-    return CLReport(ok, x, _CERTIFICATES[method])
+    assert 0 <= x <= x_max_param(geom.kind, geom.n, F.k, geom.q)
+    return CLReport(ok, x, "design-identity")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +213,9 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
 def _resolve_point(geom: Geometry, point) -> int:
     if point is None:
         return 0
-    if isinstance(point, int):
+    # numpy integers are Integral too, such as np.flatnonzero hands out
+    if isinstance(point, numbers.Integral):
+        point = int(point)
         if not 0 <= point < len(geom.points):
             raise AnchorInvalid(f"point index {point} out of range")
         return point
@@ -364,45 +335,26 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     return KFamily(sub_geom, F.k - i - 1, out)
 
 
-def _hyperplane_transform(geom: Geometry, H: Subspace):
-    """Column transform T (as tuple of columns) sending H to X0 = 0."""
+def _hyperplane_image(geom: Geometry, H: Subspace, mats: np.ndarray):
+    """The matrices M.T (B x r x (n+1) codes) of the coordinate change T
+    sending the hyperplane H to X0 = 0.
+
+    H's normal a is 1 in H's one free column s and -H[j][s] in pivot
+    column j; RREF puts s right of every pivot with H[j][s] != 0, so s is
+    the largest index in a's support.  T has the columns a, then e_j for
+    every j != s: invertible, as a is the only column with an entry in row
+    s.  So M.T is M.a followed by M without column s."""
     field = geom.field
-    n1 = geom.n + 1
-    # normal vector a: the 1-dim GF(q) kernel of H's RREF rows, read off
-    # from the single free column
-    mat, pivots = H.mat, H.pivots
-    pivset = set(pivots)
-    free = [c for c in range(n1) if c not in pivset][0]
-    a = [0] * n1
-    a[free] = 1
-    for r, pc in enumerate(pivots):
-        a[pc] = field.neg(mat[r][free])
-    cols = [tuple(a)]
-    # extend with standard basis columns, keeping GF(q) rank
-    for j in range(n1):
-        e = [0] * n1
-        e[j] = 1
-        cand = cols + [tuple(e)]
-        red, _ = rref(cand, field)
-        if len(red) == len(cand):
-            cols.append(tuple(e))
-        if len(cols) == n1:
-            break
-    return cols
-
-
-def _apply_transform(field, mat, cols):
-    out = []
-    for row in mat:
-        new = []
-        for col in cols:
-            s = 0
-            for a, b in zip(row, col):
-                if a and b:
-                    s = field.add(s, field.mul(a, b))
-            new.append(s)
-        out.append(new)
-    return out
+    s = next(c for c in range(geom.n + 1) if c not in H.pivots)
+    a = np.zeros((1, geom.n + 1), dtype=np.int64)
+    a[0, s] = 1
+    for row, c in zip(H.mat, H.pivots):
+        a[0, c] = field.neg(row[s])
+    mats = mats.astype(np.int64)
+    # M.a as a row, a.M^T, for every M at once
+    image = _combine(field, a, mats.transpose(0, 2, 1))
+    return np.concatenate([image.transpose(0, 2, 1),
+                           np.delete(mats, s, axis=2)], axis=2)
 
 
 def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
@@ -420,9 +372,8 @@ def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
     if H is not None and H.mat != _default_hyperplane(geom).mat:
         if H.k != geom.n - 1:
             raise GuardViolated("H must be a hyperplane")
-        cols = _hyperplane_transform(geom, H)
-        mats = [rref(_apply_transform(field, m, cols), field)[0]
-                for m in mats.tolist()]
+        mats = [rref(m, field)[0]
+                for m in _hyperplane_image(geom, H, mats).tolist()]
     ag = geometry("AG", geom.n, geom.q)
     out = ag.subspace_index(F.k, mats)
     inside = np.flatnonzero(out < 0)
@@ -634,7 +585,10 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
 
 def check_aid_identity(F: KFamily, K: int, t: int) -> bool:
     """The parameter equals the stated average of restricted parameters over
-    all t-spaces through a fixed k-space K."""
+    all t-spaces through a fixed k-space K, given by its index."""
+    count = F.geom.subspace_count(F.k)
+    if not 0 <= K < count:
+        raise InvalidRange(f"k-space index {K} not in [0, {count})")
     return _aid_value(F, K, t) == F.x
 
 

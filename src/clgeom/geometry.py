@@ -34,9 +34,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidRange,
-    NotContaining,
     NotDivisible,
-    NotSkew,
     TooManySubspaces,
 )
 from .ff import FieldCtx, factor_prime_power, ff_create, ff_extend
@@ -155,10 +153,6 @@ def point_in_subspace(field: FieldCtx, coords, sub: Subspace) -> bool:
             v = field.sub_scaled(v, f, row)
         lo = c + 1
     return not any(v[lo:])
-
-
-def subspace_contains(field: FieldCtx, outer: Subspace, inner: Subspace) -> bool:
-    return all(point_in_subspace(field, row, outer) for row in inner.mat)
 
 
 def span(field: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
@@ -558,28 +552,6 @@ def canonical_complement(pi: Subspace, field: FieldCtx) -> Subspace:
             e[j] = 1
             rows.append(e)
     return make_subspace(rows, field, n1)
-
-
-def project_subspace(field: FieldCtx, K: Subspace, pi: Subspace,
-                     beta: Subspace) -> Subspace:
-    """K ∩ beta in beta's internal coordinates, for pi ⊆ K, beta skew to pi.
-
-    By Zassenhaus meets and RREF, one subspace at a time: the test oracle
-    for ``clcore.project``, which gathers the same images from a level's
-    codes for the canonical complement beta of pi."""
-    if not subspace_contains(field, K, pi):
-        raise NotContaining("projection centre not contained in the subspace")
-    if meet(field, beta, pi).k >= 0:
-        raise NotSkew("screen subspace meets the projection centre")
-    n = K.ncols - 1
-    if beta.k != n - pi.k - 1:
-        raise DimensionMismatch(
-            f"screen must have dimension {n - pi.k - 1}, got {beta.k}")
-    inter = meet(field, K, beta)
-    # internal coordinates: coefficients w.r.t. beta's RREF basis are just
-    # the entries at beta's pivot columns
-    rows = [tuple(r[c] for c in beta.pivots) for r in inter.mat]
-    return make_subspace(rows, field, beta.k + 1)
 
 
 def field_reduction_spread(n: int, k: int, q: int):

@@ -6,10 +6,10 @@ basis of the row space, which is exactly the rank-augmentation test.  A
 kernel-orthogonality route is available as an independent cross-check and
 caches the kernel per matrix.
 
-``clcore.is_cl`` decides CL membership by the 2-design identity on the
-point table by default; these two routes are its independent oracles
-(``is_cl(..., method="rank" | "kernel")``).  Building an incidence matrix
-as rationals limits them to small geometries.
+No module of the library imports this one.  ``clcore.is_cl`` decides CL
+membership by the 2-design identity on the point table; these two routes
+are its independent oracles in the tests, over the incidence matrix built
+as rationals, which limits them to small geometries.
 """
 
 from __future__ import annotations

@@ -17,9 +17,8 @@ X_max - x when it is an integer; such hits are tagged with a
 
 `sieve()` reduces each rule to integers once per call: the least integer
 at or above each bound, and the table of non-solvable residues of each
-congruence, which depends only on x mod 2(q+1).  The per-x route
-`_firing_rules` evaluates the same rules directly and is kept as the
-reference the tests compare against.
+congruence, which depends only on x mod 2(q+1).  The tests keep a per-x
+reference that evaluates the same rules on x directly.
 """
 
 from __future__ import annotations
@@ -146,17 +145,6 @@ def affine_pencil_bound(n: int, k: int, q: int) -> Fraction:
     if n < 2 * k + 2:
         raise GuardViolated(f"requires n >= 2k+2, got n={n}, k={k}")
     return 2 * Fraction(q ** (n - k) - 1, q ** (k + 1) - 1) + 1
-
-
-def lift_bound(B_t, t: int, n: int, k: int, q: int):
-    """Lift a rational lower bound B_t valid in dimension t up to
-    dimension n."""
-    if t < 3 * k + 2:
-        raise GuardViolated(f"requires t >= 3k+2, got t={t}, k={k}")
-    if n < t + 1:
-        raise GuardViolated(f"requires n >= t+1, got n={n}, t={t}")
-    step = Fraction(q ** (n - k) - 1, q ** (t - k) - 1)
-    return (B_t - 1) * step + 1
 
 
 def _below(x, bound) -> bool:
@@ -328,38 +316,6 @@ def _c_interval_bound(space: str, n: int, k: int, q: int):
 def _small_q_trivial(space: str, n: int, k: int, q: int) -> bool:
     """The guard of small-q-trivial, which fires on every non-trivial x."""
     return space == "PG" and k >= 2 and n >= 2 * k + 1 and q <= 5
-
-
-def classification_rules(space: str, n: int, k: int, q: int, x: Fraction):
-    """Interval/classification exclusions for a (possibly rational) x.
-
-    Returns the list of firing rule ids; trivial parameters never fire."""
-    if x in trivial_params(space, n, k, q):
-        return []
-    out = []
-    C = _c_interval_bound(space, n, k, q)
-    if C is not None:
-        if (0 < x < 1) or (1 < x < 2):
-            out.append("unit-intervals")
-        if x >= 2 and _below(x, C):
-            out.append("c-interval")
-    if _small_q_trivial(space, n, k, q):
-        out.append("small-q-trivial")
-    return out
-
-
-def _firing_rules(space: str, n: int, k: int, q: int, x: Fraction) -> list:
-    """Ids of every rule excluding the (non-trivial) parameter x, each rule
-    evaluated on x directly; the reference for `_RuleTable`."""
-    out = []
-    if x.denominator == 1:
-        out += [rid for rid, solvable, cap in _congruences(space, n, k, q)
-                if (cap is None or x < cap) and not solvable(int(x), q)]
-    if x > 0:
-        out += [rid for rid, bound in _lower_bounds(space, n, k, q)
-                if _below(x, bound)]
-    out.extend(classification_rules(space, n, k, q, x))
-    return out
 
 
 class _RuleTable:

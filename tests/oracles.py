@@ -1,0 +1,224 @@
+"""Slower independent references that the tests compare the library with.
+
+None of these is a production route: each one decides or computes the same
+thing as a fast route of the library by a different method, one member or
+one parameter at a time.
+
+* ``rational_is_cl``: the CL decision by echelon reduction or kernel
+  orthogonality over the incidence matrix as exact rationals
+  (``clgeom.linalg``), against ``clcore.is_cl``'s design identity.
+* ``project_subspace``: one projected image by Zassenhaus meets, against
+  ``clcore.project``.
+* ``pg_to_ag_oracle``: ``pg_to_ag`` with the coordinate change found by an
+  RREF rank loop and applied entry by entry.
+* ``firing_rules`` and ``classification_rules``: every sieve rule
+  evaluated on one x directly, against ``sieve()``'s integer thresholds and
+  residue tables; ``lift_bound``, the generic lift those bounds follow.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from clgeom.clcore import CLReport, KFamily, _default_hyperplane
+from clgeom.errors import (
+    DimensionMismatch,
+    GuardViolated,
+    MemberInsideHyperplane,
+    NotContaining,
+    NotSkew,
+)
+from clgeom.ff import FieldCtx
+from clgeom.geometry import (
+    Geometry,
+    Subspace,
+    geometry,
+    make_subspace,
+    meet,
+    point_in_subspace,
+    rref,
+)
+from clgeom.linalg import RatMatrix, in_rowspace
+from clgeom.sieve import (
+    _below,
+    _c_interval_bound,
+    _congruences,
+    _lower_bounds,
+    _small_q_trivial,
+    trivial_params,
+)
+
+
+# ---------------------------------------------------------------------------
+# the CL decision over the rational incidence matrix
+# ---------------------------------------------------------------------------
+
+_ROWSPACE: dict = {}
+
+
+def _incidence_ratmatrix(geom: Geometry, k: int) -> RatMatrix:
+    key = (geom.key, k)
+    if key not in _ROWSPACE:
+        _ROWSPACE[key] = RatMatrix.from_numpy(geom.incidence(k))
+    return _ROWSPACE[key]
+
+
+_CERTIFICATES = {
+    "rank": "rank-augmentation",
+    "kernel": "kernel-orthogonality",
+}
+
+
+def rational_is_cl(F: KFamily, method: str) -> CLReport:
+    """is_cl by reduction against the rational incidence matrix:
+    method="rank" (echelon reduction) or method="kernel" (orthogonality to
+    a kernel basis).  Practical only for small geometries."""
+    M = _incidence_ratmatrix(F.geom, F.k)
+    ok = in_rowspace(M, [int(c) for c in F.chi], method=method)
+    return CLReport(ok, F.x, _CERTIFICATES[method])
+
+
+# ---------------------------------------------------------------------------
+# projection, one subspace at a time
+# ---------------------------------------------------------------------------
+
+def subspace_contains(field: FieldCtx, outer: Subspace, inner: Subspace) -> bool:
+    return all(point_in_subspace(field, row, outer) for row in inner.mat)
+
+
+def project_subspace(field: FieldCtx, K: Subspace, pi: Subspace,
+                     beta: Subspace) -> Subspace:
+    """K ∩ beta in beta's internal coordinates, for pi ⊆ K, beta skew to pi.
+
+    By Zassenhaus meets and RREF, one subspace at a time: the test oracle
+    for ``clcore.project``, which gathers the same images from a level's
+    codes for the canonical complement beta of pi."""
+    if not subspace_contains(field, K, pi):
+        raise NotContaining("projection centre not contained in the subspace")
+    if meet(field, beta, pi).k >= 0:
+        raise NotSkew("screen subspace meets the projection centre")
+    n = K.ncols - 1
+    if beta.k != n - pi.k - 1:
+        raise DimensionMismatch(
+            f"screen must have dimension {n - pi.k - 1}, got {beta.k}")
+    inter = meet(field, K, beta)
+    # internal coordinates: coefficients w.r.t. beta's RREF basis are just
+    # the entries at beta's pivot columns
+    rows = [tuple(r[c] for c in beta.pivots) for r in inter.mat]
+    return make_subspace(rows, field, beta.k + 1)
+
+
+# ---------------------------------------------------------------------------
+# pg_to_ag through a coordinate change found by rank
+# ---------------------------------------------------------------------------
+
+def _hyperplane_transform(geom: Geometry, H: Subspace):
+    """Column transform T (as tuple of columns) sending H to X0 = 0."""
+    field = geom.field
+    n1 = geom.n + 1
+    # normal vector a: the 1-dim GF(q) kernel of H's RREF rows, read off
+    # from the single free column
+    mat, pivots = H.mat, H.pivots
+    pivset = set(pivots)
+    free = [c for c in range(n1) if c not in pivset][0]
+    a = [0] * n1
+    a[free] = 1
+    for r, pc in enumerate(pivots):
+        a[pc] = field.neg(mat[r][free])
+    cols = [tuple(a)]
+    # extend with standard basis columns, keeping GF(q) rank
+    for j in range(n1):
+        e = [0] * n1
+        e[j] = 1
+        cand = cols + [tuple(e)]
+        red, _ = rref(cand, field)
+        if len(red) == len(cand):
+            cols.append(tuple(e))
+        if len(cols) == n1:
+            break
+    return cols
+
+
+def _apply_transform(field, mat, cols):
+    out = []
+    for row in mat:
+        new = []
+        for col in cols:
+            s = 0
+            for a, b in zip(row, col):
+                if a and b:
+                    s = field.add(s, field.mul(a, b))
+            new.append(s)
+        out.append(new)
+    return out
+
+
+def pg_to_ag_oracle(F: KFamily, H: Subspace | None = None) -> KFamily:
+    """pg_to_ag with the transform above, member by member."""
+    if F.geom.kind != "PG":
+        raise GuardViolated("pg_to_ag expects a projective family")
+    geom = F.geom
+    field = geom.field
+    members = np.flatnonzero(F.chi)
+    mats = geom.subspaces(F.k).codes[members]
+    if H is not None and H.mat != _default_hyperplane(geom).mat:
+        if H.k != geom.n - 1:
+            raise GuardViolated("H must be a hyperplane")
+        cols = _hyperplane_transform(geom, H)
+        mats = [rref(_apply_transform(field, m, cols), field)[0]
+                for m in mats.tolist()]
+    ag = geometry("AG", geom.n, geom.q)
+    out = ag.subspace_index(F.k, mats)
+    inside = np.flatnonzero(out < 0)
+    if len(inside):
+        raise MemberInsideHyperplane(int(members[inside[0]]))
+    return KFamily(ag, F.k, out)
+
+
+# ---------------------------------------------------------------------------
+# sieve rules, one x at a time
+# ---------------------------------------------------------------------------
+
+def lift_bound(B_t, t: int, n: int, k: int, q: int):
+    """Lift a rational lower bound B_t valid in dimension t up to
+    dimension n."""
+    if t < 3 * k + 2:
+        raise GuardViolated(f"requires t >= 3k+2, got t={t}, k={k}")
+    if n < t + 1:
+        raise GuardViolated(f"requires n >= t+1, got n={n}, t={t}")
+    step = Fraction(q ** (n - k) - 1, q ** (t - k) - 1)
+    return (B_t - 1) * step + 1
+
+
+def classification_rules(space: str, n: int, k: int, q: int, x: Fraction):
+    """Interval/classification exclusions for a (possibly rational) x.
+
+    Returns the list of firing rule ids; trivial parameters never fire."""
+    if x in trivial_params(space, n, k, q):
+        return []
+    out = []
+    C = _c_interval_bound(space, n, k, q)
+    if C is not None:
+        if (0 < x < 1) or (1 < x < 2):
+            out.append("unit-intervals")
+        if x >= 2 and _below(x, C):
+            out.append("c-interval")
+    if _small_q_trivial(space, n, k, q):
+        out.append("small-q-trivial")
+    return out
+
+
+def firing_rules(space: str, n: int, k: int, q: int, x: Fraction) -> list:
+    """Ids of every rule excluding the (non-trivial) parameter x, each rule
+    evaluated on x directly; the reference for `sieve._RuleTable`."""
+    out = []
+    if x.denominator == 1:
+        out += [rid for rid, solvable, cap in _congruences(space, n, k, q)
+                if (cap is None or x < cap) and not solvable(int(x), q)]
+    if x > 0:
+        out += [rid for rid, bound in _lower_bounds(space, n, k, q)
+                if _below(x, bound)]
+    out.extend(classification_rules(space, n, k, q, x))
+    return out

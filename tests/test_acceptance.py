@@ -16,6 +16,7 @@ from clgeom.geometry import (
     point_in_subspace,
 )
 from clgeom.sieve import sieve, x_max_param
+from oracles import rational_is_cl
 
 
 class _Gate:
@@ -207,7 +208,7 @@ def test_acceptance_5_projection_restriction():
         pi = make_subspace([geom.points[0]], geom.field)
         img = cc.project(pen, pi)
         assert img.geom.n == 4 and img.k == 1 and img.x == 1
-        rep = cc.is_cl(img, method="rank")
+        rep = rational_is_cl(img, "rank")
         assert rep.is_cl and rep.certificate == "rank-augmentation"
         # restrictions of every CL family to 20 seeded subspaces stay CL
         rng = random.Random(77)

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from clgeom.errors import (
     DimensionTooSmall,
     FamilyFormatError,
     GuardViolated,
+    InvalidRange,
     MemberInsideHyperplane,
     NotASpread,
     NotContained,
@@ -30,9 +34,9 @@ from clgeom.geometry import (
     make_subspace,
     meet,
     point_in_subspace,
-    project_subspace,
 )
 from clgeom.sieve import x_max_param
+from oracles import pg_to_ag_oracle, project_subspace, rational_is_cl
 
 
 def hyperplane_param(n, k, q):
@@ -70,7 +74,7 @@ def test_trivial_families_are_cl(kind, n, q, k):
         assert fam.x == x
         rep = cc.is_cl(fam)
         assert rep.is_cl and rep.x == x
-        assert cc.is_cl(fam, method="kernel").is_cl
+        assert rational_is_cl(fam, "kernel").is_cl
 
 
 def test_random_same_size_families_are_not_cl():
@@ -123,8 +127,8 @@ def test_design_route_agrees_with_oracles(kind, n, q, k):
         rep = cc.is_cl(fam)
         assert rep.certificate == "design-identity"
         assert rep.x == fam.x
-        assert rep.is_cl == cc.is_cl(fam, method="rank").is_cl, fam
-        assert rep.is_cl == cc.is_cl(fam, method="kernel").is_cl, fam
+        assert rep.is_cl == rational_is_cl(fam, "rank").is_cl, fam
+        assert rep.is_cl == rational_is_cl(fam, "kernel").is_cl, fam
         verdicts.append(rep.is_cl)
     assert True in verdicts
     if 0 < k < n and geom.num_points < geom.subspace_count(k):
@@ -135,22 +139,21 @@ def test_design_route_agrees_with_oracles(kind, n, q, k):
         assert all(verdicts)
 
 
-def test_design_route_builds_no_rational_matrix(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("rational route used")
-
-    monkeypatch.setattr(cc, "in_rowspace", refuse)
-    monkeypatch.setattr(cc.RatMatrix, "from_numpy", refuse)
-    monkeypatch.setattr(cc, "_ROWSPACE", {})
-    geom = geometry("PG", 4, 2)
-    assert cc.is_cl(cc.construct_trivial(geom, 2, "point_pencil")).is_cl
-    with pytest.raises(AssertionError, match="rational route"):
-        cc.is_cl(cc.KFamily(geom, 2, ()), method="rank")
-
-
-def test_is_cl_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        cc.is_cl(cc.KFamily(geometry("PG", 3, 2), 1, ()), method="qr")
+def test_design_route_builds_no_rational_matrix(tmp_path):
+    """construct then verify --checks cl, as the CLI runs them, in a fresh
+    interpreter that never imports the rational matrix module."""
+    path = tmp_path / "pencil.json"
+    code = ("import sys\n"
+            "from clgeom.cli import main\n"
+            "assert main(['construct', '-n', '4', '-k', '2', '-q', '2', "
+            f"'--kind', 'point-pencil', '-o', {str(path)!r}]) == 0\n"
+            f"assert main(['verify', {str(path)!r}, '--checks', 'cl']) == 0\n"
+            "print('clgeom.linalg' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_design_route_pg53_lines():
@@ -203,6 +206,23 @@ def test_construct_trivial_anchor_errors():
     ag = geometry("AG", 3, 2)
     with pytest.raises(AnchorInvalid):
         cc.construct_trivial(ag, 1, "hyperplane_class")
+
+
+def test_construct_trivial_takes_numpy_point_indices():
+    geom = geometry("PG", 3, 2)
+    for p in np.arange(len(geom.points)):
+        assert cc.construct_trivial(geom, 1, "point_pencil", point=p) == \
+            cc.construct_trivial(geom, 1, "point_pencil", point=int(p))
+    # point 9 lies off the default hyperplane X0 = 0
+    tau = next(t for t in geom.subspaces(2) if 9 in geom.points_of(t))
+    for p in (np.int64(9), np.int32(9), np.uint8(9), np.intp(9)):
+        fam = cc.construct_trivial(geom, 1, "pencil_plus_hyperplane", point=p)
+        assert fam == cc.construct_trivial(geom, 1, "pencil_plus_hyperplane",
+                                           point=9)
+        assert cc.check_drudge_identity(fam, p, tau)
+    for p in (np.int64(-1), np.int64(len(geom.points)), np.uint16(1000)):
+        with pytest.raises(AnchorInvalid):
+            cc.construct_trivial(geom, 1, "point_pencil", point=p)
 
 
 # -- counting identity checkers ---------------------------------------------
@@ -307,6 +327,17 @@ def test_aid_identity():
                                                    "point_pencil"), 0, 3)
 
 
+def test_aid_identity_refuses_k_space_outside_level():
+    geom = geometry("PG", 5, 2)
+    pencil = cc.construct_trivial(geom, 1, "point_pencil")
+    assert pencil.geom.subspace_count(1) == 651
+    assert cc.is_cl(pencil).is_cl
+    for K in (-1, 651, 10 ** 6):
+        with pytest.raises(InvalidRange):
+            cc.check_aid_identity(pencil, K, 3)
+    assert cc.check_aid_identity(pencil, 650, 3)
+
+
 def test_affine_line_identities():
     for q in (2, 3):
         ag = geometry("AG", 3, q)
@@ -401,6 +432,25 @@ def test_pg_ag_nondefault_hyperplane():
     assert cc.is_cl(aff).is_cl == cc.is_cl(fam).is_cl
     with pytest.raises(MemberInsideHyperplane):
         cc.pg_to_ag(cc.KFamily(geom, 1, set(cls)), H=H)
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (3, 4)])
+def test_pg_to_ag_matches_rank_transform_on_every_hyperplane(n, q):
+    """Against the coordinate change found by an RREF rank loop: the lines
+    off each hyperplane H, and the lines inside it (refused)."""
+    geom = geometry("PG", n, q)
+    lines = set(range(geom.subspace_count(1)))
+    for H in geom.subspaces(n - 1):
+        inside = cc._indices_inside(geom, 1, H)
+        off = cc.KFamily(geom, 1, lines - inside)
+        assert cc.pg_to_ag(off, H=H) == pg_to_ag_oracle(off, H=H)
+        mixed = cc.KFamily(geom, 1, set(list(lines - inside)[:3])
+                           | {max(inside)})
+        with pytest.raises(MemberInsideHyperplane) as got:
+            cc.pg_to_ag(mixed, H=H)
+        with pytest.raises(MemberInsideHyperplane) as want:
+            pg_to_ag_oracle(mixed, H=H)
+        assert got.value.args == want.value.args
 
 
 def test_ag_pencil_roundtrip():

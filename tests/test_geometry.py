@@ -26,11 +26,10 @@ from clgeom.geometry import (
     make_subspace,
     meet,
     point_in_subspace,
-    project_subspace,
     rref,
     span,
-    subspace_contains,
 )
+from oracles import project_subspace, subspace_contains
 
 
 # the package re-exports the function geometry under the module's name

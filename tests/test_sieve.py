@@ -19,19 +19,16 @@ from clgeom.sieve import (
     _RuleTable,
     _below,
     _c_interval_bound,
-    _firing_rules,
     _lower_bounds,
     _threshold,
     affine_condition,
     affine_pencil_bound,
-    classification_rules,
     classification_threshold,
     exact_floor,
     gm_condition_solvable,
     hyperplane_average_bound,
     ihringer_bound,
     improved_lift_bound,
-    lift_bound,
     line_condition_solvable,
     pencil_lift_bound,
     sieve,
@@ -39,6 +36,7 @@ from clgeom.sieve import (
     trivial_params,
     x_max_param,
 )
+from oracles import classification_rules, firing_rules, lift_bound
 
 
 def F(a, b=1):
@@ -321,11 +319,11 @@ def _direct_entry(space, n, k, q, x):
     """Status and rules of x from the per-x rules, the sieve's reference."""
     if F(x) in trivial_params(space, n, k, q):
         return "TRIVIAL", []
-    ids = _firing_rules(space, n, k, q, F(x))
+    ids = firing_rules(space, n, k, q, F(x))
     comp = x_max_param(space, n, k, q) - x
     if comp >= 0 and comp.denominator == 1 and comp != x:
         ids += [r + "[complement]"
-                for r in _firing_rules(space, n, k, q, comp)]
+                for r in firing_rules(space, n, k, q, comp)]
     ids = sorted(set(ids))
     return ("EXCLUDED" if ids else "OPEN"), ids
 
@@ -418,7 +416,7 @@ def test_lines_rule_silent_on_trivial_params(n, q):
     params = [t for t in trivial_params("PG", n, 1, q) if t.denominator == 1]
     assert any(not line_condition_solvable(int(t), q) for t in params)
     for t in params:
-        assert "lines-modular" not in _firing_rules("PG", n, 1, q, t), t
+        assert "lines-modular" not in firing_rules("PG", n, 1, q, t), t
 
 
 def test_precision_monotone_conservative():
