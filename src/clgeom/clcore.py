@@ -9,11 +9,13 @@ closed-form integer identity over the geometry's point table (see
 ``is_cl``); no rational matrix is built.
 
 Every route here reads incidence from the point table, and the points of
-other subspaces from ``Geometry.points_of``.  Every checker computes its
-counts by brute force over the geometry (most of them from one meet
-profile, counted in numpy) and compares them with the closed-form
-prediction in exact rational arithmetic; checkers report violations
-instead of raising, so they double as falsification tools.
+other subspaces from ``Geometry.points_of``.  The transforms read each
+image's canonical matrix off its sorted points (``geometry._blocks_of``),
+with no elimination per member.  Every checker computes its counts by
+brute force over the geometry (most of them from one meet profile, counted
+in numpy) and compares them with the closed-form prediction in exact
+rational arithmetic; checkers report violations instead of raising, so
+they double as falsification tools.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import (
     AnchorInvalid,
+    DimensionMismatch,
     DimensionTooLarge,
     DimensionTooSmall,
     FamilyFormatError,
@@ -45,6 +48,7 @@ from .errors import (
 from .ff import MAX_ORDER, factor_prime_power
 from .geometry import (
     _CHUNK,
+    _blocks_of,
     _combine,
     Geometry,
     Subspace,
@@ -53,7 +57,6 @@ from .geometry import (
     gauss_binom,
     geometry,
     make_subspace,
-    rref,
 )
 from .sieve import x_max_param
 
@@ -165,14 +168,9 @@ def is_cl(F: KFamily) -> CLReport:
 # ---------------------------------------------------------------------------
 
 def _default_hyperplane(geom: Geometry) -> Subspace:
-    """The hyperplane X0 = 0."""
-    n1 = geom.n + 1
-    rows = []
-    for j in range(1, n1):
-        e = [0] * n1
-        e[j] = 1
-        rows.append(e)
-    return make_subspace(rows, geom.field, n1)
+    """The hyperplane X0 = 0, the canonical complement of the point e_0."""
+    e0 = make_subspace([[1] + [0] * geom.n], geom.field)
+    return canonical_complement(e0, geom.field)
 
 
 def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
@@ -187,19 +185,19 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
         fam = KFamily(geom, k, ())
     elif kind == "point_pencil":
         fam = KFamily(geom, k, _pencil(geom, k, _resolve_point(geom, point)))
-    elif kind == "hyperplane_class":
+    elif kind in ("hyperplane_class", "pencil_plus_hyperplane"):
         if geom.kind != "PG":
-            raise AnchorInvalid("hyperplane_class is a projective construction")
+            raise AnchorInvalid(f"{kind} is a projective construction")
         H = hyperplane if hyperplane is not None else _default_hyperplane(geom)
-        fam = KFamily(geom, k, _indices_inside(geom, k, H))
-    elif kind == "pencil_plus_hyperplane":
-        if geom.kind != "PG":
-            raise AnchorInvalid("pencil_plus_hyperplane is a projective construction")
-        H = hyperplane if hyperplane is not None else _default_hyperplane(geom)
-        p_idx = _resolve_point(geom, point)
-        if p_idx in geom.points_of(H):
-            raise AnchorInvalid("anchor point lies in the anchor hyperplane")
-        pencil = set(_pencil(geom, k, p_idx))
+        if H.k != geom.n - 1:
+            raise AnchorInvalid(
+                f"anchor of dimension {H.k} is no hyperplane of {geom!r}")
+        pencil = set()
+        if kind == "pencil_plus_hyperplane":
+            p_idx = _resolve_point(geom, point)
+            if p_idx in geom.points_of(H):
+                raise AnchorInvalid("anchor point lies in the anchor hyperplane")
+            pencil = set(_pencil(geom, k, p_idx))
         cls = _indices_inside(geom, k, H)
         assert not pencil & cls
         fam = KFamily(geom, k, pencil | cls)
@@ -232,15 +230,18 @@ def _pencil(geom: Geometry, k: int, p_idx: int):
 
 
 def _indices_inside(geom: Geometry, k: int, outer: Subspace):
-    inside = _point_mask(geom, outer)[geom.point_table(k)].all(axis=1)
+    inside = (_positions(geom, outer) >= 0)[geom.point_table(k)].all(axis=1)
     return set(np.flatnonzero(inside).tolist())
 
 
-def _point_mask(geom: Geometry, sub: Subspace) -> np.ndarray:
-    """Boolean mask over the geometry's points: True on those in sub."""
-    mask = np.zeros(geom.num_points, dtype=bool)
-    mask[geom.points_of(sub)] = True
-    return mask
+def _positions(geom: Geometry, sub: Subspace) -> np.ndarray:
+    """Over the geometry's points: -1 off sub, and on sub the point's index
+    in sub's own PG, which is its position in points_of(sub) (c -> c.M
+    keeps the order, see Geometry._locate)."""
+    pts = geom.points_of(sub)
+    pos = np.full(geom.num_points, -1, dtype=np.int64)
+    pos[pts] = np.arange(len(pts))
+    return pos
 
 
 def _member_rows(F: KFamily) -> np.ndarray:
@@ -294,13 +295,10 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
         raise DimensionTooSmall(f"dim pi = {i} < k+1 = {F.k + 1}")
     geom = F.geom
     sub_geom = geometry("PG", i, geom.q)
-    members = np.flatnonzero(F.chi)
-    inside = _point_mask(geom, pi)[_member_rows(F)].all(axis=1)
-    # a member inside pi is C.pi for the matrix C of its entries in pi's
-    # pivot columns, and C is already in RREF: row j of C leads where row
-    # j of the member does, at one of pi's pivots (see Geometry._locate)
-    coords = geom.subspaces(F.k).codes[members[inside]][:, :, list(pi.pivots)]
-    out = sub_geom.subspace_index(F.k, coords)
+    pos = _positions(geom, pi)
+    rows = _member_rows(F)
+    inside = (pos >= 0)[rows].all(axis=1)
+    out = _blocks_of(sub_geom, F.k, pos[rows[inside]])
     assert (out >= 0).all()
     return KFamily(sub_geom, F.k, out)
 
@@ -316,69 +314,69 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
-    members = np.flatnonzero(F.chi)
-    in_pi = _point_mask(geom, pi)
+    rows = _member_rows(F)
+    in_pi = _positions(geom, pi) >= 0
     # member rows hold distinct points, so pi lies in those holding all of it
-    through = in_pi[_member_rows(F)].sum(axis=1) == in_pi.sum()
-    # pi's pivots are among those of a member K through it, so K ∩ beta is
-    # spanned by the k - i rows of K that lead elsewhere: they are zero in
-    # pi's pivot columns, and read in beta's pivot columns they are already
-    # an RREF matrix (as in restrict)
-    codes = geom.subspaces(F.k).codes[members[through]]
-    keep = ~np.isin((codes != 0).argmax(axis=2), pi.pivots)
-    assert (keep.sum(axis=1) == F.k - i).all()
-    images = codes[keep].reshape(len(codes), F.k - i, geom.n + 1)
-    out = sub_geom.subspace_index(F.k - i - 1, images[:, :, list(beta.pivots)])
+    through = in_pi[rows].sum(axis=1) == in_pi.sum()
+    # K ∩ beta is a (k-i-1)-space for every K through pi (beta is skew to
+    # pi and spans the space with it), so each row keeps as many points
+    images = _positions(geom, beta)[rows[through]]
+    images = images[images >= 0].reshape(len(images),
+                                         gauss_binom(F.k - i, 1, geom.q))
+    out = _blocks_of(sub_geom, F.k - i - 1, images)
     assert (out >= 0).all()
     assert len(set(out.tolist())) == len(out), \
         "projection produced a duplicate image"
     return KFamily(sub_geom, F.k - i - 1, out)
 
 
-def _hyperplane_image(geom: Geometry, H: Subspace, mats: np.ndarray):
-    """The matrices M.T (B x r x (n+1) codes) of the coordinate change T
-    sending the hyperplane H to X0 = 0.
-
-    H's normal a is 1 in H's one free column s and -H[j][s] in pivot
-    column j; RREF puts s right of every pivot with H[j][s] != 0, so s is
-    the largest index in a's support.  T has the columns a, then e_j for
-    every j != s: invertible, as a is the only column with an entry in row
-    s.  So M.T is M.a followed by M without column s."""
-    field = geom.field
-    s = next(c for c in range(geom.n + 1) if c not in H.pivots)
-    a = np.zeros((1, geom.n + 1), dtype=np.int64)
-    a[0, s] = 1
-    for row, c in zip(H.mat, H.pivots):
-        a[0, c] = field.neg(row[s])
-    mats = mats.astype(np.int64)
-    # M.a as a row, a.M^T, for every M at once
-    image = _combine(field, a, mats.transpose(0, 2, 1))
-    return np.concatenate([image.transpose(0, 2, 1),
-                           np.delete(mats, s, axis=2)], axis=2)
-
-
 def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
     """View a projective family not meeting hyperplane H as an affine one.
 
-    H defaults to X0 = 0; any other hyperplane is first moved there by a
-    coordinate change (a collineation, so the family's parameter and CL
-    status are unchanged)."""
+    H defaults to X0 = 0; any hyperplane is moved there by a coordinate
+    change T (a collineation, so the family's parameter and CL status are
+    unchanged), which permutes the points, and each member's image is
+    read off its permuted points."""
     if F.geom.kind != "PG":
         raise GuardViolated("pg_to_ag expects a projective family")
     geom = F.geom
     field = geom.field
-    members = np.flatnonzero(F.chi)
-    mats = geom.subspaces(F.k).codes[members]
-    if H is not None and H.mat != _default_hyperplane(geom).mat:
-        if H.k != geom.n - 1:
-            raise GuardViolated("H must be a hyperplane")
-        mats = [rref(m, field)[0]
-                for m in _hyperplane_image(geom, H, mats).tolist()]
+    n1 = geom.n + 1
+    if H is None:
+        H = _default_hyperplane(geom)
+    if H.ncols != n1:
+        raise DimensionMismatch(
+            f"hyperplane of {H.ncols} coordinates in {geom!r}, which has {n1}")
+    if H.k != geom.n - 1:
+        raise GuardViolated("H must be a hyperplane")
+    # H's normal a is 1 in H's one free column s and -H[j][s] in pivot
+    # column j; RREF puts s right of every pivot with H[j][s] != 0, so s is
+    # the largest index in a's support.  T has the columns a, then e_j for
+    # every j != s: invertible, as a is the only column with an entry in
+    # row s.  So p.T is p.a followed by p without column s (X0 = 0 has
+    # s = 0, a = e_0 and T = I).
+    s = next(c for c in range(n1) if c not in H.pivots)
+    a = np.zeros(n1, dtype=np.int64)
+    a[s] = 1
+    for row, c in zip(H.mat, H.pivots):
+        a[c] = field.neg(row[s])
+    T = np.column_stack([a, np.delete(np.eye(n1, dtype=np.int64), s, axis=1)])
+    points = geom.subspaces(0).codes[:, 0].astype(np.int64)
+    images = _combine(field, points, T[None]).transpose(1, 0, 2)
+    # p.a leads p.T when it is nonzero, and is scaled to 1; when p.a = 0,
+    # p's leading 1 lies left of s (p.a = p_s + terms left of s) and leads
+    lead = np.where(images[:, 0, 0] == 0, 1, images[:, 0, 0])
+    inverse = np.zeros(geom.q, dtype=np.int64)
+    for c in np.flatnonzero(np.bincount(lead)).tolist():
+        inverse[c] = field.inv(c)
+    images = _combine(field, inverse[lead][:, None, None], images)
+    perm = geom.subspace_index(0, images)
+    assert (perm >= 0).all()
     ag = geometry("AG", geom.n, geom.q)
-    out = ag.subspace_index(F.k, mats)
+    out = _blocks_of(ag, F.k, perm[_member_rows(F)])
     inside = np.flatnonzero(out < 0)
     if len(inside):
-        raise MemberInsideHyperplane(int(members[inside[0]]))
+        raise MemberInsideHyperplane(int(np.flatnonzero(F.chi)[inside[0]]))
     return KFamily(ag, F.k, out)
 
 
@@ -566,7 +564,7 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     geom, k = F.geom, F.k
     n, q = geom.n, geom.q
     p_idx = _resolve_point(geom, p)
-    in_tau = _point_mask(geom, tau)
+    in_tau = _positions(geom, tau) >= 0
     if not in_tau[p_idx]:
         raise PointNotInSubspace("p must lie in tau")
     i = tau.k

@@ -6,7 +6,8 @@ is F extended by d.  The reducing modulus is always the lexicographically
 smallest monic irreducible polynomial of the right degree (coefficient
 tuples (c_{d-1}, ..., c_0) compared ascending), so every run constructs the
 same field.  Up to order ``_TABLE_MAX`` a field multiplies and inverts
-through log/exp tables, which ``geometry`` also reads as numpy arrays.
+through log/exp tables, which ``geometry`` and ``clcore`` also read as
+numpy arrays.
 
 Polynomials are coefficient lists, constant term first, trailing zeros
 stripped ([] is the zero polynomial).
@@ -21,7 +22,7 @@ from .errors import DivisionByZero, GuardViolated, NotPrime, OrderTooLarge
 MAX_ORDER = 1 << 20
 
 # log/exp tables are built up to this order; SUBSPACE_CAP keeps every
-# geometry that forms products over GF(p^h), h > 1, at q <= 961
+# geometry but PG(1,q) that forms products over GF(p^h), h > 1, at q <= 961
 _TABLE_MAX = 1024
 
 
@@ -187,7 +188,7 @@ class FieldCtx:
     def __init__(self, base: FieldCtx | int, d: int = 1):
         """GF(Q^d) over the field ``base``; an int ``base`` is a prime p,
         and then the field is GF(p) itself (d must be 1)."""
-        self.tables = self._log = self._exp = self._succ = None
+        self.tables = self._log = self._exp = None
         if isinstance(base, int):
             if not is_prime(base):
                 raise NotPrime(f"{base} is not prime")
@@ -231,8 +232,6 @@ class FieldCtx:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._succ is not None:
-            return self._zech_add(a, b)
         return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
@@ -240,9 +239,6 @@ class FieldCtx:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._succ is not None:
-            # -b = b * g^((q-1)/2), as g^((q-1)/2) = -1 for odd q
-            return self._zech_add(a, self._exp[self._log[b] + (self.q - 1) // 2])
         return self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
@@ -254,12 +250,6 @@ class FieldCtx:
         if self.h == 1:
             p = self.p
             return [(a - f * b) % p for a, b in zip(v, row)]
-        if self.p == 2 and self._exp is not None:
-            # subtraction is XOR; f * b through the tables, where log 0
-            # points into exp's zeros, so no entry needs a branch
-            log, exp = self._log, self._exp
-            lf = log[f]
-            return [a ^ exp[lf + log[b]] for a, b in zip(v, row)]
         mul, sub = self.mul, self.sub
         return [sub(a, mul(f, b)) for a, b in zip(v, row)]
 
@@ -293,19 +283,9 @@ class FieldCtx:
 
     # -- internals --
 
-    def _zech_add(self, a, b):
-        """a + b = a * (1 + b/a) through the log/exp tables and the q-length
-        table of x + 1 (Zech's logarithm, indexed by code)."""
-        if a == 0:
-            return b
-        log, exp = self._log, self._exp
-        la = log[a]
-        # b/a = g^(log b - log a); for b = 0 the index lands in exp's zeros
-        return exp[la + log[self._succ[exp[log[b] - la + self.q - 1]]]]
-
     def _digitwise(self, a, b, sign):
-        """a + sign * b, base-p digit by digit mod p: the reference for the
-        other routes, and the route for odd p above the table order."""
+        """a + sign * b, base-p digit by digit mod p: the route for odd p
+        and h > 1, and the reference for the XOR route of p = 2."""
         p = self.p
         out = 0
         unit = 1
@@ -330,8 +310,8 @@ class FieldCtx:
         exp[i] = g^i for i < 2(q-1), so exp[log a + log b] needs no
         reduction; log 0 = 2(q-1) points past that into zeros, so products
         with 0 need no branch.  ``tables`` holds the same two lists as
-        int64 arrays for the numpy code in geometry.  For odd p, ``_succ``
-        maps each code x to x + 1, for the Zech addition."""
+        int64 arrays for the numpy code in geometry and clcore, which
+        multiply whole arrays of codes; addition needs no table."""
         q = self.q
         for g in range(2, q):
             powers = [1]
@@ -348,8 +328,6 @@ class FieldCtx:
             self._log[x] = i
         self.tables = (np.array(self._log, dtype=np.int64),
                        np.array(self._exp, dtype=np.int64))
-        if self.p != 2:
-            self._succ = [self._digitwise(x, 1, 1) for x in range(q)]
 
     def __repr__(self):
         if self.base.h == 1:

@@ -271,17 +271,22 @@ def _enumerate_pg(q: int, ncols: int, r: int):
 # ---------------------------------------------------------------------------
 
 def _combine(field: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """c.M for every row c of coeffs (theta x r) and every block M of mats
-    (B x r x ncols), as a B x theta x ncols array of field codes."""
+    """c.M for every row c of coeffs (theta x r, or B x theta x r with its
+    own rows for each block) and every block M of mats (B x r x ncols), as
+    a B x theta x ncols array of field codes."""
     if field.h == 1:
         return np.matmul(coeffs, mats) % field.p
-    # SUBSPACE_CAP keeps q <= 961 here (0 < k < n), within the tables
-    assert field.tables is not None
+    if field.tables is None:
+        # within SUBSPACE_CAP only PG(1,q) has q past the table order
+        mul, add = (np.frompyfunc(f, 2, 1) for f in (field.mul, field.add))
+        prods = mul(coeffs[..., :, :, None], mats[:, None])
+        return add.reduce(prods, axis=-2).astype(np.int64)
     log, exp = field.tables
     p = field.p
-    out = np.zeros((len(mats), len(coeffs), mats.shape[2]), dtype=np.int64)
-    for i in range(coeffs.shape[1]):
-        c = coeffs[None, :, i, None]
+    out = np.zeros((len(mats), coeffs.shape[-2], mats.shape[2]),
+                   dtype=np.int64)
+    for i in range(coeffs.shape[-1]):
+        c = coeffs[..., i, None]
         m = mats[:, None, i, :]
         prod = exp[log[c] + log[m]]
         # addition adds the base-p digits of the codes mod p
@@ -446,7 +451,9 @@ class Geometry:
         keys of the 0-level.  c -> c.M keeps the lexicographic order (c
         reappears in M's pivot columns, and the columns before a pivot depend
         only on earlier entries of c), so each row's positions come out
-        ascending."""
+        ascending, and row i of M, e_i.M, is the point at position
+        (q^(r-1-i) - 1)/(q - 1) of its row, where e_i sits among the points
+        of PG(r-1,q); _blocks_of reads the matrices back from there."""
         q, n1 = self.q, self.n + 1
         weights = q ** np.arange(n1 - 1, -1, -1, dtype=np.int64)
         # the points' base-q keys, ascending; with at most SUBSPACE_CAP
@@ -523,6 +530,22 @@ class Geometry:
                 masks.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
             self._masks[k] = masks
         return self._masks[k]
+
+
+def _blocks_of(geom: Geometry, k: int, rows: np.ndarray) -> np.ndarray:
+    """Positions in geom.subspaces(k) of the k-spaces whose points are the
+    rows of `rows` (B x theta indices among the closure's points, in any
+    order), the inverse of the point table.
+
+    Row i of a k-space's RREF matrix is its point at position
+    (q^(k-i) - 1)/(q - 1) in ascending order (see Geometry._locate), so the
+    matrices are gathered from the 0-level's codes and found by one
+    subspace_index call.  A row that is not the point set of a k-space is
+    not detected, and may give -1 or any position."""
+    q = geom.q
+    lead = [(q ** (k - i) - 1) // (q - 1) for i in range(k + 1)]
+    points = geom.closure().subspaces(0).codes[:, 0]
+    return geom.subspace_index(k, points[np.sort(rows, axis=1)[:, lead]])
 
 
 _GEOMETRIES: dict = {}

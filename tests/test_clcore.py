@@ -453,6 +453,44 @@ def test_pg_to_ag_matches_rank_transform_on_every_hyperplane(n, q):
         assert got.value.args == want.value.args
 
 
+def test_pg_to_ag_past_the_table_order():
+    """GF(3^7) has no log/exp tables, so the point permutation of PG(1,2187)
+    is multiplied out through the field's own methods."""
+    geom = geometry("PG", 1, 3 ** 7)
+    points = cc.construct_trivial(geom, 0, "hyperplane_class",
+                                  complement_of=True)
+    assert cc.pg_to_ag(points) == pg_to_ag_oracle(points)
+    H = geom.subspaces(0)[5]
+    off = cc.KFamily(geom, 0, [0, 1, 2, 9, geom.num_points - 1])
+    assert cc.pg_to_ag(off, H=H) == pg_to_ag_oracle(off, H=H)
+
+
+def test_pg_to_ag_refuses_hyperplane_of_another_space():
+    """The planes of PG(4,2), and PG(2,2) itself, have the dimension of a
+    PG(3,2) hyperplane but not its n + 1 coordinates."""
+    geom = geometry("PG", 3, 2)
+    pencil = cc.construct_trivial(geom, 1, "point_pencil")
+    planes = list(geometry("PG", 4, 2).subspaces(2))
+    planes.append(make_subspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]], geom.field))
+    for H in planes:
+        with pytest.raises(DimensionMismatch):
+            cc.pg_to_ag(pencil, H=H)
+
+
+def test_transforms_with_empty_images():
+    """No member through the centre, no member inside pi: the empty family
+    of the image space."""
+    geom = geometry("PG", 4, 2)
+    cls = cc.construct_trivial(geom, 1, "hyperplane_class")
+    img = cc.project(cls, make_subspace([[1, 0, 0, 0, 0]], geom.field))
+    assert img == cc.KFamily(geometry("PG", 3, 2), 0, ())
+    pencil = cc.construct_trivial(geom, 1, "point_pencil", point=0)
+    plane = make_subspace([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                           [0, 0, 1, 0, 0]], geom.field)
+    assert 0 not in geom.points_of(plane)
+    assert cc.restrict(pencil, plane) == cc.KFamily(geometry("PG", 2, 2), 1, ())
+
+
 def test_ag_pencil_roundtrip():
     ag = geometry("AG", 3, 3)
     pen = cc.construct_trivial(ag, 1, "point_pencil")
@@ -870,6 +908,23 @@ def test_drudge_mask_route_matches_isin_route(n, q, k):
                                geom.points_of(point))[0])
     with pytest.raises(PointNotInSubspace):
         cc.check_drudge_identity(fams[1], outside, point)
+
+
+def test_construct_trivial_refuses_anchor_of_wrong_dimension():
+    """hyperplane= takes only hyperplanes.  Point 0, (0,0,0,0,1), is off
+    every refused anchor but the whole space, so the anchor-point check
+    cannot refuse them first."""
+    geom = geometry("PG", 4, 2)
+    e = [[int(c == j) for c in range(5)] for j in range(5)]
+    for d in (0, 1, 2, 3, 5):
+        H = make_subspace(e[:d], geom.field, 5)
+        for k in (1, 2):
+            for kind in ("hyperplane_class", "pencil_plus_hyperplane"):
+                with pytest.raises(AnchorInvalid):
+                    cc.construct_trivial(geom, k, kind, point=0, hyperplane=H)
+    hyperplane = make_subspace(e[:4], geom.field)
+    cls = cc.construct_trivial(geom, 1, "hyperplane_class", hyperplane=hyperplane)
+    assert cls.size == gauss_binom(4, 2, 2) and cc.is_cl(cls).is_cl
 
 
 def test_centre_of_another_width_is_dimension_mismatch():

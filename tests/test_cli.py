@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -403,3 +407,26 @@ def test_verify_drudge_violations_pinned(capsys, tmp_path):
         "p=0, tau=((1, 0, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 0), "
         "(0, 0, 0, 0, 1))",
     ]
+
+
+def test_benchmark_tracer_hooks_install(tmp_path):
+    """The benchmark's tracer imports clgeom.linalg and wraps library names
+    that no library route uses: install it, run construct then verify
+    --checks cl through it, and uninstall, in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    path = str(tmp_path / "pencil.json")
+    code = ("import sys\n"
+            "from tracer import Tracer, install_clgeom\n"
+            "tracer = Tracer()\n"
+            "install_clgeom(tracer)\n"
+            "cli = sys.modules['clgeom.cli']\n"
+            "assert cli.main(['construct', '-n', '3', '-k', '1', '-q', '2', "
+            f"'--kind', 'point-pencil', '-o', {path!r}]) == 0\n"
+            f"assert cli.main(['verify', {path!r}, '--checks', 'cl']) == 0\n"
+            "tracer.uninstall()\n"
+            "print(tracer.calls['cli.main'], cli.main.__name__)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "2 main"

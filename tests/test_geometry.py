@@ -18,6 +18,8 @@ from clgeom.ff import ff_create, ff_extend
 from clgeom.geometry import (
     Geometry,
     Subspace,
+    _blocks_of,
+    _combine,
     canonical_complement,
     field_reduction_spread,
     gauss0,
@@ -219,6 +221,40 @@ def test_level_matches_enumeration_oracle(kind, n, q, k):
     assert g.subspace_index(k, misses).tolist() == [-1] * len(misses)
     with pytest.raises(DimensionMismatch):
         g.subspace_index(k, [[[0] * n] * (k + 1)])
+
+
+@pytest.mark.parametrize("kind,n,q,k", LEVELS)
+def test_blocks_of_inverts_point_table(kind, n, q, k):
+    """Every block is found again from its points in shuffled order; AG
+    blocks from the closure's rows."""
+    g = geometry(kind, n, q)
+    closure = g.closure()
+    rows = closure.point_table(k)[closure.subspace_index(k, g.subspaces(k).codes)]
+    shuffled = np.random.default_rng(len(rows)).permuted(rows, axis=1)
+    assert k == 0 or not np.array_equal(shuffled, rows)
+    assert np.array_equal(_blocks_of(g, k, shuffled), np.arange(len(rows)))
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (5, 1), (2, 3), (3, 2), (2, 11),
+                                 (3, 7)])
+def test_combine_matches_field_arithmetic(p, h):
+    """Each route of _combine (mod p, the log/exp tables, the field's own
+    methods past the table order), with shared and with per-block
+    coefficients, against sums of products entry by entry."""
+    field = ff_create(p, h)
+    rng = np.random.default_rng(field.q)
+    mats = rng.integers(0, field.q, size=(4, 3, 5))
+    for coeffs in (rng.integers(0, field.q, size=(2, 3)),
+                   rng.integers(0, field.q, size=(4, 2, 3))):
+        per_block = coeffs if coeffs.ndim == 3 else [coeffs] * len(mats)
+        want = [[[0] * 5 for _ in range(2)] for _ in range(len(mats))]
+        for b, (cs, m) in enumerate(zip(per_block, mats.tolist())):
+            for t, c in enumerate(cs.tolist()):
+                for i in range(3):
+                    for j in range(5):
+                        want[b][t][j] = field.add(want[b][t][j],
+                                                  field.mul(c[i], m[i][j]))
+        assert _combine(field, coeffs, mats).tolist() == want
 
 
 def test_level_builds_no_subspace_objects(monkeypatch):
