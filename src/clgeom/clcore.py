@@ -476,12 +476,8 @@ def check_disjoint_count(F: KFamily) -> CheckReport:
     members."""
     if F.geom.kind != "PG":
         raise GuardViolated("disjoint-count identity is projective")
-    geom, k = F.geom, F.k
-    factor = gauss0(geom.n - k - 1, k, geom.q) * geom.q ** (k * k + k)
-    x = F.x
-    violations = _violations(F, _pair_profile(F)[:, 0],
-                             (x * factor, (x - 1) * factor))
-    return CheckReport(not violations, violations)
+    # the meet profile's i = k+1 case: K meets those members in nothing
+    return check_meet_profile(F, F.k + 1)
 
 
 def meet_profile_expected(F: KFamily, i: int, member: bool) -> Fraction:
@@ -743,9 +739,13 @@ def subspace_from_codes(rows, field, ncols: int, what: str) -> Subspace:
 def family_from_dict(data: dict) -> KFamily:
     if not isinstance(data, dict):
         raise FamilyFormatError("family JSON must be an object")
-    for key in ("space", "p", "h", "n", "k", "members"):
+    keys = ("space", "p", "h", "n", "k", "members")
+    for key in keys:
         if key not in data:
             raise FamilyFormatError(f"missing key {key!r}")
+    for key in data:
+        if key not in keys:
+            raise FamilyFormatError(f"unknown key {key!r}")
     space = data["space"]
     if space not in ("PG", "AG"):
         raise FamilyFormatError(f"space must be PG or AG, got {space!r}")

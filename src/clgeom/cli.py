@@ -12,24 +12,21 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import clcore
 from .sieve import (
-    affine_pencil_bound,
+    bound_rules,
     check_config,
     classification_threshold,
     exact_floor,
-    hyperplane_average_bound,
-    ihringer_bound,
-    improved_lift_bound,
-    pencil_lift_bound,
     sieve as run_sieve,
     step_factor,
     x_max_param,
 )
 from .errors import ClgeomError, GuardViolated
 from .ff import factor_prime_power
-from .geometry import field_reduction_spread, geometry
+from .geometry import field_reduction_spread, geometry, make_subspace
 
 DEFAULT_SEED = 2024
 
@@ -73,15 +70,9 @@ def cmd_bounds(args) -> int:
     check_config("PG", n, k, q)
     xm = x_max_param("PG", n, k, q)
     print(f"X_max = {xm.numerator}/{xm.denominator} = {_fraction_str(xm)}")
-    rows = [
-        ("c-threshold", lambda: classification_threshold(n, k, q)),
-        ("step-factor", lambda: step_factor(k, q)),
-        ("pencil-lift", lambda: pencil_lift_bound(n, k, q)),
-        ("ihringer", lambda: ihringer_bound(n, k, q)),
-        ("improved-lift", lambda: improved_lift_bound(n, k, q)),
-        ("hyperplane-average", lambda: hyperplane_average_bound(n, k, q)),
-        ("affine-bound", lambda: affine_pencil_bound(n, k, q)),
-    ]
+    rows = [("c-threshold", partial(classification_threshold, n, k, q)),
+            ("step-factor", partial(step_factor, k, q))]
+    rows += [(rid, partial(bound, n, k, q)) for _, rid, bound in bound_rules()]
     for name, fn in rows:
         try:
             v = fn()
@@ -100,14 +91,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sieve(args) -> int:
-    x_range = None
-    if args.x_min is not None or args.x_max is not None:
-        check_config(args.space, args.n, args.k, args.q)
-        xm = x_max_param(args.space, args.n, args.k, args.q)
-        lo = args.x_min if args.x_min is not None else 0
-        hi = args.x_max if args.x_max is not None else int(xm)
-        x_range = (lo, hi)
-    report = run_sieve(args.space, args.n, args.k, args.q, x_range=x_range)
+    report = run_sieve(args.space, args.n, args.k, args.q,
+                       x_range=(args.x_min, args.x_max))
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
@@ -166,6 +151,24 @@ def _default_checks(fam) -> list:
     return checks
 
 
+def _draw_flag(geom, i: int, rng: random.Random):
+    """A uniform point p (an index into geom.points) and a uniform i-space
+    tau through it, without enumerating the i-spaces.
+
+    tau is the span of p and i uniform points, drawn again until it has
+    dimension i.  The stabilizer of p is transitive on the i-spaces through
+    p and keeps this draw, so tau is uniform among them; every point lies
+    on equally many i-spaces, so (p, tau) is a uniform incident pair."""
+    points = geom.points
+    p = rng.randrange(len(points))
+    while True:
+        rows = [points[p]] + [points[rng.randrange(len(points))]
+                              for _ in range(i)]
+        tau = make_subspace(rows, geom.field)
+        if tau.k == i:
+            return p, tau
+
+
 def _run_check(fam, name: str, rng: random.Random):
     """Returns (ok, violations)."""
     geom, k = fam.geom, fam.k
@@ -199,10 +202,7 @@ def _run_check(fam, name: str, rng: random.Random):
                 f"drudge needs n >= k + 2, got n = {geom.n}, k = {k}")
         bad = []
         for _ in range(20):
-            i = rng.choice(dims)
-            taus = geom.subspaces(i)
-            tau = taus[rng.randrange(len(taus))]
-            p = rng.choice(geom.points_of(tau).tolist())
+            p, tau = _draw_flag(geom, rng.choice(dims), rng)
             if not clcore.check_drudge_identity(fam, p, tau):
                 bad.append(f"p={p}, tau={tau.mat}")
         return not bad, bad
@@ -223,8 +223,11 @@ def _run_check(fam, name: str, rng: random.Random):
 
 def cmd_verify(args) -> int:
     fam = clcore.load_family(args.family)
-    if args.checks:
+    if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not names:
+            raise GuardViolated(
+                f"--checks names no check; choose from {', '.join(ALL_CHECKS)}")
         for c in names:
             if c not in ALL_CHECKS:
                 raise GuardViolated(

@@ -26,20 +26,6 @@ MAX_ORDER = 1 << 20
 _TABLE_MAX = 1024
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here are desk-scale."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factor_prime_power(q: int):
     """Return (p, h) with q = p**h, p prime.  Raises NotPrime otherwise."""
     if q < 2:
@@ -130,27 +116,16 @@ def _ppowmod(F, a, e, m):
 
 
 def _is_irreducible(F, f, d):
-    """Irreducibility of monic f of degree d over the field F."""
-    if d == 1:
-        return True
-    # Rabin's test: x^(Q^d) == x mod f and gcd(x^(Q^(d/r)) - x, f) trivial
-    # for every prime r dividing d
+    """Irreducibility of monic f of degree d over the field F, by Ben-Or's
+    test.  x^(Q^j) - x is the product of the monic irreducibles of degree
+    dividing j, and a reducible f has an irreducible factor of degree at
+    most d/2, so f is irreducible exactly when gcd(x^(Q^j) - x, f) = 1 for
+    j = 1 .. d/2."""
     x = [0, 1]
-    if _ppowmod(F, x, F.q ** d, f) != x:
-        return False
-    r = 2
-    dd = d
-    primes = set()
-    while r * r <= dd:
-        while dd % r == 0:
-            primes.add(r)
-            dd //= r
-        r += 1
-    if dd > 1:
-        primes.add(dd)
-    for r in primes:
-        g = _psub(F, _ppowmod(F, x, F.q ** (d // r), f), x)
-        if len(_pgcd(F, g, f)) > 1:
+    power = x
+    for _ in range(d // 2):
+        power = _ppowmod(F, power, F.q, f)
+        if len(_pgcd(F, _psub(F, power, x), f)) > 1:
             return False
     return True
 
@@ -190,7 +165,7 @@ class FieldCtx:
         and then the field is GF(p) itself (d must be 1)."""
         self.tables = self._log = self._exp = None
         if isinstance(base, int):
-            if not is_prime(base):
+            if factor_prime_power(base) != (base, 1):
                 raise NotPrime(f"{base} is not prime")
             if d != 1:
                 raise GuardViolated("GF(p) is its own base; extend it instead")

@@ -15,9 +15,10 @@ the same form.  Rules are also applied to the complement parameter
 X_max - x when it is an integer; such hits are tagged with a
 "[complement]" suffix.
 
-`sieve()` reduces each rule to integers once per call: the least integer
-at or above each bound, and the table of non-solvable residues of each
-congruence, which depends only on x mod 2(q+1).  The tests keep a per-x
+`sieve()` reduces every rule once per call to one integer form: a range
+lo <= x < hi, whose ends are least integers at or above bounds, and the set
+of residues of x mod 2(q+1) it fires on (the non-solvable ones of a
+congruence, every one for the other rules).  The tests keep a per-x
 reference that evaluates the same rules on x directly.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import NamedTuple
@@ -268,22 +270,26 @@ RULES = (
 RULES_BY_ID = {r.id: r for r in RULES}
 
 
+def bound_rules() -> list:
+    """(space, id, f) of every lower-bound rule, in `clgeom bounds` order;
+    f(n, k, q) raises GuardViolated outside the rule's guard.  Built per
+    call, so that it holds the functions perfbench's tracer wraps."""
+    return [("PG", "pencil-lift", pencil_lift_bound),
+            ("PG", "ihringer", ihringer_bound),
+            ("PG", "improved-lift", improved_lift_bound),
+            ("PG", "hyperplane-average", hyperplane_average_bound),
+            ("AG", "affine-bound", affine_pencil_bound)]
+
+
 def _lower_bounds(space: str, n: int, k: int, q: int) -> list:
     """(id, bound) of every lower-bound rule whose guard holds; the rule
     excludes each x with 0 < x < bound.  Bounds are exact: a Fraction or a
     _Root."""
-    if space == "AG":
-        if n >= 2 * k + 2:
-            return [("affine-bound", affine_pencil_bound(n, k, q))]
-        return []
     out = []
-    if n >= 3 * k + 3:
-        out.append(("pencil-lift", pencil_lift_bound(n, k, q)))
-        out.append(("improved-lift", improved_lift_bound(n, k, q)))
-    if n >= 3 * k:
-        out.append(("ihringer", ihringer_bound(n, k, q)))
-    if n >= 3 * k + 4:
-        out.append(("hyperplane-average", hyperplane_average_bound(n, k, q)))
+    for rule_space, rid, bound in bound_rules():
+        if rule_space == space:
+            with suppress(GuardViolated):
+                out.append((rid, bound(n, k, q)))
     return out
 
 
@@ -308,8 +314,9 @@ def _congruences(space: str, n: int, k: int, q: int) -> list:
 def _c_interval_bound(space: str, n: int, k: int, q: int):
     """classification_threshold(n, k, q) where the classified interval is
     known, else None; unit-intervals shares the guard."""
-    if space == "PG" and n >= 3 * k + 2:
-        return classification_threshold(n, k, q)
+    if space == "PG":
+        with suppress(GuardViolated):
+            return classification_threshold(n, k, q)
     return None
 
 
@@ -319,36 +326,32 @@ def _small_q_trivial(space: str, n: int, k: int, q: int) -> bool:
 
 
 class _RuleTable:
-    """The rules of one geometry on the integers x >= 0, reduced once to
-    integer thresholds and residue tables, so that `firing` costs only
-    integer comparisons and set lookups."""
+    """The rules of one geometry on the integers x >= 0, each reduced once
+    to the integer form (id, lo, hi, residues): the rule excludes x when
+    lo <= x < hi (hi None: no upper end) and x mod 2(q+1) is in residues.
+    gm-, lines- and affine-modular depend only on x mod 2(q+1); the bounds,
+    c-interval and small-q-trivial hold on every residue."""
 
     def __init__(self, space: str, n: int, k: int, q: int):
-        # gm-, lines- and affine-modular depend only on x mod 2(q+1)
         self.period = 2 * (q + 1)
-        self.congruences = [
-            (rid,
-             frozenset(r for r in range(self.period) if not solvable(r, q)),
-             None if cap is None else _threshold(cap))
+        every = frozenset(range(self.period))
+        self.rules = [
+            (rid, 0, None if cap is None else _threshold(cap),
+             frozenset(r for r in every if not solvable(r, q)))
             for rid, solvable, cap in _congruences(space, n, k, q)]
-        self.bounds = [(rid, _threshold(bound))
+        self.rules += [(rid, 1, _threshold(bound), every)
                        for rid, bound in _lower_bounds(space, n, k, q)]
-        self.bounds_top = max((t for _, t in self.bounds), default=0)
         C = _c_interval_bound(space, n, k, q)
-        self.c_top = 0 if C is None else _threshold(C)
-        self.always = (["small-q-trivial"]
-                       if _small_q_trivial(space, n, k, q) else [])
+        if C is not None:
+            self.rules.append(("c-interval", 2, _threshold(C), every))
+        if _small_q_trivial(space, n, k, q):
+            self.rules.append(("small-q-trivial", 0, None, every))
 
     def firing(self, x: int) -> list:
         """Ids of every rule excluding the non-trivial integer x >= 0."""
         r = x % self.period
-        out = [rid for rid, bad, cap in self.congruences
-               if r in bad and (cap is None or x < cap)]
-        if 0 < x < self.bounds_top:
-            out += [rid for rid, t in self.bounds if x < t]
-        if 2 <= x < self.c_top:
-            out.append("c-interval")
-        return out + self.always
+        return [rid for rid, lo, hi, residues in self.rules
+                if lo <= x and (hi is None or x < hi) and r in residues]
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +429,20 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
     """Classify every integer parameter in range for the given geometry.
 
     x_range = (lo, hi) defaults to (0, X_max) and may reach past X_max;
-    lo < 0 raises GuardViolated.  `dps` is ignored: every decision is exact.
-    It stays for callers written when a working precision was passed, such
-    as the sieve-sweep benchmark's cross-check."""
+    a None end stands for 0 or X_max, and lo < 0 raises GuardViolated.
+    `dps` is ignored: every decision is exact.  It stays for callers
+    written when a working precision was passed, such as the sieve-sweep
+    benchmark's cross-check."""
     space = space.upper()
     check_config(space, n, k, q)
     xm = x_max_param(space, n, k, q)
-    if x_range is None:
-        lo, hi = 0, int(xm)
-    else:
-        lo, hi = x_range
-        if lo > hi:
-            raise GuardViolated("empty x range")
-        if lo < 0:
-            raise GuardViolated("x must be nonnegative")
+    lo, hi = x_range or (None, None)
+    lo = 0 if lo is None else lo
+    hi = int(xm) if hi is None else hi
+    if lo > hi:
+        raise GuardViolated("empty x range")
+    if lo < 0:
+        raise GuardViolated("x must be nonnegative")
     trivial = {int(t) for t in trivial_params(space, n, k, q)
                if t.denominator == 1}
     table = _RuleTable(space, n, k, q)

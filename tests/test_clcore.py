@@ -524,6 +524,24 @@ def test_family_json_validates_schema(tmp_path):
     jsonschema.validate(cc.family_to_dict(fam), schema)
 
 
+@pytest.mark.parametrize("extra", [{"extra": 1}, {"x": "0"},
+                                   {"members2": []}, {"": None}])
+def test_family_unknown_key_refused_by_schema_and_loader(extra):
+    import jsonschema
+    from importlib import resources
+    schema = json.loads(resources.files("clgeom")
+                        .joinpath("schemas/family.schema.json").read_text())
+    base = {"space": "PG", "p": 2, "h": 1, "n": 3, "k": 1, "members": []}
+    jsonschema.validate(base, schema)
+    cc.family_from_dict(base)
+    data = {**base, **extra}
+    (key,) = extra
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, schema)
+    with pytest.raises(FamilyFormatError, match=f"unknown key {key!r}"):
+        cc.family_from_dict(data)
+
+
 def test_family_json_rejects_noncanonical():
     fam = cc.construct_trivial(geometry("PG", 3, 2), 1, "point_pencil")
     d = cc.family_to_dict(fam)

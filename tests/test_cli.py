@@ -80,6 +80,23 @@ def test_bounds_guard_not_met(capsys):
                for l in out.splitlines())
 
 
+# sha256 of the output of `bounds` on every 4th entry of GRID, in order
+BOUNDS_DIGEST = ("1c5a0d815c1c44a44d6ea1003518a3c2"
+                 "4d171255771a63ba6896b7a9d5512cad")
+
+
+def test_bounds_output_pinned_by_digest(capsys):
+    import hashlib
+
+    h = hashlib.sha256()
+    for k, q, n in GRID[::4]:
+        rc, out, _ = run(capsys, "bounds", "-n", str(n), "-k", str(k),
+                         "-q", str(q))
+        assert rc == 0
+        h.update(out.encode())
+    assert h.hexdigest() == BOUNDS_DIGEST
+
+
 def test_sieve_json_and_schema(capsys, tmp_path):
     import jsonschema
     from importlib import resources
@@ -200,30 +217,67 @@ def test_project_rejects_malformed_pi(capsys, tmp_path, pi):
     assert not out_path.exists()
 
 
-def test_verify_drudge_pick_matches_membership_scan(tmp_path):
-    """The CLI draws each drudge point from tau's points in index order, as
-    the scan over every point with point_in_subspace did."""
-    from clgeom import clcore
-    from clgeom.cli import _run_check
-    from clgeom.geometry import geometry, point_in_subspace
+def test_drudge_draws_i_spaces_through_the_point():
+    from clgeom.cli import _draw_flag
+    from clgeom.geometry import geometry
 
-    geom = geometry("PG", 4, 2)
-    pencil = clcore.construct_trivial(geom, 1, "point_pencil")
-    members = sorted(pencil.members)
-    bad = clcore.KFamily(geom, 1, set(members[1:]) | {
-        next(j for j in range(geom.subspace_count(1))
-             if j not in pencil.members)})
-    rng = random.Random(5)
-    expect = []
-    for _ in range(20):
-        tau = geom.subspaces(rng.choice(range(2, 4)))
-        tau = tau[rng.randrange(len(tau))]
-        p = rng.choice([j for j, pt in enumerate(geom.points)
-                        if point_in_subspace(geom.field, pt, tau)])
-        if not clcore.check_drudge_identity(bad, p, tau):
-            expect.append(f"p={p}, tau={tau.mat}")
-    ok, got = _run_check(bad, "drudge", random.Random(5))
-    assert expect and not ok and got == expect
+    rng = random.Random(3)
+    for n, q, k in [(4, 2, 1), (3, 3, 0), (5, 2, 2), (3, 4, 1), (4, 3, 0)]:
+        geom = geometry("PG", n, q)
+        for _ in range(50):
+            i = rng.choice(range(k + 1, n))
+            p, tau = _draw_flag(geom, i, rng)
+            assert k + 1 <= tau.k == i <= n - 1
+            assert geom.subspace_index(i, [tau.mat])[0] >= 0
+            assert p in geom.points_of(tau).tolist()
+
+
+def test_drudge_draw_hits_every_plane_of_pg32():
+    from clgeom.cli import _draw_flag
+    from clgeom.geometry import geometry
+
+    geom = geometry("PG", 3, 2)
+    rng = random.Random(7)
+    taus = [_draw_flag(geom, 2, rng)[1].mat for _ in range(2000)]
+    assert set(geom.subspace_index(2, taus).tolist()) == set(range(15))
+
+
+def test_verify_drudge_fails_a_non_cl_family(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    run(capsys, "construct", "--kind", "point-pencil", "-n", "4", "-k", "1",
+        "-q", "2", "-o", str(path))
+    d = json.loads(path.read_text())
+    # swap one member for a line avoiding the anchor point
+    d["members"][0] = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
+    path.write_text(json.dumps(d))
+    report = tmp_path / "v.json"
+    rc, out, _ = run(capsys, "verify", str(path), "--checks", "drudge",
+                     "--seed", "11", "--json", str(report))
+    assert rc == 1 and out.split() == ["drudge", "FAIL"]
+    (result,) = json.loads(report.read_text())["results"]
+    assert not result["ok"] and result["violations"]
+
+
+def test_default_verify_of_a_pg_3_32_point_family(capsys, tmp_path):
+    """drudge draws lines and planes through a point without enumerating
+    a level: PG(3,32) has 1,083,425 lines, past SUBSPACE_CAP."""
+    path = tmp_path / "f.json"
+    rc, _, _ = run(capsys, "construct", "--kind", "point-pencil", "-n", "3",
+                   "-k", "0", "-q", "32", "-o", str(path))
+    assert rc == 0
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 0 and err == ""
+    assert "drudge       pass" in out.splitlines()
+
+
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_verify_checks_naming_no_check_exits_2(capsys, tmp_path, checks):
+    path = tmp_path / "f.json"
+    run(capsys, "construct", "--kind", "point-pencil", "-n", "3", "-k", "1",
+        "-q", "2", "-o", str(path))
+    rc, out, err = run(capsys, "verify", str(path), "--checks", checks)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --checks names no check")
 
 
 def test_enumerate(capsys):
@@ -382,31 +436,6 @@ def test_bounds_and_sieve_refuse_huge_n_from_exponents(capsys, command, n):
     assert rc == 2 and out == ""
     assert err.startswith("error: config PG,") and "too large" in err
     assert time.perf_counter() - t0 < 1.0
-
-
-def test_verify_drudge_violations_pinned(capsys, tmp_path):
-    """The spaces a seed draws for drudge, pinned as the tuple-level
-    enumeration printed them: the code-array level keeps its order."""
-    path = tmp_path / "f.json"
-    run(capsys, "construct", "--kind", "point-pencil", "-n", "4", "-k", "1",
-        "-q", "2", "-o", str(path))
-    d = json.loads(path.read_text())
-    # swap one member for a line avoiding the anchor point
-    d["members"][0] = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
-    path.write_text(json.dumps(d))
-    report = tmp_path / "v.json"
-    rc, _, _ = run(capsys, "verify", str(path), "--checks", "drudge",
-                   "--seed", "11", "--json", str(report))
-    assert rc == 1
-    (result,) = json.loads(report.read_text())["results"]
-    assert result["violations"] == [
-        "p=3, tau=((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), "
-        "(0, 0, 0, 1, 0))",
-        "p=13, tau=((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))",
-        "p=0, tau=((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))",
-        "p=0, tau=((1, 0, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 0), "
-        "(0, 0, 0, 0, 1))",
-    ]
 
 
 def test_benchmark_tracer_hooks_install(tmp_path):

@@ -329,14 +329,13 @@ def _direct_entry(space, n, k, q, x):
 
 
 def test_rule_table_matches_direct_rules():
-    # every x up to 20 and within 2 of a threshold of the table, or of the
-    # complement of one
+    # every x up to 20 and within 2 of 0 or of the upper end of a rule of
+    # the table, or of the complement of one
     for space, k, q in itertools.product(("PG", "AG"), (1, 2), (2, 3, 4, 7)):
         for n in range(k + 1, 3 * k + 6):
             top = int(x_max_param(space, n, k, q))
             table = _RuleTable(space, n, k, q)
-            cuts = [t for _, t in table.bounds] + [table.c_top] + \
-                [cap for _, _, cap in table.congruences if cap]
+            cuts = [0] + [hi for _, _, hi, _ in table.rules if hi is not None]
             xs = set(range(min(top, 20) + 1))
             for c in cuts + [top - t for t in cuts]:
                 xs |= set(range(max(0, c - 2), min(top, c + 2) + 1))
@@ -344,6 +343,31 @@ def test_rule_table_matches_direct_rules():
                 e = sieve(space, n, k, q, x_range=(x, x)).entry(x)
                 want = _direct_entry(space, n, k, q, x)
                 assert (e.status, e.rules) == want, (space, n, k, q, x)
+
+
+# sha256 of to_json() then to_csv() of every report of
+# test_sieve_reports_pinned_by_digest, in its loop order
+SIEVE_DIGEST = ("a4337b4a8de9fa476b52646d6355bb46"
+                "835147abe1307b4377b14ba28c1c6ae2")
+
+
+def test_sieve_reports_pinned_by_digest():
+    """The JSON and CSV of PG and AG, k <= 3, q <= 9 and eleven n from k+1,
+    each on the first and the last 600 values of its range, byte for byte."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for space in ("PG", "AG"):
+        for k in (1, 2, 3):
+            for q in (2, 3, 4, 5, 7, 8, 9):
+                for n in range(k + 1, k + 12):
+                    top = int(x_max_param(space, n, k, q))
+                    for window in sorted({(0, min(top, 599)),
+                                          (max(0, top - 599), top)}):
+                        r = sieve(space, n, k, q, x_range=window)
+                        h.update(r.to_json().encode())
+                        h.update(r.to_csv().encode())
+    assert h.hexdigest() == SIEVE_DIGEST
 
 
 # -- reports ----------------------------------------------------------------
