@@ -1,8 +1,9 @@
 """Walk through the parameter feasibility sieve.
 
-Shows the lower-bound table for PG(8,7) line classes, then full sieve
-reports for PG(3,3) and AG(3,2): which parameters are trivially realized,
-which are excluded (and by which rules), and which remain open.
+Shows the lower-bound table for PG(8,7) line classes and the runs of its
+full sieve, then full sieve reports for PG(3,3) and AG(3,2): which
+parameters are trivially realized, which are excluded (and by which
+rules), and which remain open.
 """
 
 from clgeom.sieve import (
@@ -13,7 +14,6 @@ from clgeom.sieve import (
     sieve,
     x_max_param,
 )
-
 
 
 def decimal(bound) -> str:
@@ -27,7 +27,15 @@ print(f"PG({n},{q}), k={k}: parameter range [0, {x_max_param('PG', n, k, q)}]")
 print(f"  basic lift bound     {decimal(pencil_lift_bound(n, k, q)):>12s}")
 print(f"  improved lift bound  {decimal(improved_lift_bound(n, k, q)):>12s}")
 print(f"  hyperplane average   {decimal(hyperplane_average_bound(n, k, q)):>12s}")
-print("every nontrivial class must have parameter above the largest bound\n")
+print("every nontrivial class must have parameter above the largest bound")
+full = sieve("PG", n, k, q)
+print(f"the full range, {full.runs[-1].stop} values, is {len(full.runs)} runs "
+      "of equal status and rules:")
+for run in full.runs:
+    (status, rules), = run.labels  # no congruence here: one label a run
+    rules = f"  [{', '.join(rules)}]" if rules else ""
+    print(f"  x in [{run.start}, {run.stop - 1}]  {status}{rules}")
+print()
 
 for space, nn, kk, qq in [("PG", 3, 1, 3), ("AG", 3, 1, 2)]:
     report = sieve(space, nn, kk, qq)

@@ -35,6 +35,8 @@ def _parse_q(value: str) -> int:
     try:
         q = int(value)
         factor_prime_power(q)
+    except GuardViolated as exc:  # too large to decide
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     except (ValueError, ClgeomError) as exc:
         raise argparse.ArgumentTypeError(f"{value!r} is not a prime power") \
             from exc
@@ -95,12 +97,12 @@ def cmd_sieve(args) -> int:
                        x_range=(args.x_min, args.x_max))
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+            fh.writelines(report.iter_json())
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(report.to_csv())
+            fh.writelines(report.iter_csv())
     if not args.json and not args.csv:
-        sys.stdout.write(report.to_csv())
+        sys.stdout.writelines(report.iter_csv())
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
     return 0

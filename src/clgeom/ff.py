@@ -15,6 +15,8 @@ stripped ([] is the zero polynomial).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DivisionByZero, GuardViolated, NotPrime, OrderTooLarge
@@ -26,17 +28,67 @@ MAX_ORDER = 1 << 20
 _TABLE_MAX = 1024
 
 
+# factor_prime_power trial-divides up to _TRIAL_MAX; past it, a q with no
+# smaller prime factor is m^h, and the Miller-Rabin test with the first 13
+# prime bases decides whether m is prime for every m below _MR_LIMIT
+# (Sorenson and Webster, Math. Comp. 2017)
+_TRIAL_MAX = 1 << 20
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _iroot(q: int, h: int) -> int:
+    """floor(q ** (1/h)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // h)
+    while True:
+        s = ((h - 1) * r + q // r ** (h - 1)) // h
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime_mr(m: int) -> bool:
+    """Primality of odd m with _MR_BASES[-1] < m < _MR_LIMIT, exactly."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factor_prime_power(q: int):
-    """Return (p, h) with q = p**h, p prime.  Raises NotPrime otherwise."""
+    """Return (p, h) with q = p**h, p prime.  Raises NotPrime otherwise,
+    and GuardViolated when q has no prime factor up to 2^20 and is the
+    power of an m too large for the Miller-Rabin test to decide."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
+    p = next((p for p in range(2, min(math.isqrt(q), _TRIAL_MAX) + 1)
+              if q % p == 0), None)
+    if p is None and math.isqrt(q) <= _TRIAL_MAX:
+        return q, 1
+    if p is None:
+        # every prime factor exceeds 2^20, so h <= bit_length / 20; the
+        # largest h with an exact root leaves an m that is no power
+        for h in range(q.bit_length() // 20, 0, -1):
+            m = _iroot(q, h)
+            if m ** h == q:
+                break
+        if m >= _MR_LIMIT:
+            raise GuardViolated(f"cannot decide whether {q} is a prime "
+                                f"power: its root {m} exceeds {_MR_LIMIT}")
+        if not _is_prime_mr(m):
+            raise NotPrime(f"{q} is not a prime power")
+        return m, h
     h = 0
     m = q
     while m % p == 0:
@@ -165,12 +217,12 @@ class FieldCtx:
         and then the field is GF(p) itself (d must be 1)."""
         self.tables = self._log = self._exp = None
         if isinstance(base, int):
+            if base > MAX_ORDER:
+                raise OrderTooLarge(f"{base} exceeds maximum order {MAX_ORDER}")
             if factor_prime_power(base) != (base, 1):
                 raise NotPrime(f"{base} is not prime")
             if d != 1:
                 raise GuardViolated("GF(p) is its own base; extend it instead")
-            if base > MAX_ORDER:
-                raise OrderTooLarge(f"{base} exceeds maximum order {MAX_ORDER}")
             self.p = self.q = base
             self.h = self.d = 1
             self.base = self

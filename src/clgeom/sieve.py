@@ -20,15 +20,27 @@ lo <= x < hi, whose ends are least integers at or above bounds, and the set
 of residues of x mod 2(q+1) it fires on (the non-solvable ones of a
 congruence, every one for the other rules).  The tests keep a per-x
 reference that evaluates the same rules on x directly.
+
+So the status and rules of x change only at a few cut points (the ends
+of the rules' ranges, their mirrors under x -> X_max - x, each trivial x,
+and X_max/2), and between two of them only with x mod 2(q+1).  The report
+is stored as runs, each labelled from at most its first 2(q+1) values,
+and a sieve costs O(runs) whatever the number of x: the whole range of
+PG(15,7) k=2 (X_max = 97172311607) is nine runs.  `entries` and
+`entry(x)` build `SieveEntry` objects on demand, and the JSON and CSV are
+written from the runs in pieces, one template per label.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import GuardViolated
@@ -358,6 +370,10 @@ class _RuleTable:
 # report
 # ---------------------------------------------------------------------------
 
+# the most x one piece of `iter_json` or `iter_csv` holds
+_CHUNK = 1 << 14
+
+
 @dataclass
 class SieveEntry:
     x: int
@@ -365,22 +381,55 @@ class SieveEntry:
     rules: list = dc_field(default_factory=list)
 
 
+class SieveRun(NamedTuple):
+    """Consecutive x in [start, stop) whose labels (status, rules), rules a
+    tuple of ids, repeat with period len(labels): x has the label
+    labels[(x - start) % len(labels)]."""
+    start: int
+    stop: int
+    labels: tuple
+
+    def entry(self, x: int) -> SieveEntry:
+        status, rules = self.labels[(x - self.start) % len(self.labels)]
+        return SieveEntry(x, status, list(rules))
+
+
+def _json_tail(status: str, rules: tuple) -> str:
+    """The text of an entry after its x, as json.dumps(..., indent=1)
+    writes it, with the strings escaped by the C encoder."""
+    items = "".join(f"\n    {json.dumps(r)}," for r in rules)
+    return (f',\n   "status": {json.dumps(status)},\n   "rules": '
+            + (f"[{items[:-1]}\n   ]" if items else "[]") + "\n  }")
+
+
+def _csv_tail(status: str, rules: tuple) -> str:
+    return f",{status},{';'.join(rules)}\n"
+
+
 @dataclass
 class SieveReport:
+    """The sieve of consecutive integers x, stored as runs; `entries` and
+    `entry` build `SieveEntry` objects on demand."""
     space: str
     n: int
     k: int
     q: int
     x_max: Fraction
-    entries: list
+    runs: list
     notes: list = dc_field(default_factory=list)
 
+    @property
+    def entries(self) -> list:
+        """The entry of every x in order, built on each call."""
+        return [run.entry(x) for run in self.runs
+                for x in range(run.start, run.stop)]
+
     def entry(self, x: int) -> SieveEntry:
-        """The entry of x; entries hold consecutive x, so this is an index."""
-        i = x - self.entries[0].x if self.entries else -1
-        if not 0 <= i < len(self.entries):
+        """The entry of x, from the run holding it."""
+        i = bisect_right(self.runs, x, key=attrgetter("start")) - 1
+        if i < 0 or x >= self.runs[i].stop:
             raise KeyError(x)
-        return self.entries[i]
+        return self.runs[i].entry(x)
 
     def _json_head(self) -> dict:
         return {
@@ -394,34 +443,48 @@ class SieveReport:
                 "entries": [{"x": e.x, "status": e.status, "rules": e.rules}
                             for e in self.entries]}
 
-    def to_json(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=1) + "\\n", byte for byte.
+    def _iter_entries(self, pre: str, tail, sep: str):
+        """pre + str(x) + tail(*label of x) for every x, joined by sep, in
+        pieces of at most _CHUNK x; tail is called once per distinct
+        label."""
+        tail = cache(tail)
+        first = True
+        for run in self.runs:
+            tails = [tail(*label) for label in run.labels]
+            m = len(tails)
+            for a in range(run.start, run.stop, _CHUNK):
+                xs = range(a, min(a + _CHUNK, run.stop))
+                if m == 1:  # one join over the x, in C
+                    text = pre + (tails[0] + sep + pre).join(map(str, xs)) \
+                        + tails[0]
+                else:
+                    text = sep.join(f"{pre}{x}{tails[(x - run.start) % m]}"
+                                    for x in xs)
+                yield text if first else sep + text
+                first = False
 
-        The indenting encoder is pure Python, so the entries are written
-        into the same frame from one template per (status, rules), with
-        the strings escaped by the C encoder."""
+    def iter_json(self):
+        """The pieces of `to_json`, each of at most _CHUNK entries."""
         head = json.dumps({**self._json_head(), "entries": []}, indent=1)
-        if not self.entries:
-            return head + "\n"
-        tails: dict = {}
-        parts = []
-        for e in self.entries:
-            key = (e.status, *e.rules)
-            tail = tails.get(key)
-            if tail is None:
-                rules = "".join(f"\n    {json.dumps(r)}," for r in e.rules)
-                tail = tails[key] = (
-                    f',\n   "status": {json.dumps(e.status)},\n   "rules": '
-                    + (f"[{rules[:-1]}\n   ]" if rules else "[]") + "\n  }")
-            parts.append(f'  {{\n   "x": {e.x}{tail}')
-        # head ends in "[]\n}"
-        return f"{head[:-4]}[\n" + ",\n".join(parts) + "\n ]\n}\n"
+        if not self.runs:
+            yield head + "\n"
+            return
+        yield f"{head[:-4]}[\n"  # head ends in "[]\n}"
+        yield from self._iter_entries('  {\n   "x": ', _json_tail, ",\n")
+        yield "\n ]\n}\n"
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=1) + "\\n", byte for byte,
+        written from one template per (status, rules)."""
+        return "".join(self.iter_json())
+
+    def iter_csv(self):
+        """The pieces of `to_csv`, each of at most _CHUNK rows."""
+        yield "x,status,rules\n"
+        yield from self._iter_entries("", _csv_tail, "")
 
     def to_csv(self) -> str:
-        lines = ["x,status,rules"]
-        for e in self.entries:
-            lines.append(f"{e.x},{e.status},{';'.join(e.rules)}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.iter_csv())
 
 
 def sieve(space: str, n: int, k: int, q: int, x_range=None,
@@ -432,7 +495,12 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
     a None end stands for 0 or X_max, and lo < 0 raises GuardViolated.
     `dps` is ignored: every decision is exact.  It stays for callers
     written when a working precision was passed, such as the sieve-sweep
-    benchmark's cross-check."""
+    benchmark's cross-check.
+
+    The label of x changes only at the cut points below, and between two
+    of them only with x mod 2(q+1), which fixes the complement's residue
+    too.  So each run between cut points is labelled from its first
+    2(q+1) values, and the cost grows with the number of runs, not of x."""
     space = space.upper()
     check_config(space, n, k, q)
     xm = x_max_param(space, n, k, q)
@@ -447,19 +515,35 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
                if t.denominator == 1}
     table = _RuleTable(space, n, k, q)
     top = int(xm) if xm.denominator == 1 else None  # complements are integers
-    entries = []
-    for x in range(lo, hi + 1):
+
+    def label(x: int) -> tuple:
         if x in trivial:
-            entries.append(SieveEntry(x, "TRIVIAL"))
-            continue
+            return "TRIVIAL", ()
         ids = table.firing(x)
         if top is not None and top - x >= 0 and top - x != x:
             ids += [r + "[complement]" for r in table.firing(top - x)]
         ids = sorted(set(ids))
-        entries.append(SieveEntry(x, "EXCLUDED" if ids else "OPEN", ids))
+        return ("EXCLUDED" if ids else "OPEN"), tuple(ids)
+
+    # the ends of every rule's range, each trivial x and the x after it;
+    # for the complement top - x, the mirrors of the ends, top + 1 (past
+    # which there is none) and top / 2 (where it is x itself)
+    ends = {c for _, a, b, _ in table.rules for c in (a, b) if c is not None}
+    cuts = ends | trivial | {t + 1 for t in trivial}
+    if top is not None:
+        cuts |= {top - c + 1 for c in ends} | {top + 1, top // 2, top // 2 + 1}
+    cuts = sorted({lo, hi + 1} | {c for c in cuts if lo < c <= hi})
+    runs = []
+    for a, b in zip(cuts, cuts[1:]):
+        labels = tuple(map(label, range(a, min(b, a + table.period))))
+        if len(set(labels)) == 1:
+            labels = labels[:1]
+            if runs and runs[-1].labels == labels:
+                a = runs.pop().start
+        runs.append(SieveRun(a, b, labels))
     notes = []
     if space == "PG" and (n - k) % 2 == 0:
         notes.append("n-k even: nontrivial parameters below "
                      "(q^(n-k)-1)/(q^(k+1)-1) are integers; integer scan "
                      "covers that regime completely")
-    return SieveReport(space, n, k, q, xm, entries, notes)
+    return SieveReport(space, n, k, q, xm, runs, notes)

@@ -1,9 +1,11 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -436,6 +438,42 @@ def test_bounds_and_sieve_refuse_huge_n_from_exponents(capsys, command, n):
     assert rc == 2 and out == ""
     assert err.startswith("error: config PG,") and "too large" in err
     assert time.perf_counter() - t0 < 1.0
+
+
+class _Late(Exception):
+    pass
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise _Late in the body once `seconds` of wall time have passed, so
+    that a slow route fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise _Late(f"over {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_bounds_answers_a_prime_near_1e14_fast(capsys):
+    # 100000000000031 has no factor up to 2^20, so Miller-Rabin decides it
+    with _deadline(0.5):
+        rc, out, _ = run(capsys, "bounds", "-n", "3", "-k", "1",
+                         "-q", "100000000000031")
+    assert rc == 0 and out.startswith("X_max = ")
+
+
+def test_bounds_refuses_a_30_digit_prime_fast(capsys):
+    # past 3.3e24 the Miller-Rabin bases prove nothing, so q is refused
+    with _deadline(1.0):
+        rc, out, err = run(capsys, "bounds", "-n", "3", "-k", "1",
+                           "-q", str(10 ** 29 + 319))
+    assert rc == 2 and out == ""
+    assert "cannot decide" in err
 
 
 def test_benchmark_tracer_hooks_install(tmp_path):

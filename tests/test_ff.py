@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clgeom import ff
-from clgeom.errors import DivisionByZero, NotPrime, OrderTooLarge
-from clgeom.ff import factor_prime_power, ff_create, ff_extend
+from clgeom.errors import DivisionByZero, GuardViolated, NotPrime, OrderTooLarge
+from clgeom.ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 
 
 def test_factor_prime_power():
@@ -17,6 +17,29 @@ def test_factor_prime_power():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(NotPrime):
             factor_prime_power(bad)
+
+
+def test_factor_prime_power_past_trial_division():
+    # primes and prime powers with no factor up to 2^20, decided by
+    # Miller-Rabin on the exact h-th root
+    big = 1048583  # the least prime above 2^20
+    assert factor_prime_power(big ** 2) == (big, 2)
+    assert factor_prime_power(big ** 3) == (big, 3)
+    assert factor_prime_power(100000000000031) == (100000000000031, 1)
+    assert factor_prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+    assert factor_prime_power((2 ** 61 - 1) ** 2) == (2 ** 61 - 1, 2)
+    for bad in (big * 1048589, big ** 2 * 1048589, 10 ** 29 + 1):
+        with pytest.raises(NotPrime):
+            factor_prime_power(bad)
+    # a prime root past the Miller-Rabin bound is refused, not looped on
+    with pytest.raises(GuardViolated):
+        factor_prime_power(10 ** 29 + 319)
+
+
+def test_prime_field_checks_order_before_factoring():
+    # factoring first would raise GuardViolated for this prime
+    with pytest.raises(OrderTooLarge):
+        FieldCtx(10 ** 29 + 319)
 
 
 def test_order_cap():

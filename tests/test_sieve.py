@@ -1,9 +1,13 @@
+import importlib
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,8 +17,8 @@ import pytest
 from clgeom.errors import GuardViolated
 from clgeom.sieve import (
     RULES_BY_ID,
-    SieveEntry,
     SieveReport,
+    SieveRun,
     _Root,
     _RuleTable,
     _below,
@@ -345,6 +349,65 @@ def test_rule_table_matches_direct_rules():
                 assert (e.status, e.rules) == want, (space, n, k, q, x)
 
 
+def test_runs_match_direct_rules_near_every_boundary():
+    """Seeded sample of PG and AG, k <= 3, q <= 9: every x within P + 2 of
+    a run boundary or a rule's end, or of the mirror of either, or of
+    X_max/2, where P = 2(q+1), has the entry of the per-x rules.  The
+    report reaches P + 2 past X_max.  PG(5,3) k=2 is always in: X_max = 28
+    is even and small-q-trivial fires on both sides of 14."""
+    grid = [(space, n, k, q) for space in ("PG", "AG") for k in (1, 2, 3)
+            for q in (2, 3, 4, 5, 7, 8, 9) for n in range(k + 1, k + 12)]
+    checked = 0
+    for space, n, k, q in sorted({("PG", 5, 2, 3),
+                                  *random.Random(14).sample(grid, 80)}):
+        period = 2 * (q + 1)
+        top = int(x_max_param(space, n, k, q))
+        end = top + period + 2
+        r = sieve(space, n, k, q, x_range=(0, end))
+        assert r.runs[0].start == 0 and r.runs[-1].stop == end + 1
+        assert all(a.stop == b.start for a, b in zip(r.runs, r.runs[1:]))
+        cuts = {run.start for run in r.runs}
+        cuts |= {c for _, lo, hi, _ in _RuleTable(space, n, k, q).rules
+                 for c in (lo, hi) if c is not None}
+        xs = set()
+        for c in cuts | {top - c for c in cuts} | {top // 2}:
+            xs |= set(range(max(0, c - period - 2),
+                            min(end, c + period + 2) + 1))
+        for x in sorted(xs):
+            e = r.entry(x)
+            assert (e.status, e.rules) == _direct_entry(space, n, k, q, x), \
+                (space, n, k, q, x)
+        checked += len(xs)
+    assert checked > 10000
+
+
+def test_whole_range_of_pg157_k2_builds_no_entry(monkeypatch):
+    # X_max = 97172311607: the run form is the only way to sieve it
+    def refuse(*args):
+        raise AssertionError("a SieveEntry was built")
+
+    # the package's `sieve` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("clgeom.sieve"),
+                        "SieveEntry", refuse)
+    t0 = time.perf_counter()
+    r = sieve("PG", 15, 2, 7)
+    assert time.perf_counter() - t0 < 1.0
+    assert int(r.x_max) == 97172311607
+    assert len(r.runs) < 100
+    assert r.runs[0].start == 0 and r.runs[-1].stop == int(r.x_max) + 1
+
+
+def test_full_range_sieve_of_pg87_stays_small():
+    tracemalloc.start()
+    try:
+        r = sieve("PG", 8, 1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.runs[-1].stop == 840701
+    assert peak < 5 * 2 ** 20, peak
+
+
 # sha256 of to_json() then to_csv() of every report of
 # test_sieve_reports_pinned_by_digest, in its loop order
 SIEVE_DIGEST = ("a4337b4a8de9fa476b52646d6355bb46"
@@ -468,8 +531,8 @@ def test_to_json_matches_indented_dumps():
                sieve("PG", 8, 1, 7, x_range=(0, 400)),
                SieveReport("PG", 3, 1, 2, F(5), []),
                SieveReport("AG", 2, 1, 3, F(9), [
-                   SieveEntry(3, "OPEN", ['a"b', "\u00e9"]),
-                   SieveEntry(4, "OPEN", [])])]
+                   SieveRun(3, 5, (("OPEN", ('a"b', "\u00e9")),
+                                   ("OPEN", ())))])]
     rules = [r for rep in reports for e in rep.entries for r in e.rules]
     assert any(r.endswith("[complement]") for r in rules)
     assert any(not e.rules for rep in reports for e in rep.entries)
@@ -509,7 +572,8 @@ def test_malformed_config():
 
 def test_entry_lookup():
     r = sieve("PG", 3, 1, 3, x_range=(2, 8))
-    assert r.entry(2) is r.entries[0] and r.entry(8) is r.entries[-1]
+    for x in range(2, 9):
+        assert r.entry(x) == r.entries[x - 2]
     for miss in (1, 9):
         with pytest.raises(KeyError):
             r.entry(miss)
