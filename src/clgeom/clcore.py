@@ -1,12 +1,13 @@
 """Cameron-Liebler k-set families: decision, constructions, transforms,
 and brute-force verification of every counting identity.
 
-A family is a set of k-space indices into its geometry's enumeration.  The
-CL decision tests whether the 0/1 characteristic vector lies in the rational
-row space of the point-(k-space) incidence matrix P.  Points and k-spaces
-form a 2-design, so P P^T = (r-lambda) I + lambda J and the test is a
-closed-form integer identity over the geometry's point table (see
-``is_cl``); no rational matrix is built.
+A family is the ascending array of its members' indices into its geometry's
+enumeration, and every route reads that array.  The CL decision tests whether
+its 0/1 characteristic vector lies in the rational row space of the
+point-(k-space) incidence matrix P.  Points and k-spaces form a 2-design, so
+P P^T = (r-lambda) I + lambda J and the test is a closed-form integer
+identity over the geometry's point table (see ``is_cl``); no rational
+matrix is built.
 
 Every route here reads incidence from the point table, and the points of
 other subspaces from ``Geometry.points_of``.  The transforms read each
@@ -66,22 +67,33 @@ from .sieve import x_max_param
 # ---------------------------------------------------------------------------
 
 class KFamily:
-    """An immutable set of k-spaces of a geometry, with exact parameter."""
+    """An immutable set of k-spaces of a geometry, with exact parameter,
+    stored once as ``indices``: their positions in ``geom.subspaces(k)``,
+    a read-only ascending int64 array.  ``members`` (a frozenset), ``chi``
+    (the 0/1 vector over the k-spaces) and ``size`` are derived from it."""
 
     def __init__(self, geom: Geometry, k: int, members):
         self.geom = geom
         self.k = k
-        self.members = frozenset(int(m) for m in members)
-        count = geom.subspace_count(k)
-        if self.members and (min(self.members) < 0 or max(self.members) >= count):
+        try:
+            idx = np.sort(members.astype(np.int64, copy=False)
+                          if isinstance(members, np.ndarray)
+                          else np.fromiter(members, dtype=np.int64))
+        except OverflowError:
+            raise ValueError("member index out of range") from None
+        if len(idx) and (idx[0] < 0 or int(idx[-1]) >= geom.subspace_count(k)):
             raise ValueError("member index out of range")
-        self._chi = None
-        self._rows = None
+        self.indices = idx[np.diff(idx, prepend=-1) != 0]  # drop repeats
+        self.indices.setflags(write=False)
         self._profile = None
 
     @property
+    def members(self) -> frozenset:
+        return frozenset(self.indices.tolist())
+
+    @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.indices)
 
     @property
     def x(self) -> Fraction:
@@ -90,21 +102,19 @@ class KFamily:
 
     @property
     def chi(self) -> np.ndarray:
-        if self._chi is None:
-            v = np.zeros(self.geom.subspace_count(self.k), dtype=np.uint8)
-            v[list(self.members)] = 1
-            v.setflags(write=False)
-            self._chi = v
-        return self._chi
+        v = np.zeros(self.geom.subspace_count(self.k), dtype=np.uint8)
+        v[self.indices] = 1
+        v.setflags(write=False)
+        return v
 
     def __eq__(self, other):
         return (isinstance(other, KFamily)
                 and self.geom.key == other.geom.key
                 and self.k == other.k
-                and self.members == other.members)
+                and np.array_equal(self.indices, other.indices))
 
     def __hash__(self):
-        return hash((self.geom.key, self.k, self.members))
+        return hash((self.geom.key, self.k, self.indices.tobytes()))
 
     def __repr__(self):
         return (f"KFamily({self.geom!r}, k={self.k}, size={self.size}, "
@@ -152,11 +162,9 @@ def is_cl(F: KFamily) -> CLReport:
     # 0 < k < n, r*theta*N = v*r^2 <= N^3 <= 10^18 below SUBSPACE_CAP; for
     # k = 0 and k = n it is v.
     assert r * theta * nblocks < 2 ** 63
-    members = np.fromiter(F.members, dtype=np.intp, count=F.size)
-    a = np.bincount(table[members].ravel(), minlength=v)  # P chi
-    b = a[table].sum(axis=1)                               # P^T P chi
-    chi = np.zeros(nblocks, dtype=np.int64)
-    chi[members] = 1
+    a = np.bincount(table[F.indices].ravel(), minlength=v)  # P chi
+    b = a[table].sum(axis=1)                                 # P^T P chi
+    chi = F.chi.astype(np.int64)
     ok = np.array_equal(r * b - lam * theta * F.size, r * (r - lam) * chi)
     x = F.x
     assert 0 <= x <= x_max_param(geom.kind, geom.n, F.k, geom.q)
@@ -192,15 +200,15 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
         if H.k != geom.n - 1:
             raise AnchorInvalid(
                 f"anchor of dimension {H.k} is no hyperplane of {geom!r}")
-        pencil = set()
+        pencil = np.empty(0, dtype=np.int64)
         if kind == "pencil_plus_hyperplane":
             p_idx = _resolve_point(geom, point)
             if p_idx in geom.points_of(H):
                 raise AnchorInvalid("anchor point lies in the anchor hyperplane")
-            pencil = set(_pencil(geom, k, p_idx))
+            pencil = _pencil(geom, k, p_idx)
         cls = _indices_inside(geom, k, H)
-        assert not pencil & cls
-        fam = KFamily(geom, k, pencil | cls)
+        fam = KFamily(geom, k, np.concatenate((pencil, cls)))
+        assert fam.size == len(pencil) + len(cls), "pencil meets the class"
     else:
         raise AnchorInvalid(f"unknown trivial kind {kind!r}")
     if complement_of:
@@ -224,14 +232,14 @@ def _resolve_point(geom: Geometry, point) -> int:
     return idx
 
 
-def _pencil(geom: Geometry, k: int, p_idx: int):
+def _pencil(geom: Geometry, k: int, p_idx: int) -> np.ndarray:
     """Indices of the k-spaces through point p_idx, read off the point table."""
-    return np.flatnonzero((geom.point_table(k) == p_idx).any(axis=1)).tolist()
+    return np.flatnonzero((geom.point_table(k) == p_idx).any(axis=1))
 
 
-def _indices_inside(geom: Geometry, k: int, outer: Subspace):
+def _indices_inside(geom: Geometry, k: int, outer: Subspace) -> np.ndarray:
     inside = (_positions(geom, outer) >= 0)[geom.point_table(k)].all(axis=1)
-    return set(np.flatnonzero(inside).tolist())
+    return np.flatnonzero(inside)
 
 
 def _positions(geom: Geometry, sub: Subspace) -> np.ndarray:
@@ -244,37 +252,29 @@ def _positions(geom: Geometry, sub: Subspace) -> np.ndarray:
     return pos
 
 
-def _member_rows(F: KFamily) -> np.ndarray:
-    """The point-table rows of F's members in ascending order, cached on F."""
-    if F._rows is None:
-        rows = F.geom.point_table(F.k)[np.flatnonzero(F.chi)]
-        rows.setflags(write=False)
-        F._rows = rows
-    return F._rows
-
-
 # ---------------------------------------------------------------------------
 # set algebra
 # ---------------------------------------------------------------------------
 
 def complement(F: KFamily) -> KFamily:
     total = F.geom.subspace_count(F.k)
-    return KFamily(F.geom, F.k, set(range(total)) - F.members)
+    return KFamily(F.geom, F.k, np.delete(np.arange(total), F.indices))
 
 
 def union_disjoint(F: KFamily, G: KFamily) -> KFamily:
     _same_space(F, G)
-    if F.members & G.members:
+    if np.isin(F.indices, G.indices, assume_unique=True).any():
         raise NotDisjoint("families share members")
-    return KFamily(F.geom, F.k, F.members | G.members)
+    return KFamily(F.geom, F.k, np.concatenate((F.indices, G.indices)))
 
 
 def difference(F: KFamily, G: KFamily) -> KFamily:
     """G \\ F for F ⊆ G."""
     _same_space(F, G)
-    if not F.members <= G.members:
+    keep = np.isin(G.indices, F.indices, assume_unique=True, invert=True)
+    if G.size - np.count_nonzero(keep) != F.size:
         raise NotContained("first family not contained in the second")
-    return KFamily(F.geom, F.k, G.members - F.members)
+    return KFamily(F.geom, F.k, G.indices[keep])
 
 
 def _same_space(F: KFamily, G: KFamily):
@@ -296,7 +296,7 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     sub_geom = geometry("PG", i, geom.q)
     pos = _positions(geom, pi)
-    rows = _member_rows(F)
+    rows = geom.point_table(F.k)[F.indices]
     inside = (pos >= 0)[rows].all(axis=1)
     out = _blocks_of(sub_geom, F.k, pos[rows[inside]])
     assert (out >= 0).all()
@@ -314,7 +314,7 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
-    rows = _member_rows(F)
+    rows = geom.point_table(F.k)[F.indices]
     in_pi = _positions(geom, pi) >= 0
     # member rows hold distinct points, so pi lies in those holding all of it
     through = in_pi[rows].sum(axis=1) == in_pi.sum()
@@ -373,10 +373,10 @@ def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
     perm = geom.subspace_index(0, images)
     assert (perm >= 0).all()
     ag = geometry("AG", geom.n, geom.q)
-    out = _blocks_of(ag, F.k, perm[_member_rows(F)])
+    out = _blocks_of(ag, F.k, perm[geom.point_table(F.k)[F.indices]])
     inside = np.flatnonzero(out < 0)
     if len(inside):
-        raise MemberInsideHyperplane(int(np.flatnonzero(F.chi)[inside[0]]))
+        raise MemberInsideHyperplane(int(F.indices[inside[0]]))
     return KFamily(ag, F.k, out)
 
 
@@ -386,8 +386,7 @@ def ag_to_pg(F: KFamily) -> KFamily:
         raise GuardViolated("ag_to_pg expects an affine family")
     ag = F.geom
     pg = ag.closure()
-    out = pg.subspace_index(F.k,
-                            ag.subspaces(F.k).codes[np.flatnonzero(F.chi)])
+    out = pg.subspace_index(F.k, ag.subspaces(F.k).codes[F.indices])
     assert (out >= 0).all()
     return KFamily(pg, F.k, out)
 
@@ -451,10 +450,10 @@ def _pair_profile(F: KFamily) -> np.ndarray:
         geom, k = F.geom, F.k
         table = geom.point_table(k)
         if 2 * F.size > len(table):
-            every = _meets(geom, k, table, table[:1]).sum(axis=0)
-            prof = every - _meets(geom, k, table, table[F.chi == 0])
+            rest = _meets(geom, k, table, np.delete(table, F.indices, 0))
+            prof = _meets(geom, k, table, table[:1]).sum(axis=0) - rest
         else:
-            prof = _meets(geom, k, table, table[F.chi == 1])
+            prof = _meets(geom, k, table, table[F.indices])
         prof.setflags(write=False)
         F._profile = prof
     return F._profile
@@ -545,7 +544,7 @@ def check_affine_line(F: KFamily) -> CheckReport:
         F, _pair_profile(F)[:, 0], (x * factor, (x - 1) * factor))]
     # the second RREF row of an affine line is its direction, the point
     # at infinity of its closure
-    directions = geom.subspaces(1).codes[np.flatnonzero(F.chi), 1]
+    directions = geom.subspaces(1).codes[F.indices, 1]
     through = Counter(map(tuple, directions.tolist()))
     for pt in geom.infinite_points():
         if through[pt] != x:
@@ -566,7 +565,7 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     i = tau.k
     if i < k + 1:
         raise GuardViolated("tau must have dimension >= k+1")
-    rows = _member_rows(F)
+    rows = geom.point_table(k)[F.indices]
     through_p = (rows == p_idx).any(axis=1)
     inside = in_tau[rows].all(axis=1)
     a, b, c = (int(m.sum()) for m in (through_p, inside, through_p & inside))
@@ -603,7 +602,7 @@ def _aid_value(F: KFamily, K: int, t: int) -> Fraction:
     pairs = sum(int(prof[d + 1]) * gauss_binom(n - 2 * k + d, t - 2 * k + d, q)
                 for d in range(-1, k + 1))
     total = Fraction(pairs, gauss_binom(t, k, q))
-    chi = 1 if K in F.members else 0
+    chi = int(K in F.indices)
     return (total - gauss_binom(n - k, t - k, q) * chi) \
         / gauss_binom(n - k - 1, t - k - 1, q) + chi
 
@@ -619,7 +618,7 @@ def find_skew_space(F: KFamily):
     table, upper = geom.point_table(k), geom.point_table(k + 1)
     # the (k+1)-spaces holding no member; the k-spaces inside one of them,
     # none of which is a member
-    free = np.flatnonzero(_meets(geom, k, upper, table[F.chi == 1])[:, -1] == 0)
+    free = np.flatnonzero(_meets(geom, k, upper, table[F.indices])[:, -1] == 0)
     inside = np.flatnonzero(_meets(geom, k, table, upper[free])[:, -1])
     if not len(inside):
         return None
@@ -633,9 +632,9 @@ def check_pencil_propagation(F: KFamily, pi: Subspace) -> bool:
     pencil of p."""
     R = restrict(F, pi)
     sub_geom = R.geom
-    if not R.members:
+    if not R.size:
         raise PreconditionNotMet("restriction is empty")
-    rows = sub_geom.point_table(R.k)[np.flatnonzero(R.chi)]
+    rows = sub_geom.point_table(R.k)[R.indices]
     common = np.flatnonzero(
         np.bincount(rows.ravel(), minlength=sub_geom.num_points) == len(rows))
     if not len(common):
@@ -661,7 +660,7 @@ def _family_head(F: KFamily) -> dict:
 
 
 def family_to_dict(F: KFamily) -> dict:
-    codes = F.geom.subspaces(F.k).codes[np.flatnonzero(F.chi)]
+    codes = F.geom.subspaces(F.k).codes[F.indices]
     return {**_family_head(F), "members": codes.tolist()}
 
 
@@ -672,7 +671,7 @@ def family_json(F: KFamily) -> str:
     json.dumps with no members, and every member through one %-template
     of its (k+1)(n+1) codes, one per line in that encoder's layout."""
     head = json.dumps({**_family_head(F), "members": []}, indent=1)
-    codes = F.geom.subspaces(F.k).codes[np.flatnonzero(F.chi)]
+    codes = F.geom.subspaces(F.k).codes[F.indices]
     if not len(codes):
         return head + "\n"
     _, r, ncols = codes.shape
@@ -761,6 +760,12 @@ def family_from_dict(data: dict) -> KFamily:
     if members is not None:
         found = geom.subspace_index(k, members)
         if (found >= 0).all():
+            order = np.argsort(found, kind="stable")
+            repeats = order[1:][found[order[1:]] == found[order[:-1]]]
+            if len(repeats):
+                j = int(repeats.min())
+                first = int(np.flatnonzero(found == found[j])[0])
+                raise FamilyFormatError(f"member {j}: repeats member {first}")
             return KFamily(geom, k, found)
     # some member is malformed or no k-space: the sequential check names
     # the first such member

@@ -26,7 +26,7 @@ from .sieve import (
 )
 from .errors import ClgeomError, GuardViolated
 from .ff import factor_prime_power
-from .geometry import field_reduction_spread, geometry, make_subspace
+from .geometry import _CHUNK, field_reduction_spread, geometry, make_subspace
 
 DEFAULT_SEED = 2024
 
@@ -128,7 +128,7 @@ def cmd_construct(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        print(f"wrote {args.output}: {len(fam.members)} members, x = {fam.x}")
+        print(f"wrote {args.output}: {fam.size} members, x = {fam.x}")
     else:
         sys.stdout.write(text)
     return 0
@@ -284,8 +284,9 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(len(subs))
         return 0
-    for s in subs:
-        print(json.dumps([list(r) for r in s.mat]))
+    for lo in range(0, len(subs), _CHUNK):
+        for mat in subs.codes[lo:lo + _CHUNK].tolist():
+            print(json.dumps(mat))
     return 0
 
 

@@ -425,7 +425,7 @@ def test_pg_ag_nondefault_hyperplane():
     geom = geometry("PG", 3, 2)
     # hyperplane X3 = 0
     H = make_subspace([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], geom.field)
-    cls = cc._indices_inside(geom, 1, H)
+    cls = set(cc._indices_inside(geom, 1, H).tolist())
     fam = cc.KFamily(geom, 1, set(range(geom.subspace_count(1))) - cls)
     aff = cc.pg_to_ag(fam, H=H)
     assert aff.size == fam.size
@@ -441,7 +441,7 @@ def test_pg_to_ag_matches_rank_transform_on_every_hyperplane(n, q):
     geom = geometry("PG", n, q)
     lines = set(range(geom.subspace_count(1)))
     for H in geom.subspaces(n - 1):
-        inside = cc._indices_inside(geom, 1, H)
+        inside = set(cc._indices_inside(geom, 1, H).tolist())
         off = cc.KFamily(geom, 1, lines - inside)
         assert cc.pg_to_ag(off, H=H) == pg_to_ag_oracle(off, H=H)
         mixed = cc.KFamily(geom, 1, set(list(lines - inside)[:3])
@@ -993,3 +993,208 @@ def test_family_json_is_indented_dumps(make, tmp_path):
     cc.save_family(fam, str(path))
     assert path.read_text() == want
     assert cc.load_family(str(path)) == fam
+
+
+# -- the index array against Python set algebra ------------------------------
+
+ARRAY_GEOMS = [("PG", 3, 2, 1), ("PG", 4, 2, 2), ("PG", 3, 3, 0),
+               ("PG", 3, 4, 1), ("AG", 3, 3, 1), ("AG", 3, 2, 2)]
+
+
+def trivial_members_by_sets(geom, k, kind, point):
+    """The members of a trivial family by Python set algebra over the rows
+    of the point table (the default hyperplane is X0 = 0)."""
+    rows = [set(row) for row in geom.point_table(k).tolist()]
+    pencil = {j for j, row in enumerate(rows) if point in row}
+    in_h = {i for i, p in enumerate(geom.points) if p[0] == 0}
+    cls = {j for j, row in enumerate(rows) if row <= in_h}
+    return {"empty": set(), "point_pencil": pencil, "hyperplane_class": cls,
+            "pencil_plus_hyperplane": pencil | cls}[kind]
+
+
+@pytest.mark.parametrize("space,n,q,k", ARRAY_GEOMS)
+def test_trivial_families_match_set_algebra(space, n, q, k):
+    geom = geometry(space, n, q)
+    everything = set(range(geom.subspace_count(k)))
+    point = _off_hyperplane_point(geom)
+    kinds = ["empty", "point_pencil"]
+    if space == "PG":
+        kinds += ["hyperplane_class", "pencil_plus_hyperplane"]
+    for kind in kinds:
+        want = trivial_members_by_sets(geom, k, kind, point)
+        fam = cc.construct_trivial(geom, k, kind, point=point)
+        assert fam.members == want and fam.size == len(want)
+        co = cc.construct_trivial(geom, k, kind, point=point,
+                                  complement_of=True)
+        assert co.members == everything - want
+        assert co == cc.complement(fam)
+
+
+@pytest.mark.parametrize("space,n,q,k", ARRAY_GEOMS)
+def test_set_algebra_matches_python_sets(space, n, q, k):
+    geom = geometry(space, n, q)
+    total = geom.subspace_count(k)
+    everything = set(range(total))
+    rng = random.Random(f"array/{space}{n}{q}{k}")
+    for _ in range(20):
+        a = set(rng.sample(range(total), rng.randint(0, total)))
+        b = set(rng.sample(range(total), rng.randint(0, total)))
+        A, B = cc.KFamily(geom, k, a), cc.KFamily(geom, k, b)
+        assert cc.complement(A).members == everything - a
+        assert cc.complement(cc.complement(A)) == A
+        rest = cc.KFamily(geom, k, b - a)
+        assert cc.union_disjoint(A, rest).members == a | b
+        assert cc.union_disjoint(rest, A).members == a | b
+        assert cc.difference(A, cc.union_disjoint(A, rest)).members == b - a
+        if a & b:
+            with pytest.raises(NotDisjoint):
+                cc.union_disjoint(A, B)
+        else:
+            assert cc.union_disjoint(A, B).members == a | b
+        if a <= b:
+            assert cc.difference(A, B).members == b - a
+        else:
+            with pytest.raises(NotContained):
+                cc.difference(A, B)
+
+
+def test_family_from_any_iterable_compares_and_hashes_equal():
+    geom = geometry("PG", 3, 2)
+    want = {2, 3, 5, 8, 13}
+    fams = [cc.KFamily(geom, 1, sorted(want)),
+            cc.KFamily(geom, 1, set(want)),
+            cc.KFamily(geom, 1, (m for m in want)),
+            cc.KFamily(geom, 1, [13, 8, 5, 3, 2]),
+            cc.KFamily(geom, 1, np.array([13, 2, 8, 5, 3], dtype=np.int32)),
+            cc.KFamily(geom, 1, [8, 2, 13, 3, 3, 5, 2, 8, 8])]
+    for fam in fams:
+        assert fam == fams[0] and hash(fam) == hash(fams[0])
+        assert fam.members == want and fam.size == 5
+        assert fam.x == Fraction(5, 7)
+        assert fam.indices.tolist() == sorted(want)
+        assert fam.indices.dtype == np.int64
+        assert not fam.indices.flags.writeable
+        assert np.flatnonzero(fam.chi).tolist() == sorted(want)
+    span = cc.KFamily(geom, 1, range(2, 14))
+    assert span == cc.KFamily(geom, 1, np.arange(13, 1, -1, dtype=np.int32))
+    assert hash(span) == hash(cc.KFamily(geom, 1, list(range(2, 14))))
+    assert span.members == set(range(2, 14))
+    assert fams[0] != span and fams[0] != cc.KFamily(geom, 2, sorted(want))
+    assert cc.KFamily(geom, 1, ()) == cc.KFamily(geom, 1, np.array([], int))
+    # the family keeps its own copy of an array argument
+    arr = np.array([1, 4])
+    fam = cc.KFamily(geom, 1, arr)
+    arr[0] = 9
+    assert fam.members == {1, 4}
+
+
+@pytest.mark.parametrize("members", [
+    [-1], [0, 35], [2 ** 70], (m for m in (3, -4)), np.array([35]),
+    np.array([-1], dtype=np.int32), range(30, 36)],
+    ids=["negative", "count", "huge", "generator", "array", "int32", "range"])
+def test_family_refuses_members_out_of_range(members):
+    with pytest.raises(ValueError, match="out of range"):
+        cc.KFamily(geometry("PG", 3, 2), 1, members)
+
+
+def test_one_member_family_past_the_cap_builds():
+    """PG(30,2) has about 7.7e17 lines, far past the enumeration cap; a
+    family of one of them builds without touching the level."""
+    geom = geometry("PG", 30, 2)
+    count = geom.subspace_count(1)
+    for m in (5, count - 1):
+        fam = cc.KFamily(geom, 1, [m])
+        assert fam.members == {m} and fam.size == 1
+        assert fam.x == Fraction(1, gauss_binom(30, 1, 2))
+        assert fam == cc.KFamily(geom, 1, np.array([m]))
+    with pytest.raises(ValueError):
+        cc.KFamily(geom, 1, [count])
+
+
+def test_family_repeated_member_refused_by_schema_and_loader(tmp_path):
+    import jsonschema
+    from importlib import resources
+    schema = json.loads(resources.files("clgeom")
+                        .joinpath("schemas/family.schema.json").read_text())
+    base = _pencil_dict()
+    jsonschema.validate(base, schema)
+    members = base["members"]
+    assert len(members) == 7
+    for listed, message in (
+            (members + [members[0]], "member 7: repeats member 0"),
+            (members[:3] + [members[1]] + members[3:] + [members[1]],
+             "member 3: repeats member 1")):
+        data = {**base, "members": listed}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(data, schema)
+        with pytest.raises(FamilyFormatError, match=message):
+            cc.family_from_dict(data)
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FamilyFormatError, match=message):
+            cc.load_family(str(path))
+
+
+def test_no_library_route_reads_members(monkeypatch, tmp_path, capsys):
+    """Every construction, checker, transform and the family file format
+    read the index array, never the frozenset view."""
+    from clgeom.cli import main
+
+    def refuse(self):
+        raise AssertionError("KFamily.members read")
+
+    monkeypatch.setattr(cc.KFamily, "members", property(refuse))
+    kinds = ("empty", "point_pencil", "hyperplane_class",
+             "pencil_plus_hyperplane")
+    for space, n, q in (("PG", 3, 2), ("PG", 4, 2), ("AG", 3, 3)):
+        geom = geometry(space, n, q)
+        point = _off_hyperplane_point(geom)
+        planes = geom.subspaces(2)
+        tau = next(s for s in planes
+                   if point_in_subspace(geom.field, geom.points[point], s))
+        fams = [cc.construct_trivial(geom, 1, kind, point=point,
+                                     complement_of=co)
+                for kind in kinds[:2 if space == "AG" else 4]
+                for co in (False, True)]
+        # a pencil with one member swapped for the first non-member
+        pencil, free = fams[2].indices, cc.complement(fams[2]).indices
+        fams.append(cc.KFamily(geom, 1, [*pencil[1:], free[0]]))
+        for fam in fams:
+            cc.is_cl(fam)
+            path = tmp_path / "fam.json"
+            cc.save_family(fam, str(path))
+            assert cc.load_family(str(path)) == fam
+            hash(fam)
+            rest = cc.complement(fam)
+            assert cc.difference(fam, cc.union_disjoint(fam, rest)) == rest
+            if space == "AG":
+                cc.check_affine_line(fam)
+                assert cc.pg_to_ag(cc.ag_to_pg(fam)) == fam
+                continue
+            cc.check_disjoint_count(fam)
+            for i in (1, 2):
+                cc.check_meet_profile(fam, i)
+            cc.check_drudge_identity(fam, point, tau)
+            if n == 3:
+                cc.check_spread(fam, field_reduction_spread(3, 1, 2))
+            else:
+                cc.check_aid_identity(fam, 3, 3)
+            cc.find_skew_space(fam)
+            try:
+                cc.check_pencil_propagation(fam, geom.subspaces(n - 1)[1])
+            except PreconditionNotMet:
+                pass
+            cc.restrict(fam, geom.subspaces(n - 1)[0])
+            cc.project(fam, make_subspace([geom.points[3]], geom.field))
+            try:
+                cc.pg_to_ag(fam)
+            except MemberInsideHyperplane:
+                pass
+        path = tmp_path / f"{space}.json"
+        argv = ["--space", space.lower(), "-n", str(n), "-k", "1", "-q",
+                str(q), "--kind", "point-pencil", "-o", str(path)]
+        assert main(["construct", *argv]) == 0
+        assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "affine-line" in out and "aid" in out and "spread" in out

@@ -497,3 +497,18 @@ def test_benchmark_tracer_hooks_install(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "2 main"
+
+
+def test_benchmark_workloads_run_tiny():
+    """The benchmark's verify-batch and decide-cold workloads, on their tiny
+    inputs, run the library (verify-batch also builds families from
+    Python sets) and find every answer right."""
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    for workload in ("verify-batch", "decide-cold"):
+        proc = subprocess.run(
+            [sys.executable, str(run_py), "--workload", workload, "--tiny",
+             "--seed", "1", "--seconds", "1"],
+            capture_output=True, text=True, timeout=170)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, workload
