@@ -284,9 +284,14 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(len(subs))
         return 0
+    # json.dumps(mat) of every matrix, one per line, through one
+    # %-template of its (k+1)(n+1) codes
+    _, r, ncols = subs.codes.shape
+    row = "[" + ", ".join(["%d"] * ncols) + "]"
+    line = "[" + ", ".join([row] * r) + "]\n"
     for lo in range(0, len(subs), _CHUNK):
-        for mat in subs.codes[lo:lo + _CHUNK].tolist():
-            print(json.dumps(mat))
+        chunk = subs.codes[lo:lo + _CHUNK].reshape(-1, r * ncols).tolist()
+        sys.stdout.writelines(line % tuple(m) for m in chunk)
     return 0
 
 

@@ -6,8 +6,9 @@ is F extended by d.  The reducing modulus is always the lexicographically
 smallest monic irreducible polynomial of the right degree (coefficient
 tuples (c_{d-1}, ..., c_0) compared ascending), so every run constructs the
 same field.  Up to order ``_TABLE_MAX`` a field multiplies and inverts
-through log/exp tables, which ``geometry`` and ``clcore`` also read as
-numpy arrays.
+through log/exp tables, from which its q x q numpy addition and
+multiplication tables (``FieldCtx.tables``) are built on first use for
+the numpy products of ``geometry._combine``.
 
 Polynomials are coefficient lists, constant term first, trailing zeros
 stripped ([] is the zero polynomial).
@@ -16,6 +17,7 @@ stripped ([] is the zero polynomial).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -209,13 +211,14 @@ class FieldCtx:
     h = h_base * d digits, so addition is digitwise mod p and needs no
     base field.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction, but for the numpy ``tables``, which
+    are built on first use; safe for concurrent reads.
     """
 
     def __init__(self, base: FieldCtx | int, d: int = 1):
         """GF(Q^d) over the field ``base``; an int ``base`` is a prime p,
         and then the field is GF(p) itself (d must be 1)."""
-        self.tables = self._log = self._exp = None
+        self._log = self._exp = None
         if isinstance(base, int):
             if base > MAX_ORDER:
                 raise OrderTooLarge(f"{base} exceeds maximum order {MAX_ORDER}")
@@ -308,6 +311,32 @@ class FieldCtx:
             e >>= 1
         return result
 
+    @cached_property
+    def tables(self):
+        """The q x q tables (add, mul) of codes, add[a, b] = a + b and
+        mul[a, b] = a * b, in the smallest unsigned dtype that holds q-1:
+        the numpy form of the field for ``geometry._combine``, which
+        gathers whole arrays of sums and products from them.  None for a
+        field without log/exp tables (GF(p), and past ``_TABLE_MAX``).
+        Built on first use, so that creating a field stays cheap."""
+        if self._exp is None:
+            return None
+        q, p = self.q, self.p
+        code = np.min_scalar_type(q - 1)
+        log = np.array(self._log)
+        mul = np.array(self._exp)[log[:, None] + log].astype(code)
+        a = np.arange(q)
+        if p == 2:
+            add = a[:, None] ^ a
+        else:
+            # addition adds the base-p digits of the codes mod p
+            add = np.zeros((q, q), dtype=np.int64)
+            unit = 1
+            for _ in range(self.h):
+                add += (a[:, None] // unit + a // unit) % p * unit
+                unit *= p
+        return add.astype(code), mul
+
     # -- internals --
 
     def _digitwise(self, a, b, sign):
@@ -336,9 +365,8 @@ class FieldCtx:
 
         exp[i] = g^i for i < 2(q-1), so exp[log a + log b] needs no
         reduction; log 0 = 2(q-1) points past that into zeros, so products
-        with 0 need no branch.  ``tables`` holds the same two lists as
-        int64 arrays for the numpy code in geometry and clcore, which
-        multiply whole arrays of codes; addition needs no table."""
+        with 0 need no branch.  The numpy ``tables`` are built from these
+        two lists on first use."""
         q = self.q
         for g in range(2, q):
             powers = [1]
@@ -353,8 +381,6 @@ class FieldCtx:
         self._log = [zero] * q
         for i, x in enumerate(powers):
             self._log[x] = i
-        self.tables = (np.array(self._log, dtype=np.int64),
-                       np.array(self._exp, dtype=np.int64))
 
     def __repr__(self):
         if self.base.h == 1:

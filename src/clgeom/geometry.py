@@ -16,10 +16,13 @@ binary search over the keys.  The points of PG(n,q) are the rows of its
 0-level.  Enumerations are kept in memory and nothing is stored on disk.
 
 The one form of incidence is the point table (``Geometry.point_table``),
-built in numpy from a level's codes (over GF(p^h), h > 1, through the
-field's log/exp tables); ``Geometry.points_of`` gives the points of any
-other subspace by the same lookup.  The dense incidence matrix and the point
-bitmasks are views derived from the table on request.
+built in numpy from a level's codes with no search: the points of a
+k-space are the combinations c.M of its matrix's rows (over GF(p^h),
+h > 1, gathered from the field's q x q add and mul tables), and a
+normalized point's index among the sorted points is a closed form of its
+base-q key (see ``Geometry._locate``).  ``Geometry.points_of`` gives the
+points of any other subspace by the same ranks.  The dense incidence
+matrix and the point bitmasks are views derived from the table on request.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import numpy as np
 
@@ -281,20 +284,14 @@ def _combine(field: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarra
         mul, add = (np.frompyfunc(f, 2, 1) for f in (field.mul, field.add))
         prods = mul(coeffs[..., :, :, None], mats[:, None])
         return add.reduce(prods, axis=-2).astype(np.int64)
-    log, exp = field.tables
-    p = field.p
-    out = np.zeros((len(mats), coeffs.shape[-2], mats.shape[2]),
-                   dtype=np.int64)
+    # gathers from the flat q x q tables at a*q + b
+    add, mul = (t.ravel() for t in field.tables)
+    q = field.q
+    out = None
     for i in range(coeffs.shape[-1]):
-        c = coeffs[..., i, None]
-        m = mats[:, None, i, :]
-        prod = exp[log[c] + log[m]]
-        # addition adds the base-p digits of the codes mod p
-        total, unit = 0, 1
-        for _ in range(field.h):
-            total = total + (out // unit + prod // unit) % p * unit
-            unit *= p
-        out = total
+        prod = mul[coeffs[..., i, None].astype(np.intp) * q
+                   + mats[:, None, i, :]]
+        out = prod if out is None else add[out.astype(np.intp) * q + prod]
     return out
 
 
@@ -323,6 +320,10 @@ class Geometry:
         self.q = field.q
         self._points = None
         self._point_index = None
+        # _locate's weights, rank offsets and point keys, and its
+        # coefficient vectors and their leading columns by row count
+        self._ranks = None
+        self._coeffs = {}
         self._subspaces = {}
         self._tables = {}
         self._masks = {}
@@ -445,28 +446,49 @@ class Geometry:
         a mask of the hits; in AG the misses are the points at infinity.
 
         Every point of an RREF matrix M is c.M for a normalized coefficient
-        vector c, and c.M is already normalized (its leading entry sits in a
-        pivot column of M, where M has an identity column).  The products are
-        computed in numpy, encoded as base-q integers and looked up among the
-        keys of the 0-level.  c -> c.M keeps the lexicographic order (c
-        reappears in M's pivot columns, and the columns before a pivot depend
-        only on earlier entries of c), so each row's positions come out
-        ascending, and row i of M, e_i.M, is the point at position
-        (q^(r-1-i) - 1)/(q - 1) of its row, where e_i sits among the points
-        of PG(r-1,q); _blocks_of reads the matrices back from there."""
-        q, n1 = self.q, self.n + 1
-        weights = q ** np.arange(n1 - 1, -1, -1, dtype=np.int64)
-        # the points' base-q keys, ascending; with at most SUBSPACE_CAP
-        # points (in the closure for AG) they are int64 (see _keys)
-        point_keys = self.subspaces(0).keys
+        vector c, and c.M is already normalized: its leading 1 sits in the
+        pivot column of M's row at c's leading 1, where M has an identity
+        column.  The products come from ``_combine`` (for GF(p^h), h > 1,
+        gathers from the field's q x q add and mul tables) and are encoded
+        as base-q keys.  A normalized vector whose leading 1 sits in column
+        i has key L + t with t < L = q^(n-i), and the points before it are
+        the (L-1)/(q-1) points led further right and the t points led at i
+        with smaller keys, so its index is key - L + (L-1)/(q-1); in AG,
+        where every point is led at column 0, it is key - q^n.  A gather of
+        the 0-level's keys at these ranks checks the hits.
+
+        c -> c.M keeps the lexicographic order (c reappears in M's pivot
+        columns, and the columns before a pivot depend only on earlier
+        entries of c), so each row's positions come out ascending, and row
+        i of M, e_i.M, is the point at position (q^(r-1-i) - 1)/(q - 1) of
+        its row, where e_i sits among the points of PG(r-1,q); _blocks_of
+        reads the matrices back from there."""
         r = mats.shape[1]
-        # for r = 1 the single row is the point itself; otherwise the
-        # coefficient vectors are the points of PG(r-1,q), in order
-        vecs = mats if r == 1 else _combine(
-            self.field, geometry("PG", r - 1, q).subspaces(0).codes[:, 0], mats)
+        if self._ranks is None:
+            # the points' base-q keys, ascending; with at most SUBSPACE_CAP
+            # points (in the closure for AG) they are int64 (see _keys)
+            point_keys = self.subspaces(0).keys
+            q, n = self.q, self.n
+            weights = q ** np.arange(n, -1, -1, dtype=np.int64)
+            # key - offsets[i] is the rank of a point led at column i
+            offsets = (weights - (weights - 1) // (q - 1)
+                       if self.kind == "PG" else np.full(n + 1, q ** n))
+            self._ranks = weights, offsets, point_keys
+        weights, offsets, point_keys = self._ranks
+        if r not in self._coeffs:
+            # the coefficient vectors are the points of PG(r-1,q), in order
+            # (PG(0,q) has the one point (1)), with their leading columns
+            coeffs = (np.ones((1, 1), dtype=np.int64) if r == 1 else
+                      geometry("PG", r - 1, self.q).subspaces(0).codes[:, 0])
+            self._coeffs[r] = coeffs, (coeffs != 0).argmax(axis=1)
+        coeffs, lead = self._coeffs[r]
+        # for r = 1 the single row is the point itself
+        vecs = mats if r == 1 else _combine(self.field, coeffs, mats)
         keys = vecs @ weights
-        pos = np.minimum(np.searchsorted(point_keys, keys), len(point_keys) - 1)
-        return pos, point_keys[pos] == keys
+        pos = keys - offsets[(mats != 0).argmax(axis=2)[:, lead]]
+        # a matrix that is not in RREF may rank outside the points; the
+        # clipped gather makes that a miss (a miss's position means nothing)
+        return pos, point_keys.take(pos, mode="clip") == keys
 
     def point_table(self, k: int) -> np.ndarray:
         """N x theta int64 array whose row j lists, ascending, the indices of
@@ -475,7 +497,9 @@ class Geometry:
         if k not in self._tables:
             codes = self.subspaces(k).codes
             if k == self.n:
-                table = np.arange(len(self.points))[None, :]
+                # every point, counted (and refused above the cap) without
+                # building the point list
+                table = np.arange(self._capped_count(0))[None, :]
             else:
                 theta = (gauss_binom(k + 1, 1, self.q) if self.kind == "PG"
                          else self.q ** k)
@@ -501,7 +525,7 @@ class Geometry:
         if sub.k < 0:
             return np.empty(0, dtype=np.int64)
         if sub.k == self.n:
-            return np.arange(len(self.points))
+            return np.arange(self._capped_count(0))
         pos, hit = self._locate(np.array([sub.mat], dtype=np.int64))
         return pos[hit]
 
@@ -527,7 +551,11 @@ class Geometry:
                 dense = np.zeros((len(rows), v), dtype=np.uint8)
                 dense[np.arange(len(rows))[:, None], rows] = 1
                 packed = np.packbits(dense, axis=1, bitorder="little")
-                masks.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+                # one bytes object per row in one call; the fixed-width
+                # view drops trailing zero bytes, the high ones of a
+                # little-endian mask, which leaves the value as it is
+                row_bytes = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+                masks.extend(map(int.from_bytes, row_bytes, repeat("little")))
             self._masks[k] = masks
         return self._masks[k]
 

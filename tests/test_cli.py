@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from clgeom.cli import main
+from clgeom.geometry import geometry
 
 
 def run(capsys, *argv):
@@ -290,6 +291,20 @@ def test_enumerate(capsys):
                      "1", "-q", "2")
     rows = [json.loads(l) for l in out.splitlines()]
     assert len(rows) == 28
+
+
+@pytest.mark.parametrize("space,n,q", [("pg", 3, 2), ("pg", 2, 4),
+                                        ("ag", 3, 3)])
+def test_enumerate_prints_json_of_each_matrix(capsys, space, n, q):
+    """One json.dumps line per k-space, byte for byte, in level order."""
+    rc, out, _ = run(capsys, "enumerate", "--space", space, "-n", str(n),
+                     "-k", "1", "-q", str(q))
+    codes = geometry(space.upper(), n, q).subspaces(1).codes
+    assert rc == 0
+    assert out == "".join(json.dumps(m) + "\n" for m in codes.tolist())
+    rc, out, _ = run(capsys, "enumerate", "--space", space, "-n", str(n),
+                     "-k", "1", "-q", str(q), "--count-only")
+    assert rc == 0 and out == f"{len(codes)}\n"
 
 
 def test_usage_errors(capsys):

@@ -1,6 +1,8 @@
 import random
 import time
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -213,6 +215,27 @@ def test_table_build_is_cheap(monkeypatch):
     start = time.perf_counter()
     ff_extend(base, 3)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("q", [2, 7, 4, 8, 9, 16, 25, 27, 512, 961, 1024,
+                               2048])
+def test_numpy_tables_match_scalar_arithmetic(q):
+    """The q x q add and mul tables agree with add and mul, on every pair
+    up to q = 27 and on sampled pairs above, in the smallest unsigned
+    dtype; GF(p) and the fields past the table order have none."""
+    F = ff_create(*factor_prime_power(q))
+    if F.h == 1 or q > ff._TABLE_MAX:
+        assert F.tables is None
+        return
+    add, mul = F.tables
+    assert add.shape == mul.shape == (q, q)
+    assert add.dtype == mul.dtype == (np.uint8 if q <= 256 else np.uint16)
+    rng = random.Random(q)
+    pairs = (product(range(q), repeat=2) if q <= 27 else
+             [(0, q - 1), (q - 1, 1)] + [(rng.randrange(q), rng.randrange(q))
+                                         for _ in range(2000)])
+    for a, b in pairs:
+        assert add[a, b] == F.add(a, b) and mul[a, b] == F.mul(a, b)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])

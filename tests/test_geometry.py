@@ -1,6 +1,9 @@
+import hashlib
 import importlib
+import json
 import time
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from clgeom.errors import (
     NotSkew,
     TooManySubspaces,
 )
-from clgeom.ff import ff_create, ff_extend
+from clgeom import ff
+from clgeom.ff import FieldCtx, ff_create, ff_extend
 from clgeom.geometry import (
     Geometry,
     Subspace,
@@ -235,12 +239,88 @@ def test_blocks_of_inverts_point_table(kind, n, q, k):
     assert np.array_equal(_blocks_of(g, k, shuffled), np.arange(len(rows)))
 
 
-@pytest.mark.parametrize("p,h", [(2, 1), (5, 1), (2, 3), (3, 2), (2, 11),
+@pytest.mark.parametrize("kind,n,q,k", LEVELS)
+def test_locate_ranks_match_binary_search(kind, n, q, k):
+    """_locate's closed-form ranks against a binary search of each vector's
+    key among the point keys, on every block of the closure's level; in AG
+    the blocks through points at infinity (X0 = 0) miss exactly there."""
+    g = geometry(kind, n, q)
+    point_keys = g.subspaces(0).keys
+    coeffs = (np.ones((1, 1), dtype=np.int64) if k == 0 else
+              geometry("PG", k, q).subspaces(0).codes[:, 0])
+    mats = g.closure().subspaces(k).codes.astype(np.int64)
+    vecs = _combine(g.field, coeffs, mats)
+    keys = vecs @ q ** np.arange(n, -1, -1, dtype=np.int64)
+    want = np.minimum(np.searchsorted(point_keys, keys), len(point_keys) - 1)
+    want_hit = point_keys[want] == keys
+    pos, hit = g._locate(mats)
+    assert np.array_equal(hit, want_hit)
+    assert np.array_equal(pos[hit], want[want_hit])
+    if kind == "PG":
+        assert hit.all()
+    else:
+        assert np.array_equal(hit, vecs[..., 0] != 0) and not hit.all()
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+@pytest.mark.parametrize("kind", ["PG", "AG"])
+def test_point_table_makes_no_scalar_field_calls(kind, q, monkeypatch):
+    """Over GF(p^h), h > 1, every product and sum of the point table is a
+    gather from the field's q x q tables, built on first use from a fresh
+    field: no scalar FieldCtx.mul or add runs."""
+    want = [geometry(kind, 3, q).point_table(k) for k in range(4)]
+    # fresh fields and geometries, dropped again after the test
+    monkeypatch.setattr(ff, "_FIELDS", {})
+    monkeypatch.setattr(ff, "_EXTENSIONS", {})
+    monkeypatch.setattr(geometry_module, "_GEOMETRIES", {})
+    g = geometry(kind, 3, q)
+
+    def scalar(*args):
+        raise AssertionError("scalar field arithmetic in the point table")
+
+    monkeypatch.setattr(FieldCtx, "mul", scalar)
+    monkeypatch.setattr(FieldCtx, "add", scalar)
+    assert [g.point_table(k).tolist() for k in range(4)] == \
+        [t.tolist() for t in want]
+
+
+PINNED_VIEWS = json.loads(
+    (Path(__file__).parent / "pinned_views.json").read_text())
+
+
+def _array_digest(a):
+    return hashlib.sha256(repr((a.dtype.str, a.shape)).encode()
+                          + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("config", sorted(PINNED_VIEWS))
+def test_views_match_pinned_digests(config):
+    """The level codes, point table, incidence matrix and point masks are
+    byte for byte those pinned before the closed-form ranks and the q x q
+    field gathers: PG and AG, q in {2, 3, 4, 5, 7, 8, 9, 16, 25, 27},
+    n = 2..4, every k with v * N <= 2 * 10^6 (166 levels)."""
+    kind, n, q, k = config.split()
+    g = geometry(kind, int(n), int(q))
+    k = int(k)
+    width = (g.num_points + 7) // 8
+    masks = hashlib.sha256(b"".join(m.to_bytes(width, "little")
+                                    for m in g.point_masks(k))).hexdigest()
+    assert [_array_digest(g.subspaces(k).codes),
+            _array_digest(g.point_table(k)),
+            _array_digest(g.incidence(k)), masks] == PINNED_VIEWS[config]
+    level = g.subspaces(k)
+    for j in (0, len(level) - 1):
+        assert np.array_equal(g.points_of(level[j]), g.point_table(k)[j])
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (5, 1), (2, 3), (3, 2), (5, 2),
+                                 (3, 3), (2, 9), (31, 2), (2, 10), (2, 11),
                                  (3, 7)])
 def test_combine_matches_field_arithmetic(p, h):
-    """Each route of _combine (mod p, the log/exp tables, the field's own
-    methods past the table order), with shared and with per-block
-    coefficients, against sums of products entry by entry."""
+    """Each route of _combine (mod p, gathers from the q x q tables up to
+    q = 1024, the field's own methods past the table order), with shared
+    and with per-block coefficients, against sums of products entry by
+    entry on sampled codes."""
     field = ff_create(p, h)
     rng = np.random.default_rng(field.q)
     mats = rng.integers(0, field.q, size=(4, 3, 5))
