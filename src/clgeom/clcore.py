@@ -158,9 +158,9 @@ def is_cl(F: KFamily) -> CLReport:
     assert rest == 0, "points and blocks do not form a 2-design"
     assert r - lam + v * lam == r * theta
     # Every term below lies in [0, r*theta*N] (a <= r, b <= r*theta,
-    # lambda <= r, |L| <= N).  With N*theta = v*r and Fisher's v <= N for
-    # 0 < k < n, r*theta*N = v*r^2 <= N^3 <= 10^18 below SUBSPACE_CAP; for
-    # k = 0 and k = n it is v.
+    # lambda <= r, |L| <= N).  Counting incidences both ways, N*theta = v*r,
+    # so r*theta*N = v*r^2; the int64 sums are exact while that is below
+    # 2^63.
     assert r * theta * nblocks < 2 ** 63
     a = np.bincount(table[F.indices].ravel(), minlength=v)  # P chi
     b = a[table].sum(axis=1)                                 # P^T P chi
@@ -386,9 +386,9 @@ def ag_to_pg(F: KFamily) -> KFamily:
         raise GuardViolated("ag_to_pg expects an affine family")
     ag = F.geom
     pg = ag.closure()
-    out = pg.subspace_index(F.k, ag.subspaces(F.k).codes[F.indices])
-    assert (out >= 0).all()
-    return KFamily(pg, F.k, out)
+    # the affine k-spaces are the last of the closure's level, in order
+    shift = pg.subspace_count(F.k) - ag.subspace_count(F.k)
+    return KFamily(pg, F.k, F.indices + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +757,10 @@ def family_from_dict(data: dict) -> KFamily:
     geom = geometry(space, n, q)
     geom.subspaces(k)  # refuses a level past SUBSPACE_CAP first
     members = _member_codes(data["members"], k + 1, n + 1)
+    start = 0
     if members is not None:
         found = geom.subspace_index(k, members)
-        if (found >= 0).all():
+        if (found >= 0).all():  # also the empty family
             order = np.argsort(found, kind="stable")
             repeats = order[1:][found[order[1:]] == found[order[:-1]]]
             if len(repeats):
@@ -767,9 +768,10 @@ def family_from_dict(data: dict) -> KFamily:
                 first = int(np.flatnonzero(found == found[j])[0])
                 raise FamilyFormatError(f"member {j}: repeats member {first}")
             return KFamily(geom, k, found)
+        start = int(np.argmin(found >= 0))  # the members before it are found
     # some member is malformed or no k-space: the sequential check names
     # the first such member
-    for mi, mat in enumerate(data["members"]):
+    for mi, mat in enumerate(data["members"][start:], start):
         if not isinstance(mat, list) or len(mat) != k + 1:
             raise FamilyFormatError(
                 f"member {mi}: expected a {k + 1}x{n + 1} matrix")

@@ -406,11 +406,11 @@ class Geometry:
         if k not in self._subspaces:
             count = self._capped_count(k)
             if self.kind == "AG":
-                # the k-spaces not inside X0 = 0; a masked sorted level
-                # stays sorted
+                # the k-spaces not inside X0 = 0: they have their leading 1
+                # at entry (0, 0), the others a 0, so they are the closure
+                # level's last `count`, viewed without a copy
                 full = self.closure().subspaces(k)
-                keep = full.codes[:, :, 0].any(axis=1)
-                level = SubspaceLevel(full.codes[keep], full.keys[keep])
+                level = SubspaceLevel(full.codes[-count:], full.keys[-count:])
             else:
                 level = SubspaceLevel(*_enumerate_pg(self.q, self.n + 1, k + 1))
             assert len(level) == count

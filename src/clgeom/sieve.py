@@ -19,7 +19,8 @@ X_max - x when it is an integer; such hits are tagged with a
 lo <= x < hi, whose ends are least integers at or above bounds, and the set
 of residues of x mod 2(q+1) it fires on (the non-solvable ones of a
 congruence, every one for the other rules).  The tests keep a per-x
-reference that evaluates the same rules on x directly.
+reference that states the same rules and guards apart and evaluates them
+on x directly.
 
 So the status and rules of x change only at a few cut points (the ends
 of the rules' ranges, their mirrors under x -> X_max - x, each trivial x,
@@ -293,71 +294,46 @@ def bound_rules() -> list:
             ("AG", "affine-bound", affine_pencil_bound)]
 
 
-def _lower_bounds(space: str, n: int, k: int, q: int) -> list:
-    """(id, bound) of every lower-bound rule whose guard holds; the rule
-    excludes each x with 0 < x < bound.  Bounds are exact: a Fraction or a
-    _Root."""
-    out = []
-    for rule_space, rid, bound in bound_rules():
-        if rule_space == space:
-            with suppress(GuardViolated):
-                out.append((rid, bound(n, k, q)))
-    return out
-
-
-def _congruences(space: str, n: int, k: int, q: int) -> list:
-    """(id, solvable, cap) of every congruence rule whose guard holds; the
-    rule excludes each integer x with not solvable(x, q), and only below
-    cap unless cap is None."""
-    if space == "AG":
-        if (n - k) % 2 == 0 and n - k >= 2:
-            return [("affine-modular", affine_condition, None)]
-        return []
-    out = []
-    if n == 3 and k == 1:
-        out.append(("gm-modular", gm_condition_solvable, None))
-    # the paper's guard of the line-class congruence, one for every k
-    if n >= 2 * k + 1 and (n - k) % 2 == 0 and n - k + 1 >= 7:
-        out.append(("lines-modular", line_condition_solvable,
-                    Fraction(q ** (n - k) - 1, q ** (k + 1) - 1)))
-    return out
-
-
-def _c_interval_bound(space: str, n: int, k: int, q: int):
-    """classification_threshold(n, k, q) where the classified interval is
-    known, else None; unit-intervals shares the guard."""
-    if space == "PG":
-        with suppress(GuardViolated):
-            return classification_threshold(n, k, q)
-    return None
-
-
-def _small_q_trivial(space: str, n: int, k: int, q: int) -> bool:
-    """The guard of small-q-trivial, which fires on every non-trivial x."""
-    return space == "PG" and k >= 2 and n >= 2 * k + 1 and q <= 5
-
-
 class _RuleTable:
     """The rules of one geometry on the integers x >= 0, each reduced once
     to the integer form (id, lo, hi, residues): the rule excludes x when
     lo <= x < hi (hi None: no upper end) and x mod 2(q+1) is in residues.
     gm-, lines- and affine-modular depend only on x mod 2(q+1); the bounds,
-    c-interval and small-q-trivial hold on every residue."""
+    c-interval and small-q-trivial hold on every residue.
+
+    This is where every guard of `RULES` is decided: the congruences' and
+    small-q-trivial's here, the others by their bound functions, which
+    raise GuardViolated outside them."""
 
     def __init__(self, space: str, n: int, k: int, q: int):
         self.period = 2 * (q + 1)
         every = frozenset(range(self.period))
-        self.rules = [
-            (rid, 0, None if cap is None else _threshold(cap),
-             frozenset(r for r in every if not solvable(r, q)))
-            for rid, solvable, cap in _congruences(space, n, k, q)]
-        self.rules += [(rid, 1, _threshold(bound), every)
-                       for rid, bound in _lower_bounds(space, n, k, q)]
-        C = _c_interval_bound(space, n, k, q)
-        if C is not None:
-            self.rules.append(("c-interval", 2, _threshold(C), every))
-        if _small_q_trivial(space, n, k, q):
-            self.rules.append(("small-q-trivial", 0, None, every))
+        pg, d = space == "PG", n - k
+        rules = self.rules = []
+
+        def congruence(rid, solvable, hi=None):
+            rules.append((rid, 0, hi, frozenset(
+                r for r in every if not solvable(r, q))))
+
+        if space == "AG" and d % 2 == 0 and d >= 2:
+            congruence("affine-modular", affine_condition)
+        if pg and n == 3 and k == 1:
+            congruence("gm-modular", gm_condition_solvable)
+        # the paper's guard of the line-class congruence, one for every k
+        if pg and n >= 2 * k + 1 and d % 2 == 0 and d + 1 >= 7:
+            congruence("lines-modular", line_condition_solvable, _threshold(
+                Fraction(q ** d - 1, q ** (k + 1) - 1)))
+        for rule_space, rid, bound in bound_rules():
+            if rule_space == space:
+                with suppress(GuardViolated):
+                    rules.append((rid, 1, _threshold(bound(n, k, q)), every))
+        if pg:
+            # unit-intervals shares the guard, and needs no integer form
+            with suppress(GuardViolated):
+                C = classification_threshold(n, k, q)
+                rules.append(("c-interval", 2, _threshold(C), every))
+        if pg and k >= 2 and n >= 2 * k + 1 and q <= 5:
+            rules.append(("small-q-trivial", 0, None, every))
 
     def firing(self, x: int) -> list:
         """Ids of every rule excluding the non-trivial integer x >= 0."""

@@ -12,8 +12,10 @@ one parameter at a time.
 * ``pg_to_ag_oracle``: ``pg_to_ag`` with the coordinate change found by an
   RREF rank loop and applied entry by entry.
 * ``firing_rules`` and ``classification_rules``: every sieve rule
-  evaluated on one x directly, against ``sieve()``'s integer thresholds and
-  residue tables; ``lift_bound``, the generic lift those bounds follow.
+  evaluated on one x directly, under its guard as ``sieve.RULES`` writes
+  it, against ``sieve()``'s integer thresholds and residue tables, whose
+  guards ``sieve._RuleTable`` decides apart; ``lift_bound``, the generic
+  lift those bounds follow.
 """
 
 from __future__ import annotations
@@ -43,10 +45,15 @@ from clgeom.geometry import (
 from clgeom.linalg import RatMatrix, in_rowspace
 from clgeom.sieve import (
     _below,
-    _c_interval_bound,
-    _congruences,
-    _lower_bounds,
-    _small_q_trivial,
+    affine_condition,
+    affine_pencil_bound,
+    classification_threshold,
+    gm_condition_solvable,
+    hyperplane_average_bound,
+    ihringer_bound,
+    improved_lift_bound,
+    line_condition_solvable,
+    pencil_lift_bound,
     trivial_params,
 )
 
@@ -199,26 +206,42 @@ def classification_rules(space: str, n: int, k: int, q: int, x: Fraction):
     if x in trivial_params(space, n, k, q):
         return []
     out = []
-    C = _c_interval_bound(space, n, k, q)
-    if C is not None:
+    if space == "PG" and n >= 3 * k + 2:
         if (0 < x < 1) or (1 < x < 2):
             out.append("unit-intervals")
-        if x >= 2 and _below(x, C):
+        if x >= 2 and _below(x, classification_threshold(n, k, q)):
             out.append("c-interval")
-    if _small_q_trivial(space, n, k, q):
+    if space == "PG" and k >= 2 and n >= 2 * k + 1 and q <= 5:
         out.append("small-q-trivial")
     return out
 
 
 def firing_rules(space: str, n: int, k: int, q: int, x: Fraction) -> list:
     """Ids of every rule excluding the (non-trivial) parameter x, each rule
-    evaluated on x directly; the reference for `sieve._RuleTable`."""
+    evaluated on x directly under its guard as `sieve.RULES` writes it; the
+    reference for `sieve._RuleTable`, which decides the guards apart."""
+    pg, ag = space == "PG", space == "AG"
     out = []
     if x.denominator == 1:
-        out += [rid for rid, solvable, cap in _congruences(space, n, k, q)
-                if (cap is None or x < cap) and not solvable(int(x), q)]
+        congruences = (
+            ("gm-modular", pg and n == 3 and k == 1, gm_condition_solvable),
+            ("lines-modular", pg and n >= 2 * k + 1 and (n - k) % 2 == 0
+             and n - k + 1 >= 7
+             and x < Fraction(q ** (n - k) - 1, q ** (k + 1) - 1),
+             line_condition_solvable),
+            ("affine-modular", ag and (n - k) % 2 == 0 and n - k >= 2,
+             affine_condition))
+        out += [rid for rid, guard, solvable in congruences
+                if guard and not solvable(int(x), q)]
     if x > 0:
-        out += [rid for rid, bound in _lower_bounds(space, n, k, q)
-                if _below(x, bound)]
+        bounds = (
+            ("pencil-lift", pg and n >= 3 * k + 3, pencil_lift_bound),
+            ("ihringer", pg and n >= 3 * k, ihringer_bound),
+            ("improved-lift", pg and n >= 3 * k + 3, improved_lift_bound),
+            ("hyperplane-average", pg and n >= 3 * k + 4,
+             hyperplane_average_bound),
+            ("affine-bound", ag and n >= 2 * k + 2, affine_pencil_bound))
+        out += [rid for rid, guard, bound in bounds
+                if guard and _below(x, bound(n, k, q))]
     out.extend(classification_rules(space, n, k, q, x))
     return out

@@ -658,6 +658,25 @@ def test_family_errors_name_the_first_faulty_member(changes, message):
     assert str(exc.value) == message
 
 
+def test_refusing_a_fault_in_the_last_member_checks_only_it(monkeypatch):
+    """The members the lookup found are not checked again one by one."""
+    calls = []
+    real = cc.make_subspace
+    monkeypatch.setattr(cc, "make_subspace",
+                        lambda *args: calls.append(1) or real(*args))
+    d = cc.family_to_dict(
+        cc.construct_trivial(geometry("PG", 4, 3), 1, "point_pencil"))
+    last = len(d["members"]) - 1
+    d["members"][last] = d["members"][last][::-1]
+    with pytest.raises(FamilyFormatError) as exc:
+        cc.family_from_dict(d)
+    assert str(exc.value) == (f"member {last}: not in reduced row echelon "
+                              "form or not of full rank")
+    assert len(calls) <= 1
+    d["members"] = []
+    assert cc.family_from_dict(d).size == 0
+
+
 def test_family_rejects_affine_member_at_infinity():
     d = cc.family_to_dict(
         cc.construct_trivial(geometry("AG", 3, 2), 1, "point_pencil"))

@@ -18,6 +18,7 @@ from clgeom.errors import (
     TooManySubspaces,
 )
 from clgeom import ff
+from clgeom.clcore import KFamily, ag_to_pg
 from clgeom.ff import FieldCtx, ff_create, ff_extend
 from clgeom.geometry import (
     Geometry,
@@ -225,6 +226,20 @@ def test_level_matches_enumeration_oracle(kind, n, q, k):
     assert g.subspace_index(k, misses).tolist() == [-1] * len(misses)
     with pytest.raises(DimensionMismatch):
         g.subspace_index(k, [[[0] * n] * (k + 1)])
+
+
+@pytest.mark.parametrize("kind,n,q,k",
+                         [level for level in LEVELS if level[0] == "AG"])
+def test_ag_level_is_the_tail_of_the_closure_level(kind, n, q, k):
+    """An AG level views the last of its closure's k-spaces without a copy,
+    and `ag_to_pg` shifts indices by the count of those inside X0 = 0."""
+    g = geometry(kind, n, q)
+    level, full = g.subspaces(k), g.closure().subspaces(k)
+    assert np.shares_memory(level.codes, full.codes)
+    assert np.shares_memory(level.keys, full.keys)
+    every = KFamily(g, k, np.arange(len(level)))
+    assert np.array_equal(ag_to_pg(every).indices,
+                          g.closure().subspace_index(k, level.codes))
 
 
 @pytest.mark.parametrize("kind,n,q,k", LEVELS)

@@ -22,11 +22,10 @@ from clgeom.sieve import (
     _Root,
     _RuleTable,
     _below,
-    _c_interval_bound,
-    _lower_bounds,
     _threshold,
     affine_condition,
     affine_pencil_bound,
+    bound_rules,
     classification_threshold,
     exact_floor,
     gm_condition_solvable,
@@ -289,11 +288,16 @@ def _threshold_by_search(bound):
 
 
 def test_threshold_on_bound_grid():
-    roots = 0
+    values = roots = 0
     for k, q, n in GRID:
-        bounds = _lower_bounds("PG", n, k, q)
-        bounds.append(("c-interval", _c_interval_bound("PG", n, k, q)))
-        for rid, bound in bounds:
+        funcs = [(rid, f) for space, rid, f in bound_rules() if space == "PG"]
+        funcs.append(("c-interval", classification_threshold))
+        for rid, f in funcs:
+            try:
+                bound = f(n, k, q)
+            except GuardViolated:
+                continue
+            values += 1
             t = _threshold(bound)
             assert t == _threshold_by_search(bound), (rid, n, k, q)
             if isinstance(bound, _Root):
@@ -301,6 +305,7 @@ def test_threshold_on_bound_grid():
                 with mpmath.workdps(200):
                     ceil = int(mpmath.ceil(mp_bound(rid, n, k, q)))
                 assert t == max(0, ceil), (rid, n, k, q)
+    assert values == 4896
     assert roots == 2916  # the 3924 irrational values less the step factors
 
 
