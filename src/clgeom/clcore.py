@@ -26,7 +26,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -756,21 +756,22 @@ def family_from_dict(data: dict) -> KFamily:
         raise FamilyFormatError("members must be a list")
     geom = geometry(space, n, q)
     geom.subspaces(k)  # refuses a level past SUBSPACE_CAP first
-    members = _member_codes(data["members"], k + 1, n + 1)
-    start = 0
-    if members is not None:
-        found = geom.subspace_index(k, members)
-        if (found >= 0).all():  # also the empty family
-            order = np.argsort(found, kind="stable")
-            repeats = order[1:][found[order[1:]] == found[order[:-1]]]
-            if len(repeats):
-                j = int(repeats.min())
-                first = int(np.flatnonzero(found == found[j])[0])
-                raise FamilyFormatError(f"member {j}: repeats member {first}")
-            return KFamily(geom, k, found)
-        start = int(np.argmin(found >= 0))  # the members before it are found
+    codes = _member_codes(data["members"], k + 1, n + 1)
+    found = geom.subspace_index(k, codes)
+    misses = np.flatnonzero(found < 0)
+    if len(codes) == len(data["members"]) and not len(misses):
+        # also the empty family
+        order = np.argsort(found, kind="stable")
+        repeats = order[1:][found[order[1:]] == found[order[:-1]]]
+        if len(repeats):
+            j = int(repeats.min())
+            first = int(np.flatnonzero(found == found[j])[0])
+            raise FamilyFormatError(f"member {j}: repeats member {first}")
+        return KFamily(geom, k, found)
     # some member is malformed or no k-space: the sequential check names
-    # the first such member
+    # the first such member, from the first miss of the lookup or else from
+    # the first member that does not parse (those before it are found)
+    start = int(misses[0]) if len(misses) else len(codes)
     for mi, mat in enumerate(data["members"][start:], start):
         if not isinstance(mat, list) or len(mat) != k + 1:
             raise FamilyFormatError(
@@ -782,28 +783,34 @@ def family_from_dict(data: dict) -> KFamily:
     raise AssertionError("a member missed the lookup but passed the check")
 
 
-def _member_codes(members: list, r: int, ncols: int):
-    """The members as an M x r x ncols int64 array when every one is a list
-    of r lists of ncols ints (not bools) that fit in int64; None otherwise.
-    The lookup refuses entries outside [0, q)."""
-    if not _all_lists(members, r):
-        return None
-    rows = list(chain.from_iterable(members))
-    if not _all_lists(rows, ncols):
-        return None
-    entries = list(chain.from_iterable(rows))
+def _member_codes(members: list, r: int, ncols: int) -> np.ndarray:
+    """The longest prefix of the members in which each is a list of r lists
+    of ncols ints (not bools) that fit in int64, as a u x r x ncols int64
+    array.  The lookup refuses entries outside [0, q)."""
+    u = _first_not(members, list, r)
+    rows = list(chain.from_iterable(islice(members, u)))
+    u = _first_not(rows, list, ncols) // r
+    entries = list(chain.from_iterable(islice(rows, u * r)))
     # the exact type: bool is a subclass of int
-    if not set(map(type, entries)) <= {int}:
-        return None
+    u = _first_not(entries, int) // (r * ncols)
+    del entries[u * r * ncols:]
     try:
         codes = np.array(entries, dtype=np.int64)
     except OverflowError:
-        return None
-    return codes.reshape(len(members), r, ncols)
+        u = next(i for i, c in enumerate(entries)
+                 if not -2 ** 63 <= c < 2 ** 63) // (r * ncols)
+        codes = np.array(entries[:u * r * ncols], dtype=np.int64)
+    return codes.reshape(u, r, ncols)
 
 
-def _all_lists(items: list, length: int) -> bool:
-    return set(map(type, items)) <= {list} and set(map(len, items)) <= {length}
+def _first_not(items: list, kind: type, length: int | None = None) -> int:
+    """The index of the first item not of exactly the type kind (or not of
+    the given length), or len(items) when there is none."""
+    if set(map(type, items)) <= {kind} and (
+            length is None or set(map(len, items)) <= {length}):
+        return len(items)
+    return next(i for i, x in enumerate(items) if type(x) is not kind
+                or length is not None and len(x) != length)
 
 
 def load_family(path: str) -> KFamily:

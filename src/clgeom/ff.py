@@ -276,7 +276,7 @@ class FieldCtx:
 
     def sub_scaled(self, v, f: int, row) -> list:
         """v - f * row entry by entry, as a new list: the elimination step
-        of ``geometry.rref`` and ``geometry.point_in_subspace``."""
+        of ``geometry.rref``."""
         if self.h == 1:
             p = self.p
             return [(a - f * b) % p for a, b in zip(v, row)]

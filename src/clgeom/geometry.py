@@ -30,6 +30,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product, repeat
 
 import numpy as np
@@ -97,6 +98,19 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(k={self.k}, mat={self.mat})"
 
+    @cached_property
+    def _check_equations(self) -> tuple:
+        """The row space's check equations, one per non-pivot column j in
+        column order: (j, ((c, e), ...)) with the pivot column c and the
+        entry e at j of every row that is nonzero there.  v lies in the row
+        space iff v[j] = sum(v[c] * e) for every j: row i is the only row
+        nonzero at its pivot c, so v[c] is its only possible coefficient."""
+        pivots = set(self.pivots)
+        return tuple(
+            (j, tuple((c, row[j]) for row, c in zip(self.mat, self.pivots)
+                      if row[j]))
+            for j in range(self.ncols) if j not in pivots)
+
 
 def rref(rows, field: FieldCtx):
     """Reduced row echelon form over GF(q); returns (rows, pivots)."""
@@ -138,24 +152,29 @@ def make_subspace(rows, field: FieldCtx, ncols: int | None = None) -> Subspace:
 
 
 def point_in_subspace(field: FieldCtx, coords, sub: Subspace) -> bool:
-    """Row-space membership of a coordinate vector.
-
-    The rows are eliminated in pivot order.  A row is zero left of its
-    pivot and in the other pivot columns, so once the rows before it are
-    eliminated, the entries between the previous pivot and its own are
-    final: a nonzero one there decides the answer at once."""
+    """Row-space membership of a coordinate vector: the subspace's check
+    equations (``Subspace._check_equations``, built once per object) are
+    tested in column order, and the first that fails decides."""
     if len(coords) != sub.ncols:
         raise DimensionMismatch("coordinate length != ambient dimension")
     v = coords
-    lo = 0
-    for row, c in zip(sub.mat, sub.pivots):
-        if any(v[lo:c]):
+    if field.h == 1:
+        p = field.p
+        for j, terms in sub._check_equations:
+            r = v[j]
+            for c, e in terms:
+                r -= v[c] * e
+            if r % p:
+                return False
+        return True
+    mul, minus = field.mul, field.sub
+    for j, terms in sub._check_equations:
+        r = v[j]
+        for c, e in terms:
+            r = minus(r, mul(v[c], e))
+        if r:
             return False
-        f = v[c]
-        if f:
-            v = field.sub_scaled(v, f, row)
-        lo = c + 1
-    return not any(v[lo:])
+    return True
 
 
 def span(field: FieldCtx, a: Subspace, b: Subspace) -> Subspace:

@@ -677,6 +677,30 @@ def test_refusing_a_fault_in_the_last_member_checks_only_it(monkeypatch):
     assert cc.family_from_dict(d).size == 0
 
 
+def test_refusing_an_unparsable_last_member_checks_only_it(monkeypatch):
+    """The members before one that does not parse are looked up in one
+    batch, so only the faulty one is checked one by one."""
+    calls = []
+    real = cc.subspace_from_codes
+    monkeypatch.setattr(cc, "subspace_from_codes",
+                        lambda *args: calls.append(1) or real(*args))
+    d = cc.family_to_dict(
+        cc.construct_trivial(geometry("PG", 4, 3), 1, "point_pencil"))
+    last = len(d["members"]) - 1
+    d["members"][last][1][4] = 1.0
+    with pytest.raises(FamilyFormatError) as exc:
+        cc.family_from_dict(d)
+    assert str(exc.value) == (f"member {last}: entry 1.0 is not a code "
+                              "in [0, 3)")
+    assert len(calls) <= 1
+    # the first member does not parse: nothing is looked up in a batch
+    d["members"][0] = d["members"][0][:1]
+    calls.clear()
+    with pytest.raises(FamilyFormatError, match="^member 0: expected a 2x5"):
+        cc.family_from_dict(d)
+    assert calls == []
+
+
 def test_family_rejects_affine_member_at_infinity():
     d = cc.family_to_dict(
         cc.construct_trivial(geometry("AG", 3, 2), 1, "point_pencil"))

@@ -1,7 +1,9 @@
 import hashlib
 import importlib
 import json
+import random
 import time
+from functools import cached_property
 from itertools import combinations, product
 from pathlib import Path
 
@@ -489,7 +491,8 @@ def test_huge_dimension_refused_from_its_exponent(kind):
 
 def full_elimination_member(field, coords, sub):
     """Row-space membership by eliminating every row and only then looking
-    at the remainder: point_in_subspace before its early exit."""
+    at the remainder: the reference for point_in_subspace's check
+    equations."""
     v = list(coords)
     for row, c in zip(sub.mat, sub.pivots):
         f = v[c]
@@ -518,27 +521,115 @@ def test_point_in_subspace_matches_full_elimination(n, q):
                     assert got == (g.point_index[v] in inside)
 
 
-def test_point_in_subspace_exits_before_eliminating(monkeypatch):
-    """A nonzero entry left of the next pivot decides at once."""
-    g = geometry("PG", 3, 2)
+def _raising(*args):
+    raise AssertionError("a field operation was called")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_point_in_subspace_calls_no_field_op_over_prime_fields(q, monkeypatch):
+    """Over GF(p) the check equations are summed inline, mod p."""
+    g = geometry("PG", 3, q)
+    subs = [make_subspace([], g.field, 4)] + [
+        s for k in range(4) for s in g.subspaces(k)]
+    vectors = list(product(range(q), repeat=4))
+    want = [[full_elimination_member(g.field, v, s) for v in vectors]
+            for s in subs]
+    for name in ("mul", "sub", "sub_scaled"):
+        monkeypatch.setattr(FieldCtx, name, _raising)
+    assert [[point_in_subspace(g.field, v, s) for v in vectors]
+            for s in subs] == want
+
+
+def test_point_in_subspace_stops_at_the_first_failed_equation(monkeypatch):
+    """Over GF(4), a vector that fails the first check equation costs at
+    most one mul per term of that equation."""
+    g = geometry("PG", 3, 4)
+    f = g.field
     calls = []
-    real = type(g.field).sub_scaled
+    real = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul",
+                        lambda self, a, b: calls.append(1) or real(self, a, b))
+    rng = random.Random(4)
+    tried = 0
+    for k in range(3):
+        for sub in g.subspaces(k):
+            j, terms = sub._check_equations[0]
+            for _ in range(4):
+                v = tuple(rng.randrange(4) for _ in range(4))
+                r = v[j]
+                for c, e in terms:
+                    r = f.sub(r, real(f, v[c], e))
+                if not r:
+                    continue
+                calls.clear()
+                assert not point_in_subspace(f, v, sub)
+                assert len(calls) <= len(terms)
+                tried += 1
+    assert tried > 1000
 
-    def counting(self, v, f, row):
-        calls.append(tuple(row))
-        return real(self, v, f, row)
 
-    monkeypatch.setattr(type(g.field), "sub_scaled", counting)
-    plane = make_subspace([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], g.field)
-    assert not point_in_subspace(g.field, (1, 1, 1, 1), plane)
-    assert calls == []
-    # pivots 0 and 2: column 1 is final once row 0 is eliminated
-    line = make_subspace([(1, 0, 0, 1), (0, 0, 1, 1)], g.field)
-    assert not point_in_subspace(g.field, (1, 1, 1, 0), line)
-    assert calls == [(1, 0, 0, 1)]
-    calls.clear()
-    assert point_in_subspace(g.field, (1, 0, 1, 0), line)
-    assert calls == [(1, 0, 0, 1), (0, 0, 1, 1)]
+def test_check_equations_are_built_once_per_subspace(monkeypatch):
+    g = geometry("PG", 3, 3)
+    built = []
+    real = Subspace.__dict__["_check_equations"].func
+    prop = cached_property(lambda self: built.append(1) or real(self))
+    prop.__set_name__(Subspace, "_check_equations")
+    monkeypatch.setattr(Subspace, "_check_equations", prop)
+    line = make_subspace([(1, 0, 2, 1), (0, 1, 1, 0)], g.field)
+    for v in product(range(3), repeat=4):
+        point_in_subspace(g.field, v, line)
+    assert len(built) == 1
+    again = make_subspace(list(line.mat), g.field)
+    assert point_in_subspace(g.field, (1, 1, 0, 1), again)
+    assert len(built) == 2
+
+
+def test_built_equations_leave_eq_hash_and_repr_alone():
+    g = geometry("PG", 3, 4)
+    lines = g.subspaces(1)
+    for sub in [make_subspace([], g.field, 4)] + [lines[i] for i in range(40)]:
+        fresh = Subspace(sub.mat, sub.pivots, sub.ncols)
+        point_in_subspace(g.field, (1, 2, 3, 1), sub)
+        assert "_check_equations" in sub.__dict__
+        assert "_check_equations" not in fresh.__dict__
+        assert sub == fresh and fresh == sub
+        assert hash(sub) == hash(fresh)
+        assert repr(sub) == repr(fresh)
+        assert len({sub, fresh}) == 1
+
+
+@st.composite
+def subspace_and_vectors(draw):
+    """A random subspace of PG(n,q) from random rows, and vectors to test:
+    the zero vector, a random one, a nonzero multiple of it and a random
+    combination of the rows (none of them normalized)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+    n = draw(st.integers(1, 6))
+    field = geometry("PG", n, q).field
+    vec = st.tuples(*[st.integers(0, q - 1)] * (n + 1))
+    rows = draw(st.lists(vec, max_size=n + 1))
+    sub = make_subspace(rows, field, n + 1)
+    v = draw(vec)
+    s = draw(st.integers(1, q - 1))
+    w = (0,) * (n + 1)
+    for row in rows:
+        a = draw(st.integers(0, q - 1))
+        w = tuple(field.add(x, field.mul(a, y)) for x, y in zip(w, row))
+    return field, sub, [(0,) * (n + 1), v,
+                        tuple(field.mul(s, x) for x in v), w]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(subspace_and_vectors())
+def test_point_in_subspace_matches_elimination_and_rank(case):
+    field, sub, vectors = case
+    for v in vectors:
+        got = point_in_subspace(field, v, sub)
+        assert got == full_elimination_member(field, v, sub)
+        assert got == (len(rref(list(sub.mat) + [v], field)[0])
+                       == len(sub.mat))
+    assert point_in_subspace(field, vectors[0], sub)
+    assert point_in_subspace(field, vectors[3], sub)
 
 
 @pytest.mark.parametrize("kind", ["PG", "AG"])
