@@ -13,8 +13,8 @@ Every route here reads incidence from the point table, and the points of
 other subspaces from ``Geometry.points_of``.  The transforms read each
 image's canonical matrix off its sorted points (``geometry._blocks_of``),
 with no elimination per member.  Every checker computes its counts by
-brute force over the geometry (most of them from one meet profile, counted
-in numpy) and compares them with the closed-form prediction in exact
+brute force over the geometry (most of them from one meet profile, from
+degree sums over the geometry's sub tables) and compares them with the closed-form prediction in exact
 rational arithmetic; checkers report violations instead of raising, so
 they double as falsification tools.
 """
@@ -48,7 +48,6 @@ from .errors import (
 )
 from .ff import MAX_ORDER, factor_prime_power
 from .geometry import (
-    _CHUNK,
     _blocks_of,
     _combine,
     Geometry,
@@ -395,65 +394,30 @@ def ag_to_pg(F: KFamily) -> KFamily:
 # counting-identity checkers
 # ---------------------------------------------------------------------------
 
-def _meets(geom: Geometry, k: int, blocks: np.ndarray,
-           rows: np.ndarray) -> np.ndarray:
-    """For each block (a row of point indices), the subspaces `rows`
-    counted by their meet with it: in column d + 1 those meeting it in a
-    d-space (d <= k; [d+1 1]_q points in PG, q^d affine points in AG), in
-    column 0 those sharing no point.
-
-    Lists the subspaces through each point, gathers them over each block's
-    points, and counts each (block, subspace) pair.  About eight arrays as
-    long as a chunk's pairs are alive at once, so a chunk of _CHUNK // 2
-    pairs keeps them under 1 MB (larger chunks measured slower)."""
-    sizes = [gauss_binom(d + 1, 1, geom.q) if geom.kind == "PG"
-             else geom.q ** d for d in range(k + 1)]
-    column = np.full(sizes[-1] + 1, -1, dtype=np.int64)
-    column[[0] + sizes] = np.arange(k + 2)
-    out = np.zeros((len(blocks), k + 2), dtype=np.int64)
-    size = len(rows)
-    flat = rows.ravel()
-    through = np.argsort(flat, kind="stable") // rows.shape[1]  # by point
-    deg = np.bincount(flat, minlength=geom.num_points)
-    start = np.cumsum(deg) - deg
-    load = deg[blocks].sum(axis=1)  # pairs gathered by each block
-    ends = np.cumsum(load)
-    lo = 0
-    while lo < len(blocks):
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1,
-                 int(np.searchsorted(ends, base + _CHUNK // 2, "right")))
-        pts = blocks[lo:hi].ravel()
-        lens = deg[pts]
-        idx = np.repeat(start[pts] - (np.cumsum(lens) - lens), lens)
-        idx += np.arange(len(idx))
-        key = np.repeat(np.arange(hi - lo) * size, load[lo:hi])
-        key += through[idx]
-        pairs, shared = np.unique(key, return_counts=True)
-        cols = column[shared]
-        assert (cols > 0).all(), "two subspaces share a non-subspace"
-        out[lo:hi] = np.bincount(pairs // size * (k + 2) + cols,
-                                 minlength=(hi - lo) * (k + 2)).reshape(hi - lo, -1)
-        lo = hi
-    out[:, 0] = size - out[:, 1:].sum(axis=1)
-    return out
-
-
 def _pair_profile(F: KFamily) -> np.ndarray:
     """N x (k+2) int64 array: row K counts the members by their meet with
-    K (see _meets).
+    K, in column d + 1 those meeting it in a d-space (d <= k; in AG an
+    affine d-flat), in column 0 those sharing no point.
 
-    A family with more than half the blocks is profiled through its
-    complement.  The collineation group is transitive on k-spaces, so every
-    K meets the N blocks as block 0 does."""
+    From degree sums over the sub tables, with no pair counted: the sum
+    s_j over K's j-spaces of the members through each is the sum over
+    d >= j of c_d [d+1 j+1]_q (AG: q^(d-j) [d j]_q), the j-spaces of each
+    member's meet with K.  With c_k = chi, back-substitution from j = k-1
+    down gives the c_d for d >= 0, and c_-1 is the rest of |L|."""
     if F._profile is None:
-        geom, k = F.geom, F.k
-        table = geom.point_table(k)
-        if 2 * F.size > len(table):
-            rest = _meets(geom, k, table, np.delete(table, F.indices, 0))
-            prof = _meets(geom, k, table, table[:1]).sum(axis=0) - rest
-        else:
-            prof = _meets(geom, k, table, table[F.indices])
+        geom, k, q = F.geom, F.k, F.geom.q
+        prof = np.zeros((geom.subspace_count(k), k + 2), dtype=np.int64)
+        prof[:, k + 1] = F.chi
+        for j in range(k - 1, -1, -1):
+            table = geom.sub_table(k, j)
+            s = np.bincount(table[F.indices].ravel(),
+                            minlength=geom.subspace_count(j))[table].sum(axis=1)
+            for d in range(j + 1, k + 1):
+                s -= prof[:, d + 1] * (
+                    gauss_binom(d + 1, j + 1, q) if geom.kind == "PG"
+                    else q ** (d - j) * gauss_binom(d, j, q))
+            prof[:, j + 1] = s
+        prof[:, 0] = F.size - prof[:, 1:].sum(axis=1)
         prof.setflags(write=False)
         F._profile = prof
     return F._profile
@@ -571,9 +535,10 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     a, b, c = (int(m.sum()) for m in (through_p, inside, through_p & inside))
     g_n1k = gauss_binom(n - 1, k, q)
     g_i1k = gauss_binom(i - 1, k, q)
-    lhs = Fraction(a) + Fraction(g_n1k * (q ** k - 1), g_i1k * (q ** i - 1)) * b
-    rhs = Fraction(g_n1k, g_i1k) * c + Fraction(q ** k - 1, q ** n - 1) * F.size
-    return lhs == rhs
+    qi, qk, qn = q ** i - 1, q ** k - 1, q ** n - 1
+    # a + g_n1k qk b/(g_i1k qi) = g_n1k c/g_i1k + qk |L|/qn, times g_i1k qi qn
+    return (a * g_i1k * qi * qn + g_n1k * qk * qn * b
+            == g_n1k * qi * qn * c + qk * g_i1k * qi * F.size)
 
 
 def check_aid_identity(F: KFamily, K: int, t: int) -> bool:
@@ -615,15 +580,14 @@ def find_skew_space(F: KFamily):
     if F.geom.kind != "PG":
         raise GuardViolated("skew-space search is projective")
     geom, k = F.geom, F.k
-    table, upper = geom.point_table(k), geom.point_table(k + 1)
-    # the (k+1)-spaces holding no member; the k-spaces inside one of them,
-    # none of which is a member
-    free = np.flatnonzero(_meets(geom, k, upper, table[F.indices])[:, -1] == 0)
-    inside = np.flatnonzero(_meets(geom, k, table, upper[free])[:, -1])
-    if not len(inside):
+    # the k-spaces inside each (k+1)-space; those inside a free one, a
+    # (k+1)-space holding no member, are non-members
+    table = geom.sub_table(k + 1, k)
+    free = np.flatnonzero(~F.chi[table].any(axis=1))
+    if not len(free):
         return None
-    K = table[inside[0]]
-    j = free[np.isin(upper[free], K).sum(axis=1) == len(K)][0]
+    K = table[free].min()
+    j = free[(table[free] == K).any(axis=1)][0]
     return geom.subspaces(k + 1)[j]
 
 

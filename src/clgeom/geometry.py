@@ -21,8 +21,9 @@ k-space are the combinations c.M of its matrix's rows (over GF(p^h),
 h > 1, gathered from the field's q x q add and mul tables), and a
 normalized point's index among the sorted points is a closed form of its
 base-q key (see ``Geometry._locate``).  ``Geometry.points_of`` gives the
-points of any other subspace by the same ranks.  The dense incidence
-matrix and the point bitmasks are views derived from the table on request.
+points of any other subspace by the same ranks, ``Geometry.sub_table`` the
+j-spaces in each k-space.  The dense incidence matrix and the point
+bitmasks are views derived from the table on request.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 
 SUBSPACE_CAP = 10 ** 6
 
-# entries of one numpy chunk in the point table and mask builders; small
-# chunks keep the temporaries in cache and the peak memory flat
+# entries of one numpy chunk in the point table, sub table and mask
+# builders; small chunks keep the temporaries in cache and the peak memory flat
 _CHUNK = 1 << 14
 
 
@@ -205,8 +206,8 @@ class SubspaceLevel(Sequence):
     field codes (in the smallest unsigned dtype that holds q-1) and the
     ascending ``keys`` of those matrices (see ``_keys``).
 
-    Indexing (negative indices too) and iteration build each ``Subspace``
-    on demand, with entries that are Python ints."""
+    Indexing (negative indices too; a slice gives a list) and iteration
+    build each ``Subspace`` on demand, with entries that are Python ints."""
 
     def __init__(self, codes: np.ndarray, keys: np.ndarray):
         codes.setflags(write=False)
@@ -217,7 +218,9 @@ class SubspaceLevel(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, j) -> Subspace:
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return list(map(_subspace_of, self.codes[j].tolist()))
         return _subspace_of(self.codes[operator.index(j)].tolist())
 
     def __iter__(self):
@@ -344,7 +347,7 @@ class Geometry:
         self._ranks = None
         self._coeffs = {}
         self._subspaces = {}
-        self._tables = {}
+        self._tables = {}  # point tables by k, sub tables by (k, j)
         self._masks = {}
 
     @property
@@ -533,6 +536,34 @@ class Geometry:
             table.setflags(write=False)
             self._tables[k] = table
         return self._tables[k]
+
+    def sub_table(self, k: int, j: int) -> np.ndarray:
+        """N x m int64 array whose row i lists, ascending, the positions in
+        subspaces(j) of the j-spaces in k-space i, for 0 <= j < k (the point
+        table for j = 0).  They are C.M for M the k-space's RREF matrix and
+        C the j-spaces of PG(k,q), and C.M is in RREF, as _locate's c.M is
+        normalized: C's pivots move to M's, and C -> C.M keeps the order.
+        In AG, M's column 0 is e_0, so C.M is affine exactly when C is, and
+        C runs over AG(k,q)'s j-level."""
+        codes = self.subspaces(k).codes
+        if not 0 <= j < k:
+            raise InvalidRange(f"j={j} not in [0, {k})")
+        if j == 0:
+            return self.point_table(k)
+        if (k, j) not in self._tables:
+            coeffs = geometry(self.kind, k, self.q).subspaces(j).codes
+            table = np.empty((len(codes), len(coeffs)), dtype=np.int64)
+            coeffs = coeffs.reshape(-1, k + 1).astype(np.int64)
+            step = max(1, _CHUNK // (len(coeffs) * (self.n + 1)))
+            for lo in range(0, len(codes), step):
+                mats = codes[lo:lo + step].astype(np.int64)
+                subs = _combine(self.field, coeffs, mats)
+                table[lo:lo + len(mats)] = self.subspace_index(
+                    j, subs.reshape(-1, j + 1, self.n + 1)).reshape(len(mats), -1)
+            assert (table >= 0).all()
+            table.setflags(write=False)
+            self._tables[k, j] = table
+        return self._tables[k, j]
 
     def points_of(self, sub: Subspace) -> np.ndarray:
         """Ascending indices of this geometry's points that lie in an

@@ -409,6 +409,43 @@ def test_find_skew_space():
     assert cc.find_skew_space(full) is None
 
 
+_CONTAINMENT: dict = {}
+
+
+def skew_space_oracle(F):
+    """find_skew_space by meet() on every pair of a k-space and a
+    (k+1)-space: the first non-member K that lies in a (k+1)-space holding
+    no member, and the first such (k+1)-space through K."""
+    geom, k = F.geom, F.k
+    lower, upper = geom.subspaces(k), geom.subspaces(k + 1)
+    key = (geom.key, k)
+    if key not in _CONTAINMENT:
+        _CONTAINMENT[key] = [
+            [K for K, A in enumerate(lower) if meet(geom.field, A, B) == A]
+            for B in upper]
+    inside = _CONTAINMENT[key]
+    free = [j for j, ks in enumerate(inside) if not F.members.intersection(ks)]
+    for K in sorted(set(range(len(lower))) - F.members):
+        for j in free:
+            if K in inside[j]:
+                return upper[j]
+    return None
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 2, 0), (3, 2, 1), (4, 2, 1),
+                                   (3, 3, 1), (4, 2, 2), (2, 4, 1)])
+def test_find_skew_space_matches_meet_oracle(n, q, k):
+    geom = geometry("PG", n, q)
+    total = geom.subspace_count(k)
+    rng = random.Random(f"skew{n}{q}{k}")
+    fams = [cc.construct_trivial(geom, k, "point_pencil")]
+    for size in (0, 1, total // 10, total // 3, total // 2, total - 1, total):
+        fams.append(cc.KFamily(geom, k, rng.sample(range(total), size)))
+    answers = [cc.find_skew_space(fam) for fam in fams]
+    assert answers == [skew_space_oracle(fam) for fam in fams]
+    assert answers[1] is not None and answers[-1] is None
+
+
 def test_pg_ag_roundtrip_default_hyperplane():
     geom = geometry("PG", 3, 2)
     hp = cc.construct_trivial(geom, 1, "hyperplane_class")
@@ -714,7 +751,27 @@ def test_family_rejects_affine_member_at_infinity():
 
 PROFILE_GEOMS = [("PG", 3, 2, 1), ("PG", 3, 2, 2), ("PG", 3, 3, 1),
                  ("PG", 3, 3, 2), ("PG", 2, 4, 1), ("PG", 2, 4, 2),
-                 ("PG", 4, 2, 1), ("PG", 4, 2, 2), ("AG", 3, 3, 1)]
+                 ("PG", 4, 2, 1), ("PG", 4, 2, 2), ("PG", 4, 2, 3),
+                 ("AG", 3, 3, 1), ("AG", 3, 3, 2)]
+
+
+@pytest.mark.parametrize("kind,n,q,k", PROFILE_GEOMS + [
+    ("PG", 5, 2, 3), ("PG", 3, 4, 2)])
+def test_sub_table_matches_containment_oracle(kind, n, q, k):
+    """A j-space S lies in the k-space K exactly when points_of(S) lies in
+    K's point-table row; each row lists those S ascending."""
+    geom = geometry(kind, n, q)
+    rows = geom.point_table(k)
+    on = np.zeros((geom.num_points, len(rows)), dtype=bool)
+    on[rows, np.arange(len(rows))[:, None]] = True
+    for j in range(k):
+        inside = np.array([on[geom.points_of(S)].all(axis=0)
+                           for S in geom.subspaces(j)])
+        assert geom.sub_table(k, j).tolist() == [
+            np.flatnonzero(col).tolist() for col in inside.T]
+    for j in (-1, k):
+        with pytest.raises(InvalidRange):
+            geom.sub_table(k, j)
 
 
 _MEET_COLUMNS: dict = {}
@@ -753,7 +810,8 @@ def test_pair_profile_matches_meet_oracle(kind, n, q, k):
     geom = geometry(kind, n, q)
     fams = profile_families(geom, k, seed=f"profile{kind}{n}{q}{k}")
     total = geom.subspace_count(k)
-    assert any(2 * f.size > total for f in fams)  # the complement route
+    # families of more than half the k-spaces and of at most half
+    assert any(2 * f.size > total for f in fams)
     assert any(2 * f.size <= total for f in fams)
     for fam in fams:
         assert cc._pair_profile(fam).tolist() == oracle_profile(fam), fam

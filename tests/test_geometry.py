@@ -230,6 +230,21 @@ def test_level_matches_enumeration_oracle(kind, n, q, k):
         g.subspace_index(k, [[[0] * n] * (k + 1)])
 
 
+@pytest.mark.parametrize("kind,n,q,k", [("PG", 4, 2, 1), ("AG", 3, 3, 2)])
+def test_level_slices_are_lists_of_subspaces(kind, n, q, k):
+    level = geometry(kind, n, q).subspaces(k)
+    every = [level[j] for j in range(len(level))]
+    for cut in (slice(None, 40), slice(5, 30, 3), slice(-3, None),
+                slice(None, None, -7), slice(len(level), None)):
+        got = level[cut]
+        assert type(got) is list and got == every[cut]
+        assert all(type(s) is Subspace for s in got)
+    # integer indexing is as it was: numpy integers index, floats do not
+    assert level[np.int64(-1)] == every[-1]
+    with pytest.raises(TypeError):
+        level[1.0]
+
+
 @pytest.mark.parametrize("kind,n,q,k",
                          [level for level in LEVELS if level[0] == "AG"])
 def test_ag_level_is_the_tail_of_the_closure_level(kind, n, q, k):
