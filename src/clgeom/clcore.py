@@ -402,16 +402,20 @@ def _pair_profile(F: KFamily) -> np.ndarray:
     From degree sums over the sub tables, with no pair counted: the sum
     s_j over K's j-spaces of the members through each is the sum over
     d >= j of c_d [d+1 j+1]_q (AG: q^(d-j) [d j]_q), the j-spaces of each
-    member's meet with K.  With c_k = chi, back-substitution from j = k-1
-    down gives the c_d for d >= 0, and c_-1 is the rest of |L|."""
+    member's meet with K.  Two k-spaces (two affine k-flats that meet)
+    meet in at least a (2k-n)-space, so c_d = 0 below j0 = max(0, 2k-n),
+    and with c_k = chi, back-substitution from j = k-1 down to j0 gives
+    the other c_d for d >= 0; c_-1 is the rest of |L|.  The sum runs over
+    the table's columns, so no temporary is larger than N."""
     if F._profile is None:
         geom, k, q = F.geom, F.k, F.geom.q
         prof = np.zeros((geom.subspace_count(k), k + 2), dtype=np.int64)
         prof[:, k + 1] = F.chi
-        for j in range(k - 1, -1, -1):
+        for j in range(k - 1, max(0, 2 * k - geom.n) - 1, -1):
             table = geom.sub_table(k, j)
-            s = np.bincount(table[F.indices].ravel(),
-                            minlength=geom.subspace_count(j))[table].sum(axis=1)
+            deg = np.bincount(table[F.indices].ravel(),
+                              minlength=geom.subspace_count(j))
+            s = sum(deg[col] for col in table.T)
             for d in range(j + 1, k + 1):
                 s -= prof[:, d + 1] * (
                     gauss_binom(d + 1, j + 1, q) if geom.kind == "PG"

@@ -538,9 +538,10 @@ class Geometry:
         return self._tables[k]
 
     def sub_table(self, k: int, j: int) -> np.ndarray:
-        """N x m int64 array whose row i lists, ascending, the positions in
-        subspaces(j) of the j-spaces in k-space i, for 0 <= j < k (the point
-        table for j = 0).  They are C.M for M the k-space's RREF matrix and
+        """N x m array whose row i lists, ascending, the positions in
+        subspaces(j) of the j-spaces in k-space i, for 0 <= j < k: the
+        int64 point table for j = 0, int32 otherwise (positions are below
+        SUBSPACE_CAP), built and cached on first use.  They are C.M for M the k-space's RREF matrix and
         C the j-spaces of PG(k,q), and C.M is in RREF, as _locate's c.M is
         normalized: C's pivots move to M's, and C -> C.M keeps the order.
         In AG, M's column 0 is e_0, so C.M is affine exactly when C is, and
@@ -552,7 +553,7 @@ class Geometry:
             return self.point_table(k)
         if (k, j) not in self._tables:
             coeffs = geometry(self.kind, k, self.q).subspaces(j).codes
-            table = np.empty((len(codes), len(coeffs)), dtype=np.int64)
+            table = np.empty((len(codes), len(coeffs)), dtype=np.int32)
             coeffs = coeffs.reshape(-1, k + 1).astype(np.int64)
             step = max(1, _CHUNK // (len(coeffs) * (self.n + 1)))
             for lo in range(0, len(codes), step):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -24,8 +25,11 @@ from clgeom.errors import (
     NotDisjoint,
     PointNotInSubspace,
     PreconditionNotMet,
+    TooManySubspaces,
 )
+from clgeom.ff import ff_create
 from clgeom.geometry import (
+    Geometry,
     canonical_complement,
     field_reduction_spread,
     gauss0,
@@ -815,6 +819,34 @@ def test_pair_profile_matches_meet_oracle(kind, n, q, k):
     assert any(2 * f.size <= total for f in fams)
     for fam in fams:
         assert cc._pair_profile(fam).tolist() == oracle_profile(fam), fam
+
+
+def test_profile_of_large_k_reads_no_level_below_2k_minus_n(monkeypatch):
+    """Two k-spaces meet in at least a (2k-n)-space, so the profile reads
+    the sub tables of j >= 2k-n only.  With the cap below PG(5,2)'s 1395
+    planes, its hyperplanes (2k-n = 3) still get profiles equal to the
+    meet() oracle."""
+    monkeypatch.setattr(importlib.import_module("clgeom.geometry"),
+                        "SUBSPACE_CAP", 1000)
+    geom = Geometry("PG", 5, ff_create(2, 1))  # no level enumerated yet
+    with pytest.raises(TooManySubspaces):
+        geom.subspaces(2)
+    for fam in oracle_families(geom, 4, seed="large-k"):
+        assert cc._pair_profile(fam).tolist() == oracle_profile(fam), fam
+
+
+def test_hyperplane_profile_of_pg_8_2():
+    """Two distinct hyperplanes of PG(8,2) meet in a 6-space, so a member
+    hyperplane meets the others in one and itself in a 7-space."""
+    geom = geometry("PG", 8, 2)
+    total = geom.subspace_count(7)
+    rng = random.Random("pg82")
+    for members in ([], [5], rng.sample(range(total), 200), range(total)):
+        fam = cc.KFamily(geom, 7, members)
+        want = np.zeros((total, 9), dtype=np.int64)
+        want[:, 8] = fam.chi
+        want[:, 7] = fam.size - want[:, 8]
+        assert (cc._pair_profile(fam) == want).all()
 
 
 def oracle_violations(F, column, expected):
