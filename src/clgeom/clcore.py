@@ -399,14 +399,12 @@ def _pair_profile(F: KFamily) -> np.ndarray:
     K, in column d + 1 those meeting it in a d-space (d <= k; in AG an
     affine d-flat), in column 0 those sharing no point.
 
-    From degree sums over the sub tables, with no pair counted: the sum
-    s_j over K's j-spaces of the members through each is the sum over
-    d >= j of c_d [d+1 j+1]_q (AG: q^(d-j) [d j]_q), the j-spaces of each
-    member's meet with K.  Two k-spaces (two affine k-flats that meet)
-    meet in at least a (2k-n)-space, so c_d = 0 below j0 = max(0, 2k-n),
-    and with c_k = chi, back-substitution from j = k-1 down to j0 gives
-    the other c_d for d >= 0; c_-1 is the rest of |L|.  The sum runs over
-    the table's columns, so no temporary is larger than N."""
+    From degree sums over the sub tables, column by column, with no pair
+    counted: summed over K's j-spaces, the members through each give
+    s_j = sum_{d >= j} c_d [d+1 j+1]_q (AG: q^(d-j) [d j]_q).  Two k-spaces
+    (affine k-flats that meet) meet in at least a (2k-n)-space, so with
+    c_k = chi, back-substitution from j = k-1 down to max(0, 2k-n) gives
+    every c_d for d >= 0, and c_-1 is the rest of |L|."""
     if F._profile is None:
         geom, k, q = F.geom, F.k, F.geom.q
         prof = np.zeros((geom.subspace_count(k), k + 2), dtype=np.int64)

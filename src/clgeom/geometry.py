@@ -539,9 +539,8 @@ class Geometry:
 
     def sub_table(self, k: int, j: int) -> np.ndarray:
         """N x m array whose row i lists, ascending, the positions in
-        subspaces(j) of the j-spaces in k-space i, for 0 <= j < k: the
-        int64 point table for j = 0, int32 otherwise (positions are below
-        SUBSPACE_CAP), built and cached on first use.  They are C.M for M the k-space's RREF matrix and
+        subspaces(j) of the j-spaces in k-space i, for 0 <= j < k (the point
+        table for j = 0; int32, below SUBSPACE_CAP, for j > 0).  They are C.M for M the k-space's RREF matrix and
         C the j-spaces of PG(k,q), and C.M is in RREF, as _locate's c.M is
         normalized: C's pivots move to M's, and C -> C.M keeps the order.
         In AG, M's column 0 is e_0, so C.M is affine exactly when C is, and
