@@ -10,13 +10,17 @@ identity over the geometry's point table (see ``is_cl``); no rational
 matrix is built.
 
 Every route here reads incidence from the point table, and the points of
-other subspaces from ``Geometry.points_of``.  The transforms read each
-image's canonical matrix off its sorted points (``geometry._blocks_of``),
-with no elimination per member.  Every checker computes its counts by
-brute force over the geometry (most of them from one meet profile, from
-degree sums over the geometry's sub tables) and compares them with the closed-form prediction in exact
-rational arithmetic; checkers report violations instead of raising, so
-they double as falsification tools.
+other subspaces from ``Geometry.points_of``.  What a route needs of a
+family (its rows of the table, its point degrees P chi, its 0/1 vector,
+its meet profile) is derived once and cached on it (see ``KFamily``), and
+reductions over a row run column by column (``_row_reduce``).  The
+transforms read each image's canonical matrix off its sorted points
+(``geometry._blocks_of``), with no elimination per member.  Every checker
+computes its counts by brute force over the geometry (most of them from
+one meet profile, from degree sums over the geometry's sub tables) and
+compares them with the closed-form prediction in exact rational
+arithmetic; checkers report violations instead of raising, so they double
+as falsification tools.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -68,8 +73,14 @@ from .sieve import x_max_param
 class KFamily:
     """An immutable set of k-spaces of a geometry, with exact parameter,
     stored once as ``indices``: their positions in ``geom.subspaces(k)``,
-    a read-only ascending int64 array.  ``members`` (a frozenset), ``chi``
-    (the 0/1 vector over the k-spaces) and ``size`` are derived from it."""
+    a read-only ascending int64 array.
+
+    Every other view is derived from ``indices`` on first use and kept,
+    which is safe as the family never changes: ``members`` (a frozenset),
+    ``chi`` (the 0/1 vector over the k-spaces), ``rows`` (the members' rows
+    of the point table), ``degrees`` (P chi: over the points, the members
+    through each) and the meet profile.  The arrays are read-only; ``size``
+    is the length of ``indices``."""
 
     def __init__(self, geom: Geometry, k: int, members):
         self.geom = geom
@@ -84,9 +95,8 @@ class KFamily:
             raise ValueError("member index out of range")
         self.indices = idx[np.diff(idx, prepend=-1) != 0]  # drop repeats
         self.indices.setflags(write=False)
-        self._profile = None
 
-    @property
+    @cached_property
     def members(self) -> frozenset:
         return frozenset(self.indices.tolist())
 
@@ -99,12 +109,28 @@ class KFamily:
         """|L| / [n k]_q; defined whether or not the family is CL."""
         return Fraction(self.size, gauss_binom(self.geom.n, self.k, self.geom.q))
 
-    @property
+    @cached_property
     def chi(self) -> np.ndarray:
         v = np.zeros(self.geom.subspace_count(self.k), dtype=np.uint8)
         v[self.indices] = 1
         v.setflags(write=False)
         return v
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        rows = self.geom.point_table(self.k)[self.indices]
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        deg = np.bincount(self.rows.ravel(), minlength=self.geom.num_points)
+        deg.setflags(write=False)
+        return deg
+
+    @cached_property
+    def _profile(self) -> np.ndarray:
+        return _pair_profile(self)
 
     def __eq__(self, other):
         return (isinstance(other, KFamily)
@@ -148,6 +174,22 @@ def is_cl(F: KFamily) -> CLReport:
     """
     geom = F.geom
     table = geom.point_table(F.k)
+    theta = table.shape[1]
+    r, lam = _design(geom, F.k)
+    a = F.degrees                      # P chi
+    b = _row_reduce(np.add, a, table)  # P^T P chi
+    chi = F.chi.astype(np.int64)
+    ok = np.array_equal(r * b - lam * theta * F.size, r * (r - lam) * chi)
+    x = F.x
+    assert 0 <= x <= x_max_param(geom.kind, geom.n, F.k, geom.q)
+    return CLReport(ok, x, "design-identity")
+
+
+@cache
+def _design(geom: Geometry, k: int) -> tuple:
+    """r and lambda of the points and k-spaces' 2-design, read off the
+    point table and checked once per geometry and k."""
+    table = geom.point_table(k)
     nblocks, theta = table.shape
     v = geom.num_points
     on = np.bincount(table.ravel(), minlength=v)
@@ -156,18 +198,12 @@ def is_cl(F: KFamily) -> CLReport:
     lam, rest = divmod(r * (theta - 1), v - 1)
     assert rest == 0, "points and blocks do not form a 2-design"
     assert r - lam + v * lam == r * theta
-    # Every term below lies in [0, r*theta*N] (a <= r, b <= r*theta,
-    # lambda <= r, |L| <= N).  Counting incidences both ways, N*theta = v*r,
-    # so r*theta*N = v*r^2; the int64 sums are exact while that is below
-    # 2^63.
+    # Every term of is_cl's identity lies in [0, r*theta*N] (a <= r,
+    # b <= r*theta, lambda <= r, |L| <= N).  Counting incidences both ways,
+    # N*theta = v*r, so r*theta*N = v*r^2; the int64 sums are exact while
+    # that is below 2^63.
     assert r * theta * nblocks < 2 ** 63
-    a = np.bincount(table[F.indices].ravel(), minlength=v)  # P chi
-    b = a[table].sum(axis=1)                                 # P^T P chi
-    chi = F.chi.astype(np.int64)
-    ok = np.array_equal(r * b - lam * theta * F.size, r * (r - lam) * chi)
-    x = F.x
-    assert 0 <= x <= x_max_param(geom.kind, geom.n, F.k, geom.q)
-    return CLReport(ok, x, "design-identity")
+    return r, lam
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +268,31 @@ def _resolve_point(geom: Geometry, point) -> int:
 
 
 def _pencil(geom: Geometry, k: int, p_idx: int) -> np.ndarray:
-    """Indices of the k-spaces through point p_idx, read off the point table."""
-    return np.flatnonzero((geom.point_table(k) == p_idx).any(axis=1))
+    """Indices of the k-spaces through point p_idx, read off the point table
+    (a row holds p_idx at most once, so the flat positions give the rows in
+    ascending order)."""
+    table = geom.point_table(k)
+    return np.flatnonzero(table == p_idx) // table.shape[1]
 
 
 def _indices_inside(geom: Geometry, k: int, outer: Subspace) -> np.ndarray:
-    inside = (_positions(geom, outer) >= 0)[geom.point_table(k)].all(axis=1)
+    inside = _row_reduce(np.logical_and, _positions(geom, outer) >= 0,
+                         geom.point_table(k))
     return np.flatnonzero(inside)
+
+
+def _row_reduce(ufunc: np.ufunc, values: np.ndarray,
+                table: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(values[table], axis=1), in values' dtype.  While rows
+    are no wider than the table is long, one gather per column through the
+    strided views of table.T: no N x theta temporary and no copy of the
+    table."""
+    if table.shape[1] > len(table):
+        return ufunc.reduce(values[table], axis=1)
+    out = values[table[:, 0]]
+    for col in table.T[1:]:
+        ufunc(out, values[col], out=out)
+    return out
 
 
 def _positions(geom: Geometry, sub: Subspace) -> np.ndarray:
@@ -295,8 +349,8 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     sub_geom = geometry("PG", i, geom.q)
     pos = _positions(geom, pi)
-    rows = geom.point_table(F.k)[F.indices]
-    inside = (pos >= 0)[rows].all(axis=1)
+    rows = F.rows
+    inside = _row_reduce(np.logical_and, pos >= 0, rows)
     out = _blocks_of(sub_geom, F.k, pos[rows[inside]])
     assert (out >= 0).all()
     return KFamily(sub_geom, F.k, out)
@@ -313,10 +367,10 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
-    rows = geom.point_table(F.k)[F.indices]
-    in_pi = _positions(geom, pi) >= 0
+    rows = F.rows
+    in_pi = (_positions(geom, pi) >= 0).astype(np.int64)
     # member rows hold distinct points, so pi lies in those holding all of it
-    through = in_pi[rows].sum(axis=1) == in_pi.sum()
+    through = _row_reduce(np.add, in_pi, rows) == in_pi.sum()
     # K ∩ beta is a (k-i-1)-space for every K through pi (beta is skew to
     # pi and spans the space with it), so each row keeps as many points
     images = _positions(geom, beta)[rows[through]]
@@ -366,13 +420,13 @@ def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
     # p's leading 1 lies left of s (p.a = p_s + terms left of s) and leads
     lead = np.where(images[:, 0, 0] == 0, 1, images[:, 0, 0])
     inverse = np.zeros(geom.q, dtype=np.int64)
-    for c in np.flatnonzero(np.bincount(lead)).tolist():
-        inverse[c] = field.inv(c)
+    factors = np.flatnonzero(np.bincount(lead))
+    inverse[factors] = field.inv_all(factors.tolist())
     images = _combine(field, inverse[lead][:, None, None], images)
     perm = geom.subspace_index(0, images)
     assert (perm >= 0).all()
     ag = geometry("AG", geom.n, geom.q)
-    out = _blocks_of(ag, F.k, perm[geom.point_table(F.k)[F.indices]])
+    out = _blocks_of(ag, F.k, perm[F.rows])
     inside = np.flatnonzero(out < 0)
     if len(inside):
         raise MemberInsideHyperplane(int(F.indices[inside[0]]))
@@ -405,24 +459,22 @@ def _pair_profile(F: KFamily) -> np.ndarray:
     (affine k-flats that meet) meet in at least a (2k-n)-space, so with
     c_k = chi, back-substitution from j = k-1 down to max(0, 2k-n) gives
     every c_d for d >= 0, and c_-1 is the rest of |L|."""
-    if F._profile is None:
-        geom, k, q = F.geom, F.k, F.geom.q
-        prof = np.zeros((geom.subspace_count(k), k + 2), dtype=np.int64)
-        prof[:, k + 1] = F.chi
-        for j in range(k - 1, max(0, 2 * k - geom.n) - 1, -1):
-            table = geom.sub_table(k, j)
-            deg = np.bincount(table[F.indices].ravel(),
-                              minlength=geom.subspace_count(j))
-            s = sum(deg[col] for col in table.T)
-            for d in range(j + 1, k + 1):
-                s -= prof[:, d + 1] * (
-                    gauss_binom(d + 1, j + 1, q) if geom.kind == "PG"
-                    else q ** (d - j) * gauss_binom(d, j, q))
-            prof[:, j + 1] = s
-        prof[:, 0] = F.size - prof[:, 1:].sum(axis=1)
-        prof.setflags(write=False)
-        F._profile = prof
-    return F._profile
+    geom, k, q = F.geom, F.k, F.geom.q
+    prof = np.zeros((geom.subspace_count(k), k + 2), dtype=np.int64)
+    prof[:, k + 1] = F.chi
+    for j in range(k - 1, max(0, 2 * k - geom.n) - 1, -1):
+        table = geom.sub_table(k, j)
+        deg = F.degrees if j == 0 else np.bincount(
+            table[F.indices].ravel(), minlength=geom.subspace_count(j))
+        s = _row_reduce(np.add, deg, table)
+        for d in range(j + 1, k + 1):
+            s -= prof[:, d + 1] * (
+                gauss_binom(d + 1, j + 1, q) if geom.kind == "PG"
+                else q ** (d - j) * gauss_binom(d, j, q))
+        prof[:, j + 1] = s
+    prof[:, 0] = F.size - prof[:, 1:].sum(axis=1)
+    prof.setflags(write=False)
+    return prof
 
 
 def _violations(F: KFamily, actual: np.ndarray, expected: tuple) -> list:
@@ -468,7 +520,7 @@ def check_meet_profile(F: KFamily, i: int) -> CheckReport:
         raise GuardViolated(f"i must be in [1, k+1], got {i}")
     expected = tuple(meet_profile_expected(F, i, member)
                      for member in (False, True))
-    violations = _violations(F, _pair_profile(F)[:, F.k - i + 1], expected)
+    violations = _violations(F, F._profile[:, F.k - i + 1], expected)
     return CheckReport(not violations, violations)
 
 
@@ -507,7 +559,7 @@ def check_affine_line(F: KFamily) -> CheckReport:
     x = F.x
     factor = q * q * gauss0(n - 2, 1, q) + 1
     violations = [("line",) + v for v in _violations(
-        F, _pair_profile(F)[:, 0], (x * factor, (x - 1) * factor))]
+        F, F._profile[:, 0], (x * factor, (x - 1) * factor))]
     # the second RREF row of an affine line is its direction, the point
     # at infinity of its closure
     directions = geom.subspaces(1).codes[F.indices, 1]
@@ -531,10 +583,11 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     i = tau.k
     if i < k + 1:
         raise GuardViolated("tau must have dimension >= k+1")
-    rows = geom.point_table(k)[F.indices]
-    through_p = (rows == p_idx).any(axis=1)
-    inside = in_tau[rows].all(axis=1)
-    a, b, c = (int(m.sum()) for m in (through_p, inside, through_p & inside))
+    rows = F.rows
+    inside = rows[_row_reduce(np.logical_and, in_tau, rows)]
+    # a member row holds p at most once
+    a, b, c = (int(F.degrees[p_idx]), len(inside),
+               np.count_nonzero(inside == p_idx))
     g_n1k = gauss_binom(n - 1, k, q)
     g_i1k = gauss_binom(i - 1, k, q)
     qi, qk, qn = q ** i - 1, q ** k - 1, q ** n - 1
@@ -565,11 +618,11 @@ def _aid_value(F: KFamily, K: int, t: int) -> Fraction:
         raise GuardViolated("requires 2k+1 <= t <= n-1 and n >= 2k+2")
     if geom.kind != "PG":
         raise GuardViolated("averaging identity is projective")
-    prof = _pair_profile(F)[K]
+    prof = F._profile[K]
     pairs = sum(int(prof[d + 1]) * gauss_binom(n - 2 * k + d, t - 2 * k + d, q)
                 for d in range(-1, k + 1))
     total = Fraction(pairs, gauss_binom(t, k, q))
-    chi = int(K in F.indices)
+    chi = int(F.chi[K])
     return (total - gauss_binom(n - k, t - k, q) * chi) \
         / gauss_binom(n - k - 1, t - k - 1, q) + chi
 
@@ -585,7 +638,8 @@ def find_skew_space(F: KFamily):
     # the k-spaces inside each (k+1)-space; those inside a free one, a
     # (k+1)-space holding no member, are non-members
     table = geom.sub_table(k + 1, k)
-    free = np.flatnonzero(~F.chi[table].any(axis=1))
+    free = np.flatnonzero(
+        ~_row_reduce(np.logical_or, F.chi.view(bool), table))
     if not len(free):
         return None
     K = table[free].min()
@@ -600,9 +654,7 @@ def check_pencil_propagation(F: KFamily, pi: Subspace) -> bool:
     sub_geom = R.geom
     if not R.size:
         raise PreconditionNotMet("restriction is empty")
-    rows = sub_geom.point_table(R.k)[R.indices]
-    common = np.flatnonzero(
-        np.bincount(rows.ravel(), minlength=sub_geom.num_points) == len(rows))
+    common = np.flatnonzero(R.degrees == R.size)
     if not len(common):
         raise PreconditionNotMet("restriction has no common point")
     p_int = int(common[0])

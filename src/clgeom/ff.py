@@ -299,6 +299,26 @@ class FieldCtx:
             return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
+    def inv_all(self, values) -> list:
+        """The inverses of nonzero codes, with one ``inv`` for them all
+        (Montgomery's trick): the prefix products, the inverse of the last,
+        then a backward pass; 3(m-1) products for m values."""
+        values = list(values)
+        if not values:
+            return []
+        prefix = [values[0]]
+        for a in values[1:]:
+            prefix.append(self.mul(prefix[-1], a))
+        out = [0] * len(values)
+        # the product is 0, which inv refuses, exactly when a value is 0
+        inv = self.inv(prefix[-1])
+        for i in range(len(values) - 1, 0, -1):
+            # inv is 1 / (a_0 ... a_i)
+            out[i] = self.mul(inv, prefix[i - 1])
+            inv = self.mul(inv, values[i])
+        out[0] = inv
+        return out
+
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a = self.inv(a)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product, repeat
 
 import numpy as np
@@ -656,15 +656,21 @@ def canonical_complement(pi: Subspace, field: FieldCtx) -> Subspace:
 
 
 def field_reduction_spread(n: int, k: int, q: int):
-    """A k-spread of PG(n,q) by field reduction from PG(m-1, q^(k+1))."""
+    """A k-spread of PG(n,q) by field reduction from PG(m-1, q^(k+1)), as a
+    new list on each call (the elements are frozen, so they are shared)."""
+    return list(_field_reduction_spread(n, k, q))
+
+
+@cache
+def _field_reduction_spread(n: int, k: int, q: int) -> tuple:
     if (n + 1) % (k + 1) != 0:
         raise NotDivisible(f"(k+1)={k + 1} does not divide (n+1)={n + 1}")
     field = geometry("PG", n, q).field
     d = k + 1
     if d == 1:
         # 0-spread: every point is its own element
-        return [make_subspace([list(p)], field, n + 1)
-                for p in geometry("PG", n, q).points]
+        return tuple(make_subspace([list(p)], field, n + 1)
+                     for p in geometry("PG", n, q).points)
     m = (n + 1) // d
     ext = ff_extend(field, d)
     Q = ext.q
@@ -678,4 +684,4 @@ def field_reduction_spread(n: int, k: int, q: int):
                 row.extend(ext.to_vector(ext.mul(alpha, comp)))
             rows.append(row)
         out.append(make_subspace(rows, field, n + 1))
-    return out
+    return tuple(out)

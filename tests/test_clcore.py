@@ -135,6 +135,10 @@ def test_design_route_agrees_with_oracles(kind, n, q, k):
         assert rep.is_cl == rational_is_cl(fam, "kernel").is_cl, fam
         verdicts.append(rep.is_cl)
     assert True in verdicts
+    # r and lambda, read off the point table once per geometry and k, are
+    # the k-spaces through a point and through two points
+    assert cc._design(geom, k) == (gauss_binom(n, k, q),
+                                   gauss0(n - 1, k - 1, q))
     if 0 < k < n and geom.num_points < geom.subspace_count(k):
         # Im(P^T) is a proper subspace: the swaps must leave it
         assert False in verdicts
@@ -1035,10 +1039,14 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("n,q,k", [(3, 2, 1), (4, 2, 1), (4, 2, 2),
-                                   (3, 3, 1), (3, 4, 1)])
+                                   (3, 3, 1), (3, 4, 1), (4, 3, 1),
+                                   (5, 2, 2)])
 def test_drudge_mask_route_matches_isin_route(n, q, k):
-    """Answers and errors of every (p, tau) draw, on CL and corrupted
-    families; a point off a too-small tau is PointNotInSubspace first."""
+    """Answers and errors of every (p, tau) draw, on CL families, their
+    complements and corrupted families; a point off a too-small tau is
+    PointNotInSubspace first.  The draws on one family reuse its cached
+    rows and degrees, and a fresh copy of the family, with nothing cached,
+    answers the same."""
     geom = geometry("PG", n, q)
     rng = random.Random(f"drudge/{n}/{q}/{k}")
     fams = [f for f, _ in trivial_families(geom, k)]
@@ -1052,6 +1060,8 @@ def test_drudge_mask_route_matches_isin_route(n, q, k):
             p = rng.randrange(geom.num_points)
             want = _outcome(drudge_isin_route, fam, p, tau)
             assert _outcome(cc.check_drudge_identity, fam, p, tau) == want
+            fresh = cc.KFamily(geom, k, fam.indices)
+            assert _outcome(cc.check_drudge_identity, fresh, p, tau) == want
             seen.add(want if isinstance(want, type) else bool(want))
     assert {True, False, PointNotInSubspace, GuardViolated} <= seen
     point = geom.subspaces(0)[0]
@@ -1059,6 +1069,57 @@ def test_drudge_mask_route_matches_isin_route(n, q, k):
                                geom.points_of(point))[0])
     with pytest.raises(PointNotInSubspace):
         cc.check_drudge_identity(fams[1], outside, point)
+
+
+@pytest.mark.parametrize("kind,n,q,k", [("PG", 3, 2, 1), ("PG", 4, 2, 2),
+                                        ("AG", 3, 3, 1), ("PG", 3, 2, 3)])
+def test_family_views_are_read_only_and_derived(kind, n, q, k):
+    """Each cached view of a family is built once, cannot be written, and
+    equals its recomputation from indices; families compare and hash by
+    their indices alone, whichever views they hold."""
+    geom = geometry(kind, n, q)
+    table = geom.point_table(k)
+    for fam, _ in trivial_families(geom, k):
+        idx = fam.indices
+        chi = np.zeros(geom.subspace_count(k), dtype=np.uint8)
+        chi[idx] = 1
+        rows = table[idx]
+        fresh = cc.KFamily(geom, k, idx)
+        views = {
+            "chi": chi,
+            "rows": rows,
+            "degrees": np.bincount(rows.ravel(), minlength=geom.num_points),
+            "_profile": cc._pair_profile(fresh),
+        }
+        assert fam == fresh and hash(fam) == hash(fresh)
+        for name, want in views.items():
+            view = getattr(fam, name)
+            assert getattr(fam, name) is view
+            assert np.array_equal(view, want), name
+            with pytest.raises(ValueError):
+                view[...] = 1
+        assert fam.members == frozenset(idx.tolist())
+        assert fam.indices is idx
+        assert fam == fresh and hash(fam) == hash(fresh)
+        assert fam == cc.KFamily(geom, k, idx.tolist())
+        assert len({fam, fresh, cc.KFamily(geom, k, idx)}) == 1
+
+
+def test_checkers_and_transforms_add_no_tables():
+    """is_cl, drudge, restrict and project read the point table and the
+    family's own rows: no further table is built or cached on the
+    geometry."""
+    geom = geometry("PG", 4, 3)
+    geom.point_table(1)
+    before = {key: id(table) for key, table in geom._tables.items()}
+    for fam, _ in trivial_families(geom, 1):
+        cc.is_cl(fam)
+        tau = geom.subspaces(2)[7]
+        cc.check_drudge_identity(fam, int(geom.points_of(tau)[0]), tau)
+        cc.restrict(fam, geom.subspaces(3)[11])
+        cc.project(fam, geom.subspaces(0)[5])
+        assert {key: id(table) for key, table in geom._tables.items()} \
+            == before
 
 
 def test_construct_trivial_refuses_anchor_of_wrong_dimension():

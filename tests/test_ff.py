@@ -204,6 +204,22 @@ def test_tables_stop_above_table_max():
     assert F.mul(a, F.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,h", [(2, 11), (3, 2), (7, 1)])
+def test_inv_all_inverts_every_element(p, h):
+    """Montgomery's batch inverse: a * a^-1 = 1 for every nonzero a of
+    GF(2048) (no tables), GF(9) and GF(7), in the order given, equal to
+    inv; a zero is refused and no values give no inverses."""
+    F = ff_create(p, h)
+    values = list(range(F.q - 1, 0, -1))
+    inverses = F.inv_all(values)
+    assert [F.mul(a, b) for a, b in zip(values, inverses)] == [1] * len(values)
+    assert inverses[:5] == [F.inv(a) for a in values[:5]]
+    assert F.inv_all(iter([1, 2])) == [1, F.inv(2)]
+    assert F.inv_all([]) == []
+    with pytest.raises(DivisionByZero):
+        F.inv_all([1, 0, 2])
+
+
 def test_table_build_is_cheap(monkeypatch):
     # both took seconds while a q x q product table was filled
     monkeypatch.setattr(ff, "_FIELDS", {})

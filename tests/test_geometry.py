@@ -462,6 +462,18 @@ def test_field_reduction_spread(n, k, q, count):
     assert cover == set(range(g.num_points))
 
 
+def test_field_reduction_spread_is_a_fresh_list():
+    """The elements are built once per (n, k, q); each call hands out its
+    own list, so a caller that changes it changes no later call."""
+    S = field_reduction_spread(5, 1, 2)
+    want = list(S)
+    S.pop()
+    S.append(S[0])
+    S.reverse()
+    again = field_reduction_spread(5, 1, 2)
+    assert again == want and again is not S
+
+
 def test_spread_divisibility_guard():
     with pytest.raises(NotDivisible):
         field_reduction_spread(4, 1, 2)
