@@ -276,7 +276,7 @@ def _pencil(geom: Geometry, k: int, p_idx: int) -> np.ndarray:
 
 
 def _indices_inside(geom: Geometry, k: int, outer: Subspace) -> np.ndarray:
-    inside = _row_reduce(np.logical_and, _positions(geom, outer) >= 0,
+    inside = _row_reduce(np.logical_and, _mask(geom, outer),
                          geom.point_table(k))
     return np.flatnonzero(inside)
 
@@ -293,6 +293,13 @@ def _row_reduce(ufunc: np.ufunc, values: np.ndarray,
     for col in table.T[1:]:
         ufunc(out, values[col], out=out)
     return out
+
+
+def _mask(geom: Geometry, sub: Subspace, dtype=bool) -> np.ndarray:
+    """Over the geometry's points: 1 (True) on sub, 0 off it."""
+    mask = np.zeros(geom.num_points, dtype=dtype)
+    mask[geom.points_of(sub)] = 1
+    return mask
 
 
 def _positions(geom: Geometry, sub: Subspace) -> np.ndarray:
@@ -368,7 +375,7 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
     rows = F.rows
-    in_pi = (_positions(geom, pi) >= 0).astype(np.int64)
+    in_pi = _mask(geom, pi, np.int64)
     # member rows hold distinct points, so pi lies in those holding all of it
     through = _row_reduce(np.add, in_pi, rows) == in_pi.sum()
     # K ∩ beta is a (k-i-1)-space for every K through pi (beta is skew to
@@ -530,21 +537,19 @@ def check_spread(F: KFamily, S) -> bool:
     For AG families the spread must partition the affine points; parallel
     elements sharing a point at infinity are fine."""
     geom, k = F.geom, F.k
-    table = geom.point_table(k)
     # elements of another shape are no k-spaces either
     shaped = [j for j, s in enumerate(S)
               if s.k == k and s.ncols == geom.n + 1]
     idxs = np.full(len(S), -1)
     idxs[shaped] = geom.subspace_index(k, [S[j].mat for j in shaped])
-    covered = np.zeros(geom.num_points, dtype=bool)
-    for j in idxs.tolist():
-        if j < 0:
-            raise NotASpread("element is not a k-space of the geometry")
-        pts = table[j]
-        if covered[pts].any():
-            raise NotASpread("elements are not pairwise disjoint")
-        covered[pts] = True
-    if not covered.all():
+    if (idxs < 0).any():
+        raise NotASpread("element is not a k-space of the geometry")
+    # how often each point is covered, in one pass over the elements' rows
+    cover = np.bincount(geom.point_table(k)[idxs].ravel(),
+                        minlength=geom.num_points)
+    if (cover > 1).any():
+        raise NotASpread("elements are not pairwise disjoint")
+    if not cover.all():
         raise NotASpread("elements do not cover every point")
     return int(F.chi[idxs].sum()) == F.x
 
@@ -577,7 +582,7 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     geom, k = F.geom, F.k
     n, q = geom.n, geom.q
     p_idx = _resolve_point(geom, p)
-    in_tau = _positions(geom, tau) >= 0
+    in_tau = _mask(geom, tau)
     if not in_tau[p_idx]:
         raise PointNotInSubspace("p must lie in tau")
     i = tau.k

@@ -9,21 +9,31 @@ points with X0 = 1, affine k-spaces the projective k-spaces not contained
 in X0 = 0.
 
 Each k-level (``Geometry.subspaces``) is one ``SubspaceLevel``: a numpy
-array of the canonical matrices' codes, generated pivot pattern by pivot
-pattern and sorted by key, from which ``Subspace`` objects are built only
-on demand; ``Geometry.subspace_index`` finds any stack of matrices by
-binary search over the keys.  The points of PG(n,q) are the rows of its
-0-level.  Enumerations are kept in memory and nothing is stored on disk.
+array of the canonical matrices' codes, from which ``Subspace`` objects are
+built only on demand; ``Geometry.subspace_index`` finds any stack of
+matrices by binary search over the level's sorted keys.  The level is
+written pivot pattern by pivot pattern into one array, each pattern's free
+entries as a q x ... x q grid with arange(q) broadcast along one axis per
+entry (no counter, no division), and gathered once in key order (see
+``_enumerate_pg``).  The points of PG(n,q) are the rows of its 0-level.
+Enumerations are kept in memory and nothing is stored on disk.
 
 The one form of incidence is the point table (``Geometry.point_table``),
 built in numpy from a level's codes with no search: the points of a
-k-space are the combinations c.M of its matrix's rows (over GF(p^h),
-h > 1, gathered from the field's q x q add and mul tables), and a
-normalized point's index among the sorted points is a closed form of its
-base-q key (see ``Geometry._locate``).  ``Geometry.points_of`` gives the
-points of any other subspace by the same ranks, ``Geometry.sub_table`` the
-j-spaces in each k-space.  The dense incidence matrix and the point
-bitmasks are views derived from the table on request.
+k-space are the combinations c.M of its matrix's rows, and a normalized
+point's index among the sorted points is a closed form of its base-q key
+(see ``Geometry._locate``).  A single subspace (``Geometry.points_of``)
+gets its c.M from ``_combine`` (over GF(p^h), h > 1, gathered from the
+field's q x q add and mul tables).  The bulk builds read them from the
+digit table D_r of r = k+1 rows instead: row t of D_r holds c.col for
+every coefficient vector c, where col is the column of GF(q)^r whose
+base-q digits are t, so a block's points are D_r's rows at its columns'
+digits, summed into keys with no field product and no ``% p``.  D_r is built
+once per geometry and r, and only while it is no larger than the level it
+serves (see ``Geometry._bulk_digits``).  ``Geometry.sub_table`` gives the
+j-spaces in each k-space, keyed from the same point keys.  The dense
+incidence matrix and the point bitmasks are views derived from the table
+on request.
 """
 
 from __future__ import annotations
@@ -46,9 +56,11 @@ from .ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 
 SUBSPACE_CAP = 10 ** 6
 
-# entries of one numpy chunk in the point table, sub table and mask
-# builders; small chunks keep the temporaries in cache and the peak memory flat
+# entries of one numpy chunk in the key and mask builders, and bytes of
+# one B x theta int64 temporary in the point and sub table builds; small
+# chunks keep the temporaries in cache and the peak memory flat
 _CHUNK = 1 << 14
+_CHUNK_BYTES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -245,50 +257,72 @@ def _keys(mats: np.ndarray, q: int) -> np.ndarray:
     flat = mats.reshape(b, r * ncols)
     if q ** (r * ncols) < 2 ** 63:
         key = np.zeros(b, dtype=np.int64)
-        for column in flat.T:
-            key *= q
-            key += column
+        # _CHUNK rows at a time, so each column pass stays in cache
+        for lo in range(0, b, _CHUNK):
+            part = key[lo:lo + _CHUNK]
+            for column in flat[lo:lo + _CHUNK].T:
+                part *= q
+                part += column
         return key
     code = np.min_scalar_type(q - 1).newbyteorder(">")
     return np.ascontiguousarray(flat, dtype=code).view(
         f"S{r * ncols * code.itemsize}").ravel()
 
 
-def _codes_of(keys: np.ndarray, q: int, r: int, ncols: int) -> np.ndarray:
-    """The B x r x ncols code stack whose keys are `keys` (inverse of
-    _keys), in the smallest unsigned dtype that holds q-1."""
-    code = np.min_scalar_type(q - 1)
-    if keys.dtype != np.int64:
-        return keys.view(code.newbyteorder(">")).astype(code).reshape(
-            -1, r, ncols)
-    codes = np.empty((len(keys), r * ncols), dtype=code)
-    rest = keys
-    for j in range(r * ncols - 1, -1, -1):
-        rest, codes[:, j] = np.divmod(rest, q)
-    return codes.reshape(-1, r, ncols)
-
-
 def _enumerate_pg(q: int, ncols: int, r: int):
     """Codes and ascending keys of all (r-1)-spaces of PG(ncols-1, q).
 
-    Each pivot pattern is one block: identity columns at the pivots, zeros
-    left of each pivot and in the other pivot columns, and the remaining
-    free entries running through GF(q) as a mixed-radix counter over
-    arange(q**f).  Only the blocks' keys are kept; the sorted keys are
-    decoded back into the level's codes."""
+    Each pivot pattern is one block of q^f matrices, written in place into
+    one preallocated code array: identity columns at the pivots, zeros
+    left of each pivot and in the other pivot columns, and the f remaining
+    free entries spanning a q x ... x q grid, one axis per free entry.
+    Free entry a is arange(q) broadcast along its own axis (the block seen
+    as q^a x q x q^(f-1-a)), so no counter is decoded and nothing is
+    divided.  The level is the blocks gathered once in the order of one
+    stable argsort of their keys."""
     code = np.min_scalar_type(q - 1)
-    keys = []
-    for pivots in combinations(range(ncols), r):
-        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, ncols)
-                if c not in pivots]
-        block = np.zeros((q ** len(free), r, ncols), dtype=code)
+    patterns = [(pivots, [(i, c) for i in range(r)
+                          for c in range(pivots[i] + 1, ncols)
+                          if c not in pivots])
+                for pivots in combinations(range(ncols), r)]
+    codes = np.zeros((sum(q ** len(free) for _, free in patterns), r, ncols),
+                     dtype=code)
+    digits = np.arange(q, dtype=code)[:, None]
+    lo = 0
+    for pivots, free in patterns:
+        block = codes[lo:lo + q ** len(free)]
         block[:, range(r), pivots] = 1
-        counter = np.arange(len(block))
-        for i, c in reversed(free):
-            counter, block[:, i, c] = np.divmod(counter, q)
-        keys.append(_keys(block, q))
-    keys = np.sort(np.concatenate(keys))
-    return _codes_of(keys, q, r, ncols), keys
+        for a, (i, c) in enumerate(free):
+            block.reshape(q ** a, q, -1, r, ncols)[..., i, c] = digits
+        lo += len(block)
+    keys = _keys(codes, q)
+    order = np.argsort(keys, kind="stable")
+    return codes.take(order, axis=0), keys[order]
+
+
+def _digit_keys(digits: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
+    """B x theta base-q keys of the points c.M of a stack of matrices (B x r
+    x ncols) for every coefficient vector c of Geometry._locate, read from
+    its digit table D_r (see Geometry._digit_table): column j of M is the
+    base-q number t_j of its r entries, and the key of c.M is the Horner
+    sum over j of D_r[t_j, c]: no field product and no division."""
+    r = mats.shape[1]
+    cols = mats[:, 0].astype(np.intp)
+    for i in range(1, r):
+        cols *= q
+        cols += mats[:, i]
+    cols = cols.T.copy()
+    keys = digits.take(cols[0], axis=0)
+    for t in cols[1:]:
+        keys *= q
+        keys += digits.take(t, axis=0)
+    return keys
+
+
+def _blocks_per_chunk(width: int) -> int:
+    """Blocks per chunk of a table build whose temporaries are B x width
+    int64 arrays: _CHUNK_BYTES of each."""
+    return max(1, _CHUNK_BYTES // (8 * width))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +376,12 @@ class Geometry:
         self.q = field.q
         self._points = None
         self._point_index = None
-        # _locate's weights, rank offsets and point keys, and its
-        # coefficient vectors and their leading columns by row count
+        # _locate's rank offsets and point keys, its coefficient vectors
+        # and their leading columns by row count, and the digit tables D_r
+        # of the bulk builds by row count
         self._ranks = None
         self._coeffs = {}
+        self._digits = {}
         self._subspaces = {}
         self._tables = {}  # point tables by k, sub tables by (k, j)
         self._masks = {}
@@ -462,7 +498,42 @@ class Geometry:
 
     # -- incidence --
 
-    def _locate(self, mats: np.ndarray):
+    def _coefficients(self, r: int):
+        """The coefficient vectors of _locate for r rows, the points of
+        PG(r-1,q) in order (PG(0,q) has the one point (1)), as an int64
+        theta x r array, with their leading columns."""
+        if r not in self._coeffs:
+            coeffs = (np.ones((1, 1), dtype=np.int64) if r == 1 else
+                      geometry("PG", r - 1, self.q).subspaces(0).codes[:, 0]
+                      .astype(np.int64))
+            self._coeffs[r] = coeffs, (coeffs != 0).argmax(axis=1)
+        return self._coeffs[r]
+
+    def _digit_table(self, r: int) -> np.ndarray:
+        """D_r, the q^r x theta int64 array whose row t holds c.col for every
+        coefficient vector c of _locate (theta of them), where col is the
+        vector of GF(q)^r with the base-q digits t = sum col_i q^(r-1-i).
+        Built once per r, with one _combine over the q^r columns; a block's
+        points are then rows of D_r gathered at its columns' digits."""
+        if r not in self._digits:
+            coeffs, _ = self._coefficients(r)
+            cols = np.indices((self.q,) * r).reshape(1, r, -1)
+            self._digits[r] = np.ascontiguousarray(
+                _combine(self.field, coeffs, cols)[0].T, dtype=np.int64)
+        return self._digits[r]
+
+    def _bulk_digits(self, k: int):
+        """D_(k+1) for the bulk builds over subspaces(k), or None where they
+        keep _combine: for k = 0, and where theta * q^(k+1) is more than the
+        closure's count of k-spaces, so that D_(k+1) never outgrows the
+        level it serves (PG(2,q) lines or PG(3,27) planes, say)."""
+        r = k + 1
+        theta = gauss_binom(r, 1, self.q)
+        if k == 0 or theta * self.q ** r > self.closure().subspace_count(k):
+            return None
+        return self._digit_table(r)
+
+    def _locate(self, mats: np.ndarray, digits=None):
         """Point indices of a stack of RREF matrices (B x r x ncols) with
         r rows each, as a B x theta array of positions among the points and
         a mask of the hits; in AG the misses are the points at infinity.
@@ -472,12 +543,14 @@ class Geometry:
         pivot column of M's row at c's leading 1, where M has an identity
         column.  The products come from ``_combine`` (for GF(p^h), h > 1,
         gathers from the field's q x q add and mul tables) and are encoded
-        as base-q keys.  A normalized vector whose leading 1 sits in column
-        i has key L + t with t < L = q^(n-i), and the points before it are
-        the (L-1)/(q-1) points led further right and the t points led at i
-        with smaller keys, so its index is key - L + (L-1)/(q-1); in AG,
-        where every point is led at column 0, it is key - q^n.  A gather of
-        the 0-level's keys at these ranks checks the hits.
+        as base-q keys; the bulk builds pass the digit table D_r instead
+        (see _bulk_digits), and the keys come from ``_digit_keys`` with no
+        field product.  A normalized vector whose leading 1 sits in column i has
+        key L + t with t < L = q^(n-i), and the points before it are the
+        (L-1)/(q-1) points led further right and the t points led at i with
+        smaller keys, so its index is key - L + (L-1)/(q-1); in AG, where
+        every point is led at column 0, it is key - q^n.  A gather of the
+        0-level's keys at these ranks checks the hits.
 
         c -> c.M keeps the lexicographic order (c reappears in M's pivot
         columns, and the columns before a pivot depend only on earlier
@@ -497,16 +570,13 @@ class Geometry:
                        if self.kind == "PG" else np.full(n + 1, q ** n))
             self._ranks = weights, offsets, point_keys
         weights, offsets, point_keys = self._ranks
-        if r not in self._coeffs:
-            # the coefficient vectors are the points of PG(r-1,q), in order
-            # (PG(0,q) has the one point (1)), with their leading columns
-            coeffs = (np.ones((1, 1), dtype=np.int64) if r == 1 else
-                      geometry("PG", r - 1, self.q).subspaces(0).codes[:, 0])
-            self._coeffs[r] = coeffs, (coeffs != 0).argmax(axis=1)
-        coeffs, lead = self._coeffs[r]
-        # for r = 1 the single row is the point itself
-        vecs = mats if r == 1 else _combine(self.field, coeffs, mats)
-        keys = vecs @ weights
+        coeffs, lead = self._coefficients(r)
+        if digits is not None:
+            keys = _digit_keys(digits, mats, self.q)
+        else:
+            # for r = 1 the single row is the point itself
+            vecs = mats if r == 1 else _combine(self.field, coeffs, mats)
+            keys = vecs @ weights
         pos = keys - offsets[(mats != 0).argmax(axis=2)[:, lead]]
         # a matrix that is not in RREF may rank outside the points; the
         # clipped gather makes that a miss (a miss's position means nothing)
@@ -515,7 +585,8 @@ class Geometry:
     def point_table(self, k: int) -> np.ndarray:
         """N x theta int64 array whose row j lists, ascending, the indices of
         the points on k-space j: the one stored form of the incidence, from
-        which every checker and transform reads."""
+        which every checker and transform reads.  Built chunk by chunk
+        through _locate, from D_(k+1) wherever _bulk_digits allows it."""
         if k not in self._tables:
             codes = self.subspaces(k).codes
             if k == self.n:
@@ -525,14 +596,23 @@ class Geometry:
             else:
                 theta = (gauss_binom(k + 1, 1, self.q) if self.kind == "PG"
                          else self.q ** k)
+                digits = self._bulk_digits(k)
                 table = np.empty((len(codes), theta), dtype=np.int64)
-                step = max(1, _CHUNK // (theta * (self.n + 1)))
+                # the keys are B x theta' for the theta' points c.M; the
+                # products of _combine are B x theta' x (n+1)
+                width = gauss_binom(k + 1, 1, self.q)
+                step = _blocks_per_chunk(
+                    width if digits is not None else width * (self.n + 1))
                 for lo in range(0, len(codes), step):
-                    mats = codes[lo:lo + step].astype(np.int64)
-                    pos, hit = self._locate(mats)
+                    mats = codes[lo:lo + step]
+                    if digits is None:
+                        mats = mats.astype(np.int64)
+                    pos, hit = self._locate(mats, digits)
                     assert (hit.sum(axis=1) == theta).all()
-                    table[lo:lo + len(mats)] = pos[hit].reshape(len(mats),
-                                                                theta)
+                    # in PG every point is a hit
+                    table[lo:lo + len(mats)] = (
+                        pos if self.kind == "PG"
+                        else pos[hit].reshape(len(mats), theta))
             table.setflags(write=False)
             self._tables[k] = table
         return self._tables[k]
@@ -540,27 +620,54 @@ class Geometry:
     def sub_table(self, k: int, j: int) -> np.ndarray:
         """N x m array whose row i lists, ascending, the positions in
         subspaces(j) of the j-spaces in k-space i, for 0 <= j < k (the point
-        table for j = 0; int32, below SUBSPACE_CAP, for j > 0).  They are C.M for M the k-space's RREF matrix and
-        C the j-spaces of PG(k,q), and C.M is in RREF, as _locate's c.M is
-        normalized: C's pivots move to M's, and C -> C.M keeps the order.
-        In AG, M's column 0 is e_0, so C.M is affine exactly when C is, and
-        C runs over AG(k,q)'s j-level."""
+        table for j = 0; int32, below SUBSPACE_CAP, for j > 0).  They are
+        C.M for M the k-space's RREF matrix and C the j-spaces of PG(k,q),
+        and C.M is in RREF, as _locate's c.M is normalized: C's pivots move
+        to M's, and C -> C.M keeps the order.  In AG, M's column 0 is e_0,
+        so C.M is affine exactly when C is, and C runs over AG(k,q)'s
+        j-level.
+
+        Where _bulk_digits gives D_(k+1) and the j-level's keys are int64,
+        no matrix C.M is formed: each row of C is a point of PG(k,q), so
+        _digit_keys gives the keys of the rows of every C.M at once, and
+        the key of C.M is theirs read as base-q^(n+1) digits.  Otherwise
+        C.M comes from _combine and is looked up by subspace_index."""
         codes = self.subspaces(k).codes
         if not 0 <= j < k:
             raise InvalidRange(f"j={j} not in [0, {k})")
         if j == 0:
             return self.point_table(k)
         if (k, j) not in self._tables:
+            n1 = self.n + 1
             coeffs = geometry(self.kind, k, self.q).subspaces(j).codes
             table = np.empty((len(codes), len(coeffs)), dtype=np.int32)
-            coeffs = coeffs.reshape(-1, k + 1).astype(np.int64)
-            step = max(1, _CHUNK // (len(coeffs) * (self.n + 1)))
-            for lo in range(0, len(codes), step):
-                mats = codes[lo:lo + step].astype(np.int64)
-                subs = _combine(self.field, coeffs, mats)
-                table[lo:lo + len(mats)] = self.subspace_index(
-                    j, subs.reshape(-1, j + 1, self.n + 1)).reshape(len(mats), -1)
-            assert (table >= 0).all()
+            digits = self._bulk_digits(k)
+            if digits is not None and self.q ** ((j + 1) * n1) < 2 ** 63:
+                level = self.subspaces(j)
+                # the position of each row of C among the points of PG(k,q)
+                rows = geometry("PG", k, self.q).subspace_index(
+                    0, coeffs.reshape(-1, 1, k + 1)).reshape(len(coeffs), j + 1)
+                place = self.q ** (n1 * np.arange(j, -1, -1, dtype=np.int64))
+                step = _blocks_per_chunk(rows.size)
+                for lo in range(0, len(codes), step):
+                    keys = _digit_keys(digits, codes[lo:lo + step], self.q)
+                    keys = (keys[:, rows] @ place).ravel()
+                    # searched in ascending order, the keys' binary searches
+                    # share their paths, about twice as fast
+                    order = keys.argsort()
+                    pos = np.empty_like(order)
+                    pos[order] = np.searchsorted(level.keys, keys[order])
+                    assert (level.keys.take(pos, mode="clip") == keys).all()
+                    table[lo:lo + step] = pos.reshape(-1, len(rows))
+            else:
+                coeffs = coeffs.reshape(-1, k + 1).astype(np.int64)
+                step = _blocks_per_chunk(len(coeffs) * n1)
+                for lo in range(0, len(codes), step):
+                    mats = codes[lo:lo + step].astype(np.int64)
+                    subs = _combine(self.field, coeffs, mats)
+                    table[lo:lo + len(mats)] = self.subspace_index(
+                        j, subs.reshape(-1, j + 1, n1)).reshape(len(mats), -1)
+                assert (table >= 0).all()
             table.setflags(write=False)
             self._tables[k, j] = table
         return self._tables[k, j]

@@ -11,6 +11,10 @@ one parameter at a time.
   ``clcore.project``.
 * ``pg_to_ag_oracle``: ``pg_to_ag`` with the coordinate change found by an
   RREF rank loop and applied entry by entry.
+* ``enumerate_pg_mixed_radix``: a projective level with the free entries
+  of each pivot pattern decoded from a counter by ``divmod`` and the
+  sorted keys decoded back into codes, against
+  ``geometry._enumerate_pg``'s broadcast grids.
 * ``firing_rules`` and ``classification_rules``: every sieve rule
   evaluated on one x directly, under its guard as ``sieve.RULES`` writes
   it, against ``sieve()``'s integer thresholds and residue tables, whose
@@ -21,6 +25,8 @@ one parameter at a time.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from itertools import combinations
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from clgeom.ff import FieldCtx
 from clgeom.geometry import (
     Geometry,
     Subspace,
+    _keys,
     geometry,
     make_subspace,
     meet,
@@ -56,6 +63,47 @@ from clgeom.sieve import (
     pencil_lift_bound,
     trivial_params,
 )
+
+
+# ---------------------------------------------------------------------------
+# levels by a mixed-radix counter
+# ---------------------------------------------------------------------------
+
+def _codes_of(keys: np.ndarray, q: int, r: int, ncols: int) -> np.ndarray:
+    """The B x r x ncols code stack whose keys are `keys` (inverse of
+    _keys), in the smallest unsigned dtype that holds q-1."""
+    code = np.min_scalar_type(q - 1)
+    if keys.dtype != np.int64:
+        return keys.view(code.newbyteorder(">")).astype(code).reshape(
+            -1, r, ncols)
+    codes = np.empty((len(keys), r * ncols), dtype=code)
+    rest = keys
+    for j in range(r * ncols - 1, -1, -1):
+        rest, codes[:, j] = np.divmod(rest, q)
+    return codes.reshape(-1, r, ncols)
+
+
+def enumerate_pg_mixed_radix(q: int, ncols: int, r: int):
+    """Codes and ascending keys of all (r-1)-spaces of PG(ncols-1, q).
+
+    Each pivot pattern is one block: identity columns at the pivots, zeros
+    left of each pivot and in the other pivot columns, and the remaining
+    free entries running through GF(q) as a mixed-radix counter over
+    arange(q**f).  Only the blocks' keys are kept; the sorted keys are
+    decoded back into the level's codes."""
+    code = np.min_scalar_type(q - 1)
+    keys = []
+    for pivots in combinations(range(ncols), r):
+        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, ncols)
+                if c not in pivots]
+        block = np.zeros((q ** len(free), r, ncols), dtype=code)
+        block[:, range(r), pivots] = 1
+        counter = np.arange(len(block))
+        for i, c in reversed(free):
+            counter, block[:, i, c] = np.divmod(counter, q)
+        keys.append(_keys(block, q))
+    keys = np.sort(np.concatenate(keys))
+    return _codes_of(keys, q, r, ncols), keys
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,39 @@ def test_spread_check():
         cc.check_spread(bad, S + [S[0]])
 
 
+def test_spread_check_reports_faults_in_order():
+    """One count of the elements' points decides: an element that is no
+    k-space is reported before an overlap, and an overlap before a point
+    left uncovered, each with its own message; AG spreads too."""
+    for geom, S in ((geometry("PG", 3, 2), field_reduction_spread(3, 1, 2)),
+                    (geometry("PG", 5, 3), field_reduction_spread(5, 1, 3))):
+        fam = cc.construct_trivial(geom, 1, "point_pencil")
+        plane = geom.subspaces(2)[0]
+        faults = {
+            "element is not a k-space of the geometry": [
+                S + [plane], [S[0], S[0], plane] + S[1:-1]],
+            "elements are not pairwise disjoint": [
+                S + [S[0]], S[:-1] + [S[0]]],
+            "elements do not cover every point": [S[:-1], []],
+        }
+        for message, spreads in faults.items():
+            for spread in spreads:
+                with pytest.raises(NotASpread) as exc:
+                    cc.check_spread(fam, spread)
+                assert str(exc.value) == message
+    ag = geometry("AG", 3, 2)
+    # the affine lines of AG(3,2) in one direction partition its points
+    parallel = [L for L in ag.subspaces(1) if L.mat[1] == (0, 0, 0, 1)]
+    assert len(parallel) == 4
+    pencil = cc.construct_trivial(ag, 1, "point_pencil")
+    assert cc.check_spread(pencil, parallel) == (
+        int(pencil.chi[ag.subspace_index(1, [L.mat for L in parallel])].sum())
+        == pencil.x)
+    with pytest.raises(NotASpread) as exc:
+        cc.check_spread(pencil, parallel[1:])
+    assert str(exc.value) == "elements do not cover every point"
+
+
 def test_drudge_identity():
     geom = geometry("PG", 3, 2)
     fams = trivial_families(geom, 1)

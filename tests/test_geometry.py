@@ -21,12 +21,13 @@ from clgeom.errors import (
 )
 from clgeom import ff
 from clgeom.clcore import KFamily, ag_to_pg
-from clgeom.ff import FieldCtx, ff_create, ff_extend
+from clgeom.ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 from clgeom.geometry import (
     Geometry,
     Subspace,
     _blocks_of,
     _combine,
+    _enumerate_pg,
     canonical_complement,
     field_reduction_spread,
     gauss0,
@@ -38,7 +39,11 @@ from clgeom.geometry import (
     rref,
     span,
 )
-from oracles import project_subspace, subspace_contains
+from oracles import (
+    enumerate_pg_mixed_radix,
+    project_subspace,
+    subspace_contains,
+)
 
 
 # the package re-exports the function geometry under the module's name
@@ -292,6 +297,70 @@ def test_locate_ranks_match_binary_search(kind, n, q, k):
         assert hit.all()
     else:
         assert np.array_equal(hit, vecs[..., 0] != 0) and not hit.all()
+
+
+@pytest.mark.parametrize("kind,n,q,k", LEVELS)
+def test_digit_route_matches_combine_route(kind, n, q, k):
+    """_locate reading the digit table D_(k+1) gives the positions and hits
+    of its _combine route on every block of the closure's level, whether or
+    not the bulk builds read D_(k+1) at this size."""
+    g = geometry(kind, n, q)
+    codes = g.closure().subspaces(k).codes
+    pos, hit = g._locate(codes.astype(np.int64))
+    digit_pos, digit_hit = g._locate(codes, g._digit_table(k + 1))
+    assert np.array_equal(digit_hit, hit)
+    assert np.array_equal(digit_pos, pos)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_digit_tables_stay_within_their_level(q):
+    """D_r is built only while theta * q^r is at most the closure's count of
+    (r-1)-spaces: PG(2,q)'s lines, (q+1) q^2 > q^2+q+1, hold none, and
+    PG(3,q)'s, (q+1) q^2 <= (q^2+1)(q^2+q+1), hold D_2 (planes, with
+    (q^2+q+1) q^3, hold none).  Single subspaces never build one."""
+    field = ff_create(*factor_prime_power(q))
+    plane, space = Geometry("PG", 2, field), Geometry("PG", 3, field)
+    for g in (plane, space):
+        for k in range(g.n + 1):
+            g.point_table(k)
+        g.points_of(g.subspaces(1)[-1])
+    assert plane._digits == {}
+    assert list(space._digits) == [2]
+    assert space._digits[2].shape == (q ** 2, q + 1)
+
+
+@pytest.mark.parametrize("n,q,k", [(6, 2, 2), (5, 3, 1), (4, 4, 2),
+                                   (3, 9, 1), (6, 3, 5)])
+def test_enumeration_matches_mixed_radix_counter(n, q, k):
+    """The broadcast grids give the codes and keys that a mixed-radix
+    counter decoded by divmod gives, past the oracle geometries' n <= 4
+    (PG(6,3) k=5 on the byte-key route), with keys strictly ascending."""
+    codes, keys = _enumerate_pg(q, n + 1, k + 1)
+    want_codes, want_keys = enumerate_pg_mixed_radix(q, n + 1, k + 1)
+    assert codes.dtype == want_codes.dtype and keys.dtype == want_keys.dtype
+    assert np.array_equal(codes, want_codes)
+    assert np.array_equal(keys, want_keys)
+    assert (keys[1:] > keys[:-1]).all()
+    assert len(keys) == gauss_binom(n + 1, k + 1, q)
+
+
+@pytest.mark.parametrize("kind,n,q,k", [
+    ("PG", 4, 3, 2), ("AG", 4, 3, 2), ("PG", 4, 4, 2), ("AG", 4, 4, 2),
+    ("PG", 5, 2, 3), ("PG", 6, 2, 3), ("AG", 5, 2, 3)])
+def test_sub_table_digit_route_matches_combine_route(kind, n, q, k):
+    """Sub tables whose keys are composed from the rows' point keys (read
+    from D_(k+1)) equal C.M from _combine looked up by subspace_index."""
+    g = geometry(kind, n, q)
+    assert g._bulk_digits(k) is not None
+    codes = g.subspaces(k).codes.astype(np.int64)
+    for j in range(1, k):
+        coeffs = geometry(kind, k, q).subspaces(j).codes
+        subs = _combine(g.field, coeffs.reshape(-1, k + 1).astype(np.int64),
+                        codes)
+        want = g.subspace_index(j, subs.reshape(-1, j + 1, n + 1))
+        table = g.sub_table(k, j)
+        assert table.dtype == np.int32
+        assert np.array_equal(table, want.reshape(len(codes), -1))
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16])
