@@ -60,7 +60,7 @@ SUBSPACE_CAP = 10 ** 6
 # one B x theta int64 temporary in the point and sub table builds; small
 # chunks keep the temporaries in cache and the peak memory flat
 _CHUNK = 1 << 14
-_CHUNK_BYTES = 1 << 18
+_CHUNK_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +307,11 @@ def _digit_keys(digits: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     base-q number t_j of its r entries, and the key of c.M is the Horner
     sum over j of D_r[t_j, c]: no field product and no division."""
     r = mats.shape[1]
-    cols = mats[:, 0].astype(np.intp)
+    # ncols x B, so that each column's digits are contiguous
+    cols = np.ascontiguousarray(mats[:, 0].T, dtype=np.intp)
     for i in range(1, r):
         cols *= q
-        cols += mats[:, i]
-    cols = cols.T.copy()
+        cols += mats[:, i].T
     keys = digits.take(cols[0], axis=0)
     for t in cols[1:]:
         keys *= q
