@@ -376,9 +376,9 @@ class Geometry:
         self.q = field.q
         self._points = None
         self._point_index = None
-        # _locate's rank offsets and point keys, its coefficient vectors
-        # and their leading columns by row count, and the digit tables D_r
-        # of the bulk builds by row count
+        # _locate's weights, rank offsets and point keys, its coefficient
+        # vectors and their leading columns by row count, and the digit
+        # tables D_r of the bulk builds by row count
         self._ranks = None
         self._coeffs = {}
         self._digits = {}
@@ -545,12 +545,12 @@ class Geometry:
         gathers from the field's q x q add and mul tables) and are encoded
         as base-q keys; the bulk builds pass the digit table D_r instead
         (see _bulk_digits), and the keys come from ``_digit_keys`` with no
-        field product.  A normalized vector whose leading 1 sits in column i has
-        key L + t with t < L = q^(n-i), and the points before it are the
-        (L-1)/(q-1) points led further right and the t points led at i with
-        smaller keys, so its index is key - L + (L-1)/(q-1); in AG, where
-        every point is led at column 0, it is key - q^n.  A gather of the
-        0-level's keys at these ranks checks the hits.
+        field product.  A normalized vector whose leading 1 sits in column
+        i has key L + t with t < L = q^(n-i), and the points before it are
+        the (L-1)/(q-1) points led further right and the t points led at i
+        with smaller keys, so its index is key - L + (L-1)/(q-1); in AG,
+        where every point is led at column 0, it is key - q^n.  A gather of
+        the 0-level's keys at these ranks checks the hits.
 
         c -> c.M keeps the lexicographic order (c reappears in M's pivot
         columns, and the columns before a pivot depend only on earlier
@@ -646,7 +646,7 @@ class Geometry:
                 level = self.subspaces(j)
                 # the position of each row of C among the points of PG(k,q)
                 rows = geometry("PG", k, self.q).subspace_index(
-                    0, coeffs.reshape(-1, 1, k + 1)).reshape(len(coeffs), j + 1)
+                    0, coeffs.reshape(-1, 1, k + 1)).reshape(-1, j + 1)
                 place = self.q ** (n1 * np.arange(j, -1, -1, dtype=np.int64))
                 step = _blocks_per_chunk(rows.size)
                 for lo in range(0, len(codes), step):
