@@ -28,12 +28,12 @@ field's q x q add and mul tables).  The bulk builds read them from the
 digit table D_r of r = k+1 rows instead: row t of D_r holds c.col for
 every coefficient vector c, where col is the column of GF(q)^r whose
 base-q digits are t, so a block's points are D_r's rows at its columns'
-digits, summed into keys with no field product and no ``% p``.  D_r is built
-once per geometry and r, and only while it is no larger than the level it
-serves (see ``Geometry._bulk_digits``).  ``Geometry.sub_table`` gives the
-j-spaces in each k-space, keyed from the same point keys.  The dense
-incidence matrix and the point bitmasks are views derived from the table
-on request.
+digits, summed into keys with no field product and no ``% p``.  D_r is
+built afresh for each bulk build and never holds more entries than the
+point table it fills (see ``Geometry._digit_table``).
+``Geometry.sub_table`` gives the j-spaces in each k-space, keyed from the
+same point keys.  The dense incidence matrix and the point bitmasks are
+views derived from the table on request.
 """
 
 from __future__ import annotations
@@ -56,11 +56,9 @@ from .ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 
 SUBSPACE_CAP = 10 ** 6
 
-# entries of one numpy chunk in the key and mask builders, and bytes of
-# one B x theta int64 temporary in the point and sub table builds; small
-# chunks keep the temporaries in cache and the peak memory flat
+# entries of one numpy chunk in the point table, sub table and mask
+# builders; small chunks keep the temporaries in cache and the peak memory flat
 _CHUNK = 1 << 14
-_CHUNK_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +317,6 @@ def _digit_keys(digits: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     return keys
 
 
-def _blocks_per_chunk(width: int) -> int:
-    """Blocks per chunk of a table build whose temporaries are B x width
-    int64 arrays: _CHUNK_BYTES of each."""
-    return max(1, _CHUNK_BYTES // (8 * width))
-
-
 # ---------------------------------------------------------------------------
 # numpy field arithmetic for the point table
 # ---------------------------------------------------------------------------
@@ -376,12 +368,10 @@ class Geometry:
         self.q = field.q
         self._points = None
         self._point_index = None
-        # _locate's weights, rank offsets and point keys, its coefficient
-        # vectors and their leading columns by row count, and the digit
-        # tables D_r of the bulk builds by row count
+        # _locate's weights, rank offsets and point keys, and its
+        # coefficient vectors and their leading columns by row count
         self._ranks = None
         self._coeffs = {}
-        self._digits = {}
         self._subspaces = {}
         self._tables = {}  # point tables by k, sub tables by (k, j)
         self._masks = {}
@@ -510,28 +500,34 @@ class Geometry:
         return self._coeffs[r]
 
     def _digit_table(self, r: int) -> np.ndarray:
-        """D_r, the q^r x theta int64 array whose row t holds c.col for every
+        """D_r, the q^r x theta array whose row t holds c.col for every
         coefficient vector c of _locate (theta of them), where col is the
-        vector of GF(q)^r with the base-q digits t = sum col_i q^(r-1-i).
-        Built once per r, with one _combine over the q^r columns; a block's
-        points are then rows of D_r gathered at its columns' digits."""
-        if r not in self._digits:
-            coeffs, _ = self._coefficients(r)
-            cols = np.indices((self.q,) * r).reshape(1, r, -1)
-            self._digits[r] = np.ascontiguousarray(
-                _combine(self.field, coeffs, cols)[0].T, dtype=np.int64)
-        return self._digits[r]
+        vector of GF(q)^r with the base-q digits t = sum col_i q^(r-1-i):
+        _combine over the q^r columns, chunk by chunk, after which a block's
+        points are rows of D_r gathered at its columns' digits.  Built
+        afresh for each bulk build over the k-spaces, k = r-1 < n, it never
+        holds more entries than their point table: PG(n,q) has at least
+        q^(r(n-k)) >= q^r k-spaces of theta points each, and AG(n,q) has
+        q^(n-k) [n,k]_q >= q^r theta / q^k k-spaces of q^k points each.
 
-    def _bulk_digits(self, k: int):
-        """D_(k+1) for the bulk builds over subspaces(k), or None where they
-        keep _combine: for k = 0, and where theta * q^(k+1) is more than the
-        closure's count of k-spaces, so that D_(k+1) never outgrows the
-        level it serves (PG(2,q) lines or PG(3,27) planes, say)."""
-        r = k + 1
-        theta = gauss_binom(r, 1, self.q)
-        if k == 0 or theta * self.q ** r > self.closure().subspace_count(k):
-            return None
-        return self._digit_table(r)
+        For r >= 2 it is int32, half the bytes of the table's int64, and so
+        are the keys summed from it: then n >= 2, the closure has at most
+        SUBSPACE_CAP points, so q < 1000, and every key is below q^(n+1) =
+        (q-1) * (the closure's point count) + 1 < 2^31.  D_1 is int64, as
+        the keys of PG(1,q) reach q^2."""
+        if r == 1:
+            # the one coefficient vector is (1), and (1).col = col
+            return np.arange(self.q, dtype=np.int64)[:, None]
+        coeffs, _ = self._coefficients(r)
+        # the columns as the rows of a q^r x r array, each multiplied by
+        # the r x theta array of the coefficient vectors
+        cols = np.indices((self.q,) * r).reshape(r, -1).T
+        digits = np.empty((len(cols), len(coeffs)), dtype=np.int32)
+        step = max(1, _CHUNK // len(coeffs))
+        for lo in range(0, len(cols), step):
+            digits[lo:lo + step] = _combine(
+                self.field, cols[lo:lo + step], coeffs.T[None])[0]
+        return digits
 
     def _locate(self, mats: np.ndarray, digits=None):
         """Point indices of a stack of RREF matrices (B x r x ncols) with
@@ -544,7 +540,7 @@ class Geometry:
         column.  The products come from ``_combine`` (for GF(p^h), h > 1,
         gathers from the field's q x q add and mul tables) and are encoded
         as base-q keys; the bulk builds pass the digit table D_r instead
-        (see _bulk_digits), and the keys come from ``_digit_keys`` with no
+        (see _digit_table), and the keys come from ``_digit_keys`` with no
         field product.  A normalized vector whose leading 1 sits in column
         i has key L + t with t < L = q^(n-i), and the points before it are
         the (L-1)/(q-1) points led further right and the t points led at i
@@ -586,7 +582,7 @@ class Geometry:
         """N x theta int64 array whose row j lists, ascending, the indices of
         the points on k-space j: the one stored form of the incidence, from
         which every checker and transform reads.  Built chunk by chunk
-        through _locate, from D_(k+1) wherever _bulk_digits allows it."""
+        through _locate from the digit table D_(k+1)."""
         if k not in self._tables:
             codes = self.subspaces(k).codes
             if k == self.n:
@@ -596,17 +592,12 @@ class Geometry:
             else:
                 theta = (gauss_binom(k + 1, 1, self.q) if self.kind == "PG"
                          else self.q ** k)
-                digits = self._bulk_digits(k)
+                digits = self._digit_table(k + 1)
                 table = np.empty((len(codes), theta), dtype=np.int64)
-                # the keys are B x theta' for the theta' points c.M; the
-                # products of _combine are B x theta' x (n+1)
-                width = gauss_binom(k + 1, 1, self.q)
-                step = _blocks_per_chunk(
-                    width if digits is not None else width * (self.n + 1))
+                # the keys are B x theta' for the theta' points c.M
+                step = max(1, _CHUNK // digits.shape[1])
                 for lo in range(0, len(codes), step):
                     mats = codes[lo:lo + step]
-                    if digits is None:
-                        mats = mats.astype(np.int64)
                     pos, hit = self._locate(mats, digits)
                     assert (hit.sum(axis=1) == theta).all()
                     # in PG every point is a hit
@@ -627,10 +618,10 @@ class Geometry:
         so C.M is affine exactly when C is, and C runs over AG(k,q)'s
         j-level.
 
-        Where _bulk_digits gives D_(k+1) and the j-level's keys are int64,
-        no matrix C.M is formed: each row of C is a point of PG(k,q), so
-        _digit_keys gives the keys of the rows of every C.M at once, and
-        the key of C.M is theirs read as base-q^(n+1) digits.  Otherwise
+        Where the j-level's keys are int64, no matrix C.M is formed: each
+        row of C is a point of PG(k,q), so _digit_keys gives the keys of the
+        rows of every C.M at once from the digit table D_(k+1), and the key
+        of C.M is theirs read as base-q^(n+1) digits.  Where they are bytes,
         C.M comes from _combine and is looked up by subspace_index."""
         codes = self.subspaces(k).codes
         if not 0 <= j < k:
@@ -641,14 +632,14 @@ class Geometry:
             n1 = self.n + 1
             coeffs = geometry(self.kind, k, self.q).subspaces(j).codes
             table = np.empty((len(codes), len(coeffs)), dtype=np.int32)
-            digits = self._bulk_digits(k)
-            if digits is not None and self.q ** ((j + 1) * n1) < 2 ** 63:
-                level = self.subspaces(j)
+            level = self.subspaces(j)
+            if level.keys.dtype == np.int64:
+                digits = self._digit_table(k + 1)
                 # the position of each row of C among the points of PG(k,q)
                 rows = geometry("PG", k, self.q).subspace_index(
                     0, coeffs.reshape(-1, 1, k + 1)).reshape(-1, j + 1)
                 place = self.q ** (n1 * np.arange(j, -1, -1, dtype=np.int64))
-                step = _blocks_per_chunk(rows.size)
+                step = max(1, _CHUNK // rows.size)
                 for lo in range(0, len(codes), step):
                     keys = _digit_keys(digits, codes[lo:lo + step], self.q)
                     keys = (keys[:, rows] @ place).ravel()
@@ -661,7 +652,7 @@ class Geometry:
                     table[lo:lo + step] = pos.reshape(-1, len(rows))
             else:
                 coeffs = coeffs.reshape(-1, k + 1).astype(np.int64)
-                step = _blocks_per_chunk(len(coeffs) * n1)
+                step = max(1, _CHUNK // (len(coeffs) * n1))
                 for lo in range(0, len(codes), step):
                     mats = codes[lo:lo + step].astype(np.int64)
                     subs = _combine(self.field, coeffs, mats)

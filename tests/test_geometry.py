@@ -301,9 +301,9 @@ def test_locate_ranks_match_binary_search(kind, n, q, k):
 
 @pytest.mark.parametrize("kind,n,q,k", LEVELS)
 def test_digit_route_matches_combine_route(kind, n, q, k):
-    """_locate reading the digit table D_(k+1) gives the positions and hits
-    of its _combine route on every block of the closure's level, whether or
-    not the bulk builds read D_(k+1) at this size."""
+    """_locate reading the digit table D_(k+1), as the bulk builds do, gives
+    the positions and hits of its _combine route, that of points_of, on
+    every block of the closure's level."""
     g = geometry(kind, n, q)
     codes = g.closure().subspaces(k).codes
     pos, hit = g._locate(codes.astype(np.int64))
@@ -313,20 +313,31 @@ def test_digit_route_matches_combine_route(kind, n, q, k):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_digit_tables_stay_within_their_level(q):
-    """D_r is built only while theta * q^r is at most the closure's count of
-    (r-1)-spaces: PG(2,q)'s lines, (q+1) q^2 > q^2+q+1, hold none, and
-    PG(3,q)'s, (q+1) q^2 <= (q^2+1)(q^2+q+1), hold D_2 (planes, with
-    (q^2+q+1) q^3, hold none).  Single subspaces never build one."""
+def test_digit_tables_stay_within_their_level(q, monkeypatch):
+    """The point table of every level below the top one reads D_(k+1), one
+    of q^(k+1) x theta entries, never more than the table's own (as many
+    in AG's hyperplanes, nearly as many in PG's: the tightest levels);
+    the top level's table and a single subspace's points build none."""
+    built = []
+    digit_table = Geometry._digit_table
+
+    def recorded(g, r):
+        built.append(digit_table(g, r))
+        return built[-1]
+
+    monkeypatch.setattr(Geometry, "_digit_table", recorded)
     field = ff_create(*factor_prime_power(q))
-    plane, space = Geometry("PG", 2, field), Geometry("PG", 3, field)
-    for g in (plane, space):
-        for k in range(g.n + 1):
-            g.point_table(k)
+    for kind, n in (("PG", 2), ("PG", 3), ("AG", 2), ("AG", 3)):
+        g = Geometry(kind, n, field)
         g.points_of(g.subspaces(1)[-1])
-    assert plane._digits == {}
-    assert list(space._digits) == [2]
-    assert space._digits[2].shape == (q ** 2, q + 1)
+        assert built == []
+        for k in range(n + 1):
+            table = g.point_table(k)
+            theta = gauss_binom(k + 1, 1, q)
+            assert [d.shape for d in built] == (
+                [(q ** (k + 1), theta)] if k < n else [])
+            assert sum(d.size for d in built) <= table.size
+            built.clear()
 
 
 @pytest.mark.parametrize("n,q,k", [(6, 2, 2), (5, 3, 1), (4, 4, 2),
@@ -346,12 +357,13 @@ def test_enumeration_matches_mixed_radix_counter(n, q, k):
 
 @pytest.mark.parametrize("kind,n,q,k", [
     ("PG", 4, 3, 2), ("AG", 4, 3, 2), ("PG", 4, 4, 2), ("AG", 4, 4, 2),
-    ("PG", 5, 2, 3), ("PG", 6, 2, 3), ("AG", 5, 2, 3)])
+    ("PG", 5, 2, 3), ("PG", 6, 2, 3), ("AG", 5, 2, 3), ("PG", 3, 8, 2),
+    ("AG", 3, 9, 2), ("PG", 4, 3, 3)])
 def test_sub_table_digit_route_matches_combine_route(kind, n, q, k):
     """Sub tables whose keys are composed from the rows' point keys (read
-    from D_(k+1)) equal C.M from _combine looked up by subspace_index."""
+    from D_(k+1)) equal C.M from _combine looked up by subspace_index, on
+    hyperplanes too, where D_(k+1) is nearly the size of the point table."""
     g = geometry(kind, n, q)
-    assert g._bulk_digits(k) is not None
     codes = g.subspaces(k).codes.astype(np.int64)
     for j in range(1, k):
         coeffs = geometry(kind, k, q).subspaces(j).codes
