@@ -29,8 +29,8 @@ digit table D_r of r = k+1 rows instead: row t of D_r holds c.col for
 every coefficient vector c, where col is the column of GF(q)^r whose
 base-q digits are t, so a block's points are D_r's rows at its columns'
 digits, summed into keys with no field product and no ``% p``.  D_r is
-built afresh for each bulk build and never holds more entries than the
-point table it fills (see ``Geometry._digit_table``).
+built afresh for each bulk build below the top level and never holds more
+entries than the table it fills (see ``Geometry._digit_table``).
 ``Geometry.sub_table`` gives the j-spaces in each k-space, keyed from the
 same point keys.  The dense incidence matrix and the point bitmasks are
 views derived from the table on request.
@@ -618,11 +618,12 @@ class Geometry:
         so C.M is affine exactly when C is, and C runs over AG(k,q)'s
         j-level.
 
-        Where the j-level's keys are int64, no matrix C.M is formed: each
-        row of C is a point of PG(k,q), so _digit_keys gives the keys of the
-        rows of every C.M at once from the digit table D_(k+1), and the key
-        of C.M is theirs read as base-q^(n+1) digits.  Where they are bytes,
-        C.M comes from _combine and is looked up by subspace_index."""
+        Below the top level, where the j-level's keys are int64, no matrix
+        C.M is formed: each row of C is a point of PG(k,q), so _digit_keys
+        gives the keys of the rows of every C.M at once from the digit
+        table D_(k+1), and the key of C.M is theirs read as base-q^(n+1)
+        digits.  Where they are bytes, C.M comes from _combine and is
+        looked up by subspace_index."""
         codes = self.subspaces(k).codes
         if not 0 <= j < k:
             raise InvalidRange(f"j={j} not in [0, {k})")
@@ -633,7 +634,11 @@ class Geometry:
             coeffs = geometry(self.kind, k, self.q).subspaces(j).codes
             table = np.empty((len(codes), len(coeffs)), dtype=np.int32)
             level = self.subspaces(j)
-            if level.keys.dtype == np.int64:
+            if k == self.n:
+                # the whole space holds every j-space; D_(n+1) would have
+                # q^(n+1) rows for this one
+                table[0] = np.arange(len(level))
+            elif level.keys.dtype == np.int64:
                 digits = self._digit_table(k + 1)
                 # the position of each row of C among the points of PG(k,q)
                 rows = geometry("PG", k, self.q).subspace_index(

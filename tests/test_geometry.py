@@ -314,10 +314,11 @@ def test_digit_route_matches_combine_route(kind, n, q, k):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_digit_tables_stay_within_their_level(q, monkeypatch):
-    """The point table of every level below the top one reads D_(k+1), one
-    of q^(k+1) x theta entries, never more than the table's own (as many
-    in AG's hyperplanes, nearly as many in PG's: the tightest levels);
-    the top level's table and a single subspace's points build none."""
+    """The point and sub tables of every level below the top one read
+    D_(k+1), one of q^(k+1) x theta entries, never more than the table's
+    own (as many in AG's hyperplanes, nearly as many in PG's: the tightest
+    levels); the top level's tables and a single subspace's points build
+    none."""
     built = []
     digit_table = Geometry._digit_table
 
@@ -332,12 +333,13 @@ def test_digit_tables_stay_within_their_level(q, monkeypatch):
         g.points_of(g.subspaces(1)[-1])
         assert built == []
         for k in range(n + 1):
-            table = g.point_table(k)
             theta = gauss_binom(k + 1, 1, q)
-            assert [d.shape for d in built] == (
-                [(q ** (k + 1), theta)] if k < n else [])
-            assert sum(d.size for d in built) <= table.size
-            built.clear()
+            for j in range(max(k, 1)):
+                table = g.sub_table(k, j) if j else g.point_table(k)
+                assert [d.shape for d in built] == (
+                    [(q ** (k + 1), theta)] if k < n else [])
+                assert sum(d.size for d in built) <= table.size
+                built.clear()
 
 
 @pytest.mark.parametrize("n,q,k", [(6, 2, 2), (5, 3, 1), (4, 4, 2),
@@ -373,6 +375,23 @@ def test_sub_table_digit_route_matches_combine_route(kind, n, q, k):
         table = g.sub_table(k, j)
         assert table.dtype == np.int32
         assert np.array_equal(table, want.reshape(len(codes), -1))
+
+
+def test_sub_table_byte_key_route():
+    """PG(8,2)'s 6-spaces have byte keys (63 bits of entries), so their sub
+    tables keep _combine and subspace_index: the whole space lists every
+    6-space, each hyperplane's row ascends, each 6-space lies in q+1 = 3
+    hyperplanes, and the sampled ones lie in their hyperplane's points."""
+    g = geometry("PG", 8, 2)
+    level = g.subspaces(6)
+    assert level.keys.dtype != np.int64
+    assert np.array_equal(g.sub_table(8, 6), np.arange(len(level))[None])
+    table = g.sub_table(7, 6)
+    assert (np.diff(table, axis=1) > 0).all()
+    assert (np.bincount(table.ravel(), minlength=len(level)) == 3).all()
+    for row, points in zip(table[::100], g.point_table(7)[::100]):
+        for s in row[::50]:
+            assert np.isin(g.points_of(level[s]), points).all()
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16])
