@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -257,12 +256,14 @@ def _resolve_point(geom: Geometry, point) -> int:
     # numpy integers are Integral too, such as np.flatnonzero hands out
     if isinstance(point, numbers.Integral):
         point = int(point)
-        if not 0 <= point < len(geom.points):
+        if not 0 <= point < len(geom.subspaces(0)):
             raise AnchorInvalid(f"point index {point} out of range")
         return point
     pt = tuple(int(c) for c in point)
-    idx = geom.point_index.get(pt)
-    if idx is None:
+    # codes only, so that the lookup sees no entry past int64
+    codes = len(pt) == geom.n + 1 and all(0 <= c < geom.q for c in pt)
+    idx = int(geom.subspace_index(0, [[pt]])[0]) if codes else -1
+    if idx < 0:
         raise AnchorInvalid(f"{pt} is not a point of {geom!r}")
     return idx
 
@@ -444,11 +445,13 @@ def ag_to_pg(F: KFamily) -> KFamily:
     """The same members viewed in the projective closure."""
     if F.geom.kind != "AG":
         raise GuardViolated("ag_to_pg expects an affine family")
-    ag = F.geom
-    pg = ag.closure()
-    # the affine k-spaces are the last of the closure's level, in order
-    shift = pg.subspace_count(F.k) - ag.subspace_count(F.k)
-    return KFamily(pg, F.k, F.indices + shift)
+    return KFamily(F.geom.closure(), F.k,
+                   F.indices + closure_shift(F.geom, F.k))
+
+
+def closure_shift(ag: Geometry, k: int) -> int:
+    """Affine k-space i is the closure's k-space i + closure_shift."""
+    return ag.closure().subspace_count(k) - ag.subspace_count(k)
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +535,17 @@ def check_meet_profile(F: KFamily, i: int) -> CheckReport:
 
 
 def check_spread(F: KFamily, S) -> bool:
-    """|F ∩ S| == x for a validated k-spread S (list of Subspace).
+    """|F ∩ S| == x for a validated k-spread S, given as positions in
+    F.geom.subspaces(k) (such as ``field_reduction_spread`` returns).
 
     For AG families the spread must partition the affine points; parallel
     elements sharing a point at infinity are fine."""
     geom, k = F.geom, F.k
-    # elements of another shape are no k-spaces either
-    shaped = [j for j, s in enumerate(S)
-              if s.k == k and s.ncols == geom.n + 1]
-    idxs = np.full(len(S), -1)
-    idxs[shaped] = geom.subspace_index(k, [S[j].mat for j in shaped])
-    if (idxs < 0).any():
+    idxs = np.asarray(S)
+    if idxs.dtype.kind not in "iu":
+        # a float, a bool or a position past 64 bits is no position
+        idxs = np.full(min(idxs.size, 1), -1)
+    if ((idxs < 0) | (idxs >= geom.subspace_count(k))).any():
         raise NotASpread("element is not a k-space of the geometry")
     # how often each point is covered, in one pass over the elements' rows
     cover = np.bincount(geom.point_table(k)[idxs].ravel(),
@@ -566,12 +569,15 @@ def check_affine_line(F: KFamily) -> CheckReport:
     violations = [("line",) + v for v in _violations(
         F, F._profile[:, 0], (x * factor, (x - 1) * factor))]
     # the second RREF row of an affine line is its direction, the point
-    # at infinity of its closure
-    directions = geom.subspaces(1).codes[F.indices, 1]
-    through = Counter(map(tuple, directions.tolist()))
-    for pt in geom.infinite_points():
-        if through[pt] != x:
-            violations.append(("infinite-point", pt, x, through[pt]))
+    # at infinity of its closure, ranked in closed form; the points at
+    # infinity (X0 = 0) are the closure's first (q^n - 1)/(q - 1)
+    closure = geom.closure()
+    directions, _ = closure._locate(geom.subspaces(1).codes[F.indices, 1:])
+    through = np.bincount(directions[:, 0],
+                          minlength=gauss_binom(n, 1, q)).tolist()
+    points = closure.subspaces(0).codes[:len(through), 0]
+    violations += [("infinite-point", tuple(points[i].tolist()), x, count)
+                   for i, count in enumerate(through) if count != x]
     return CheckReport(not violations, violations)
 
 

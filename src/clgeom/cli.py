@@ -154,18 +154,18 @@ def _default_checks(fam) -> list:
 
 
 def _draw_flag(geom, i: int, rng: random.Random):
-    """A uniform point p (an index into geom.points) and a uniform i-space
-    tau through it, without enumerating the i-spaces.
+    """A uniform point p (an index into geom.subspaces(0)) and a uniform
+    i-space tau through it, without enumerating the i-spaces.
 
     tau is the span of p and i uniform points, drawn again until it has
     dimension i.  The stabilizer of p is transitive on the i-spaces through
     p and keeps this draw, so tau is uniform among them; every point lies
     on equally many i-spaces, so (p, tau) is a uniform incident pair."""
-    points = geom.points
+    points = geom.subspaces(0).codes[:, 0]
     p = rng.randrange(len(points))
     while True:
-        rows = [points[p]] + [points[rng.randrange(len(points))]
-                              for _ in range(i)]
+        rows = [points[j].tolist() for j in
+                [p] + [rng.randrange(len(points)) for _ in range(i)]]
         tau = make_subspace(rows, geom.field)
         if tau.k == i:
             return p, tau
@@ -192,9 +192,10 @@ def _run_check(fam, name: str, rng: random.Random):
     if name == "spread":
         S = field_reduction_spread(geom.n, k, geom.q)
         if geom.kind == "AG":
-            # keep only elements not inside the hyperplane at infinity
-            found = geom.subspace_index(k, [s.mat for s in S])
-            S = [s for s, j in zip(S, found) if j >= 0]
+            # keep only elements not inside the hyperplane at infinity,
+            # the closure's k-spaces before the affine ones
+            shift = clcore.closure_shift(geom, k)
+            S = S[S >= shift] - shift
         ok = clcore.check_spread(fam, S)
         return ok, [] if ok else [f"spread intersection != x = {fam.x}"]
     if name == "drudge":

@@ -42,7 +42,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -249,22 +249,43 @@ def _subspace_of(rows) -> Subspace:
 def _keys(mats: np.ndarray, q: int) -> np.ndarray:
     """One key per matrix of a B x r x ncols stack of codes in [0, q),
     ordered as the matrices are lexicographically: the base-q number of
-    the entries as an int64 while q^(r*ncols) < 2^63, otherwise the
-    entries' big-endian bytes.  Neither builds an int64 copy of the stack."""
+    the entries as an int64 while q^(r*ncols) < 2^63, otherwise the rows'
+    base-q numbers (each below q^ncols < 2^63, see Geometry.subspaces) as
+    big-endian bytes (_byte_keys).  Neither builds an int64 copy of the
+    stack."""
     b, r, ncols = mats.shape
+    if q ** (r * ncols) >= 2 ** 63:
+        assert q ** ncols < 2 ** 63
+        rows = _keys(mats.reshape(b * r, 1, ncols), q)
+        return _byte_keys(rows.reshape(b, r))
     flat = mats.reshape(b, r * ncols)
-    if q ** (r * ncols) < 2 ** 63:
-        key = np.zeros(b, dtype=np.int64)
-        # _CHUNK rows at a time, so each column pass stays in cache
-        for lo in range(0, b, _CHUNK):
-            part = key[lo:lo + _CHUNK]
-            for column in flat[lo:lo + _CHUNK].T:
-                part *= q
-                part += column
-        return key
-    code = np.min_scalar_type(q - 1).newbyteorder(">")
-    return np.ascontiguousarray(flat, dtype=code).view(
-        f"S{r * ncols * code.itemsize}").ravel()
+    key = np.zeros(b, dtype=np.int64)
+    # _CHUNK rows at a time, so each column pass stays in cache
+    for lo in range(0, b, _CHUNK):
+        part = key[lo:lo + _CHUNK]
+        for column in flat[lo:lo + _CHUNK].T:
+            part *= q
+            part += column
+    return key
+
+
+def _byte_keys(rows: np.ndarray) -> np.ndarray:
+    """The byte keys of matrices from their rows' keys (... x r, each
+    non-negative and below 2^63): the rows' big-endian int64 bytes read as
+    one string, whose byte order is the rows' lexicographic order."""
+    r = rows.shape[-1]
+    return np.ascontiguousarray(rows, dtype=">i8").view(f"S{8 * r}")[..., 0]
+
+
+def _search(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions of keys in the ascending sorted_keys, -1 for a key not
+    among them.  Searched in ascending order, the keys' binary searches
+    share their paths, about twice as fast as in the order they come."""
+    order = keys.argsort()
+    pos = np.empty(len(keys), dtype=np.intp)
+    pos[order] = np.searchsorted(sorted_keys, keys[order])
+    # a key past the last one clips to it and misses
+    return np.where(sorted_keys.take(pos, mode="clip") == keys, pos, -1)
 
 
 def _enumerate_pg(q: int, ncols: int, r: int):
@@ -366,8 +387,6 @@ class Geometry:
         self.n = n
         self.field = field
         self.q = field.q
-        self._points = None
-        self._point_index = None
         # _locate's weights, rank offsets and point keys, and its
         # coefficient vectors and their leading columns by row count
         self._ranks = None
@@ -391,40 +410,18 @@ class Geometry:
 
     # -- points --
 
-    @property
+    @cached_property
     def points(self):
-        """Lexicographically sorted normalized coordinate tuples.
-
-        Points are the 0-spaces, so SUBSPACE_CAP bounds them too."""
-        if self._points is None:
-            if self.kind == "PG":
-                rows = self.subspaces(0).codes[:, 0].tolist()
-                self._points = list(map(tuple, rows))
-            else:
-                # the closure's points with X0 = 1, in the same order; built
-                # apart from the closure, which may hold more than the cap
-                self._capped_count(0)
-                self._points = [(1,) + t
-                                for t in product(range(self.q), repeat=self.n)]
-        return self._points
-
-    @property
-    def point_index(self):
-        if self._point_index is None:
-            self._point_index = {p: i for i, p in enumerate(self.points)}
-        return self._point_index
+        """Lexicographically sorted normalized coordinate tuples, the rows
+        of the 0-level (so SUBSPACE_CAP bounds them too): a list for
+        callers outside the library, whose routes read the level itself."""
+        return list(map(tuple, self.subspaces(0).codes[:, 0].tolist()))
 
     @property
     def num_points(self) -> int:
         if self.kind == "PG":
             return projective_point_count(self.n, self.q)
         return self.q ** self.n
-
-    def infinite_points(self):
-        """For AG: the points of the hyperplane X0 = 0 in the closure."""
-        if self.kind != "AG":
-            raise ValueError("infinite_points is an AG notion")
-        return [p for p in self.closure().points if p[0] == 0]
 
     # -- subspaces --
 
@@ -460,6 +457,10 @@ class Geometry:
                 full = self.closure().subspaces(k)
                 level = SubspaceLevel(full.codes[-count:], full.keys[-count:])
             else:
+                if k == self.n:
+                    # refused with the points, which bound its rows' keys
+                    # (_keys) as a lower level's count bounds them there
+                    self._capped_count(0)
                 level = SubspaceLevel(*_enumerate_pg(self.q, self.n + 1, k + 1))
             assert len(level) == count
             self._subspaces[k] = level
@@ -467,9 +468,9 @@ class Geometry:
 
     def subspace_index(self, k: int, mats) -> np.ndarray:
         """Positions in subspaces(k) of a stack of code matrices (each
-        (k+1) x (n+1)), by binary search over the level's sorted keys; -1
-        for a matrix that is not one of the k-spaces (not in RREF, not of
-        full rank, holding a non-code, or in AG inside X0 = 0)."""
+        (k+1) x (n+1)), by _search over the level's sorted keys; -1 for
+        a matrix that is not one of the k-spaces (not in RREF, not of full
+        rank, holding a non-code, or in AG inside X0 = 0)."""
         level = self.subspaces(k)
         mats = np.asarray(mats)
         if not len(mats):
@@ -482,9 +483,7 @@ class Geometry:
             # a matrix holding a non-code is looked up as the zero matrix,
             # which is no k-space
             mats = np.where(valid[:, None, None], mats, 0)
-        keys = _keys(mats, self.q)
-        pos = np.minimum(np.searchsorted(level.keys, keys), len(level) - 1)
-        return np.where(level.keys[pos] == keys, pos, -1)
+        return _search(level.keys, _keys(mats, self.q))
 
     # -- incidence --
 
@@ -618,19 +617,18 @@ class Geometry:
         so C.M is affine exactly when C is, and C runs over AG(k,q)'s
         j-level.
 
-        Below the top level, where the j-level's keys are int64, no matrix
-        C.M is formed: each row of C is a point of PG(k,q), so _digit_keys
-        gives the keys of the rows of every C.M at once from the digit
-        table D_(k+1), and the key of C.M is theirs read as base-q^(n+1)
-        digits.  Where they are bytes, C.M comes from _combine and is
-        looked up by subspace_index."""
+        Below the top level no matrix C.M is formed: each row of C is a
+        point of PG(k,q), so _digit_keys gives the keys of the rows of every
+        C.M at once from the digit table D_(k+1), and the key of C.M is
+        composed from theirs as _keys composes it: read as base-q^(n+1)
+        digits where the j-level's keys are int64, as big-endian bytes
+        where they are bytes."""
         codes = self.subspaces(k).codes
         if not 0 <= j < k:
             raise InvalidRange(f"j={j} not in [0, {k})")
         if j == 0:
             return self.point_table(k)
         if (k, j) not in self._tables:
-            n1 = self.n + 1
             coeffs = geometry(self.kind, k, self.q).subspaces(j).codes
             table = np.empty((len(codes), len(coeffs)), dtype=np.int32)
             level = self.subspaces(j)
@@ -638,32 +636,23 @@ class Geometry:
                 # the whole space holds every j-space; D_(n+1) would have
                 # q^(n+1) rows for this one
                 table[0] = np.arange(len(level))
-            elif level.keys.dtype == np.int64:
+            else:
                 digits = self._digit_table(k + 1)
                 # the position of each row of C among the points of PG(k,q)
                 rows = geometry("PG", k, self.q).subspace_index(
                     0, coeffs.reshape(-1, 1, k + 1)).reshape(-1, j + 1)
-                place = self.q ** (n1 * np.arange(j, -1, -1, dtype=np.int64))
+                place = (self.q ** ((self.n + 1)
+                                    * np.arange(j, -1, -1, dtype=np.int64))
+                         if level.keys.dtype == np.int64 else None)
                 step = max(1, _CHUNK // rows.size)
                 for lo in range(0, len(codes), step):
-                    keys = _digit_keys(digits, codes[lo:lo + step], self.q)
-                    keys = (keys[:, rows] @ place).ravel()
-                    # searched in ascending order, the keys' binary searches
-                    # share their paths, about twice as fast
-                    order = keys.argsort()
-                    pos = np.empty_like(order)
-                    pos[order] = np.searchsorted(level.keys, keys[order])
-                    assert (level.keys.take(pos, mode="clip") == keys).all()
+                    keys = _digit_keys(digits, codes[lo:lo + step],
+                                       self.q)[:, rows]
+                    keys = (_byte_keys(keys) if place is None
+                            else keys @ place).ravel()
+                    pos = _search(level.keys, keys)
+                    assert (pos >= 0).all()
                     table[lo:lo + step] = pos.reshape(-1, len(rows))
-            else:
-                coeffs = coeffs.reshape(-1, k + 1).astype(np.int64)
-                step = max(1, _CHUNK // (len(coeffs) * n1))
-                for lo in range(0, len(codes), step):
-                    mats = codes[lo:lo + step].astype(np.int64)
-                    subs = _combine(self.field, coeffs, mats)
-                    table[lo:lo + len(mats)] = self.subspace_index(
-                        j, subs.reshape(-1, j + 1, n1)).reshape(len(mats), -1)
-                assert (table >= 0).all()
             table.setflags(write=False)
             self._tables[k, j] = table
         return self._tables[k, j]
@@ -758,33 +747,34 @@ def canonical_complement(pi: Subspace, field: FieldCtx) -> Subspace:
     return make_subspace(rows, field, n1)
 
 
-def field_reduction_spread(n: int, k: int, q: int):
-    """A k-spread of PG(n,q) by field reduction from PG(m-1, q^(k+1)), as a
-    new list on each call (the elements are frozen, so they are shared)."""
-    return list(_field_reduction_spread(n, k, q))
-
-
 @cache
-def _field_reduction_spread(n: int, k: int, q: int) -> tuple:
+def field_reduction_spread(n: int, k: int, q: int) -> np.ndarray:
+    """A k-spread of PG(n,q) by field reduction from PG(m-1, q^(k+1)): the
+    cached, read-only int64 positions in geometry("PG", n, q).subspaces(k)
+    of the elements of the points w of PG(m-1, q^(k+1)), in w's order.
+
+    The element of w holds lambda.w for lambda in GF(q^(k+1))*, each entry
+    over GF(q) (``FieldCtx.to_vector``).  w leads with 1, so lambda.w leads
+    with lambda, and is normalized exactly when lambda's first nonzero
+    coordinate is 1: those theta multipliers give each element's points
+    once, from one _combine, and _blocks_of reads the elements off them."""
     if (n + 1) % (k + 1) != 0:
         raise NotDivisible(f"(k+1)={k + 1} does not divide (n+1)={n + 1}")
-    field = geometry("PG", n, q).field
-    d = k + 1
-    if d == 1:
-        # 0-spread: every point is its own element
-        return tuple(make_subspace([list(p)], field, n + 1)
-                     for p in geometry("PG", n, q).points)
-    m = (n + 1) // d
-    ext = ff_extend(field, d)
-    Q = ext.q
-    out = []
-    for w in _enumerate_pg(Q, m, 1)[0][:, 0].tolist():
-        rows = []
-        for j in range(d):
-            alpha = q ** j  # code of t^j in the extension
-            row = []
-            for comp in w:
-                row.extend(ext.to_vector(ext.mul(alpha, comp)))
-            rows.append(row)
-        out.append(make_subspace(rows, field, n + 1))
-    return tuple(out)
+    geom = geometry("PG", n, q)
+    if k in (0, n):
+        # every point its own element; the whole space the one element
+        spread = np.arange(len(geom.subspaces(k)))
+    else:
+        d = k + 1
+        ext = ff_extend(geom.field, d)
+        # the GF(q)^d coordinates of every code of the extension
+        coords = np.arange(ext.q)[:, None] // q ** np.arange(d) % q
+        lam = np.flatnonzero(
+            coords[np.arange(ext.q), (coords != 0).argmax(axis=1)] == 1)
+        w = _enumerate_pg(ext.q, (n + 1) // d, 1)[0]
+        vecs = coords[_combine(ext, lam[:, None], w)]
+        rows = geom.subspace_index(0, vecs.reshape(-1, 1, n + 1))
+        spread = _blocks_of(geom, k, rows.reshape(len(w), len(lam)))
+        assert (rows >= 0).all() and (spread >= 0).all()
+    spread.setflags(write=False)
+    return spread

@@ -11,6 +11,10 @@ one parameter at a time.
   ``clcore.project``.
 * ``pg_to_ag_oracle``: ``pg_to_ag`` with the coordinate change found by an
   RREF rank loop and applied entry by entry.
+* ``field_reduction_spread_subspaces``: the field-reduction spread with
+  every element eliminated by ``make_subspace``, against
+  ``geometry.field_reduction_spread``'s positions read off the elements'
+  points.
 * ``enumerate_pg_mixed_radix``: a projective level with the free entries
   of each pivot pattern decoded from a counter by ``divmod`` and the
   sorted keys decoded back into codes, against
@@ -25,7 +29,7 @@ one parameter at a time.
 from __future__ import annotations
 
 from fractions import Fraction
-
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -36,12 +40,14 @@ from clgeom.errors import (
     GuardViolated,
     MemberInsideHyperplane,
     NotContaining,
+    NotDivisible,
     NotSkew,
 )
-from clgeom.ff import FieldCtx
+from clgeom.ff import FieldCtx, ff_extend
 from clgeom.geometry import (
     Geometry,
     Subspace,
+    _enumerate_pg,
     _keys,
     geometry,
     make_subspace,
@@ -74,8 +80,9 @@ def _codes_of(keys: np.ndarray, q: int, r: int, ncols: int) -> np.ndarray:
     _keys), in the smallest unsigned dtype that holds q-1."""
     code = np.min_scalar_type(q - 1)
     if keys.dtype != np.int64:
-        return keys.view(code.newbyteorder(">")).astype(code).reshape(
-            -1, r, ncols)
+        # each row's base-q number as a big-endian int64
+        rows = keys.view(">i8").astype(np.int64)
+        return _codes_of(rows, q, 1, ncols).reshape(-1, r, ncols)
     codes = np.empty((len(keys), r * ncols), dtype=code)
     rest = keys
     for j in range(r * ncols - 1, -1, -1):
@@ -104,6 +111,39 @@ def enumerate_pg_mixed_radix(q: int, ncols: int, r: int):
         keys.append(_keys(block, q))
     keys = np.sort(np.concatenate(keys))
     return _codes_of(keys, q, r, ncols), keys
+
+
+# ---------------------------------------------------------------------------
+# the field-reduction spread, one element at a time
+# ---------------------------------------------------------------------------
+
+@cache
+def field_reduction_spread_subspaces(n: int, k: int, q: int) -> tuple:
+    """The k-spread of PG(n,q) by field reduction from PG(m-1, q^(k+1)),
+    one Subspace per point w of PG(m-1, q^(k+1)) in order: the rows
+    t^j.w, j < k+1, written over GF(q) and eliminated by make_subspace."""
+    if (n + 1) % (k + 1) != 0:
+        raise NotDivisible(f"(k+1)={k + 1} does not divide (n+1)={n + 1}")
+    field = geometry("PG", n, q).field
+    d = k + 1
+    if d == 1:
+        # 0-spread: every point is its own element
+        return tuple(make_subspace([list(p)], field, n + 1)
+                     for p in geometry("PG", n, q).points)
+    m = (n + 1) // d
+    ext = ff_extend(field, d)
+    Q = ext.q
+    out = []
+    for w in _enumerate_pg(Q, m, 1)[0][:, 0].tolist():
+        rows = []
+        for j in range(d):
+            alpha = q ** j  # code of t^j in the extension
+            row = []
+            for comp in w:
+                row.extend(ext.to_vector(ext.mul(alpha, comp)))
+            rows.append(row)
+        out.append(make_subspace(rows, field, n + 1))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_acceptance_4_spreads():
             S = field_reduction_spread(n, k, q)
             cover = set()
             for s in S:
-                pts = set(geom.points_of(s).tolist())
+                pts = set(geom.points_of(geom.subspaces(k)[s]).tolist())
                 assert not cover & pts
                 cover |= pts
             assert cover == set(range(geom.num_points))

@@ -205,6 +205,16 @@ def test_construct_trivial_anchor_errors():
     geom = geometry("PG", 3, 2)
     with pytest.raises(AnchorInvalid):
         cc.construct_trivial(geom, 1, "point_pencil", point=(1, 1))
+    # tuples that are no point, each refused as an anchor before any lookup
+    # can overflow or mismatch: of the wrong length, past int64, past the
+    # codes, not normalized, zero, and in AG at infinity (X0 = 0)
+    for g, point in ((geom, (0, 0, 0, 0, 1)), (geom, (2 ** 63, 0, 0, 1)),
+                     (geom, (0, 0, 0, -2 ** 64)), (geom, (0, 0, 0, 2)),
+                     (geometry("PG", 3, 3), (0, 0, 2, 1)),
+                     (geom, (0, 0, 0, 0)),
+                     (geometry("AG", 3, 2), (0, 0, 0, 1))):
+        with pytest.raises(AnchorInvalid, match="is not a point of"):
+            cc.construct_trivial(g, 1, "point_pencil", point=point)
     with pytest.raises(AnchorInvalid):
         cc.construct_trivial(geom, 1, "nonsense")
     with pytest.raises(AnchorInvalid):
@@ -277,7 +287,7 @@ def test_meet_profile_guard():
 
 def test_spread_check():
     geom = geometry("PG", 3, 2)
-    S = field_reduction_spread(3, 1, 2)
+    S = field_reduction_spread(3, 1, 2).tolist()
     for fam, x in trivial_families(geom, 1):
         assert cc.check_spread(fam, S)
     bad = corrupted(cc.construct_trivial(geom, 1, "point_pencil"))
@@ -297,13 +307,17 @@ def test_spread_check_reports_faults_in_order():
     """One count of the elements' points decides: an element that is no
     k-space is reported before an overlap, and an overlap before a point
     left uncovered, each with its own message; AG spreads too."""
-    for geom, S in ((geometry("PG", 3, 2), field_reduction_spread(3, 1, 2)),
-                    (geometry("PG", 5, 3), field_reduction_spread(5, 1, 3))):
+    for n, q in ((3, 2), (5, 3)):
+        geom = geometry("PG", n, q)
+        S = field_reduction_spread(n, 1, q).tolist()
         fam = cc.construct_trivial(geom, 1, "point_pencil")
-        plane = geom.subspaces(2)[0]
+        # positions of no line: past the level, negative, past int64 and
+        # past 64 bits, and not an integer
+        past = geom.subspace_count(1)
         faults = {
             "element is not a k-space of the geometry": [
-                S + [plane], [S[0], S[0], plane] + S[1:-1]],
+                S + [past], [S[0], S[0], -1] + S[1:-1], S + [2 ** 63],
+                S + [2 ** 64], S[:-1] + [S[-1] + 0.5]],
             "elements are not pairwise disjoint": [
                 S + [S[0]], S[:-1] + [S[0]]],
             "elements do not cover every point": [S[:-1], []],
@@ -315,12 +329,12 @@ def test_spread_check_reports_faults_in_order():
                 assert str(exc.value) == message
     ag = geometry("AG", 3, 2)
     # the affine lines of AG(3,2) in one direction partition its points
-    parallel = [L for L in ag.subspaces(1) if L.mat[1] == (0, 0, 0, 1)]
+    parallel = [i for i, L in enumerate(ag.subspaces(1))
+                if L.mat[1] == (0, 0, 0, 1)]
     assert len(parallel) == 4
     pencil = cc.construct_trivial(ag, 1, "point_pencil")
     assert cc.check_spread(pencil, parallel) == (
-        int(pencil.chi[ag.subspace_index(1, [L.mat for L in parallel])].sum())
-        == pencil.x)
+        int(pencil.chi[parallel].sum()) == pencil.x)
     with pytest.raises(NotASpread) as exc:
         cc.check_spread(pencil, parallel[1:])
     assert str(exc.value) == "elements do not cover every point"
@@ -1360,6 +1374,50 @@ def test_family_repeated_member_refused_by_schema_and_loader(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(FamilyFormatError, match=message):
             cc.load_family(str(path))
+
+
+def test_no_library_route_reads_the_point_list(monkeypatch, tmp_path,
+                                               capsys):
+    """With Geometry.points raising, anchors (indices and tuples), the
+    spread and affine-line checks and the CLI's default verify run on
+    level positions alone, and the spread eliminates no element."""
+    from clgeom.cli import main
+    geometry_module = importlib.import_module("clgeom.geometry")
+
+    def refuse(*args):
+        raise AssertionError("point list read or element eliminated")
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry_module, "make_subspace", refuse)
+        m.setattr(geometry_module, "rref", refuse)
+        field_reduction_spread.cache_clear()
+        spreads = {(n, k, q): field_reduction_spread(n, k, q)
+                   for n, k, q in ((5, 1, 2), (3, 1, 3), (7, 3, 2),
+                                   (8, 2, 2), (3, 0, 2), (1, 1, 7))}
+    monkeypatch.setattr(Geometry, "points", property(refuse))
+    pg, ag = geometry("PG", 5, 2), geometry("AG", 3, 3)
+    for geom in (pg, ag):
+        anchor = tuple(geom.subspaces(0).codes[5, 0].tolist())
+        pencil = cc.construct_trivial(geom, 1, "point_pencil", point=5)
+        assert cc.construct_trivial(geom, 1, "point_pencil",
+                                    point=anchor) == pencil
+    assert cc.construct_trivial(
+        pg, 1, "pencil_plus_hyperplane", point=(1, 0, 0, 0, 0, 0)) == \
+        cc.construct_trivial(pg, 1, "pencil_plus_hyperplane", point=31)
+    assert cc.check_spread(cc.construct_trivial(pg, 1, "point_pencil"),
+                           spreads[5, 1, 2])
+    assert cc.check_affine_line(pencil).ok
+    for space, n, q, point in (("pg", 5, 2, "0,1,1,0,1,0"),
+                               ("ag", 3, 3, "1,2,0,1")):
+        path = tmp_path / f"{space}.json"
+        argv = ["construct", "--space", space, "-n", str(n), "-k", "1",
+                "-q", str(q), "--kind", "point-pencil", "--point", point]
+        assert main([*argv, "-o", str(path)]) == 0
+        assert main(["verify", str(path)]) == 0
+    assert main(["verify", str(path), "--checks", "spread"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert all(name in out for name in ("spread", "drudge", "affine-line"))
 
 
 def test_no_library_route_reads_members(monkeypatch, tmp_path, capsys):

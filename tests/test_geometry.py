@@ -41,6 +41,7 @@ from clgeom.geometry import (
 )
 from oracles import (
     enumerate_pg_mixed_radix,
+    field_reduction_spread_subspaces,
     project_subspace,
     subspace_contains,
 )
@@ -84,7 +85,8 @@ def test_point_enumeration():
     ag = geometry("AG", 3, 2)
     assert len(ag.points) == 8
     assert all(p[0] == 1 for p in ag.points)
-    assert len(ag.infinite_points()) == 7
+    # the points at infinity (X0 = 0) are the closure's first 7
+    assert [p[0] for p in g.points] == [0] * 7 + [1] * 8
 
 
 def test_subspace_counts():
@@ -299,15 +301,32 @@ def test_locate_ranks_match_binary_search(kind, n, q, k):
         assert np.array_equal(hit, vecs[..., 0] != 0) and not hit.all()
 
 
-@pytest.mark.parametrize("kind,n,q,k", LEVELS)
+@pytest.mark.parametrize("kind,n,q,k",
+                         LEVELS + [("PG", 2, 43, 1), ("AG", 2, 43, 1)])
 def test_digit_route_matches_combine_route(kind, n, q, k):
     """_locate reading the digit table D_(k+1), as the bulk builds do, gives
     the positions and hits of its _combine route, that of points_of, on
-    every block of the closure's level."""
+    every block of the closure's level, and over GF(43), a prime past the
+    oracle geometries' fields."""
     g = geometry(kind, n, q)
     codes = g.closure().subspaces(k).codes
     pos, hit = g._locate(codes.astype(np.int64))
     digit_pos, digit_hit = g._locate(codes, g._digit_table(k + 1))
+    assert np.array_equal(digit_hit, hit)
+    assert np.array_equal(digit_pos, pos)
+
+
+@pytest.mark.parametrize("kind", ["PG", "AG"])
+def test_digit_route_keys_past_sixteen_bits(kind):
+    """A point led at column i has a key below 2 q^(n-i), so the keys of
+    PG(2,191) reach 2 * 191^2 - 1 = 72961, past 16 bits: on every 37th
+    line the digit route gives the positions and hits of the _combine
+    route, which D_r and its key sums in int16 or uint16 would not."""
+    g = geometry(kind, 2, 191)
+    assert g.subspaces(0).keys[-1] == 2 * 191 ** 2 - 1
+    codes = g.closure().subspaces(1).codes[::37]
+    pos, hit = g._locate(codes.astype(np.int64))
+    digit_pos, digit_hit = g._locate(codes, g._digit_table(2))
     assert np.array_equal(digit_hit, hit)
     assert np.array_equal(digit_pos, pos)
 
@@ -360,14 +379,20 @@ def test_enumeration_matches_mixed_radix_counter(n, q, k):
 @pytest.mark.parametrize("kind,n,q,k", [
     ("PG", 4, 3, 2), ("AG", 4, 3, 2), ("PG", 4, 4, 2), ("AG", 4, 4, 2),
     ("PG", 5, 2, 3), ("PG", 6, 2, 3), ("AG", 5, 2, 3), ("PG", 3, 8, 2),
-    ("AG", 3, 9, 2), ("PG", 4, 3, 3)])
+    ("AG", 3, 9, 2), ("PG", 4, 3, 3), ("PG", 8, 2, 7)])
 def test_sub_table_digit_route_matches_combine_route(kind, n, q, k):
     """Sub tables whose keys are composed from the rows' point keys (read
     from D_(k+1)) equal C.M from _combine looked up by subspace_index, on
-    hyperplanes too, where D_(k+1) is nearly the size of the point table."""
+    hyperplanes too, where D_(k+1) is nearly the size of the point table,
+    and with byte keys (PG(8,2)'s 6-spaces).  Each j whose C.M stack has
+    at most 10^7 entries: for PG(8,2) j = 6 alone."""
     g = geometry(kind, n, q)
     codes = g.subspaces(k).codes.astype(np.int64)
     for j in range(1, k):
+        m = gauss_binom(k + 1, j + 1, q) if kind == "PG" else \
+            q ** (k - j) * gauss_binom(k, j, q)
+        if len(codes) * m * (j + 1) * (n + 1) > 10 ** 7:
+            continue
         coeffs = geometry(kind, k, q).subspaces(j).codes
         subs = _combine(g.field, coeffs.reshape(-1, k + 1).astype(np.int64),
                         codes)
@@ -378,10 +403,11 @@ def test_sub_table_digit_route_matches_combine_route(kind, n, q, k):
 
 
 def test_sub_table_byte_key_route():
-    """PG(8,2)'s 6-spaces have byte keys (63 bits of entries), so their sub
-    tables keep _combine and subspace_index: the whole space lists every
-    6-space, each hyperplane's row ascends, each 6-space lies in q+1 = 3
-    hyperplanes, and the sampled ones lie in their hyperplane's points."""
+    """PG(8,2)'s 6-spaces have byte keys (63 bits of entries), composed
+    from their rows' point keys as the int64 keys are: the whole space
+    lists every 6-space, each hyperplane's row ascends, each 6-space lies
+    in q+1 = 3 hyperplanes, and the sampled ones lie in their hyperplane's
+    points."""
     g = geometry("PG", 8, 2)
     level = g.subspaces(6)
     assert level.keys.dtype != np.int64
@@ -554,24 +580,37 @@ def test_field_reduction_spread(n, k, q, count):
     S = field_reduction_spread(n, k, q)
     assert len(S) == count
     cover = set()
-    assert (g.subspace_index(k, [s.mat for s in S]) >= 0).all()
+    assert ((S >= 0) & (S < g.subspace_count(k))).all()
     for s in S:
-        pts = set(g.points_of(s).tolist())
+        pts = set(g.points_of(g.subspaces(k)[s]).tolist())
         assert not cover & pts
         cover |= pts
     assert cover == set(range(g.num_points))
 
 
-def test_field_reduction_spread_is_a_fresh_list():
-    """The elements are built once per (n, k, q); each call hands out its
-    own list, so a caller that changes it changes no later call."""
+def test_field_reduction_spread_is_a_read_only_array():
+    """The positions are built once per (n, k, q) and handed out
+    read-only, so no caller can change a later call's spread."""
     S = field_reduction_spread(5, 1, 2)
-    want = list(S)
-    S.pop()
-    S.append(S[0])
-    S.reverse()
-    again = field_reduction_spread(5, 1, 2)
-    assert again == want and again is not S
+    assert S.dtype == np.int64 and not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0] = S[1]
+    assert field_reduction_spread(5, 1, 2) is S
+
+
+@pytest.mark.parametrize("n,k,q", [
+    (3, 1, 2), (5, 1, 2), (3, 1, 3), (5, 2, 2), (5, 1, 3), (7, 1, 3),
+    (7, 3, 2), (5, 1, 4), (3, 1, 9), (3, 1, 16), (3, 1, 5), (8, 2, 2),
+    (1, 1, 7), (3, 3, 2), (3, 1, 31), (5, 1, 5), (3, 1, 8), (3, 0, 2),
+    (2, 0, 4)])
+def test_field_reduction_spread_matches_subspace_oracle(n, k, q):
+    """The positions read off the elements' points are those of the
+    elements eliminated one by one (tests/oracles.py), in order: every
+    spread the tests use, PG(7,3) k=1, both ends k = 0 and k = n, and
+    extension fields with and without GF(p^h) tables below them."""
+    oracle = field_reduction_spread_subspaces(n, k, q)
+    want = geometry("PG", n, q).subspace_index(k, [s.mat for s in oracle])
+    assert np.array_equal(field_reduction_spread(n, k, q), want)
 
 
 def test_spread_divisibility_guard():
@@ -635,17 +674,19 @@ def test_point_in_subspace_matches_full_elimination(n, q):
     extended matrix, and for points to points_of."""
     g = geometry("PG", n, q)
     vectors = list(product(range(q), repeat=n + 1))
+    # each vector's position among the points, -1 for the others
+    indices = g.subspace_index(0, np.array(vectors)[:, None]).tolist()
     for k in range(-1, n + 1):
         subs = [make_subspace([], g.field, n + 1)] if k < 0 else g.subspaces(k)
         for sub in subs:
             inside = set(g.points_of(sub).tolist())
-            for v in vectors:
+            for v, index in zip(vectors, indices):
                 got = point_in_subspace(g.field, v, sub)
                 assert got == full_elimination_member(g.field, v, sub)
                 assert got == (len(rref(list(sub.mat) + [v], g.field)[0])
                                == len(sub.mat))
-                if v in g.point_index:
-                    assert got == (g.point_index[v] in inside)
+                if index >= 0:
+                    assert got == (index in inside)
 
 
 def _raising(*args):
