@@ -13,7 +13,10 @@ Every route here reads incidence from the point table, and the points of
 other subspaces from ``Geometry.points_of``.  What a route needs of a
 family (its rows of the table, its point degrees P chi, its 0/1 vector,
 its meet profile) is derived once and cached on it (see ``KFamily``), and
-reductions over a row run column by column (``_row_reduce``).  The
+sums over a row run column by column (``_row_reduce``).  Whether a k-space
+lies in a subspace is read off the k+1 points of its row that are its RREF
+rows (``geometry._basis_columns``), one column at a time over the rows
+still in (``_rows_within``).  The
 transforms read each image's canonical matrix off its sorted points
 (``geometry._blocks_of``), with no elimination per member.  Every checker
 computes its counts by brute force over the geometry (most of them from
@@ -52,6 +55,7 @@ from .errors import (
 )
 from .ff import MAX_ORDER, factor_prime_power
 from .geometry import (
+    _basis_columns,
     _blocks_of,
     _combine,
     Geometry,
@@ -92,7 +96,11 @@ class KFamily:
             raise ValueError("member index out of range") from None
         if len(idx) and (idx[0] < 0 or int(idx[-1]) >= geom.subspace_count(k)):
             raise ValueError("member index out of range")
-        self.indices = idx[np.diff(idx, prepend=-1) != 0]  # drop repeats
+        # drop repeats: the entries equal to the one before them
+        repeats = idx[1:] == idx[:-1]
+        if repeats.any():
+            idx = np.delete(idx, np.flatnonzero(repeats) + 1)
+        self.indices = idx
         self.indices.setflags(write=False)
 
     @cached_property
@@ -176,7 +184,7 @@ def is_cl(F: KFamily) -> CLReport:
     theta = table.shape[1]
     r, lam = _design(geom, F.k)
     a = F.degrees                      # P chi
-    b = _row_reduce(np.add, a, table)  # P^T P chi
+    b = _row_reduce(a, table)          # P^T P chi
     chi = F.chi.astype(np.int64)
     ok = np.array_equal(r * b - lam * theta * F.size, r * (r - lam) * chi)
     x = F.x
@@ -209,8 +217,10 @@ def _design(geom: Geometry, k: int) -> tuple:
 # trivial constructions
 # ---------------------------------------------------------------------------
 
+@cache
 def _default_hyperplane(geom: Geometry) -> Subspace:
-    """The hyperplane X0 = 0, the canonical complement of the point e_0."""
+    """The hyperplane X0 = 0, the canonical complement of the point e_0;
+    built once per geometry (a Subspace is immutable)."""
     e0 = make_subspace([[1] + [0] * geom.n], geom.field)
     return canonical_complement(e0, geom.field)
 
@@ -259,7 +269,15 @@ def _resolve_point(geom: Geometry, point) -> int:
         if not 0 <= point < len(geom.subspaces(0)):
             raise AnchorInvalid(f"point index {point} out of range")
         return point
-    pt = tuple(int(c) for c in point)
+    try:
+        coords = tuple(point)
+    except TypeError:
+        raise AnchorInvalid(
+            f"{point!r} is neither a point index nor coordinates") from None
+    # int() would truncate 1.9 to 1; numpy integers are Integral too
+    if not all(isinstance(c, numbers.Integral) for c in coords):
+        raise AnchorInvalid(f"{coords} has a coordinate that is no integer")
+    pt = tuple(map(int, coords))
     # codes only, so that the lookup sees no entry past int64
     codes = len(pt) == geom.n + 1 and all(0 <= c < geom.q for c in pt)
     idx = int(geom.subspace_index(0, [[pt]])[0]) if codes else -1
@@ -269,37 +287,61 @@ def _resolve_point(geom: Geometry, point) -> int:
 
 
 def _pencil(geom: Geometry, k: int, p_idx: int) -> np.ndarray:
-    """Indices of the k-spaces through point p_idx, read off the point table
-    (a row holds p_idx at most once, so the flat positions give the rows in
-    ascending order)."""
-    table = geom.point_table(k)
-    return np.flatnonzero(table == p_idx) // table.shape[1]
+    """Indices of the k-spaces through point p_idx, ascending."""
+    return _rows_holding(geom.point_table(k), [p_idx])
 
 
 def _indices_inside(geom: Geometry, k: int, outer: Subspace) -> np.ndarray:
-    inside = _row_reduce(np.logical_and, _mask(geom, outer),
-                         geom.point_table(k))
-    return np.flatnonzero(inside)
+    """Indices of the k-spaces inside the subspace outer, ascending."""
+    return _rows_within(_mask(geom, outer), geom.point_table(k),
+                        _basis_columns(geom.q, k))
 
 
-def _row_reduce(ufunc: np.ufunc, values: np.ndarray,
-                table: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(values[table], axis=1), in values' dtype.  While rows
-    are no wider than the table is long, one gather per column through the
+def _rows_within(mask: np.ndarray, table: np.ndarray, cols) -> np.ndarray:
+    """Ascending positions of the rows of table whose entries at the
+    columns cols all lie in mask (boolean, over the entries' range).
+
+    One column at a time, gathered only over the rows still in, so the
+    work shrinks with them.  For containment in a subspace pass a
+    projective point table's basis columns (geometry._basis_columns): a
+    k-space lies in a subspace exactly when its RREF rows do."""
+    keep = np.flatnonzero(mask[table[:, cols[0]]])
+    for c in cols[1:]:
+        keep = keep[mask[table[keep, c]]]
+    return keep
+
+
+def _rows_holding(table: np.ndarray, points) -> np.ndarray:
+    """Ascending positions of the rows of table that hold every one of
+    points: the rows holding the first, then those of them holding the
+    next, and so on; no points keep every row.  A row holds a point at
+    most once, so the flat positions of a point give its rows in order."""
+    keep = np.arange(len(table))
+    for p in points:
+        # until a point drops a row, keep is every row: no copy of table
+        part = table if len(keep) == len(table) else table[keep]
+        keep = keep[np.flatnonzero(part == p) // table.shape[1]]
+    return keep
+
+
+def _row_reduce(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """values[table].sum(axis=1), in values' dtype.  While rows are no
+    wider than the table is long, one gather per column through the
     strided views of table.T: no N x theta temporary and no copy of the
-    table."""
+    table.  Only sums reduce a whole row; containment reads a few of its
+    columns (_rows_within)."""
     if table.shape[1] > len(table):
-        return ufunc.reduce(values[table], axis=1)
+        return values[table].sum(axis=1, dtype=values.dtype)
     out = values[table[:, 0]]
     for col in table.T[1:]:
-        ufunc(out, values[col], out=out)
+        out += values[col]
     return out
 
 
-def _mask(geom: Geometry, sub: Subspace, dtype=bool) -> np.ndarray:
-    """Over the geometry's points: 1 (True) on sub, 0 off it."""
-    mask = np.zeros(geom.num_points, dtype=dtype)
-    mask[geom.points_of(sub)] = 1
+def _mask(geom: Geometry, sub: Subspace) -> np.ndarray:
+    """Over the geometry's points: True on sub, False off it."""
+    mask = np.zeros(geom.num_points, dtype=bool)
+    mask[geom.points_of(sub)] = True
     return mask
 
 
@@ -358,7 +400,7 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
     sub_geom = geometry("PG", i, geom.q)
     pos = _positions(geom, pi)
     rows = F.rows
-    inside = _row_reduce(np.logical_and, pos >= 0, rows)
+    inside = _rows_within(pos >= 0, rows, _basis_columns(geom.q, F.k))
     out = _blocks_of(sub_geom, F.k, pos[rows[inside]])
     assert (out >= 0).all()
     return KFamily(sub_geom, F.k, out)
@@ -376,9 +418,9 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
     rows = F.rows
-    in_pi = _mask(geom, pi, np.int64)
-    # member rows hold distinct points, so pi lies in those holding all of it
-    through = _row_reduce(np.add, in_pi, rows) == in_pi.sum()
+    # pi lies in the members holding its RREF rows; an empty pi in every one
+    through = _rows_holding(
+        rows, geom.points_of(pi)[_basis_columns(geom.q, i)])
     # K ∩ beta is a (k-i-1)-space for every K through pi (beta is skew to
     # pi and spans the space with it), so each row keeps as many points
     images = _positions(geom, beta)[rows[through]]
@@ -476,7 +518,7 @@ def _pair_profile(F: KFamily) -> np.ndarray:
         table = geom.sub_table(k, j)
         deg = F.degrees if j == 0 else np.bincount(
             table[F.indices].ravel(), minlength=geom.subspace_count(j))
-        s = _row_reduce(np.add, deg, table)
+        s = _row_reduce(deg, table)
         for d in range(j + 1, k + 1):
             s -= prof[:, d + 1] * (
                 gauss_binom(d + 1, j + 1, q) if geom.kind == "PG"
@@ -595,7 +637,7 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     if i < k + 1:
         raise GuardViolated("tau must have dimension >= k+1")
     rows = F.rows
-    inside = rows[_row_reduce(np.logical_and, in_tau, rows)]
+    inside = rows[_rows_within(in_tau, rows, _basis_columns(q, k))]
     # a member row holds p at most once
     a, b, c = (int(F.degrees[p_idx]), len(inside),
                np.count_nonzero(inside == p_idx))
@@ -649,8 +691,7 @@ def find_skew_space(F: KFamily):
     # the k-spaces inside each (k+1)-space; those inside a free one, a
     # (k+1)-space holding no member, are non-members
     table = geom.sub_table(k + 1, k)
-    free = np.flatnonzero(
-        ~_row_reduce(np.logical_or, F.chi.view(bool), table))
+    free = _rows_within(~F.chi.view(bool), table, range(table.shape[1]))
     if not len(free):
         return None
     K = table[free].min()

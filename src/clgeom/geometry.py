@@ -65,8 +65,10 @@ _CHUNK = 1 << 14
 # Gaussian binomials
 # ---------------------------------------------------------------------------
 
+@cache
 def gauss_binom(n: int, k: int, q: int) -> int:
-    """Number of (k-1)-spaces of PG(n-1,q); exact integer arithmetic."""
+    """Number of (k-1)-spaces of PG(n-1,q); exact integer arithmetic,
+    memoized (the predictions and checkers ask for the same few values)."""
     if k < 0 or k > n:
         raise InvalidRange(f"gauss_binom({n},{k}) requires 0 <= k <= n")
     num = 1
@@ -387,7 +389,7 @@ class Geometry:
         self.n = n
         self.field = field
         self.q = field.q
-        # _locate's weights, rank offsets and point keys, and its
+        # _rank's weights, rank offsets and point keys, and _locate's
         # coefficient vectors and their leading columns by row count
         self._ranks = None
         self._coeffs = {}
@@ -537,23 +539,44 @@ class Geometry:
         vector c, and c.M is already normalized: its leading 1 sits in the
         pivot column of M's row at c's leading 1, where M has an identity
         column.  The products come from ``_combine`` (for GF(p^h), h > 1,
-        gathers from the field's q x q add and mul tables) and are encoded
-        as base-q keys; the bulk builds pass the digit table D_r instead
-        (see _digit_table), and the keys come from ``_digit_keys`` with no
-        field product.  A normalized vector whose leading 1 sits in column
-        i has key L + t with t < L = q^(n-i), and the points before it are
-        the (L-1)/(q-1) points led further right and the t points led at i
-        with smaller keys, so its index is key - L + (L-1)/(q-1); in AG,
-        where every point is led at column 0, it is key - q^n.  A gather of
-        the 0-level's keys at these ranks checks the hits.
+        gathers from the field's q x q add and mul tables) and are ranked
+        by ``_rank``; the bulk builds pass the digit table D_r instead (see
+        _digit_table), and the keys come from ``_digit_keys`` with no field
+        product.
 
         c -> c.M keeps the lexicographic order (c reappears in M's pivot
         columns, and the columns before a pivot depend only on earlier
         entries of c), so each row's positions come out ascending, and row
         i of M, e_i.M, is the point at position (q^(r-1-i) - 1)/(q - 1) of
         its row, where e_i sits among the points of PG(r-1,q); _blocks_of
-        reads the matrices back from there."""
+        and clcore's containment tests read the matrices' rows from there
+        (see _basis_columns)."""
         r = mats.shape[1]
+        coeffs, lead = self._coefficients(r)
+        if digits is not None:
+            keys, vecs = _digit_keys(digits, mats, self.q), None
+        else:
+            # for r = 1 the single row is the point itself
+            keys, vecs = None, (mats if r == 1
+                                else _combine(self.field, coeffs, mats))
+        # c.M is led where M's row at c's leading 1 is; a matrix that is not
+        # in RREF may have no 1 there and rank outside the points (a miss).
+        # Built after the digit keys, so that it adds nothing to their peak
+        return self._rank((mats != 0).argmax(axis=2)[:, lead], vecs, keys)
+
+    def _rank(self, lead: np.ndarray, vecs=None, keys=None):
+        """Positions among the points of normalized vectors, given by their
+        codes (vecs, ... x ncols) or by their base-q keys, whose leading 1s
+        sit in the columns lead, and a mask of the hits.
+
+        A normalized vector whose leading 1 sits in column i has key L + t
+        with t < L = q^(n-i), and the points before it are the (L-1)/(q-1)
+        points led further right and the t points led at i with smaller
+        keys, so its index is key - L + (L-1)/(q-1); in AG, where every
+        point is led at column 0, it is key - q^n.  A gather of the
+        0-level's keys at these ranks checks the hits; a key that ranks
+        outside the points is clipped to a miss (a miss's position means
+        nothing)."""
         if self._ranks is None:
             # the points' base-q keys, ascending; with at most SUBSPACE_CAP
             # points (in the closure for AG) they are int64 (see _keys)
@@ -565,16 +588,9 @@ class Geometry:
                        if self.kind == "PG" else np.full(n + 1, q ** n))
             self._ranks = weights, offsets, point_keys
         weights, offsets, point_keys = self._ranks
-        coeffs, lead = self._coefficients(r)
-        if digits is not None:
-            keys = _digit_keys(digits, mats, self.q)
-        else:
-            # for r = 1 the single row is the point itself
-            vecs = mats if r == 1 else _combine(self.field, coeffs, mats)
+        if keys is None:
             keys = vecs @ weights
-        pos = keys - offsets[(mats != 0).argmax(axis=2)[:, lead]]
-        # a matrix that is not in RREF may rank outside the points; the
-        # clipped gather makes that a miss (a miss's position means nothing)
+        pos = keys - offsets[lead]
         return pos, point_keys.take(pos, mode="clip") == keys
 
     def point_table(self, k: int) -> np.ndarray:
@@ -659,7 +675,11 @@ class Geometry:
 
     def points_of(self, sub: Subspace) -> np.ndarray:
         """Ascending indices of this geometry's points that lie in an
-        arbitrary subspace (given in the closure's coordinates for AG)."""
+        arbitrary subspace (given in the closure's coordinates for AG).
+
+        One matrix, so no stack: its points c.M come from ``_combine`` as a
+        theta x ncols array, each led at the pivot of M's row at c's
+        leading 1 (see _locate), and are ranked by ``_rank``."""
         if sub.ncols != self.n + 1:
             raise DimensionMismatch(
                 f"subspace of {sub.ncols} coordinates in {self!r}, which "
@@ -668,7 +688,11 @@ class Geometry:
             return np.empty(0, dtype=np.int64)
         if sub.k == self.n:
             return np.arange(self._capped_count(0))
-        pos, hit = self._locate(np.array([sub.mat], dtype=np.int64))
+        mat = np.array(sub.mat, dtype=np.int64)
+        coeffs, lead = self._coefficients(len(mat))
+        vecs = (mat if len(mat) == 1
+                else _combine(self.field, coeffs, mat[None])[0])
+        pos, hit = self._rank(np.array(sub.pivots)[lead], vecs)
         return pos[hit]
 
     def incidence(self, k: int) -> np.ndarray:
@@ -702,19 +726,31 @@ class Geometry:
         return self._masks[k]
 
 
+def _basis_columns(q: int, k: int) -> list:
+    """The columns of a k-space's ascending point-table row that hold the
+    rows of its RREF matrix, in row order: row i is the point at position
+    (q^(k-i) - 1)/(q - 1) (see Geometry._locate).  So a k-space lies in a
+    subspace exactly when the points in these k+1 columns do.
+
+    Projective rows only: an AG point table omits the points at infinity,
+    so its columns are not these.  Every caller reads projective rows:
+    clcore's containment tests are PG-guarded, and _blocks_of takes
+    indices among the closure's points."""
+    return [(q ** (k - i) - 1) // (q - 1) for i in range(k + 1)]
+
+
 def _blocks_of(geom: Geometry, k: int, rows: np.ndarray) -> np.ndarray:
     """Positions in geom.subspaces(k) of the k-spaces whose points are the
     rows of `rows` (B x theta indices among the closure's points, in any
     order), the inverse of the point table.
 
-    Row i of a k-space's RREF matrix is its point at position
-    (q^(k-i) - 1)/(q - 1) in ascending order (see Geometry._locate), so the
-    matrices are gathered from the 0-level's codes and found by one
-    subspace_index call.  A row that is not the point set of a k-space is
-    not detected, and may give -1 or any position."""
-    q = geom.q
-    lead = [(q ** (k - i) - 1) // (q - 1) for i in range(k + 1)]
+    The matrices' rows are the points in the basis columns of the sorted
+    rows (see _basis_columns), so they are gathered from the 0-level's
+    codes and found by one subspace_index call.  A row that is not the
+    point set of a k-space is not detected, and may give -1 or any
+    position."""
     points = geom.closure().subspaces(0).codes[:, 0]
+    lead = _basis_columns(geom.q, k)
     return geom.subspace_index(k, points[np.sort(rows, axis=1)[:, lead]])
 
 

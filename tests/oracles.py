@@ -19,6 +19,11 @@ one parameter at a time.
   of each pivot pattern decoded from a counter by ``divmod`` and the
   sorted keys decoded back into codes, against
   ``geometry._enumerate_pg``'s broadcast grids.
+* ``indices_inside_full_rows``, ``restrict_full_rows``,
+  ``project_full_rows``, ``drudge_full_rows`` and ``skew_space_full_rows``:
+  the containment tests reduced over all theta points of every row
+  (logical and/or, or a count of pi's points), against ``clcore``'s
+  reads of the k+1 basis columns with early exit.
 * ``firing_rules`` and ``classification_rules``: every sieve rule
   evaluated on one x directly, under its guard as ``sieve.RULES`` writes
   it, against ``sieve()``'s integer thresholds and residue tables, whose
@@ -34,21 +39,34 @@ from itertools import combinations
 
 import numpy as np
 
-from clgeom.clcore import CLReport, KFamily, _default_hyperplane
+from clgeom.clcore import (
+    CLReport,
+    KFamily,
+    _default_hyperplane,
+    _mask,
+    _positions,
+    _resolve_point,
+)
 from clgeom.errors import (
     DimensionMismatch,
+    DimensionTooLarge,
+    DimensionTooSmall,
     GuardViolated,
     MemberInsideHyperplane,
     NotContaining,
     NotDivisible,
     NotSkew,
+    PointNotInSubspace,
 )
 from clgeom.ff import FieldCtx, ff_extend
 from clgeom.geometry import (
     Geometry,
     Subspace,
+    _blocks_of,
     _enumerate_pg,
     _keys,
+    canonical_complement,
+    gauss_binom,
     geometry,
     make_subspace,
     meet,
@@ -203,6 +221,99 @@ def project_subspace(field: FieldCtx, K: Subspace, pi: Subspace,
     # the entries at beta's pivot columns
     rows = [tuple(r[c] for c in beta.pivots) for r in inter.mat]
     return make_subspace(rows, field, beta.k + 1)
+
+
+# ---------------------------------------------------------------------------
+# containment over every point of a row
+# ---------------------------------------------------------------------------
+
+def row_reduce_full(ufunc, values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(values[table], axis=1), one column of table at a time."""
+    out = values[table[:, 0]]
+    for col in table.T[1:]:
+        ufunc(out, values[col], out=out)
+    return out
+
+
+def indices_inside_full_rows(geom: Geometry, k: int,
+                             outer: Subspace) -> np.ndarray:
+    """The k-spaces whose every point lies in outer."""
+    return np.flatnonzero(row_reduce_full(
+        np.logical_and, _mask(geom, outer), geom.point_table(k)))
+
+
+def restrict_full_rows(F: KFamily, pi: Subspace) -> KFamily:
+    """restrict, with the members whose every point lies in pi."""
+    if F.geom.kind != "PG":
+        raise GuardViolated("restriction is defined on projective families")
+    if pi.k < F.k + 1:
+        raise DimensionTooSmall(f"dim pi = {pi.k} < k+1 = {F.k + 1}")
+    sub_geom = geometry("PG", pi.k, F.geom.q)
+    pos = _positions(F.geom, pi)
+    rows = F.rows
+    inside = row_reduce_full(np.logical_and, pos >= 0, rows)
+    return KFamily(sub_geom, F.k, _blocks_of(sub_geom, F.k, pos[rows[inside]]))
+
+
+def project_full_rows(F: KFamily, pi: Subspace) -> KFamily:
+    """project, with the members holding as many points of pi as it has."""
+    if F.geom.kind != "PG":
+        raise GuardViolated("projection is defined on projective families")
+    i = pi.k
+    if i > F.k - 1:
+        raise DimensionTooLarge(f"dim pi = {i} > k-1 = {F.k - 1}")
+    geom = F.geom
+    beta = canonical_complement(pi, geom.field)
+    sub_geom = geometry("PG", geom.n - i - 1, geom.q)
+    rows = F.rows
+    in_pi = _mask(geom, pi).astype(np.int64)
+    through = row_reduce_full(np.add, in_pi, rows) == in_pi.sum()
+    images = _positions(geom, beta)[rows[through]]
+    images = images[images >= 0].reshape(len(images),
+                                         gauss_binom(F.k - i, 1, geom.q))
+    return KFamily(sub_geom, F.k - i - 1,
+                   _blocks_of(sub_geom, F.k - i - 1, images))
+
+
+def drudge_full_rows(F: KFamily, p, tau: Subspace) -> bool:
+    """check_drudge_identity, with the members whose every point lies in
+    tau, and its sides compared as Fractions."""
+    if F.geom.kind != "PG":
+        raise GuardViolated("identity stated for projective families")
+    geom, k = F.geom, F.k
+    n, q = geom.n, geom.q
+    p_idx = _resolve_point(geom, p)
+    in_tau = _mask(geom, tau)
+    if not in_tau[p_idx]:
+        raise PointNotInSubspace("p must lie in tau")
+    i = tau.k
+    if i < k + 1:
+        raise GuardViolated("tau must have dimension >= k+1")
+    rows = F.rows
+    inside = rows[row_reduce_full(np.logical_and, in_tau, rows)]
+    a, b, c = (int(F.degrees[p_idx]), len(inside),
+               np.count_nonzero(inside == p_idx))
+    g_n1k = gauss_binom(n - 1, k, q)
+    g_i1k = gauss_binom(i - 1, k, q)
+    lhs = a + Fraction(g_n1k * (q ** k - 1), g_i1k * (q ** i - 1)) * b
+    rhs = Fraction(g_n1k, g_i1k) * c + Fraction(q ** k - 1, q ** n - 1) * F.size
+    return lhs == rhs
+
+
+def skew_space_full_rows(F: KFamily):
+    """find_skew_space, with the (k+1)-spaces none of whose k-spaces is a
+    member."""
+    if F.geom.kind != "PG":
+        raise GuardViolated("skew-space search is projective")
+    geom, k = F.geom, F.k
+    table = geom.sub_table(k + 1, k)
+    free = np.flatnonzero(
+        ~row_reduce_full(np.logical_or, F.chi.view(bool), table))
+    if not len(free):
+        return None
+    K = table[free].min()
+    j = free[(table[free] == K).any(axis=1)][0]
+    return geom.subspaces(k + 1)[j]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,16 @@ from clgeom.geometry import (
     point_in_subspace,
 )
 from clgeom.sieve import x_max_param
-from oracles import pg_to_ag_oracle, project_subspace, rational_is_cl
+from oracles import (
+    drudge_full_rows,
+    indices_inside_full_rows,
+    pg_to_ag_oracle,
+    project_full_rows,
+    project_subspace,
+    rational_is_cl,
+    restrict_full_rows,
+    skew_space_full_rows,
+)
 
 
 def hyperplane_param(n, k, q):
@@ -224,6 +233,37 @@ def test_construct_trivial_anchor_errors():
     ag = geometry("AG", 3, 2)
     with pytest.raises(AnchorInvalid):
         cc.construct_trivial(ag, 1, "hyperplane_class")
+
+
+def test_anchor_coordinates_must_be_integers():
+    """A coordinate that is no integer is refused, not truncated by int();
+    integral numpy coordinates, and a numpy array, are points as tuples
+    of ints are."""
+    geom = geometry("PG", 3, 2)
+    want = cc.construct_trivial(geom, 1, "point_pencil", point=(0, 0, 0, 1))
+    for point in ((0, 0, 0, 1.9), (0, 0, 0, 1.0), (0.0, 0, 0, 1),
+                  (0, 0, 0, Fraction(1)), (0, 0, 0, "1"),
+                  np.array([0, 0, 0, 1.0]), 1.0):
+        with pytest.raises(AnchorInvalid):
+            cc.construct_trivial(geom, 1, "point_pencil", point=point)
+        with pytest.raises(AnchorInvalid):
+            cc.check_drudge_identity(want, point, geom.subspaces(2)[0])
+    for point in (np.array([0, 0, 0, 1]), np.array([0, 0, 0, 1], np.uint8),
+                  (np.int64(0), 0, np.int32(0), np.uint16(1)), [0, 0, 0, 1]):
+        assert cc.construct_trivial(geom, 1, "point_pencil",
+                                    point=point) == want
+
+
+def test_default_hyperplane_is_built_once():
+    """X0 = 0 for each geometry, the same object on every call."""
+    for n, q in ((3, 2), (4, 3), (2, 4)):
+        geom = geometry("PG", n, q)
+        H = cc._default_hyperplane(geom)
+        assert H is cc._default_hyperplane(geom)
+        assert H.k == n - 1 and all(row[0] == 0 for row in H.mat)
+        assert cc._indices_inside(geom, 1, H).tolist() == [
+            j for j, L in enumerate(geom.subspaces(1))
+            if all(row[0] == 0 for row in L.mat)]
 
 
 def test_construct_trivial_takes_numpy_point_indices():
@@ -1116,6 +1156,62 @@ def test_drudge_mask_route_matches_isin_route(n, q, k):
                                geom.points_of(point))[0])
     with pytest.raises(PointNotInSubspace):
         cc.check_drudge_identity(fams[1], outside, point)
+
+
+CONTAINMENT_GEOMS = [(n, q, k) for n, q in ((4, 2), (5, 2), (3, 3), (4, 3),
+                                            (3, 4), (3, 5), (2, 8), (3, 8),
+                                            (2, 9), (3, 9))
+                     for k in range(n)]
+
+
+def _subspaces_to_try(geom, rng, dims, count):
+    """For each dimension in dims, the level's first and last subspaces and
+    count seeded ones; the empty subspace for dimension -1."""
+    out = []
+    for d in dims:
+        if d < 0:
+            out.append(make_subspace([], geom.field, geom.n + 1))
+            continue
+        level = geom.subspaces(d)
+        picks = {0, len(level) - 1}
+        picks.update(rng.randrange(len(level)) for _ in range(count))
+        out += [level[j] for j in sorted(picks)]
+    return out
+
+
+@pytest.mark.parametrize("n,q,k", CONTAINMENT_GEOMS)
+def test_containment_routes_match_full_row_oracles(n, q, k):
+    """_indices_inside, restrict, project, check_drudge_identity and
+    find_skew_space read a row's k+1 basis columns with early exit; the
+    oracles reduce over all its theta points.  On trivial families, their
+    complements and seeded random families, for subspaces of every
+    dimension (the empty pi for project), answers and errors agree."""
+    geom = geometry("PG", n, q)
+    rng = random.Random(f"contain/{n}/{q}/{k}")
+    total = geom.subspace_count(k)
+    fams = [f for f, _ in trivial_families(geom, k)]
+    fams += [cc.KFamily(geom, k, rng.sample(range(total), size))
+             for size in (1, total // 3, total // 2)]
+    for outer in _subspaces_to_try(geom, rng, range(n + 1), 2):
+        assert np.array_equal(cc._indices_inside(geom, k, outer),
+                              indices_inside_full_rows(geom, k, outer))
+    seen = set()
+    for fam in fams:
+        assert cc.find_skew_space(fam) == skew_space_full_rows(fam)
+        for pi in _subspaces_to_try(geom, rng, range(k + 1, n + 1), 1):
+            assert cc.restrict(fam, pi) == restrict_full_rows(fam, pi)
+        for pi in _subspaces_to_try(geom, rng, range(-1, k), 1):
+            assert cc.project(fam, pi) == project_full_rows(fam, pi)
+        for tau in _subspaces_to_try(geom, rng, range(n + 1), 0):
+            pts = geom.points_of(tau)
+            for p in (int(rng.choice(pts)), rng.randrange(geom.num_points)):
+                want = _outcome(drudge_full_rows, fam, p, tau)
+                assert _outcome(cc.check_drudge_identity, fam, p, tau) == want
+                seen.add(want if isinstance(want, type) else bool(want))
+    assert {True, PointNotInSubspace, GuardViolated} <= seen
+    # for k = 0, and for tau the whole space (k = n-1), the identity holds
+    # for every family
+    assert (False in seen) == (0 < k < n - 1)
 
 
 @pytest.mark.parametrize("kind,n,q,k", [("PG", 3, 2, 1), ("PG", 4, 2, 2),

@@ -25,6 +25,7 @@ from clgeom.ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 from clgeom.geometry import (
     Geometry,
     Subspace,
+    _basis_columns,
     _blocks_of,
     _combine,
     _enumerate_pg,
@@ -75,6 +76,33 @@ def test_gauss_binom_known_values():
         gauss_binom(3, 5, 2)
     assert gauss0(3, 5, 2) == 0
     assert gauss0(-1, 0, 2) == 0
+
+
+def test_gauss_binom_is_memoized_and_still_refuses():
+    """Memoized, the values stay those of the product formula, and an
+    invalid argument raises on every call (an exception is not cached)."""
+    gauss_binom.cache_clear()
+    assert gauss_binom(6, 3, 2) == gauss_binom(6, 3, 2) == 1395
+    assert gauss_binom.cache_info().hits >= 1
+    for args in ((3, 5, 2), (3, -1, 2)):
+        for _ in range(2):
+            with pytest.raises(InvalidRange):
+                gauss_binom(*args)
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (3, 3), (3, 4), (3, 5),
+                                 (2, 8), (2, 9)])
+def test_basis_columns_hold_the_rref_rows(n, q):
+    """On every k-level, k = n included, the points in a row's basis
+    columns are the rows of its canonical matrix, in order."""
+    g = geometry("PG", n, q)
+    for k in range(n + 1):
+        cols = _basis_columns(q, k)
+        assert cols == sorted(cols, reverse=True) and len(cols) == k + 1
+        codes = g.subspaces(k).codes
+        rows = g.subspace_index(0, codes.reshape(-1, 1, n + 1))
+        assert np.array_equal(rows.reshape(-1, k + 1),
+                              g.point_table(k)[:, cols])
 
 
 def test_point_enumeration():
