@@ -25,11 +25,14 @@ on x directly.
 So the status and rules of x change only at a few cut points (the ends
 of the rules' ranges, their mirrors under x -> X_max - x, each trivial x,
 and X_max/2), and between two of them only with x mod 2(q+1).  The report
-is stored as runs, each labelled from at most its first 2(q+1) values,
-and a sieve costs O(runs) whatever the number of x: the whole range of
-PG(15,7) k=2 (X_max = 97172311607) is nine runs.  `entries` and
-`entry(x)` build `SieveEntry` objects on demand, and the JSON and CSV are
-written from the runs in pieces, one template per label.
+is stored as runs, each labelled from the rules that hold on all of it
+and the residues of at most its first 2(q+1) values, and a sieve costs
+O(runs) whatever the number of x: the whole range of PG(15,7) k=2
+(X_max = 97172311607) is nine runs.  `entries` and `entry(x)` build
+`SieveEntry` objects on demand.  The JSON and CSV are written from the
+runs in pieces, one template per label, with no str() per x: within a
+block of 1000 consecutive x each is str(x // 1000) and a prebuilt
+3-digit string, so a block of one label is one C-level join.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter
+from itertools import chain, cycle
+from operator import attrgetter, index
 from typing import NamedTuple
 
 from .errors import GuardViolated
@@ -335,11 +339,11 @@ class _RuleTable:
         if pg and k >= 2 and n >= 2 * k + 1 and q <= 5:
             rules.append(("small-q-trivial", 0, None, every))
 
-    def firing(self, x: int) -> list:
-        """Ids of every rule excluding the non-trivial integer x >= 0."""
-        r = x % self.period
-        return [rid for rid, lo, hi, residues in self.rules
-                if lo <= x and (hi is None or x < hi) and r in residues]
+    def holding(self, c: int) -> list:
+        """(id, residues) of every rule whose range lo <= c < hi holds the
+        integer c >= 0 and that fires on some residue."""
+        return [(rid, residues) for rid, lo, hi, residues in self.rules
+                if lo <= c and (hi is None or c < hi) and residues]
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +386,16 @@ def _csv_tail(status: str, rules: tuple) -> str:
     return f",{status},{';'.join(rules)}\n"
 
 
+@cache
+def _digits() -> tuple:
+    """The strings of 0..999, plain and padded to 3 digits: x = 1000*h + l
+    is written plain[l] when h = 0 and str(h) + padded[l] otherwise.  Built
+    on the first write, not at import; from 100 on the two share their
+    strings."""
+    plain = tuple(map(str, range(1000)))
+    return plain, tuple(f"{i:03d}" for i in range(100)) + plain[100:]
+
+
 @dataclass
 class SieveReport:
     """The sieve of consecutive integers x, stored as runs; `entries` and
@@ -422,21 +436,41 @@ class SieveReport:
     def _iter_entries(self, pre: str, tail, sep: str):
         """pre + str(x) + tail(*label of x) for every x, joined by sep, in
         pieces of at most _CHUNK x; tail is called once per distinct
-        label."""
+        label.
+
+        No str is made per x.  Each piece is cut at the multiples of 1000,
+        and in the block of x = 1000*h + l the text of x is str(h) and the
+        3-digit string of l (the plain one when h = 0), from `_digits`.
+        A block of one label is one join over those strings, with the
+        separator tail + sep + pre + str(h); a periodic run's block
+        interleaves them with its m such separators, rotated to the
+        block's first x."""
         tail = cache(tail)
+        plain, padded = _digits()
         first = True
         for run in self.runs:
             tails = [tail(*label) for label in run.labels]
             m = len(tails)
             for a in range(run.start, run.stop, _CHUNK):
-                xs = range(a, min(a + _CHUNK, run.stop))
-                if m == 1:  # one join over the x, in C
-                    text = pre + (tails[0] + sep + pre).join(map(str, xs)) \
-                        + tails[0]
-                else:
-                    text = sep.join(f"{pre}{x}{tails[(x - run.start) % m]}"
-                                    for x in xs)
-                yield text if first else sep + text
+                b = min(a + _CHUNK, run.stop)
+                blocks = [] if first else [""]  # sep before a later piece
+                for h in range(a // 1000, (b - 1) // 1000 + 1):
+                    base = 1000 * h
+                    digits = (padded if h else plain)[
+                        max(a - base, 0):min(b - base, 1000)]
+                    head = pre + str(h) if h else pre
+                    if m == 1:
+                        blocks.append(head + (tails[0] + sep + head).join(
+                            digits) + tails[0])
+                        continue
+                    i = (max(a, base) - run.start) % m
+                    seps = [t + sep + head for t in tails[i:] + tails[:i]]
+                    text = "".join(chain.from_iterable(zip(digits,
+                                                           cycle(seps))))
+                    # the last x has no separator after its tail
+                    blocks.append(head
+                                  + text[:len(text) - len(sep + head)])
+                yield sep.join(blocks)
                 first = False
 
     def iter_json(self):
@@ -463,6 +497,20 @@ class SieveReport:
         return "".join(self.iter_csv())
 
 
+def _range_end(end, default: int) -> int:
+    """One end of sieve()'s x_range as a Python int; None stands for
+    default.  numpy integers pass through operator.index; bool and
+    non-integers are refused."""
+    if end is None:
+        return default
+    if not isinstance(end, bool):
+        try:
+            return index(end)
+        except TypeError:
+            pass
+    raise GuardViolated(f"x range ends must be integers, got {end!r}")
+
+
 def sieve(space: str, n: int, k: int, q: int, x_range=None,
           dps=None) -> SieveReport:
     """Classify every integer parameter in range for the given geometry.
@@ -475,14 +523,15 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
 
     The label of x changes only at the cut points below, and between two
     of them only with x mod 2(q+1), which fixes the complement's residue
-    too.  So each run between cut points is labelled from its first
-    2(q+1) values, and the cost grows with the number of runs, not of x."""
+    too.  So the rules whose range holds a run, directly or mirrored, are
+    found once from its first x, and only their residue tests are left
+    for its first 2(q+1) values (none when every such rule fires on every
+    residue).  The cost grows with the number of runs, not of x."""
     space = space.upper()
     check_config(space, n, k, q)
     xm = x_max_param(space, n, k, q)
     lo, hi = x_range or (None, None)
-    lo = 0 if lo is None else lo
-    hi = int(xm) if hi is None else hi
+    lo, hi = _range_end(lo, 0), _range_end(hi, int(xm))
     if lo > hi:
         raise GuardViolated("empty x range")
     if lo < 0:
@@ -490,16 +539,8 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
     trivial = {int(t) for t in trivial_params(space, n, k, q)
                if t.denominator == 1}
     table = _RuleTable(space, n, k, q)
+    period = table.period
     top = int(xm) if xm.denominator == 1 else None  # complements are integers
-
-    def label(x: int) -> tuple:
-        if x in trivial:
-            return "TRIVIAL", ()
-        ids = table.firing(x)
-        if top is not None and top - x >= 0 and top - x != x:
-            ids += [r + "[complement]" for r in table.firing(top - x)]
-        ids = sorted(set(ids))
-        return ("EXCLUDED" if ids else "OPEN"), tuple(ids)
 
     # the ends of every rule's range, each trivial x and the x after it;
     # for the complement top - x, the mirrors of the ends, top + 1 (past
@@ -511,7 +552,26 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
     cuts = sorted({lo, hi + 1} | {c for c in cuts if lo < c <= hi})
     runs = []
     for a, b in zip(cuts, cuts[1:]):
-        labels = tuple(map(label, range(a, min(b, a + table.period))))
+        if a in trivial:  # the run [a, a + 1)
+            labels = (("TRIVIAL", ()),)
+        else:
+            # no cut inside [a, b), so a rule's range, and its mirror's,
+            # holds all of the run or none of it: only residues are left
+            direct = table.holding(a)
+            mirrored = []
+            if top is not None and a <= top and 2 * a != top:  # not top / 2
+                mirrored = table.holding(top - a)
+            # one label, unless some rule fires on only some residues
+            span = period if any(len(res) < period for _, res
+                                 in direct + mirrored) else 1
+            labels = []
+            for x in range(a, min(b, a + span)):
+                ids = [rid for rid, res in direct if x % period in res]
+                ids += [rid + "[complement]" for rid, res in mirrored
+                        if (top - x) % period in res]
+                ids.sort()  # distinct: the table holds each rule once
+                labels.append(("EXCLUDED" if ids else "OPEN", tuple(ids)))
+            labels = tuple(labels)
         if len(set(labels)) == 1:
             labels = labels[:1]
             if runs and runs[-1].labels == labels:

@@ -29,10 +29,13 @@ one parameter at a time.
   it, against ``sieve()``'s integer thresholds and residue tables, whose
   guards ``sieve._RuleTable`` decides apart; ``lift_bound``, the generic
   lift those bounds follow.
+* ``sieve_json_per_x`` and ``sieve_csv_per_x``: a sieve report written
+  with one f-string per x, against ``SieveReport``'s digit-block writers.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -444,3 +447,36 @@ def firing_rules(space: str, n: int, k: int, q: int, x: Fraction) -> list:
                 if guard and _below(x, bound(n, k, q))]
     out.extend(classification_rules(space, n, k, q, x))
     return out
+
+
+# ---------------------------------------------------------------------------
+# sieve reports, one x at a time
+# ---------------------------------------------------------------------------
+
+def _labels_per_x(report):
+    """(x, status, rules) of every x of the report, from its runs."""
+    for run in report.runs:
+        for x in range(run.start, run.stop):
+            status, rules = run.labels[(x - run.start) % len(run.labels)]
+            yield x, status, rules
+
+
+def sieve_json_per_x(report) -> str:
+    """`SieveReport.to_json()` with one f-string per entry."""
+    entries = []
+    for x, status, rules in _labels_per_x(report):
+        items = ",".join(f"\n    {json.dumps(r)}" for r in rules)
+        listed = f"[{items}\n   ]" if rules else "[]"
+        entries.append(f'  {{\n   "x": {x},\n   "status": '
+                       f'{json.dumps(status)},\n   "rules": {listed}\n  }}')
+    head = json.dumps({**report._json_head(), "entries": []}, indent=1)
+    if not entries:
+        return head + "\n"
+    return head[:-len("[]\n}")] + "[\n" + ",\n".join(entries) + "\n ]\n}\n"
+
+
+def sieve_csv_per_x(report) -> str:
+    """`SieveReport.to_csv()` with one f-string per row."""
+    return "x,status,rules\n" + "".join(
+        f"{x},{status},{';'.join(rules)}\n"
+        for x, status, rules in _labels_per_x(report))

@@ -12,13 +12,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clgeom.errors import GuardViolated
 from clgeom.sieve import (
     RULES_BY_ID,
     SieveReport,
     SieveRun,
+    _CHUNK,
     _Root,
     _RuleTable,
     _below,
@@ -39,7 +42,13 @@ from clgeom.sieve import (
     trivial_params,
     x_max_param,
 )
-from oracles import classification_rules, firing_rules, lift_bound
+from oracles import (
+    classification_rules,
+    firing_rules,
+    lift_bound,
+    sieve_csv_per_x,
+    sieve_json_per_x,
+)
 
 
 def F(a, b=1):
@@ -324,6 +333,26 @@ def test_sieve_and_cli_import_no_mpmath():
     assert "c-interval" in report.entry(2).rules
 
 
+def test_import_builds_no_digit_table():
+    # the writers' digit strings are built on the first write, so the
+    # import, and every run that writes no report, does none of that work
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, clgeom.cli, clgeom.sieve\n"
+            "digits = sys.modules['clgeom.sieve']._digits\n"
+            "print(digits.cache_info().currsize)\n"
+            "clgeom.cli.main(['bounds', '-n', '8', '-k', '1', '-q', '7'])\n"
+            "print(digits.cache_info().currsize)\n"
+            "clgeom.cli.main(['sieve', '-n', '3', '-k', '1', '-q', '2'])\n"
+            "print(digits.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "0"
+    assert lines[-1] == "1" and "0" in lines[1:-1]  # built by the write
+
+
 def _direct_entry(space, n, k, q, x):
     """Status and rules of x from the per-x rules, the sieve's reference."""
     if F(x) in trivial_params(space, n, k, q):
@@ -548,6 +577,88 @@ def test_to_json_matches_indented_dumps():
         assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=1) + "\n"
 
 
+# a run of period 3 over two piece ends, from x = 995
+_LONG_PERIODIC = SieveReport("PG", 3, 1, 2, F(5), [
+    SieveRun(995, 40003, (("OPEN", ()), ("EXCLUDED", ("a",)),
+                          ("EXCLUDED", ("a", "b[complement]"))))])
+_TOP_PG157 = 97172311607
+
+
+def _assert_writers_match_per_x(r):
+    want_json, want_csv = sieve_json_per_x(r), sieve_csv_per_x(r)
+    assert r.to_json() == want_json
+    assert "".join(r.iter_json()) == want_json
+    assert r.to_csv() == want_csv
+    assert "".join(r.iter_csv()) == want_csv
+
+
+@pytest.mark.parametrize("space,n,k,q,x_range", [
+    # windows across 999|1000, 9999|10000 and _CHUNK (16383|16384); the
+    # run from 17158 crosses a piece end at 33542
+    ("PG", 8, 1, 7, (990, 1010)),
+    ("PG", 8, 1, 7, (9990, 10010)),
+    ("PG", 8, 1, 7, (16380, 16390)),
+    ("PG", 8, 1, 7, (0, 40000)),
+    # periodic runs over many blocks: period 264 (X_max 17162 and 17161),
+    # period 76 across 1000
+    ("PG", 3, 1, 131, None), ("AG", 4, 2, 131, None),
+    ("PG", 3, 1, 37, None), ("AG", 4, 2, 37, None),
+    # 11-digit x up to X_max
+    ("PG", 15, 2, 7, (_TOP_PG157 - 2100, _TOP_PG157)),
+    # single x at 0 and at X_max
+    ("PG", 8, 1, 7, (0, 0)), ("PG", 8, 1, 7, (840700, 840700)),
+    ("AG", 4, 2, 131, (0, 0)), ("AG", 4, 2, 131, (17161, 17161)),
+    ("PG", 15, 2, 7, (_TOP_PG157, _TOP_PG157)),
+])
+def test_writers_match_per_x_writer_at_boundaries(space, n, k, q, x_range):
+    _assert_writers_match_per_x(sieve(space, n, k, q, x_range=x_range))
+
+
+def test_writers_match_per_x_writer_on_long_periodic_run():
+    _assert_writers_match_per_x(_LONG_PERIODIC)
+    _assert_writers_match_per_x(SieveReport("PG", 3, 1, 2, F(5), []))
+
+
+# every config of the digest grid and a few larger q, X_max below 10^12
+_WRITER_CONFIGS = [
+    (space, n, k, q) for space in ("PG", "AG") for k in (1, 2, 3)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 37, 131)
+    for n in range(k + 1, k + 12)
+    if x_max_param(space, n, k, q) < 10 ** 12]
+
+
+@st.composite
+def _sieve_windows(draw):
+    """A config and a window of at most 2501 x, often from just below a
+    multiple of 1000 or reaching past X_max."""
+    space, n, k, q = draw(st.sampled_from(_WRITER_CONFIGS))
+    top = int(x_max_param(space, n, k, q))
+    lo = draw(st.integers(0, top + 10))
+    if draw(st.booleans()):
+        lo = max(0, lo // 1000 * 1000 - draw(st.integers(0, 3)))
+    return space, n, k, q, (lo, lo + draw(st.integers(0, 2500)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sieve_windows())
+def test_writers_match_per_x_writer_on_random_windows(cfg):
+    space, n, k, q, x_range = cfg
+    r = sieve(space, n, k, q, x_range=x_range)
+    _assert_writers_match_per_x(r)
+    assert r.to_json() == json.dumps(r.to_json_dict(), indent=1) + "\n"
+
+
+def test_writer_pieces_hold_at_most_chunk_entries():
+    for r in (sieve("PG", 8, 1, 7), sieve("PG", 3, 1, 131), _LONG_PERIODIC):
+        count = sum(run.stop - run.start for run in r.runs)
+        json_sizes = [p.count('"x": ') for p in r.iter_json()]
+        csv_sizes = [p.count("\n") for p in list(r.iter_csv())[1:]]
+        for sizes in (json_sizes, csv_sizes):
+            assert sum(sizes) == count
+            assert max(sizes) <= _CHUNK
+            assert len(sizes) >= count // _CHUNK
+
+
 def test_rules_registry():
     assert set(RULES_BY_ID) >= {"gm-modular", "lines-modular",
                                 "affine-modular", "pencil-lift", "ihringer",
@@ -573,6 +684,26 @@ def test_malformed_config():
         sieve("PG", 3, 3, 2)
     with pytest.raises(GuardViolated):
         sieve("PG", 3, 1, 2, x_range=(5, 2))
+
+
+@pytest.mark.parametrize("x_range", [(2.5, 10), (0, 10.0), (F(1, 2), 10),
+                                     ("3", 10), (True, 10), (0, False),
+                                     (np.True_, 10), (np.float64(2), 10)])
+def test_sieve_refuses_non_integer_range_ends(monkeypatch, x_range):
+    def refuse(*args):
+        raise AssertionError("rule work before the range was checked")
+
+    monkeypatch.setattr(importlib.import_module("clgeom.sieve"),
+                        "_RuleTable", refuse)
+    with pytest.raises(GuardViolated, match="must be integers"):
+        sieve("PG", 3, 1, 3, x_range=x_range)
+
+
+def test_sieve_takes_numpy_integer_range_ends():
+    r = sieve("PG", 3, 1, 3, x_range=(np.int64(2), np.uint16(8)))
+    assert r.runs == sieve("PG", 3, 1, 3, x_range=(2, 8)).runs
+    assert {type(c) for run in r.runs for c in run[:2]} == {int}
+    assert r.to_csv() == sieve("PG", 3, 1, 3, x_range=(2, 8)).to_csv()
 
 
 def test_entry_lookup():
