@@ -9,18 +9,23 @@ Conservatism contract: trivially realized parameters are never excluded,
 rules never fire outside their guards, and every comparison is exact.  The
 irrational bounds (c-interval, improved-lift, hyperplane-average) are
 increasing affine images a*C + b of a classification threshold C whose
-eighth power is rational, so x < a*C + b is decided in `Fraction` by
-comparing ((x - b)/a)^8 with C^8; `exact_floor` gives their decimals from
-the same form.  Rules are also applied to the complement parameter
-X_max - x when it is an integer; such hits are tagged with a
-"[complement]" suffix.
+eighth power is rational.  They are carried as plain integers, a, b and
+C^8 each as a numerator and denominator that are never reduced, so
+x < a*C + b is decided by comparing ((x - b)/a)^8 with C^8
+cross-multiplied, with no gcd of C^8-sized numbers (1.5 million bits at
+PG(2047,3) k=681); `exact_floor` gives their decimals from the same form,
+with one floor division and three isqrt.  Rules are also applied to the
+complement parameter X_max - x when it is an integer; such hits are
+tagged with a "[complement]" suffix.
 
 `sieve()` reduces every rule once per call to one integer form: a range
-lo <= x < hi, whose ends are least integers at or above bounds, and the set
-of residues of x mod 2(q+1) it fires on (the non-solvable ones of a
-congruence, every one for the other rules).  The tests keep a per-x
-reference that states the same rules and guards apart and evaluates them
-on x directly.
+lo <= x < hi, whose ends are least integers at or above bounds, and, for
+a congruence, the residues of x mod 2(q+1) it fires on (the non-solvable
+ones), each decided when a labelled x first reads it; the other rules fire
+on every residue.  The trivial x, the top of the range and the ends of the
+rational rules come from integer floor and ceiling divisions.  The tests
+keep the `Fraction` route and a per-x reference that states the same
+rules and guards apart and evaluates them on x directly.
 
 So the status and rules of x change only at a few cut points (the ends
 of the rules' ranges, their mirrors under x -> X_max - x, each trivial x,
@@ -45,6 +50,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 from itertools import chain, cycle
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter, index
 from typing import NamedTuple
 
@@ -69,23 +75,36 @@ def check_config(space: str, n: int, k: int, q: int) -> None:
                             "(n+1) * bit_length(q) <= 4096")
 
 
-def x_max_param(space: str, n: int, k: int, q: int) -> Fraction:
+def _x_max_ratio(space: str, n: int, k: int, q: int) -> tuple:
+    """X_max as the integer pair (M, den), X_max = M / den, not reduced."""
     if space == "PG":
-        return Fraction(q ** (n + 1) - 1, q ** (k + 1) - 1)
+        return q ** (n + 1) - 1, q ** (k + 1) - 1
     if space == "AG":
-        return Fraction(q ** (n - k))
+        return q ** (n - k), 1
     raise GuardViolated(f"space must be PG or AG, got {space!r}")
+
+
+def x_max_param(space: str, n: int, k: int, q: int) -> Fraction:
+    return Fraction(*_x_max_ratio(space, n, k, q))
+
+
+def _trivial_numerators(space: str, n: int, k: int, q: int) -> tuple:
+    """(den, nums): the trivial parameters are the p / den, p in nums, with
+    den the denominator of `_x_max_ratio`: 0, 1 and, in PG, the hyperplane
+    class (q^(n-k)-1)/(q^(k+1)-1) and one above it, and the complements
+    X_max - t of those."""
+    num, den = _x_max_ratio(space, n, k, q)
+    base = {0, den}
+    if space == "PG":
+        hyperplanes = q ** (n - k) - 1
+        base |= {hyperplanes, hyperplanes + den}
+    return den, base | {num - p for p in base}
 
 
 def trivial_params(space: str, n: int, k: int, q: int):
     """Parameters of the trivial families and their complements."""
-    xm = x_max_param(space, n, k, q)
-    if space == "PG":
-        xh = Fraction(q ** (n - k) - 1, q ** (k + 1) - 1)
-        base = {Fraction(0), Fraction(1), xh, 1 + xh}
-    else:
-        base = {Fraction(0), Fraction(1)}
-    return frozenset(base | {xm - t for t in base})
+    den, nums = _trivial_numerators(space, n, k, q)
+    return frozenset(Fraction(p, den) for p in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -93,38 +112,50 @@ def trivial_params(space: str, n: int, k: int, q: int):
 # ---------------------------------------------------------------------------
 
 class _Root(NamedTuple):
-    """The irrational bound a*C + b with a > 0, where C > 0 is the eighth
-    root of the rational c8.  C is irrational because the 2-adic valuation
-    of c8 is odd (see `_c8`)."""
-    a: Fraction
-    b: Fraction
-    c8: Fraction
+    """The irrational bound a*C + b, a = an/ad > 0 and b = bn/bd, where
+    C > 0 is the eighth root of c8n/c8d (`_c8`).  Every field is a plain
+    integer, the denominators are positive, and no pair is reduced: the
+    bound is decided by cross-multiplication, with no gcd of C^8-sized
+    numbers.  C is irrational because the 2-adic valuation of C^8 is odd
+    (see `_c8`)."""
+    an: int
+    ad: int
+    bn: int
+    bd: int
+    c8n: int
+    c8d: int
 
-    def lift(self, s, t=0) -> "_Root":
-        """s*self + t, for rational s > 0 and t."""
-        return _Root(s * self.a, s * self.b + t, self.c8)
+    def lift(self, sn: int, sd: int = 1, t: int = 0) -> "_Root":
+        """(sn/sd)*self + t, for integers sn, sd > 0 and t."""
+        an, ad, bn, bd, c8n, c8d = self
+        return _Root(sn * an, sd * ad, sn * bn + t * sd * bd, sd * bd,
+                     c8n, c8d)
 
 
-def _c8(n: int, k: int, q: int) -> Fraction:
-    """C(n,k,q)^8 = q^(4n-2k^2-6k-12) (q-1)^(2k^2-2k+4) (q^2+q+1)^4 / 2.
+def _c8(n: int, k: int, q: int) -> tuple:
+    """C(n,k,q)^8 = q^(4n-2k^2-6k-12) (q-1)^(2k^2-2k+4) (q^2+q+1)^4 / 2,
+    as the integer pair (c8n, c8d), not reduced: the power of q goes to
+    c8n when its exponent is >= 0 and to c8d otherwise.
 
-    Both exponents are even and q^2+q+1 is odd, so the 2-adic valuation of
-    the product is even, and that of c8 is odd."""
-    return (Fraction(q) ** (4 * n - 2 * k * k - 6 * k - 12)
-            * (q - 1) ** (2 * k * k - 2 * k + 4)
-            * (q * q + q + 1) ** 4 / 2)
+    The exponents of q and q-1 are even and q^2+q+1 is odd, so the 2-adic
+    valuation of the product is even, and that of C^8 is odd."""
+    e = 4 * n - 2 * k * k - 6 * k - 12
+    rest = (q - 1) ** (2 * k * k - 2 * k + 4) * (q * q + q + 1) ** 4
+    if e >= 0:
+        return q ** e * rest, 2
+    return rest, 2 * q ** -e
 
 
 def classification_threshold(n: int, k: int, q: int) -> _Root:
     """Upper end C of the classified interval [2, C]; needs n >= 3k+2."""
     if n < 3 * k + 2:
         raise GuardViolated(f"requires n >= 3k+2, got n={n}, k={k}")
-    return _Root(Fraction(1), Fraction(0), _c8(n, k, q))
+    return _Root(1, 1, 0, 1, *_c8(n, k, q))
 
 
 def step_factor(k: int, q: int) -> _Root:
     """The per-step factor of the lifted lower bounds: C(3k+2,k,q) - 1."""
-    return classification_threshold(3 * k + 2, k, q).lift(1, -1)
+    return classification_threshold(3 * k + 2, k, q).lift(1, 1, -1)
 
 
 def pencil_lift_bound(n: int, k: int, q: int) -> Fraction:
@@ -146,17 +177,16 @@ def improved_lift_bound(n: int, k: int, q: int) -> _Root:
     """Lift of the classified-interval bound through pencils of t-spaces."""
     if n < 3 * k + 3:
         raise GuardViolated(f"requires n >= 3k+3, got n={n}, k={k}")
-    s = Fraction(q ** (n - k) - 1, q ** (2 * k + 2) - 1)
-    return step_factor(k, q).lift(s, 1)
+    return step_factor(k, q).lift(q ** (n - k) - 1, q ** (2 * k + 2) - 1, 1)
 
 
 def hyperplane_average_bound(n: int, k: int, q: int) -> _Root:
     """Sharpened lift via averaging over hyperplane sections."""
     if n < 3 * k + 4:
         raise GuardViolated(f"requires n >= 3k+4, got n={n}, k={k}")
-    s = Fraction(q ** (n - k - 1) - 1, q ** (2 * k + 2) - 1)
-    r = Fraction(q ** (n + 1) - 1, q ** n - 1)
-    return step_factor(k, q).lift(s, 1).lift(r)
+    return (step_factor(k, q)
+            .lift(q ** (n - k - 1) - 1, q ** (2 * k + 2) - 1, 1)
+            .lift(q ** (n + 1) - 1, q ** n - 1))
 
 
 def affine_pencil_bound(n: int, k: int, q: int) -> Fraction:
@@ -166,14 +196,22 @@ def affine_pencil_bound(n: int, k: int, q: int) -> Fraction:
     return 2 * Fraction(q ** (n - k) - 1, q ** (k + 1) - 1) + 1
 
 
-def _below(x, bound) -> bool:
-    """Exact x < bound, for a rational bound or a _Root.
+def _root_below(xn: int, xd: int, bound: _Root) -> bool:
+    """Exact xn/xd < bound for xd > 0.
 
-    x < a*C + b holds exactly when y = (x - b)/a is <= 0 or y^8 < C^8."""
+    x < a*C + b holds exactly when y = (x - b)/a = u/v, v > 0, has u <= 0
+    or u^8 / v^8 < c8n / c8d, compared cross-multiplied."""
+    an, ad, bn, bd, c8n, c8d = bound
+    u = (xn * bd - bn * xd) * ad
+    return u <= 0 or u ** 8 * c8d < (xd * bd * an) ** 8 * c8n
+
+
+def _below(x, bound) -> bool:
+    """Exact x < bound, for an integer or rational x and a rational bound
+    or a _Root."""
     if not isinstance(bound, _Root):
         return x < bound
-    y = (x - bound.b) / bound.a
-    return y <= 0 or y ** 8 < bound.c8
+    return _root_below(x.numerator, x.denominator, bound)
 
 
 def exact_floor(bound, scale: int = 1) -> int:
@@ -181,16 +219,17 @@ def exact_floor(bound, scale: int = 1) -> int:
     scale is a positive integer, a power of ten to print decimals.
 
     For a _Root, scale*bound lies in [Z + scale*b, Z + 1 + scale*b) with
-    Z = floor(scale*a*C), the integer 8th root of floor((scale*a)^8 C^8)
-    (three nested isqrt).  So the floor is m - 1 or m, m = floor(Z +
-    scale*b) + 1, and as scale*bound is irrational, it is m exactly when
-    m/scale < bound."""
+    Z = floor(scale*a*C), the integer 8th root (three nested isqrt) of
+    floor((scale*a)^8 C^8), one floor division of integers.  So the floor
+    is m - 1 or m, m = Z + floor(scale*b) + 1, and as scale*bound is
+    irrational, it is m exactly when m/scale < bound."""
     if not isinstance(bound, _Root):
         return math.floor(scale * bound)
+    an, ad, bn, bd, c8n, c8d = bound
     r = math.isqrt
-    z = r(r(r(math.floor((scale * bound.a) ** 8 * bound.c8))))
-    m = math.floor(z + scale * bound.b) + 1
-    return m if _below(Fraction(m, scale), bound) else m - 1
+    z = r(r(r((scale * an) ** 8 * c8n // (ad ** 8 * c8d))))
+    m = z + scale * bn // bd + 1
+    return m if _root_below(m, scale, bound) else m - 1
 
 
 def _threshold(bound) -> int:
@@ -298,52 +337,67 @@ def bound_rules() -> list:
             ("AG", "affine-bound", affine_pencil_bound)]
 
 
+class _Fires(dict):
+    """Residue r of x mod 2(q+1) -> whether a congruence rule fires there,
+    that is, whether its congruence has no solution; each r is decided on
+    its first lookup, so only the residues that are read are evaluated."""
+
+    def __init__(self, solvable, q: int):
+        super().__init__()
+        self.solvable, self.q = solvable, q
+
+    def __missing__(self, r: int) -> bool:
+        fired = self[r] = not self.solvable(r, self.q)
+        return fired
+
+
 class _RuleTable:
     """The rules of one geometry on the integers x >= 0, each reduced once
-    to the integer form (id, lo, hi, residues): the rule excludes x when
-    lo <= x < hi (hi None: no upper end) and x mod 2(q+1) is in residues.
-    gm-, lines- and affine-modular depend only on x mod 2(q+1); the bounds,
-    c-interval and small-q-trivial hold on every residue.
+    to the integer form (id, lo, hi, fires): the rule excludes x when
+    lo <= x < hi (hi None: no upper end) and fires[x mod 2(q+1)] holds.
+    fires is None for the rules that hold on every residue (the bounds,
+    c-interval and small-q-trivial), and a `_Fires` for gm-, lines- and
+    affine-modular, which depend only on x mod 2(q+1): no set over every
+    residue is built.
 
     This is where every guard of `RULES` is decided: the congruences' and
     small-q-trivial's here, the others by their bound functions, which
-    raise GuardViolated outside them."""
+    raise GuardViolated outside them.  The ends are integers, from a
+    ceiling division and `_threshold`."""
 
     def __init__(self, space: str, n: int, k: int, q: int):
         self.period = 2 * (q + 1)
-        every = frozenset(range(self.period))
         pg, d = space == "PG", n - k
         rules = self.rules = []
-
-        def congruence(rid, solvable, hi=None):
-            rules.append((rid, 0, hi, frozenset(
-                r for r in every if not solvable(r, q))))
-
         if space == "AG" and d % 2 == 0 and d >= 2:
-            congruence("affine-modular", affine_condition)
+            rules.append(("affine-modular", 0, None,
+                          _Fires(affine_condition, q)))
         if pg and n == 3 and k == 1:
-            congruence("gm-modular", gm_condition_solvable)
-        # the paper's guard of the line-class congruence, one for every k
+            rules.append(("gm-modular", 0, None,
+                          _Fires(gm_condition_solvable, q)))
+        # the paper's guard of the line-class congruence, one for every k:
+        # x < (q^(n-k)-1)/(q^(k+1)-1), so up to the ceiling of that
         if pg and n >= 2 * k + 1 and d % 2 == 0 and d + 1 >= 7:
-            congruence("lines-modular", line_condition_solvable, _threshold(
-                Fraction(q ** d - 1, q ** (k + 1) - 1)))
+            rules.append(("lines-modular", 0,
+                          -(-(q ** d - 1) // (q ** (k + 1) - 1)),
+                          _Fires(line_condition_solvable, q)))
         for rule_space, rid, bound in bound_rules():
             if rule_space == space:
                 with suppress(GuardViolated):
-                    rules.append((rid, 1, _threshold(bound(n, k, q)), every))
+                    rules.append((rid, 1, _threshold(bound(n, k, q)), None))
         if pg:
             # unit-intervals shares the guard, and needs no integer form
             with suppress(GuardViolated):
                 C = classification_threshold(n, k, q)
-                rules.append(("c-interval", 2, _threshold(C), every))
+                rules.append(("c-interval", 2, _threshold(C), None))
         if pg and k >= 2 and n >= 2 * k + 1 and q <= 5:
-            rules.append(("small-q-trivial", 0, None, every))
+            rules.append(("small-q-trivial", 0, None, None))
 
-    def holding(self, c: int) -> list:
-        """(id, residues) of every rule whose range lo <= c < hi holds the
-        integer c >= 0 and that fires on some residue."""
-        return [(rid, residues) for rid, lo, hi, residues in self.rules
-                if lo <= c and (hi is None or c < hi) and residues]
+    def holding(self, c: int, suffix: str = "") -> list:
+        """(id + suffix, fires) of every rule whose range lo <= c < hi
+        holds the integer c >= 0."""
+        return [(rid + suffix, fires) for rid, lo, hi, fires in self.rules
+                if lo <= c and (hi is None or c < hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +430,10 @@ class SieveRun(NamedTuple):
 
 def _json_tail(status: str, rules: tuple) -> str:
     """The text of an entry after its x, as json.dumps(..., indent=1)
-    writes it, with the strings escaped by the C encoder."""
-    items = "".join(f"\n    {json.dumps(r)}," for r in rules)
-    return (f',\n   "status": {json.dumps(status)},\n   "rules": '
+    writes it, with the strings escaped by the C encoder that json.dumps
+    calls for a str."""
+    items = "".join(f"\n    {_json_str(r)}," for r in rules)
+    return (f',\n   "status": {_json_str(status)},\n   "rules": '
             + (f"[{items[:-1]}\n   ]" if items else "[]") + "\n  }")
 
 
@@ -526,21 +581,24 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
     too.  So the rules whose range holds a run, directly or mirrored, are
     found once from its first x, and only their residue tests are left
     for its first 2(q+1) values (none when every such rule fires on every
-    residue).  The cost grows with the number of runs, not of x."""
+    residue); a congruence is evaluated at most once per residue and call,
+    and only at the residues read.  The cost grows with the number of
+    runs, not of x."""
     space = space.upper()
     check_config(space, n, k, q)
-    xm = x_max_param(space, n, k, q)
+    num, den = _x_max_ratio(space, n, k, q)
     lo, hi = x_range or (None, None)
-    lo, hi = _range_end(lo, 0), _range_end(hi, int(xm))
+    lo, hi = _range_end(lo, 0), _range_end(hi, num // den)
     if lo > hi:
         raise GuardViolated("empty x range")
     if lo < 0:
         raise GuardViolated("x must be nonnegative")
-    trivial = {int(t) for t in trivial_params(space, n, k, q)
-               if t.denominator == 1}
+    trivial = {p // den for p in _trivial_numerators(space, n, k, q)[1]
+               if p % den == 0}
     table = _RuleTable(space, n, k, q)
     period = table.period
-    top = int(xm) if xm.denominator == 1 else None  # complements are integers
+    # complements are integers when X_max is
+    top = num // den if num % den == 0 else None
 
     # the ends of every rule's range, each trivial x and the x after it;
     # for the complement top - x, the mirrors of the ends, top + 1 (past
@@ -560,15 +618,16 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
             direct = table.holding(a)
             mirrored = []
             if top is not None and a <= top and 2 * a != top:  # not top / 2
-                mirrored = table.holding(top - a)
-            # one label, unless some rule fires on only some residues
-            span = period if any(len(res) < period for _, res
+                mirrored = table.holding(top - a, "[complement]")
+            # one label, unless a congruence holds the run
+            span = period if any(fires is not None for _, fires
                                  in direct + mirrored) else 1
             labels = []
             for x in range(a, min(b, a + span)):
-                ids = [rid for rid, res in direct if x % period in res]
-                ids += [rid + "[complement]" for rid, res in mirrored
-                        if (top - x) % period in res]
+                ids = [rid for rid, fires in direct
+                       if fires is None or fires[x % period]]
+                ids += [rid for rid, fires in mirrored
+                        if fires is None or fires[(top - x) % period]]
                 ids.sort()  # distinct: the table holds each rule once
                 labels.append(("EXCLUDED" if ids else "OPEN", tuple(ids)))
             labels = tuple(labels)
@@ -582,4 +641,4 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
         notes.append("n-k even: nontrivial parameters below "
                      "(q^(n-k)-1)/(q^(k+1)-1) are integers; integer scan "
                      "covers that regime completely")
-    return SieveReport(space, n, k, q, xm, runs, notes)
+    return SieveReport(space, n, k, q, Fraction(num, den), runs, notes)

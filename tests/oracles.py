@@ -24,11 +24,16 @@ one parameter at a time.
   the containment tests reduced over all theta points of every row
   (logical and/or, or a count of pi's points), against ``clcore``'s
   reads of the k+1 basis columns with early exit.
-* ``firing_rules`` and ``classification_rules``: every sieve rule
-  evaluated on one x directly, under its guard as ``sieve.RULES`` writes
-  it, against ``sieve()``'s integer thresholds and residue tables, whose
-  guards ``sieve._RuleTable`` decides apart; ``lift_bound``, the generic
-  lift those bounds follow.
+* ``c8_fraction``, ``below_fraction``, ``exact_floor_fraction`` and
+  ``rule_table_fraction``: the irrational bounds a*C + b decided in
+  ``Fraction``, by comparing ((x - b)/a)^8 with C^8 as one normalised
+  rational, and the rule table built from them with a residue set per
+  rule, against ``sieve``'s cross-multiplied integers and lazy residues.
+* ``firing_rules``, ``classification_rules`` and ``direct_entry``: every
+  sieve rule evaluated on one x directly, under its guard as
+  ``sieve.RULES`` writes it and in ``Fraction``, against ``sieve()``'s
+  integer thresholds and residue tests, whose guards ``sieve._RuleTable``
+  decides apart; ``lift_bound``, the generic lift those bounds follow.
 * ``sieve_json_per_x`` and ``sieve_csv_per_x``: a sieve report written
   with one f-string per x, against ``SieveReport``'s digit-block writers.
 """
@@ -39,6 +44,8 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import ceil, floor, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +85,10 @@ from clgeom.geometry import (
 )
 from clgeom.linalg import RatMatrix, in_rowspace
 from clgeom.sieve import (
-    _below,
+    _Root,
     affine_condition,
     affine_pencil_bound,
+    bound_rules,
     classification_threshold,
     gm_condition_solvable,
     hyperplane_average_bound,
@@ -89,6 +97,7 @@ from clgeom.sieve import (
     line_condition_solvable,
     pencil_lift_bound,
     trivial_params,
+    x_max_param,
 )
 
 
@@ -387,6 +396,96 @@ def pg_to_ag_oracle(F: KFamily, H: Subspace | None = None) -> KFamily:
 
 
 # ---------------------------------------------------------------------------
+# sieve bounds in Fraction
+# ---------------------------------------------------------------------------
+
+def c8_fraction(n: int, k: int, q: int) -> Fraction:
+    """C(n,k,q)^8 = q^(4n-2k^2-6k-12) (q-1)^(2k^2-2k+4) (q^2+q+1)^4 / 2,
+    multiplied out in Fraction."""
+    return (Fraction(q) ** (4 * n - 2 * k * k - 6 * k - 12)
+            * (q - 1) ** (2 * k * k - 2 * k + 4)
+            * (q * q + q + 1) ** 4 / 2)
+
+
+class FractionRoot(NamedTuple):
+    """The bound a*C + b of a `sieve._Root`, with a, b and C^8 reduced."""
+    a: Fraction
+    b: Fraction
+    c8: Fraction
+
+
+def fraction_root(root: _Root) -> FractionRoot:
+    return FractionRoot(Fraction(root.an, root.ad), Fraction(root.bn, root.bd),
+                        Fraction(root.c8n, root.c8d))
+
+
+def below_fraction(x, bound) -> bool:
+    """Exact x < bound: for a _Root, y = (x - b)/a is <= 0 or y^8 < C^8."""
+    if not isinstance(bound, _Root):
+        return x < bound
+    a, b, c8 = fraction_root(bound)
+    y = (x - b) / a
+    return y <= 0 or y ** 8 < c8
+
+
+def exact_floor_fraction(bound, scale: int = 1) -> int:
+    """floor(scale * bound): for a _Root, the integer 8th root Z of
+    floor((scale*a)^8 C^8), then m = floor(Z + scale*b) + 1 or m - 1,
+    whichever lies below the irrational scale*bound."""
+    if not isinstance(bound, _Root):
+        return floor(scale * bound)
+    a, b, c8 = fraction_root(bound)
+    z = isqrt(isqrt(isqrt(floor((scale * a) ** 8 * c8))))
+    m = floor(z + scale * b) + 1
+    return m if below_fraction(Fraction(m, scale), bound) else m - 1
+
+
+def threshold_fraction(bound) -> int:
+    """Least integer t >= 0 with not (t < bound)."""
+    if isinstance(bound, _Root):
+        return max(0, exact_floor_fraction(bound) + 1)
+    return max(0, ceil(bound))
+
+
+def rule_table_fraction(space: str, n: int, k: int, q: int) -> list:
+    """`sieve._RuleTable(space, n, k, q).rules` with each rule's residues
+    as the set of every residue mod 2(q+1) it fires on, its ends from
+    `threshold_fraction` and the lines-modular end from a Fraction."""
+    every = frozenset(range(2 * (q + 1)))
+    pg, d = space == "PG", n - k
+    rules = []
+
+    def congruence(rid, solvable, hi=None):
+        rules.append((rid, 0, hi, frozenset(
+            r for r in every if not solvable(r, q))))
+
+    if space == "AG" and d % 2 == 0 and d >= 2:
+        congruence("affine-modular", affine_condition)
+    if pg and n == 3 and k == 1:
+        congruence("gm-modular", gm_condition_solvable)
+    if pg and n >= 2 * k + 1 and d % 2 == 0 and d + 1 >= 7:
+        congruence("lines-modular", line_condition_solvable,
+                   threshold_fraction(Fraction(q ** d - 1,
+                                               q ** (k + 1) - 1)))
+    for rule_space, rid, bound in bound_rules():
+        if rule_space == space:
+            try:
+                rules.append((rid, 1, threshold_fraction(bound(n, k, q)),
+                              every))
+            except GuardViolated:
+                pass
+    if pg:
+        try:
+            rules.append(("c-interval", 2, threshold_fraction(
+                classification_threshold(n, k, q)), every))
+        except GuardViolated:
+            pass
+    if pg and k >= 2 and n >= 2 * k + 1 and q <= 5:
+        rules.append(("small-q-trivial", 0, None, every))
+    return rules
+
+
+# ---------------------------------------------------------------------------
 # sieve rules, one x at a time
 # ---------------------------------------------------------------------------
 
@@ -411,7 +510,8 @@ def classification_rules(space: str, n: int, k: int, q: int, x: Fraction):
     if space == "PG" and n >= 3 * k + 2:
         if (0 < x < 1) or (1 < x < 2):
             out.append("unit-intervals")
-        if x >= 2 and _below(x, classification_threshold(n, k, q)):
+        if x >= 2 and below_fraction(
+                x, classification_threshold(n, k, q)):
             out.append("c-interval")
     if space == "PG" and k >= 2 and n >= 2 * k + 1 and q <= 5:
         out.append("small-q-trivial")
@@ -444,9 +544,23 @@ def firing_rules(space: str, n: int, k: int, q: int, x: Fraction) -> list:
              hyperplane_average_bound),
             ("affine-bound", ag and n >= 2 * k + 2, affine_pencil_bound))
         out += [rid for rid, guard, bound in bounds
-                if guard and _below(x, bound(n, k, q))]
+                if guard and below_fraction(x, bound(n, k, q))]
     out.extend(classification_rules(space, n, k, q, x))
     return out
+
+
+def direct_entry(space: str, n: int, k: int, q: int, x: int) -> tuple:
+    """(status, rules) of the integer x from the per-x rules, on x and on
+    its complement X_max - x when that is another integer >= 0."""
+    if Fraction(x) in trivial_params(space, n, k, q):
+        return "TRIVIAL", []
+    ids = firing_rules(space, n, k, q, Fraction(x))
+    comp = x_max_param(space, n, k, q) - x
+    if comp >= 0 and comp.denominator == 1 and comp != x:
+        ids += [r + "[complement]"
+                for r in firing_rules(space, n, k, q, comp)]
+    ids = sorted(set(ids))
+    return ("EXCLUDED" if ids else "OPEN"), ids
 
 
 # ---------------------------------------------------------------------------

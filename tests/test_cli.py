@@ -491,6 +491,55 @@ def test_bounds_refuses_a_30_digit_prime_fast(capsys):
     assert "cannot decide" in err
 
 
+# sha256 of the stdout of `bounds` and of `sieve --x-min 0 --x-max 100` at
+# the largest configs that check_config accepts for q = 3 and q = 7, where
+# C^8 runs to about 1.5 million bits
+LARGEST_DIGESTS = {
+    ("bounds", 2047, 681, 3):
+        "9ad62c6e0208ea66ce953e03d725a676a03cac94f62e327355e28631fee28dc4",
+    ("sieve", 2047, 681, 3):
+        "4264d1d4696d34cfe2e3789486d0ce8a5b1e9a49537a23e1eb21e0daa38d5d77",
+    ("bounds", 1364, 400, 7):
+        "890c25c7829bb2867ee5dc001c350c06b17e4a161c522dab1276218379b502b4",
+    ("sieve", 1364, 400, 7):
+        "31673afcbc55776bfd76c988244697bfb4a838c9b59ca3ba13f61d80256130cd",
+}
+
+
+@pytest.mark.parametrize("command,n,k,q", sorted(LARGEST_DIGESTS))
+def test_bounds_and_sieve_at_the_largest_configs(capsys, command, n, k, q):
+    import hashlib
+
+    argv = [command, "-n", str(n), "-k", str(k), "-q", str(q)]
+    if command == "sieve":
+        argv += ["--space", "pg", "--x-min", "0", "--x-max", "100"]
+    with _deadline(3.0):
+        rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        LARGEST_DIGESTS[command, n, k, q]
+
+
+@pytest.mark.parametrize("n,q,x_min", [(3, 2039, 0), (3, 2039, 2000000),
+                                       (7, 1021, 0), (7, 1021, 31185077698)])
+def test_sieve_window_at_large_q_matches_direct_rules(capsys, n, q, x_min):
+    # gm-modular (n = 3) and lines-modular (n = 7) are read only at the
+    # residues of the window's x, not at all 2(q+1) of them
+    # improved-lift ends at 31185077703, inside the last window
+    from oracles import direct_entry
+
+    with _deadline(0.5):
+        rc, out, _ = run(capsys, "sieve", "--space", "pg", "-n", str(n),
+                         "-k", "1", "-q", str(q), "--x-min", str(x_min),
+                         "--x-max", str(x_min + 10))
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(x) for x, _, _ in rows] == list(range(x_min, x_min + 11))
+    for x, status, rules in rows:
+        got = status, rules.split(";") if rules else []
+        assert got == direct_entry("PG", n, 1, q, int(x)), x
+
+
 def test_benchmark_tracer_hooks_install(tmp_path):
     """The benchmark's tracer imports clgeom.linalg and wraps library names
     that no library route uses: install it, run construct then verify

@@ -25,6 +25,7 @@ from clgeom.sieve import (
     _Root,
     _RuleTable,
     _below,
+    _c8,
     _threshold,
     affine_condition,
     affine_pencil_bound,
@@ -43,9 +44,14 @@ from clgeom.sieve import (
     x_max_param,
 )
 from oracles import (
+    c8_fraction,
     classification_rules,
+    direct_entry,
+    exact_floor_fraction,
     firing_rules,
+    fraction_root,
     lift_bound,
+    rule_table_fraction,
     sieve_csv_per_x,
     sieve_json_per_x,
 )
@@ -289,7 +295,8 @@ def _threshold_by_search(bound):
     low = bound
     if isinstance(bound, _Root):
         r = math.isqrt
-        low = r(r(r(math.floor(bound.a ** 8 * bound.c8)))) + bound.b
+        a8c8 = bound.an ** 8 * bound.c8n // (bound.ad ** 8 * bound.c8d)
+        low = r(r(r(a8c8))) + Fraction(bound.bn, bound.bd)
     t = max(0, math.ceil(low))
     while _below(t, bound):
         t += 1
@@ -316,6 +323,88 @@ def test_threshold_on_bound_grid():
                 assert t == max(0, ceil), (rid, n, k, q)
     assert values == 4896
     assert roots == 2916  # the 3924 irrational values less the step factors
+
+
+# every config of PG and AG with n <= 19, 0 < k < n and q <= 9
+_TABLE_GRID = [(space, n, k, q) for space in ("PG", "AG")
+               for q in (2, 3, 4, 5, 7, 8, 9) for n in range(2, 20)
+               for k in range(1, n)]
+
+
+def _residue_form(table) -> list:
+    """The table's rules, each with the set of residues it fires on."""
+    every = frozenset(range(table.period))
+    return [(rid, lo, hi, every if fires is None
+             else frozenset(r for r in every if fires[r]))
+            for rid, lo, hi, fires in table.rules]
+
+
+def test_rule_table_matches_fraction_reference():
+    assert len(_TABLE_GRID) == 2394
+    for cfg in _TABLE_GRID + [("PG", 1364, 454, 4)]:
+        assert _residue_form(_RuleTable(*cfg)) == rule_table_fraction(*cfg), \
+            cfg
+
+
+def test_exact_floor_matches_fraction_reference_on_bound_grid():
+    roots = 0
+    for k, q, n in GRID:
+        funcs = [f for space, _, f in bound_rules() if space == "PG"]
+        funcs += [classification_threshold, lambda n, k, q: step_factor(k, q)]
+        for f in funcs:
+            try:
+                bound = f(n, k, q)
+            except GuardViolated:
+                continue
+            want = exact_floor_fraction(bound, 10 ** 6)
+            assert exact_floor(bound, 10 ** 6) == want, (f, n, k, q)
+            roots += isinstance(bound, _Root)
+    assert roots == 3924  # with the step factors, as `bounds` prints them
+
+
+def _v2(m: int) -> int:
+    return (m & -m).bit_length() - 1
+
+
+def test_c8_pair_is_c8_with_odd_2_adic_valuation():
+    # exact_floor and _threshold take C to be irrational
+    configs = {cfg[1:] for cfg in _TABLE_GRID} | {(n, k, q) for k, q, n in GRID}
+    for n, k, q in configs:
+        c8n, c8d = _c8(n, k, q)
+        assert Fraction(c8n, c8d) == c8_fraction(n, k, q)
+        assert (_v2(c8n) - _v2(c8d)) % 2 == 1, (n, k, q)
+    root = improved_lift_bound(8, 1, 7)
+    assert fraction_root(root).c8 == c8_fraction(5, 1, 7)
+
+
+def test_rule_tables_of_the_largest_configs_build_fast(monkeypatch):
+    # no Fraction of C^8's size: the C^8 here run to 1.5 million bits,
+    # X_max and the rational bounds to a few thousand
+    def small_fraction(*args):
+        assert all(abs(a).bit_length() < 2 ** 15 for a in args), \
+            "a Fraction of C^8's size"
+        return Fraction(*args)
+
+    monkeypatch.setattr(importlib.import_module("clgeom.sieve"),
+                        "Fraction", small_fraction)
+    for n, k, q in ((2047, 681, 3), (1364, 400, 7)):
+        t0 = time.perf_counter()
+        rules = _RuleTable("PG", n, k, q).rules
+        assert time.perf_counter() - t0 < 1.0, (n, k, q)
+        assert ("c-interval", 2, 1, None) in rules
+
+
+def test_sieve_at_large_q_builds_no_residue_set():
+    # the congruences are read only at the residues of the labelled x, so
+    # a sieve at q = 65537 holds nothing of size 2(q+1)
+    tracemalloc.start()
+    try:
+        r = sieve("PG", 8, 1, 65537, x_range=(0, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 1024, peak
+    assert [run.labels[0][0] for run in r.runs] == ["TRIVIAL", "EXCLUDED"]
 
 
 def test_sieve_and_cli_import_no_mpmath():
@@ -353,19 +442,6 @@ def test_import_builds_no_digit_table():
     assert lines[-1] == "1" and "0" in lines[1:-1]  # built by the write
 
 
-def _direct_entry(space, n, k, q, x):
-    """Status and rules of x from the per-x rules, the sieve's reference."""
-    if F(x) in trivial_params(space, n, k, q):
-        return "TRIVIAL", []
-    ids = firing_rules(space, n, k, q, F(x))
-    comp = x_max_param(space, n, k, q) - x
-    if comp >= 0 and comp.denominator == 1 and comp != x:
-        ids += [r + "[complement]"
-                for r in firing_rules(space, n, k, q, comp)]
-    ids = sorted(set(ids))
-    return ("EXCLUDED" if ids else "OPEN"), ids
-
-
 def test_rule_table_matches_direct_rules():
     # every x up to 20 and within 2 of 0 or of the upper end of a rule of
     # the table, or of the complement of one
@@ -379,7 +455,7 @@ def test_rule_table_matches_direct_rules():
                 xs |= set(range(max(0, c - 2), min(top, c + 2) + 1))
             for x in sorted(xs):
                 e = sieve(space, n, k, q, x_range=(x, x)).entry(x)
-                want = _direct_entry(space, n, k, q, x)
+                want = direct_entry(space, n, k, q, x)
                 assert (e.status, e.rules) == want, (space, n, k, q, x)
 
 
@@ -409,7 +485,7 @@ def test_runs_match_direct_rules_near_every_boundary():
                             min(end, c + period + 2) + 1))
         for x in sorted(xs):
             e = r.entry(x)
-            assert (e.status, e.rules) == _direct_entry(space, n, k, q, x), \
+            assert (e.status, e.rules) == direct_entry(space, n, k, q, x), \
                 (space, n, k, q, x)
         checked += len(xs)
     assert checked > 10000
