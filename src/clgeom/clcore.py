@@ -10,13 +10,15 @@ identity over the geometry's point table (see ``is_cl``); no rational
 matrix is built.
 
 Every route here reads incidence from the point table, and the points of
-other subspaces from ``Geometry.points_of``.  What a route needs of a
-family (its rows of the table, its point degrees P chi, its 0/1 vector,
-its meet profile) is derived once and cached on it (see ``KFamily``), and
-sums over a row run column by column (``_row_reduce``).  Whether a k-space
-lies in a subspace is read off the k+1 points of its row that are its RREF
-rows (``geometry._basis_columns``), one column at a time over the rows
-still in (``_rows_within``).  The
+other subspaces from ``Geometry.points_of``.  A family's points are read
+through its indices into the table; no route copies its rows.  What a
+route needs of a family (its point degrees P chi, its 0/1 vector, its
+meet profile) is derived once and cached on it (see ``KFamily``).  Counts
+over table rows are gathered in pieces (``_counts``), and sums over a row
+run column by column (``_row_reduce``).  Whether a k-space lies in a
+subspace is read off the k+1 points of its row that are its RREF rows
+(``geometry._basis_columns``), one column at a time over the rows still
+in (``_rows_within``), of the whole table or of a family's indices.  The
 transforms read each image's canonical matrix off its sorted points
 (``geometry._blocks_of``), with no elimination per member.  Every checker
 computes its counts by brute force over the geometry (most of them from
@@ -55,6 +57,7 @@ from .errors import (
 )
 from .ff import MAX_ORDER, factor_prime_power
 from .geometry import (
+    _CHUNK,
     _basis_columns,
     _blocks_of,
     _combine,
@@ -80,10 +83,11 @@ class KFamily:
 
     Every other view is derived from ``indices`` on first use and kept,
     which is safe as the family never changes: ``members`` (a frozenset),
-    ``chi`` (the 0/1 vector over the k-spaces), ``rows`` (the members' rows
-    of the point table), ``degrees`` (P chi: over the points, the members
-    through each) and the meet profile.  The arrays are read-only; ``size``
-    is the length of ``indices``."""
+    ``chi`` (the 0/1 vector over the k-spaces), ``degrees`` (P chi: over
+    the points, the members through each) and the meet profile.  No view
+    copies the members' rows of the point table: the routes read them
+    through ``indices``.  The arrays are read-only; ``size`` is the length
+    of ``indices``."""
 
     def __init__(self, geom: Geometry, k: int, members):
         self.geom = geom
@@ -124,14 +128,9 @@ class KFamily:
         return v
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        rows = self.geom.point_table(self.k)[self.indices]
-        rows.setflags(write=False)
-        return rows
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.rows.ravel(), minlength=self.geom.num_points)
+        deg = _counts(self.geom.point_table(self.k), self.indices,
+                      self.geom.num_points)
         deg.setflags(write=False)
         return deg
 
@@ -183,10 +182,12 @@ def is_cl(F: KFamily) -> CLReport:
     table = geom.point_table(F.k)
     theta = table.shape[1]
     r, lam = _design(geom, F.k)
-    a = F.degrees                      # P chi
-    b = _row_reduce(a, table)          # P^T P chi
-    chi = F.chi.astype(np.int64)
-    ok = np.array_equal(r * b - lam * theta * F.size, r * (r - lam) * chi)
+    b = _row_reduce(F.degrees, table)  # P^T P chi
+    # r P^T P chi - lambda theta |L| - r (r-lambda) chi, in place
+    b *= r
+    b -= lam * theta * F.size
+    b[F.indices] -= r * (r - lam)
+    ok = not b.any()
     x = F.x
     assert 0 <= x <= x_max_param(geom.kind, geom.n, F.k, geom.q)
     return CLReport(ok, x, "design-identity")
@@ -199,7 +200,7 @@ def _design(geom: Geometry, k: int) -> tuple:
     table = geom.point_table(k)
     nblocks, theta = table.shape
     v = geom.num_points
-    on = np.bincount(table.ravel(), minlength=v)
+    on = _counts(table, None, v)
     r = int(on[0])
     assert len(on) == v and (on == r).all(), "not every point lies on r blocks"
     lam, rest = divmod(r * (theta - 1), v - 1)
@@ -297,31 +298,64 @@ def _indices_inside(geom: Geometry, k: int, outer: Subspace) -> np.ndarray:
                         _basis_columns(geom.q, k))
 
 
-def _rows_within(mask: np.ndarray, table: np.ndarray, cols) -> np.ndarray:
-    """Ascending positions of the rows of table whose entries at the
-    columns cols all lie in mask (boolean, over the entries' range).
+def _rows_within(mask: np.ndarray, table: np.ndarray, cols,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """Ascending positions of the rows of table, or of those in the
+    ascending selection rows, whose entries at the columns cols all lie in
+    mask (boolean, over the entries' range).
 
     One column at a time, gathered only over the rows still in, so the
     work shrinks with them.  For containment in a subspace pass a
     projective point table's basis columns (geometry._basis_columns): a
     k-space lies in a subspace exactly when its RREF rows do."""
-    keep = np.flatnonzero(mask[table[:, cols[0]]])
+    # a column's view, then its gather: cheaper than table[keep, c]
+    keep = (np.flatnonzero(mask[table[:, cols[0]]]) if rows is None
+            else rows[mask[table[:, cols[0]][rows]]])
     for c in cols[1:]:
-        keep = keep[mask[table[keep, c]]]
+        keep = keep[mask[table[:, c][keep]]]
     return keep
 
 
-def _rows_holding(table: np.ndarray, points) -> np.ndarray:
-    """Ascending positions of the rows of table that hold every one of
-    points: the rows holding the first, then those of them holding the
-    next, and so on; no points keep every row.  A row holds a point at
-    most once, so the flat positions of a point give its rows in order."""
-    keep = np.arange(len(table))
+def _rows_holding(table: np.ndarray, points,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """Ascending positions of the rows of table, or of those in the
+    ascending selection rows, that hold every one of points: the rows
+    holding the first, then those of them holding the next, and so on; no
+    points keep every row.  A row holds a point at most once, so the flat
+    positions of a point give its rows in order.
+
+    Over the whole table a point is one comparison, with no copy of the
+    table; a selection is gathered in pieces of _CHUNK entries, so no
+    temporary grows with it."""
+    theta = table.shape[1]
+    step = max(1, _CHUNK // theta)
+    keep = rows
     for p in points:
-        # until a point drops a row, keep is every row: no copy of table
-        part = table if len(keep) == len(table) else table[keep]
-        keep = keep[np.flatnonzero(part == p) // table.shape[1]]
-    return keep
+        if keep is None:
+            keep = np.flatnonzero(table == p) // theta
+            continue
+        hits = [lo + np.flatnonzero(table[keep[lo:lo + step]] == p) // theta
+                for lo in range(0, len(keep), step)]
+        keep = keep[np.concatenate(hits)] if hits else keep
+    return np.arange(len(table)) if keep is None else keep
+
+
+def _counts(table: np.ndarray, rows: np.ndarray | None,
+            minlength: int) -> np.ndarray:
+    """np.bincount(table[rows].ravel(), minlength=minlength), rows None
+    for every row, with no copy of the rows counted: they are gathered in
+    pieces of _CHUNK entries, or of minlength if that is more, so adding
+    up the pieces' counts costs no more than gathering them."""
+    step = max(1, max(_CHUNK, minlength) // table.shape[1])
+    out = np.zeros(minlength, dtype=np.intp)
+    for lo in range(0, len(table) if rows is None else len(rows), step):
+        part = (table[lo:lo + step] if rows is None
+                else table[rows[lo:lo + step]])
+        # an entry past minlength lengthens the counts, as in bincount
+        counts = np.bincount(part.ravel(), minlength=len(out))
+        counts[:len(out)] += out
+        out = counts
+    return out
 
 
 def _row_reduce(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -399,9 +433,10 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     sub_geom = geometry("PG", i, geom.q)
     pos = _positions(geom, pi)
-    rows = F.rows
-    inside = _rows_within(pos >= 0, rows, _basis_columns(geom.q, F.k))
-    out = _blocks_of(sub_geom, F.k, pos[rows[inside]])
+    table = geom.point_table(F.k)
+    inside = _rows_within(pos >= 0, table, _basis_columns(geom.q, F.k),
+                          F.indices)
+    out = _blocks_of(sub_geom, F.k, pos[table[inside]])
     assert (out >= 0).all()
     return KFamily(sub_geom, F.k, out)
 
@@ -417,13 +452,13 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
-    rows = F.rows
+    table = geom.point_table(F.k)
     # pi lies in the members holding its RREF rows; an empty pi in every one
     through = _rows_holding(
-        rows, geom.points_of(pi)[_basis_columns(geom.q, i)])
+        table, geom.points_of(pi)[_basis_columns(geom.q, i)], F.indices)
     # K ∩ beta is a (k-i-1)-space for every K through pi (beta is skew to
     # pi and spans the space with it), so each row keeps as many points
-    images = _positions(geom, beta)[rows[through]]
+    images = _positions(geom, beta)[table[through]]
     images = images[images >= 0].reshape(len(images),
                                          gauss_binom(F.k - i, 1, geom.q))
     out = _blocks_of(sub_geom, F.k - i - 1, images)
@@ -476,7 +511,7 @@ def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
     perm = geom.subspace_index(0, images)
     assert (perm >= 0).all()
     ag = geometry("AG", geom.n, geom.q)
-    out = _blocks_of(ag, F.k, perm[F.rows])
+    out = _blocks_of(ag, F.k, perm[geom.point_table(F.k)[F.indices]])
     inside = np.flatnonzero(out < 0)
     if len(inside):
         raise MemberInsideHyperplane(int(F.indices[inside[0]]))
@@ -516,8 +551,8 @@ def _pair_profile(F: KFamily) -> np.ndarray:
     prof[:, k + 1] = F.chi
     for j in range(k - 1, max(0, 2 * k - geom.n) - 1, -1):
         table = geom.sub_table(k, j)
-        deg = F.degrees if j == 0 else np.bincount(
-            table[F.indices].ravel(), minlength=geom.subspace_count(j))
+        deg = F.degrees if j == 0 else _counts(
+            table, F.indices, geom.subspace_count(j))
         s = _row_reduce(deg, table)
         for d in range(j + 1, k + 1):
             s -= prof[:, d + 1] * (
@@ -583,15 +618,14 @@ def check_spread(F: KFamily, S) -> bool:
     For AG families the spread must partition the affine points; parallel
     elements sharing a point at infinity are fine."""
     geom, k = F.geom, F.k
-    idxs = np.asarray(S)
+    idxs = np.asarray(S).ravel()
     if idxs.dtype.kind not in "iu":
         # a float, a bool or a position past 64 bits is no position
         idxs = np.full(min(idxs.size, 1), -1)
     if ((idxs < 0) | (idxs >= geom.subspace_count(k))).any():
         raise NotASpread("element is not a k-space of the geometry")
     # how often each point is covered, in one pass over the elements' rows
-    cover = np.bincount(geom.point_table(k)[idxs].ravel(),
-                        minlength=geom.num_points)
+    cover = _counts(geom.point_table(k), idxs, geom.num_points)
     if (cover > 1).any():
         raise NotASpread("elements are not pairwise disjoint")
     if not cover.all():
@@ -636,11 +670,11 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
     i = tau.k
     if i < k + 1:
         raise GuardViolated("tau must have dimension >= k+1")
-    rows = F.rows
-    inside = rows[_rows_within(in_tau, rows, _basis_columns(q, k))]
-    # a member row holds p at most once
+    table = geom.point_table(k)
+    inside = _rows_within(in_tau, table, _basis_columns(q, k), F.indices)
+    # p's degree among the members, and among those inside tau
     a, b, c = (int(F.degrees[p_idx]), len(inside),
-               np.count_nonzero(inside == p_idx))
+               int(_counts(table, inside, geom.num_points)[p_idx]))
     g_n1k = gauss_binom(n - 1, k, q)
     g_i1k = gauss_binom(i - 1, k, q)
     qi, qk, qn = q ** i - 1, q ** k - 1, q ** n - 1

@@ -262,7 +262,7 @@ def restrict_full_rows(F: KFamily, pi: Subspace) -> KFamily:
         raise DimensionTooSmall(f"dim pi = {pi.k} < k+1 = {F.k + 1}")
     sub_geom = geometry("PG", pi.k, F.geom.q)
     pos = _positions(F.geom, pi)
-    rows = F.rows
+    rows = F.geom.point_table(F.k)[F.indices]
     inside = row_reduce_full(np.logical_and, pos >= 0, rows)
     return KFamily(sub_geom, F.k, _blocks_of(sub_geom, F.k, pos[rows[inside]]))
 
@@ -277,7 +277,7 @@ def project_full_rows(F: KFamily, pi: Subspace) -> KFamily:
     geom = F.geom
     beta = canonical_complement(pi, geom.field)
     sub_geom = geometry("PG", geom.n - i - 1, geom.q)
-    rows = F.rows
+    rows = F.geom.point_table(F.k)[F.indices]
     in_pi = _mask(geom, pi).astype(np.int64)
     through = row_reduce_full(np.add, in_pi, rows) == in_pi.sum()
     images = _positions(geom, beta)[rows[through]]
@@ -301,7 +301,7 @@ def drudge_full_rows(F: KFamily, p, tau: Subspace) -> bool:
     i = tau.k
     if i < k + 1:
         raise GuardViolated("tau must have dimension >= k+1")
-    rows = F.rows
+    rows = F.geom.point_table(F.k)[F.indices]
     inside = rows[row_reduce_full(np.logical_and, in_tau, rows)]
     a, b, c = (int(F.degrees[p_idx]), len(inside),
                np.count_nonzero(inside == p_idx))

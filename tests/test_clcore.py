@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,8 @@ from clgeom.errors import (
 )
 from clgeom.ff import ff_create
 from clgeom.geometry import (
+    _CHUNK,
+    _basis_columns,
     Geometry,
     canonical_complement,
     field_reduction_spread,
@@ -1185,9 +1188,12 @@ def test_containment_routes_match_full_row_oracles(n, q, k):
     find_skew_space read a row's k+1 basis columns with early exit; the
     oracles reduce over all its theta points.  On trivial families, their
     complements and seeded random families, for subspaces of every
-    dimension (the empty pi for project), answers and errors agree."""
+    dimension (the empty pi for project), answers and errors agree.
+    _rows_within and _rows_holding over a family's indices give their
+    whole-table rows that are members."""
     geom = geometry("PG", n, q)
     rng = random.Random(f"contain/{n}/{q}/{k}")
+    table = geom.point_table(k)
     total = geom.subspace_count(k)
     fams = [f for f, _ in trivial_families(geom, k)]
     fams += [cc.KFamily(geom, k, rng.sample(range(total), size))
@@ -1197,11 +1203,22 @@ def test_containment_routes_match_full_row_oracles(n, q, k):
                               indices_inside_full_rows(geom, k, outer))
     seen = set()
     for fam in fams:
+        member = fam.chi.view(bool)
         assert cc.find_skew_space(fam) == skew_space_full_rows(fam)
         for pi in _subspaces_to_try(geom, rng, range(k + 1, n + 1), 1):
             assert cc.restrict(fam, pi) == restrict_full_rows(fam, pi)
+            mask, cols = cc._mask(geom, pi), _basis_columns(q, k)
+            whole = cc._rows_within(mask, table, cols)
+            assert np.array_equal(
+                cc._rows_within(mask, table, cols, fam.indices),
+                whole[member[whole]])
         for pi in _subspaces_to_try(geom, rng, range(-1, k), 1):
             assert cc.project(fam, pi) == project_full_rows(fam, pi)
+            points = geom.points_of(pi)[_basis_columns(q, pi.k)]
+            whole = cc._rows_holding(table, points)
+            assert np.array_equal(
+                cc._rows_holding(table, points, fam.indices),
+                whole[member[whole]])
         for tau in _subspaces_to_try(geom, rng, range(n + 1), 0):
             pts = geom.points_of(tau)
             for p in (int(rng.choice(pts)), rng.randrange(geom.num_points)):
@@ -1230,7 +1247,6 @@ def test_family_views_are_read_only_and_derived(kind, n, q, k):
         fresh = cc.KFamily(geom, k, idx)
         views = {
             "chi": chi,
-            "rows": rows,
             "degrees": np.bincount(rows.ravel(), minlength=geom.num_points),
             "_profile": cc._pair_profile(fresh),
         }
@@ -1249,8 +1265,8 @@ def test_family_views_are_read_only_and_derived(kind, n, q, k):
 
 
 def test_checkers_and_transforms_add_no_tables():
-    """is_cl, drudge, restrict and project read the point table and the
-    family's own rows: no further table is built or cached on the
+    """is_cl, drudge, restrict and project read the point table through
+    the family's indices: no further table is built or cached on the
     geometry."""
     geom = geometry("PG", 4, 3)
     geom.point_table(1)
@@ -1263,6 +1279,65 @@ def test_checkers_and_transforms_add_no_tables():
         cc.project(fam, geom.subspaces(0)[5])
         assert {key: id(table) for key, table in geom._tables.items()} \
             == before
+
+
+def test_routes_on_a_nearly_full_family_copy_no_table_rows():
+    """The hyperplane-class complement of PG(5,3) k=3 holds 10890 of the
+    11011 solids, so a copy of its rows of the point table (theta = 40,
+    3.5 MB) would be nearly the table's size.  Once the table and the
+    family are built, is_cl, drudge (tau a hyperplane, and the whole space,
+    which holds every member), restrict and project on it trace less than
+    half the table's bytes of new memory."""
+    geom = geometry("PG", 5, 3)
+    table = geom.point_table(3)
+    fam = cc.construct_trivial(geom, 3, "hyperplane_class",
+                               complement_of=True)
+    tau = geom.subspaces(4)[7]
+    p = int(geom.points_of(tau)[0])
+    space = geom.subspaces(5)[0]
+    tracemalloc.start()
+    try:
+        assert cc.is_cl(fam).is_cl
+        assert cc.check_drudge_identity(fam, p, tau)
+        assert cc.check_drudge_identity(fam, p, space)
+        assert cc.restrict(fam, geom.subspaces(4)[11]).size
+        assert cc.project(fam, geom.subspaces(0)[5]).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes / 2, (peak, table.nbytes)
+
+
+def _counts_case(case):
+    """(table, rows, minlength) for test_counts_match_bincount."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    if case == "empty":
+        return (geometry("PG", 3, 3).point_table(1),
+                np.empty(0, dtype=np.int64), 40)
+    if case == "pieces":
+        table = geometry("PG", 3, 9).point_table(1)
+        rows = np.flatnonzero(rng.random(len(table)) < 0.8)
+        assert len(rows) > 3 * (_CHUNK // table.shape[1])
+        return table, rows, 820
+    if case == "whole":
+        return geometry("PG", 5, 3).point_table(1), None, 364
+    if case == "sub-table":
+        # int32, and more counts (33880 planes) than a piece has entries
+        table = geometry("PG", 5, 3).sub_table(3, 2)
+        return table, np.flatnonzero(rng.random(len(table)) < 0.5), 33880
+    # wider than a piece (step 1), with entries past minlength
+    table = rng.integers(0, 50, size=(7, _CHUNK + 3))
+    return table, np.array([0, 2, 3, 6]), 10
+
+
+@pytest.mark.parametrize("case", ["empty", "pieces", "whole", "sub-table",
+                                  "wide"])
+def test_counts_match_bincount(case):
+    """_counts is np.bincount over the selected rows, gathered in pieces."""
+    table, rows, minlength = _counts_case(case)
+    picked = table if rows is None else table[rows]
+    assert np.array_equal(cc._counts(table, rows, minlength),
+                          np.bincount(picked.ravel(), minlength=minlength))
 
 
 def test_construct_trivial_refuses_anchor_of_wrong_dimension():
