@@ -13,9 +13,14 @@ Every route here reads incidence from the point table, and the points of
 other subspaces from ``Geometry.points_of``.  A family's points are read
 through its indices into the table; no route copies its rows.  What a
 route needs of a family (its point degrees P chi, its 0/1 vector, its
-meet profile) is derived once and cached on it (see ``KFamily``).  Counts
-over table rows are gathered in pieces (``_counts``), and sums over a row
-run column by column (``_row_reduce``).  Whether a k-space lies in a
+meet profile) is derived once and cached on it (see ``KFamily``).  The
+tables hold their entries in the smallest unsigned dtype
+(``geometry._index_dtype``), and every gather through those entries is an
+``ndarray.take`` (fancy indexing with narrow indices is about twice as
+slow), as is every gather of whole rows (along axis 0).  Counts over
+table rows are gathered in pieces (``_counts``), rows mapped through a
+position array too (``_gather``), and sums over a row run column by
+column in blocks of rows (``_row_reduce``).  Whether a k-space lies in a
 subspace is read off the k+1 points of its row that are its RREF rows
 (``geometry._basis_columns``), one column at a time over the rows still
 in (``_rows_within``), of the whole table or of a family's indices.  The
@@ -309,10 +314,10 @@ def _rows_within(mask: np.ndarray, table: np.ndarray, cols,
     projective point table's basis columns (geometry._basis_columns): a
     k-space lies in a subspace exactly when its RREF rows do."""
     # a column's view, then its gather: cheaper than table[keep, c]
-    keep = (np.flatnonzero(mask[table[:, cols[0]]]) if rows is None
-            else rows[mask[table[:, cols[0]][rows]]])
+    keep = (np.flatnonzero(mask.take(table[:, cols[0]])) if rows is None
+            else rows[mask.take(table[:, cols[0]][rows])])
     for c in cols[1:]:
-        keep = keep[mask[table[:, c][keep]]]
+        keep = keep[mask.take(table[:, c][keep])]
     return keep
 
 
@@ -325,16 +330,20 @@ def _rows_holding(table: np.ndarray, points,
     positions of a point give its rows in order.
 
     Over the whole table a point is one comparison, with no copy of the
-    table; a selection is gathered in pieces of _CHUNK entries, so no
+    table; a selection is gathered (take along axis 0, several times
+    faster than fancy indexing) in pieces of _CHUNK entries, so no
     temporary grows with it."""
     theta = table.shape[1]
     step = max(1, _CHUNK // theta)
     keep = rows
-    for p in points:
+    # a Python int compares in the table's own dtype; a numpy int64 would
+    # widen every entry it is compared with
+    for p in map(int, points):
         if keep is None:
             keep = np.flatnonzero(table == p) // theta
             continue
-        hits = [lo + np.flatnonzero(table[keep[lo:lo + step]] == p) // theta
+        hits = [lo + np.flatnonzero(
+                    table.take(keep[lo:lo + step], axis=0) == p) // theta
                 for lo in range(0, len(keep), step)]
         keep = keep[np.concatenate(hits)] if hits else keep
     return np.arange(len(table)) if keep is None else keep
@@ -350,7 +359,7 @@ def _counts(table: np.ndarray, rows: np.ndarray | None,
     out = np.zeros(minlength, dtype=np.intp)
     for lo in range(0, len(table) if rows is None else len(rows), step):
         part = (table[lo:lo + step] if rows is None
-                else table[rows[lo:lo + step]])
+                else table.take(rows[lo:lo + step], axis=0))
         # an entry past minlength lengthens the counts, as in bincount
         counts = np.bincount(part.ravel(), minlength=len(out))
         counts[:len(out)] += out
@@ -358,17 +367,36 @@ def _counts(table: np.ndarray, rows: np.ndarray | None,
     return out
 
 
+def _gather(values: np.ndarray, table: np.ndarray,
+            rows: np.ndarray) -> np.ndarray:
+    """values[table[rows]], in pieces of _CHUNK entries: take reads the
+    table's narrow entries as indices, but converts each piece of them to
+    intp, so no such copy grows with rows."""
+    theta = table.shape[1]
+    out = np.empty((len(rows), theta), dtype=values.dtype)
+    step = max(1, _CHUNK // theta)
+    for lo in range(0, len(rows), step):
+        out[lo:lo + step] = values.take(
+            table.take(rows[lo:lo + step], axis=0))
+    return out
+
+
 def _row_reduce(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """values[table].sum(axis=1), in values' dtype.  While rows are no
     wider than the table is long, one gather per column through the
-    strided views of table.T: no N x theta temporary and no copy of the
-    table.  Only sums reduce a whole row; containment reads a few of its
-    columns (_rows_within)."""
+    strided column views of _CHUNK rows at a time: no N x theta temporary,
+    no copy of the table, and each block's rows stay in cache over its
+    columns, where whole columns would fetch every row once per column.
+    Only sums reduce a whole row; containment reads a few of its columns
+    (_rows_within)."""
     if table.shape[1] > len(table):
-        return values[table].sum(axis=1, dtype=values.dtype)
-    out = values[table[:, 0]]
-    for col in table.T[1:]:
-        out += values[col]
+        return values.take(table).sum(axis=1, dtype=values.dtype)
+    out = np.empty(len(table), dtype=values.dtype)
+    for lo in range(0, len(table), _CHUNK):
+        part, acc = table[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        acc[:] = values.take(part[:, 0])
+        for col in part.T[1:]:
+            acc += values.take(col)
     return out
 
 
@@ -384,7 +412,9 @@ def _positions(geom: Geometry, sub: Subspace) -> np.ndarray:
     in sub's own PG, which is its position in points_of(sub) (c -> c.M
     keeps the order, see Geometry._locate)."""
     pts = geom.points_of(sub)
-    pos = np.full(geom.num_points, -1, dtype=np.int64)
+    # the smallest signed dtype that holds -1 and every position (sub is
+    # never empty here)
+    pos = np.full(geom.num_points, -1, dtype=np.min_scalar_type(-len(pts)))
     pos[pts] = np.arange(len(pts))
     return pos
 
@@ -436,7 +466,7 @@ def restrict(F: KFamily, pi: Subspace) -> KFamily:
     table = geom.point_table(F.k)
     inside = _rows_within(pos >= 0, table, _basis_columns(geom.q, F.k),
                           F.indices)
-    out = _blocks_of(sub_geom, F.k, pos[table[inside]])
+    out = _blocks_of(sub_geom, F.k, _gather(pos, table, inside))
     assert (out >= 0).all()
     return KFamily(sub_geom, F.k, out)
 
@@ -458,7 +488,7 @@ def project(F: KFamily, pi: Subspace) -> KFamily:
         table, geom.points_of(pi)[_basis_columns(geom.q, i)], F.indices)
     # K ∩ beta is a (k-i-1)-space for every K through pi (beta is skew to
     # pi and spans the space with it), so each row keeps as many points
-    images = _positions(geom, beta)[table[through]]
+    images = _gather(_positions(geom, beta), table, through)
     images = images[images >= 0].reshape(len(images),
                                          gauss_binom(F.k - i, 1, geom.q))
     out = _blocks_of(sub_geom, F.k - i - 1, images)
@@ -511,7 +541,7 @@ def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
     perm = geom.subspace_index(0, images)
     assert (perm >= 0).all()
     ag = geometry("AG", geom.n, geom.q)
-    out = _blocks_of(ag, F.k, perm[geom.point_table(F.k)[F.indices]])
+    out = _blocks_of(ag, F.k, _gather(perm, geom.point_table(F.k), F.indices))
     inside = np.flatnonzero(out < 0)
     if len(inside):
         raise MemberInsideHyperplane(int(F.indices[inside[0]]))
@@ -728,8 +758,9 @@ def find_skew_space(F: KFamily):
     free = _rows_within(~F.chi.view(bool), table, range(table.shape[1]))
     if not len(free):
         return None
-    K = table[free].min()
-    j = free[(table[free] == K).any(axis=1)][0]
+    rows = table.take(free, axis=0)
+    K = rows.min()
+    j = free[(rows == K).any(axis=1)][0]
     return geom.subspaces(k + 1)[j]
 
 

@@ -19,18 +19,20 @@ entry (no counter, no division), and gathered once in key order (see
 Enumerations are kept in memory and nothing is stored on disk.
 
 The one form of incidence is the point table (``Geometry.point_table``),
-built in numpy from a level's codes with no search: the points of a
-k-space are the combinations c.M of its matrix's rows, and a normalized
-point's index among the sorted points is a closed form of its base-q key
-(see ``Geometry._locate``).  A single subspace (``Geometry.points_of``)
-gets its c.M from ``_combine`` (over GF(p^h), h > 1, gathered from the
-field's q x q add and mul tables).  The bulk builds read them from the
-digit table D_r of r = k+1 rows instead: row t of D_r holds c.col for
-every coefficient vector c, where col is the column of GF(q)^r whose
-base-q digits are t, so a block's points are D_r's rows at its columns'
-digits, summed into keys with no field product and no ``% p``.  D_r is
-built afresh for each bulk build below the top level and never holds more
-entries than the table it fills (see ``Geometry._digit_table``).
+stored, as every sub table is, in the smallest unsigned dtype that holds
+its entries (``_index_dtype``), and built in numpy from a level's codes
+with no search: the points of a k-space are the combinations c.M of its
+matrix's rows, and a normalized point's index among the sorted points is
+a closed form of its base-q key (see ``Geometry._locate``).  A single
+subspace (``Geometry.points_of``) gets its c.M from ``_combine`` (over
+GF(p^h), h > 1, gathered from the field's q x q add and mul tables).  The
+bulk builds read them from the digit table D_r of r = k+1 rows instead:
+row t of D_r holds c.col for every coefficient vector c, where col is the
+column of GF(q)^r whose base-q digits are t, so a block's points are
+D_r's rows at its columns' digits, summed into keys with no field product
+and no ``% p``.  D_r is built afresh for each bulk build below the top
+level and never holds more entries than the table it fills (see
+``Geometry._digit_table``).
 ``Geometry.sub_table`` gives the j-spaces in each k-space, keyed from the
 same point keys.  The dense incidence matrix and the point bitmasks are
 views derived from the table on request.
@@ -59,6 +61,13 @@ SUBSPACE_CAP = 10 ** 6
 # entries of one numpy chunk in the point table, sub table and mask
 # builders; small chunks keep the temporaries in cache and the peak memory flat
 _CHUNK = 1 << 14
+
+
+def _index_dtype(count: int) -> np.dtype:
+    """The dtype of a point table or sub table whose entries are positions
+    among count objects: the smallest unsigned dtype that holds count - 1
+    (uint16 for up to 65536 points)."""
+    return np.min_scalar_type(count - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +520,12 @@ class Geometry:
         q^(r(n-k)) >= q^r k-spaces of theta points each, and AG(n,q) has
         q^(n-k) [n,k]_q >= q^r theta / q^k k-spaces of q^k points each.
 
-        For r >= 2 it is int32, half the bytes of the table's int64, and so
-        are the keys summed from it: then n >= 2, the closure has at most
-        SUBSPACE_CAP points, so q < 1000, and every key is below q^(n+1) =
-        (q-1) * (the closure's point count) + 1 < 2^31.  D_1 is int64, as
-        the keys of PG(1,q) reach q^2."""
+        For r >= 2 it is int32, and so are the keys summed from it: then
+        n >= 2, the closure has at most SUBSPACE_CAP points, so q < 1000,
+        and every key is below q^(n+1) = (q-1) * (the closure's point
+        count) + 1 < 2^31.  D_1 is int64, as the keys of PG(1,q) reach
+        q^2.  So D_r has at most as many entries as the table, but up to
+        twice its bytes where the table is uint16 (see _index_dtype)."""
         if r == 1:
             # the one coefficient vector is (1), and (1).col = col
             return np.arange(self.q, dtype=np.int64)[:, None]
@@ -594,21 +604,24 @@ class Geometry:
         return pos, point_keys.take(pos, mode="clip") == keys
 
     def point_table(self, k: int) -> np.ndarray:
-        """N x theta int64 array whose row j lists, ascending, the indices of
-        the points on k-space j: the one stored form of the incidence, from
-        which every checker and transform reads.  Built chunk by chunk
-        through _locate from the digit table D_(k+1)."""
+        """N x theta array whose row j lists, ascending, the indices of the
+        points on k-space j: the one stored form of the incidence, from
+        which every checker and transform reads.  Its dtype is
+        _index_dtype of the point count, so readers gather through it with
+        ndarray.take.  Built chunk by chunk through _locate from the digit
+        table D_(k+1)."""
         if k not in self._tables:
             codes = self.subspaces(k).codes
+            # counted (and refused above the cap) without building the
+            # point list
+            v = self._capped_count(0)
             if k == self.n:
-                # every point, counted (and refused above the cap) without
-                # building the point list
-                table = np.arange(self._capped_count(0))[None, :]
+                table = np.arange(v, dtype=_index_dtype(v))[None, :]
             else:
                 theta = (gauss_binom(k + 1, 1, self.q) if self.kind == "PG"
                          else self.q ** k)
                 digits = self._digit_table(k + 1)
-                table = np.empty((len(codes), theta), dtype=np.int64)
+                table = np.empty((len(codes), theta), dtype=_index_dtype(v))
                 # the keys are B x theta' for the theta' points c.M
                 step = max(1, _CHUNK // digits.shape[1])
                 for lo in range(0, len(codes), step):
@@ -626,7 +639,7 @@ class Geometry:
     def sub_table(self, k: int, j: int) -> np.ndarray:
         """N x m array whose row i lists, ascending, the positions in
         subspaces(j) of the j-spaces in k-space i, for 0 <= j < k (the point
-        table for j = 0; int32, below SUBSPACE_CAP, for j > 0).  They are
+        table for j = 0), in _index_dtype of the j-level's count.  They are
         C.M for M the k-space's RREF matrix and C the j-spaces of PG(k,q),
         and C.M is in RREF, as _locate's c.M is normalized: C's pivots move
         to M's, and C -> C.M keeps the order.  In AG, M's column 0 is e_0,
@@ -646,8 +659,9 @@ class Geometry:
             return self.point_table(k)
         if (k, j) not in self._tables:
             coeffs = geometry(self.kind, k, self.q).subspaces(j).codes
-            table = np.empty((len(codes), len(coeffs)), dtype=np.int32)
             level = self.subspaces(j)
+            table = np.empty((len(codes), len(coeffs)),
+                             dtype=_index_dtype(len(level)))
             if k == self.n:
                 # the whole space holds every j-space; D_(n+1) would have
                 # q^(n+1) rows for this one
@@ -751,7 +765,10 @@ def _blocks_of(geom: Geometry, k: int, rows: np.ndarray) -> np.ndarray:
     position."""
     points = geom.closure().subspaces(0).codes[:, 0]
     lead = _basis_columns(geom.q, k)
-    return geom.subspace_index(k, points[np.sort(rows, axis=1)[:, lead]])
+    # take along axis 0 gathers whole rows, several times faster than
+    # fancy indexing, whatever the dtype of rows
+    return geom.subspace_index(
+        k, points.take(np.sort(rows, axis=1)[:, lead], axis=0))
 
 
 _GEOMETRIES: dict = {}

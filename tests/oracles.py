@@ -19,6 +19,9 @@ one parameter at a time.
   of each pivot pattern decoded from a counter by ``divmod`` and the
   sorted keys decoded back into codes, against
   ``geometry._enumerate_pg``'s broadcast grids.
+* ``int64_tables``: a twin of a geometry whose point and sub tables are
+  int64 copies, so that the routes run on its families read the entries
+  as int64 indices, against the same routes on the narrow tables.
 * ``indices_inside_full_rows``, ``restrict_full_rows``,
   ``project_full_rows``, ``drudge_full_rows`` and ``skew_space_full_rows``:
   the containment tests reduced over all theta points of every row
@@ -233,6 +236,40 @@ def project_subspace(field: FieldCtx, K: Subspace, pi: Subspace,
     # the entries at beta's pivot columns
     rows = [tuple(r[c] for c in beta.pivots) for r in inter.mat]
     return make_subspace(rows, field, beta.k + 1)
+
+
+# ---------------------------------------------------------------------------
+# the tables in int64
+# ---------------------------------------------------------------------------
+
+class _Int64Tables(Geometry):
+    """A geometry's twin with its levels, whose point and sub tables are
+    read-only int64 copies of the geometry's own."""
+
+    def __init__(self, geom: Geometry):
+        super().__init__(geom.kind, geom.n, geom.field)
+        self._subspaces = geom._subspaces
+        self._narrow = geom
+
+    def _wide(self, key, table: np.ndarray) -> np.ndarray:
+        if key not in self._tables:
+            self._tables[key] = table.astype(np.int64)
+            self._tables[key].setflags(write=False)
+        return self._tables[key]
+
+    def point_table(self, k: int) -> np.ndarray:
+        return self._wide(k, self._narrow.point_table(k))
+
+    def sub_table(self, k: int, j: int) -> np.ndarray:
+        return self._wide((k, j), self._narrow.sub_table(k, j))
+
+
+@cache
+def int64_tables(geom: Geometry) -> Geometry:
+    """The twin of geom whose tables are int64 (one per geometry): a
+    family built on it has geom's key, so it compares equal to the same
+    members on geom, and every route reads it through int64 entries."""
+    return _Int64Tables(geom)
 
 
 # ---------------------------------------------------------------------------

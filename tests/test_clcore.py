@@ -46,6 +46,7 @@ from clgeom.sieve import x_max_param
 from oracles import (
     drudge_full_rows,
     indices_inside_full_rows,
+    int64_tables,
     pg_to_ag_oracle,
     project_full_rows,
     project_subspace,
@@ -1283,13 +1284,16 @@ def test_checkers_and_transforms_add_no_tables():
 
 def test_routes_on_a_nearly_full_family_copy_no_table_rows():
     """The hyperplane-class complement of PG(5,3) k=3 holds 10890 of the
-    11011 solids, so a copy of its rows of the point table (theta = 40,
-    3.5 MB) would be nearly the table's size.  Once the table and the
-    family are built, is_cl, drudge (tau a hyperplane, and the whole space,
-    which holds every member), restrict and project on it trace less than
-    half the table's bytes of new memory."""
+    11011 solids, so a copy of its rows of the point table (theta = 40
+    uint16 entries a row, 0.88 MB) would be nearly the table's size.  Once
+    the table and the family are built, is_cl, drudge (tau a hyperplane,
+    and the whole space, which holds every member), restrict and project
+    on it trace less than half the table's bytes of new memory, although
+    each intp index that take converts the narrow entries to is 4 times
+    an entry's bytes."""
     geom = geometry("PG", 5, 3)
     table = geom.point_table(3)
+    assert table.dtype == np.uint16
     fam = cc.construct_trivial(geom, 3, "hyperplane_class",
                                complement_of=True)
     tau = geom.subspaces(4)[7]
@@ -1338,6 +1342,93 @@ def test_counts_match_bincount(case):
     picked = table if rows is None else table[rows]
     assert np.array_equal(cc._counts(table, rows, minlength),
                           np.bincount(picked.ravel(), minlength=minlength))
+
+
+# Point tables at the edges of their dtypes: uint8 with entries up to 255
+# and 254, uint16 just past 255 and up to 65535, and uint32; then two
+# k = 2 families whose profiles read uint8 and uint16 line tables.
+DTYPE_EDGE_GEOMS = [("AG", 2, 16, 1), ("AG", 4, 4, 1), ("PG", 7, 2, 1),
+                    ("PG", 2, 16, 1), ("AG", 4, 16, 0), ("AG", 2, 256, 0),
+                    ("PG", 2, 256, 0), ("PG", 4, 2, 2), ("PG", 4, 3, 2)]
+
+
+def _through_last_point(geom, dim):
+    """A dim-space through the last point (1, q-1, ..., q-1): it and the
+    unit vectors e_n, e_(n-1), ..., which are independent of it."""
+    n = geom.n
+    units = [[0] * c + [1] + [0] * (n - c) for c in range(n, n - dim, -1)]
+    return make_subspace([geom.points[-1]] + units, geom.field)
+
+
+@pytest.mark.parametrize("kind,n,q,k", DTYPE_EDGE_GEOMS)
+def test_narrow_tables_match_int64_routes(kind, n, q, k):
+    """Every point and sub table is stored in np.min_scalar_type of its
+    count minus one.  Every row of the point table holds theta distinct
+    points of its k-space, ascending, which is all of them, as membership
+    says.  On a pencil of the last point, its complement, a seeded third
+    of the k-spaces and (PG) the hyperplane class, the routes that read the
+    narrow tables agree with those routes and the oracles on int64 copies
+    (oracles.int64_tables), wherever the geometry admits them."""
+    geom = geometry(kind, n, q)
+    wide = int64_tables(geom)
+    v, total = geom.num_points, geom.subspace_count(k)
+    table = geom.point_table(k)
+    theta = gauss_binom(k + 1, 1, q) if kind == "PG" else q ** k
+    assert table.dtype == np.min_scalar_type(v - 1)
+    assert table.shape == (total, theta) and table.max() == v - 1
+    for j in range(1, k):
+        assert geom.sub_table(k, j).dtype == np.min_scalar_type(
+            geom.subspace_count(j) - 1)
+    assert (np.diff(table.astype(np.int64), axis=1) > 0).all()
+    points = geom.points
+    for row, sub in zip(table.tolist(), geom.subspaces(k)):
+        assert all(point_in_subspace(geom.field, points[i], sub)
+                   for i in row)
+
+    rng = np.random.default_rng(sum(map(ord, f"{kind}{n}{q}{k}")))
+    pencil = cc.construct_trivial(geom, k, "point_pencil", point=v - 1)
+    fams = [pencil, cc.complement(pencil),
+            cc.KFamily(geom, k, rng.choice(total, total // 3, replace=False))]
+    if kind == "PG":
+        fams.append(cc.construct_trivial(geom, k, "hyperplane_class"))
+    spread = None
+    if kind == "PG" and (n + 1) % (k + 1) == 0:
+        spread = field_reduction_spread(n, k, q)
+    elif kind == "AG" and k == 0:
+        spread = np.arange(total)
+    elif kind == "AG":
+        # the lines with line 0's direction, a parallel class
+        codes = geom.subspaces(1).codes
+        spread = np.flatnonzero((codes[:, 1] == codes[0, 1]).all(axis=1))
+    # the (k+1)-space to k-space table of PG(2,256) has 16.9M entries
+    skew = kind == "PG" and (geom.subspace_count(k + 1)
+                             * gauss_binom(k + 2, 1, q) <= 10 ** 6)
+    for fam in fams:
+        twin = cc.KFamily(wide, k, fam.indices)
+        assert cc.is_cl(fam) == cc.is_cl(twin)
+        assert np.array_equal(fam.degrees, np.bincount(
+            wide.point_table(k)[fam.indices].ravel(), minlength=v))
+        assert np.array_equal(fam._profile, twin._profile)
+        if spread is not None:
+            assert cc.check_spread(fam, spread) \
+                == cc.check_spread(twin, spread)
+        if kind == "AG":
+            assert cc.pg_to_ag(cc.ag_to_pg(fam)) == fam
+            assert cc.pg_to_ag(cc.ag_to_pg(fam)) == pg_to_ag_oracle(
+                cc.ag_to_pg(fam))
+            if k == 1:
+                assert cc.check_affine_line(fam) == cc.check_affine_line(twin)
+            continue
+        for dim in sorted({k + 1, max(k + 1, n - 1), n}):
+            tau = _through_last_point(geom, dim)
+            assert cc.check_drudge_identity(fam, v - 1, tau) \
+                == drudge_full_rows(twin, v - 1, tau)
+            assert cc.restrict(fam, tau) == restrict_full_rows(twin, tau)
+        if k:
+            pi = _through_last_point(geom, 0)
+            assert cc.project(fam, pi) == project_full_rows(twin, pi)
+        if skew:
+            assert cc.find_skew_space(fam) == skew_space_full_rows(twin)
 
 
 def test_construct_trivial_refuses_anchor_of_wrong_dimension():

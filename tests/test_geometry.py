@@ -170,7 +170,8 @@ def test_point_table_matches_membership_oracle(kind, n, q):
     for k in range(n + 1):
         table = g.point_table(k)
         subs = g.subspaces(k)
-        assert table.shape[0] == len(subs) and table.dtype == np.int64
+        assert table.shape[0] == len(subs)
+        assert table.dtype == np.min_scalar_type(len(g.points) - 1)
         inc = g.incidence(k)
         assert inc.shape == (len(g.points), len(subs)) and inc.dtype == np.uint8
         assert inc.sum() == table.size
@@ -426,7 +427,7 @@ def test_sub_table_digit_route_matches_combine_route(kind, n, q, k):
                         codes)
         want = g.subspace_index(j, subs.reshape(-1, j + 1, n + 1))
         table = g.sub_table(k, j)
-        assert table.dtype == np.int32
+        assert table.dtype == np.min_scalar_type(len(g.subspaces(j)) - 1)
         assert np.array_equal(table, want.reshape(len(codes), -1))
 
 
@@ -441,7 +442,7 @@ def test_sub_table_byte_key_route():
     assert level.keys.dtype != np.int64
     assert np.array_equal(g.sub_table(8, 6), np.arange(len(level))[None])
     table = g.sub_table(7, 6)
-    assert (np.diff(table, axis=1) > 0).all()
+    assert (np.diff(table.astype(np.int64), axis=1) > 0).all()
     assert (np.bincount(table.ravel(), minlength=len(level)) == 3).all()
     for row, points in zip(table[::100], g.point_table(7)[::100]):
         for s in row[::50]:
@@ -484,7 +485,9 @@ def test_views_match_pinned_digests(config):
     """The level codes, point table, incidence matrix and point masks are
     byte for byte those pinned before the closed-form ranks and the q x q
     field gathers: PG and AG, q in {2, 3, 4, 5, 7, 8, 9, 16, 25, 27},
-    n = 2..4, every k with v * N <= 2 * 10^6 (166 levels)."""
+    n = 2..4, every k with v * N <= 2 * 10^6 (166 levels).  The table was
+    pinned as int64 and is digested so; it is stored in the smallest
+    unsigned dtype that holds a point index."""
     kind, n, q, k = config.split()
     g = geometry(kind, int(n), int(q))
     k = int(k)
@@ -492,8 +495,9 @@ def test_views_match_pinned_digests(config):
     masks = hashlib.sha256(b"".join(m.to_bytes(width, "little")
                                     for m in g.point_masks(k))).hexdigest()
     assert [_array_digest(g.subspaces(k).codes),
-            _array_digest(g.point_table(k)),
+            _array_digest(g.point_table(k).astype(np.int64)),
             _array_digest(g.incidence(k)), masks] == PINNED_VIEWS[config]
+    assert g.point_table(k).dtype == np.min_scalar_type(g.num_points - 1)
     level = g.subspaces(k)
     for j in (0, len(level) - 1):
         assert np.array_equal(g.points_of(level[j]), g.point_table(k)[j])
