@@ -41,8 +41,6 @@ from .geometry import (
     gauss_binom,
     geometry,
     make_subspace,
-    meet,
-    span,
 )
 from .sieve import SieveReport, sieve, trivial_params
 

@@ -410,7 +410,7 @@ def _mask(geom: Geometry, sub: Subspace) -> np.ndarray:
 def _positions(geom: Geometry, sub: Subspace) -> np.ndarray:
     """Over the geometry's points: -1 off sub, and on sub the point's index
     in sub's own PG, which is its position in points_of(sub) (c -> c.M
-    keeps the order, see Geometry._locate)."""
+    keeps the order, see Geometry.point_table)."""
     pts = geom.points_of(sub)
     # the smallest signed dtype that holds -1 and every position (sub is
     # never empty here)
@@ -553,12 +553,7 @@ def ag_to_pg(F: KFamily) -> KFamily:
     if F.geom.kind != "AG":
         raise GuardViolated("ag_to_pg expects an affine family")
     return KFamily(F.geom.closure(), F.k,
-                   F.indices + closure_shift(F.geom, F.k))
-
-
-def closure_shift(ag: Geometry, k: int) -> int:
-    """Affine k-space i is the closure's k-space i + closure_shift."""
-    return ag.closure().subspace_count(k) - ag.subspace_count(k)
+                   F.indices + F.geom.count_at_infinity(F.k))
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +673,9 @@ def check_affine_line(F: KFamily) -> CheckReport:
     # at infinity of its closure, ranked in closed form; the points at
     # infinity (X0 = 0) are the closure's first (q^n - 1)/(q - 1)
     closure = geom.closure()
-    directions, _ = closure._locate(geom.subspaces(1).codes[F.indices, 1:])
-    through = np.bincount(directions[:, 0],
-                          minlength=gauss_binom(n, 1, q)).tolist()
+    directions = geom.subspaces(1).codes.take(F.indices, axis=0)[:, 1]
+    ranks, _ = closure._rank((directions != 0).argmax(axis=1), directions)
+    through = np.bincount(ranks, minlength=gauss_binom(n, 1, q)).tolist()
     points = closure.subspaces(0).codes[:len(through), 0]
     violations += [("infinite-point", tuple(points[i].tolist()), x, count)
                    for i, count in enumerate(through) if count != x]
@@ -778,7 +773,7 @@ def check_pencil_propagation(F: KFamily, pi: Subspace) -> bool:
     pencil = construct_trivial(sub_geom, R.k, "point_pencil", point=p_int)
     if R != pencil:
         raise PreconditionNotMet("restriction is not a point-pencil")
-    # c -> c.M keeps the lexicographic order (see Geometry._locate), so
+    # c -> c.M keeps the lexicographic order (see Geometry.point_table), so
     # internal point j of pi is the j-th point of pi in full coordinates
     p_full = int(F.geom.points_of(pi)[p_int])
     return F == construct_trivial(F.geom, F.k, "point_pencil", point=p_full)
@@ -795,7 +790,7 @@ def _family_head(F: KFamily) -> dict:
 
 
 def family_to_dict(F: KFamily) -> dict:
-    codes = F.geom.subspaces(F.k).codes[F.indices]
+    codes = F.geom.subspaces(F.k).codes.take(F.indices, axis=0)
     return {**_family_head(F), "members": codes.tolist()}
 
 
@@ -806,7 +801,7 @@ def family_json(F: KFamily) -> str:
     json.dumps with no members, and every member through one %-template
     of its (k+1)(n+1) codes, one per line in that encoder's layout."""
     head = json.dumps({**_family_head(F), "members": []}, indent=1)
-    codes = F.geom.subspaces(F.k).codes[F.indices]
+    codes = F.geom.subspaces(F.k).codes.take(F.indices, axis=0)
     if not len(codes):
         return head + "\n"
     _, r, ncols = codes.shape
@@ -851,16 +846,16 @@ def _header_order(p: int, h: int) -> int:
 
 def subspace_from_codes(rows, field, ncols: int, what: str) -> Subspace:
     """The subspace of an untrusted matrix of field codes, named `what` in
-    errors: a list of at most ncols rows, each a list of ncols ints (not
-    bools) in [0, q), in reduced row echelon form and of full rank."""
-    if not isinstance(rows, list) or len(rows) > ncols or any(
-            not isinstance(row, list) or len(row) != ncols for row in rows):
+    errors: a list of at most ncols rows, each a list of ncols ints in
+    [0, q) (JSON's exact types, as _member_codes reads them: no bools), in
+    reduced row echelon form and of full rank."""
+    if type(rows) is not list or len(rows) > ncols or any(
+            type(row) is not list or len(row) != ncols for row in rows):
         raise FamilyFormatError(
             f"{what}: expected a list of at most {ncols} rows of {ncols} codes")
     for row in rows:
         for c in row:
-            if isinstance(c, bool) or not isinstance(c, int) \
-                    or not 0 <= c < field.q:
+            if type(c) is not int or not 0 <= c < field.q:
                 raise FamilyFormatError(
                     f"{what}: entry {c!r} is not a code in [0, {field.q})")
     sub = make_subspace(rows, field, ncols)
@@ -903,19 +898,17 @@ def family_from_dict(data: dict) -> KFamily:
             first = int(np.flatnonzero(found == found[j])[0])
             raise FamilyFormatError(f"member {j}: repeats member {first}")
         return KFamily(geom, k, found)
-    # some member is malformed or no k-space: the sequential check names
-    # the first such member, from the first miss of the lookup or else from
-    # the first member that does not parse (those before it are found)
-    start = int(misses[0]) if len(misses) else len(codes)
-    for mi, mat in enumerate(data["members"][start:], start):
-        if not isinstance(mat, list) or len(mat) != k + 1:
-            raise FamilyFormatError(
-                f"member {mi}: expected a {k + 1}x{n + 1} matrix")
-        sub = subspace_from_codes(mat, geom.field, n + 1, f"member {mi}")
-        if geom.subspace_index(k, [sub.mat])[0] < 0:
-            raise FamilyFormatError(
-                f"member {mi}: not a {k}-space of {space}({n},{q})")
-    raise AssertionError("a member missed the lookup but passed the check")
+    # the first faulty member is the first miss of the lookup, or else the
+    # first member that does not parse (those before it are found); if it
+    # passes this check, it is a k-space of the closure inside X0 = 0
+    mi = int(misses[0]) if len(misses) else len(codes)
+    mat = data["members"][mi]
+    if type(mat) is not list or len(mat) != k + 1:
+        raise FamilyFormatError(
+            f"member {mi}: expected a {k + 1}x{n + 1} matrix")
+    subspace_from_codes(mat, geom.field, n + 1, f"member {mi}")
+    raise FamilyFormatError(
+        f"member {mi}: not a {k}-space of {space}({n},{q})")
 
 
 def _member_codes(members: list, r: int, ncols: int) -> np.ndarray:

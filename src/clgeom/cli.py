@@ -194,7 +194,7 @@ def _run_check(fam, name: str, rng: random.Random):
         if geom.kind == "AG":
             # keep only elements not inside the hyperplane at infinity,
             # the closure's k-spaces before the affine ones
-            shift = clcore.closure_shift(geom, k)
+            shift = geom.count_at_infinity(k)
             S = S[S >= shift] - shift
         ok = clcore.check_spread(fam, S)
         return ok, [] if ok else [f"spread intersection != x = {fam.x}"]

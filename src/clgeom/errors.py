@@ -42,14 +42,6 @@ class NotDivisible(ClgeomError):
     """Spread construction requires (k+1) | (n+1)."""
 
 
-class NotContaining(ClgeomError):
-    """The projection centre is not contained in the given subspace."""
-
-
-class NotSkew(ClgeomError):
-    """The screen subspace meets the projection centre."""
-
-
 # -- families ----------------------------------------------------------------
 
 class AnchorInvalid(ClgeomError):

@@ -23,19 +23,21 @@ stored, as every sub table is, in the smallest unsigned dtype that holds
 its entries (``_index_dtype``), and built in numpy from a level's codes
 with no search: the points of a k-space are the combinations c.M of its
 matrix's rows, and a normalized point's index among the sorted points is
-a closed form of its base-q key (see ``Geometry._locate``).  A single
+a closed form of its base-q key (see ``Geometry._rank``).  A single
 subspace (``Geometry.points_of``) gets its c.M from ``_combine`` (over
 GF(p^h), h > 1, gathered from the field's q x q add and mul tables).  The
-bulk builds read them from the digit table D_r of r = k+1 rows instead:
+point table reads them from the digit table D_r of r = k+1 rows instead:
 row t of D_r holds c.col for every coefficient vector c, where col is the
 column of GF(q)^r whose base-q digits are t, so a block's points are
 D_r's rows at its columns' digits, summed into keys with no field product
-and no ``% p``.  D_r is built afresh for each bulk build below the top
-level and never holds more entries than the table it fills (see
-``Geometry._digit_table``).
-``Geometry.sub_table`` gives the j-spaces in each k-space, keyed from the
-same point keys.  The dense incidence matrix and the point bitmasks are
-views derived from the table on request.
+and no ``% p``.  D_r is built afresh for each point table strictly
+between the points and the whole space, never holds more entries than
+that table, and nothing else reads it (see ``Geometry._digit_table``).
+``Geometry.sub_table`` gives the j-spaces in each k-space, derived from
+the point table: in PG a j-space's rows are the table's entries at fixed
+columns, keyed from their point keys, and in AG the closure's rows drop
+the j-spaces at infinity.  The dense incidence matrix and the point
+bitmasks are views derived from the table on request.
 """
 
 from __future__ import annotations
@@ -199,24 +201,6 @@ def point_in_subspace(field: FieldCtx, coords, sub: Subspace) -> bool:
     return True
 
 
-def span(field: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
-    if a.ncols != b.ncols:
-        raise DimensionMismatch("span of subspaces from different spaces")
-    return make_subspace(list(a.mat) + list(b.mat), field, a.ncols)
-
-
-def meet(field: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of row spaces (Zassenhaus); empty meet has k = -1."""
-    if a.ncols != b.ncols:
-        raise DimensionMismatch("meet of subspaces from different spaces")
-    nc = a.ncols
-    zero = (0,) * nc
-    rows = [tuple(r) + tuple(r) for r in a.mat] + [tuple(r) + zero for r in b.mat]
-    red, _ = rref(rows, field)
-    inter = [r[nc:] for r in red if not any(r[:nc])]
-    return make_subspace(inter, field, nc)
-
-
 # ---------------------------------------------------------------------------
 # levels: all k-spaces as one code array
 # ---------------------------------------------------------------------------
@@ -332,10 +316,10 @@ def _enumerate_pg(q: int, ncols: int, r: int):
 
 def _digit_keys(digits: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     """B x theta base-q keys of the points c.M of a stack of matrices (B x r
-    x ncols) for every coefficient vector c of Geometry._locate, read from
-    its digit table D_r (see Geometry._digit_table): column j of M is the
-    base-q number t_j of its r entries, and the key of c.M is the Horner
-    sum over j of D_r[t_j, c]: no field product and no division."""
+    x ncols) for every coefficient vector c of Geometry._coefficients, read
+    from its digit table D_r (see Geometry._digit_table): column j of M is
+    the base-q number t_j of its r entries, and the key of c.M is the
+    Horner sum over j of D_r[t_j, c]: no field product and no division."""
     r = mats.shape[1]
     # ncols x B, so that each column's digits are contiguous
     cols = np.ascontiguousarray(mats[:, 0].T, dtype=np.intp)
@@ -398,7 +382,7 @@ class Geometry:
         self.n = n
         self.field = field
         self.q = field.q
-        # _rank's weights, rank offsets and point keys, and _locate's
+        # _rank's weights, rank offsets and point keys, and the
         # coefficient vectors and their leading columns by row count
         self._ranks = None
         self._coeffs = {}
@@ -442,6 +426,11 @@ class Geometry:
         if self.kind == "PG":
             return gauss_binom(self.n + 1, k + 1, self.q)
         return self.q ** (self.n - k) * gauss_binom(self.n, k, self.q)
+
+    def count_at_infinity(self, k: int) -> int:
+        """How many of the closure's k-spaces lie inside X0 = 0: they come
+        first, so k-space i is the closure's k-space i + this (0 in PG)."""
+        return self.closure().subspace_count(k) - self.subspace_count(k)
 
     def _capped_count(self, k: int) -> int:
         """subspace_count(k), refused above SUBSPACE_CAP.
@@ -499,9 +488,9 @@ class Geometry:
     # -- incidence --
 
     def _coefficients(self, r: int):
-        """The coefficient vectors of _locate for r rows, the points of
-        PG(r-1,q) in order (PG(0,q) has the one point (1)), as an int64
-        theta x r array, with their leading columns."""
+        """The coefficient vectors c of the points c.M of an r-row matrix
+        M, the points of PG(r-1,q) in order (PG(0,q) has the one point
+        (1)), as an int64 theta x r array, with their leading columns."""
         if r not in self._coeffs:
             coeffs = (np.ones((1, 1), dtype=np.int64) if r == 1 else
                       geometry("PG", r - 1, self.q).subspaces(0).codes[:, 0]
@@ -510,25 +499,22 @@ class Geometry:
         return self._coeffs[r]
 
     def _digit_table(self, r: int) -> np.ndarray:
-        """D_r, the q^r x theta array whose row t holds c.col for every
-        coefficient vector c of _locate (theta of them), where col is the
-        vector of GF(q)^r with the base-q digits t = sum col_i q^(r-1-i):
-        _combine over the q^r columns, chunk by chunk, after which a block's
-        points are rows of D_r gathered at its columns' digits.  Built
-        afresh for each bulk build over the k-spaces, k = r-1 < n, it never
-        holds more entries than their point table: PG(n,q) has at least
-        q^(r(n-k)) >= q^r k-spaces of theta points each, and AG(n,q) has
-        q^(n-k) [n,k]_q >= q^r theta / q^k k-spaces of q^k points each.
+        """D_r, the q^r x theta int32 array whose row t holds c.col for
+        every coefficient vector c of _coefficients(r) (theta of them),
+        where col is the vector of GF(q)^r with the base-q digits t = sum
+        col_i q^(r-1-i): _combine over the q^r columns, chunk by chunk,
+        after which a block's points are rows of D_r gathered at its
+        columns' digits.  Only point_table reads it, built afresh for the
+        k-spaces, 0 < k = r-1 < n, and it never holds more entries than
+        their point table: PG(n,q) has at least q^(r(n-k)) >= q^r k-spaces
+        of theta points each, and AG(n,q) has q^(n-k) [n,k]_q >= q^r theta
+        / q^k k-spaces of q^k points each.
 
-        For r >= 2 it is int32, and so are the keys summed from it: then
-        n >= 2, the closure has at most SUBSPACE_CAP points, so q < 1000,
-        and every key is below q^(n+1) = (q-1) * (the closure's point
-        count) + 1 < 2^31.  D_1 is int64, as the keys of PG(1,q) reach
-        q^2.  So D_r has at most as many entries as the table, but up to
-        twice its bytes where the table is uint16 (see _index_dtype)."""
-        if r == 1:
-            # the one coefficient vector is (1), and (1).col = col
-            return np.arange(self.q, dtype=np.int64)[:, None]
+        int32 holds it and the keys summed from it: n >= 2, the closure has
+        at most SUBSPACE_CAP points, so q < 1000, and every key is below
+        q^(n+1) = (q-1) * (the closure's point count) + 1 < 2^31.  So D_r
+        has at most as many entries as the table, but up to twice its bytes
+        where the table is uint16 (see _index_dtype)."""
         coeffs, _ = self._coefficients(r)
         # the columns as the rows of a q^r x r array, each multiplied by
         # the r x theta array of the coefficient vectors
@@ -539,40 +525,6 @@ class Geometry:
             digits[lo:lo + step] = _combine(
                 self.field, cols[lo:lo + step], coeffs.T[None])[0]
         return digits
-
-    def _locate(self, mats: np.ndarray, digits=None):
-        """Point indices of a stack of RREF matrices (B x r x ncols) with
-        r rows each, as a B x theta array of positions among the points and
-        a mask of the hits; in AG the misses are the points at infinity.
-
-        Every point of an RREF matrix M is c.M for a normalized coefficient
-        vector c, and c.M is already normalized: its leading 1 sits in the
-        pivot column of M's row at c's leading 1, where M has an identity
-        column.  The products come from ``_combine`` (for GF(p^h), h > 1,
-        gathers from the field's q x q add and mul tables) and are ranked
-        by ``_rank``; the bulk builds pass the digit table D_r instead (see
-        _digit_table), and the keys come from ``_digit_keys`` with no field
-        product.
-
-        c -> c.M keeps the lexicographic order (c reappears in M's pivot
-        columns, and the columns before a pivot depend only on earlier
-        entries of c), so each row's positions come out ascending, and row
-        i of M, e_i.M, is the point at position (q^(r-1-i) - 1)/(q - 1) of
-        its row, where e_i sits among the points of PG(r-1,q); _blocks_of
-        and clcore's containment tests read the matrices' rows from there
-        (see _basis_columns)."""
-        r = mats.shape[1]
-        coeffs, lead = self._coefficients(r)
-        if digits is not None:
-            keys, vecs = _digit_keys(digits, mats, self.q), None
-        else:
-            # for r = 1 the single row is the point itself
-            keys, vecs = None, (mats if r == 1
-                                else _combine(self.field, coeffs, mats))
-        # c.M is led where M's row at c's leading 1 is; a matrix that is not
-        # in RREF may have no 1 there and rank outside the points (a miss).
-        # Built after the digit keys, so that it adds nothing to their peak
-        return self._rank((mats != 0).argmax(axis=2)[:, lead], vecs, keys)
 
     def _rank(self, lead: np.ndarray, vecs=None, keys=None):
         """Positions among the points of normalized vectors, given by their
@@ -606,27 +558,49 @@ class Geometry:
     def point_table(self, k: int) -> np.ndarray:
         """N x theta array whose row j lists, ascending, the indices of the
         points on k-space j: the one stored form of the incidence, from
-        which every checker and transform reads.  Its dtype is
+        which every checker, transform and sub table reads.  Its dtype is
         _index_dtype of the point count, so readers gather through it with
-        ndarray.take.  Built chunk by chunk through _locate from the digit
-        table D_(k+1)."""
+        ndarray.take.
+
+        Every point of an RREF matrix M is c.M for a normalized coefficient
+        vector c (_coefficients), and c.M is already normalized: its
+        leading 1 sits in the pivot column of M's row at c's leading 1,
+        where M has an identity column.  c -> c.M keeps the lexicographic
+        order (c reappears in M's pivot columns, and the columns before a
+        pivot depend only on earlier entries of c), so each row's
+        positions come out ascending, and row i of M, e_i.M, is the point
+        at position (q^(k-i) - 1)/(q - 1) of its row, where e_i sits among
+        the points of PG(k,q); _blocks_of and clcore's containment tests
+        read the matrices' rows from there (see _basis_columns).
+
+        For 0 < k < n the keys of the c.M are summed chunk by chunk from
+        the digit table D_(k+1) by _digit_keys, with no field product, and
+        ranked in closed form by _rank; in AG the misses are the points at
+        infinity.  k = 0 and k = n need neither: each point is its own
+        0-space, and the whole space holds every point."""
         if k not in self._tables:
             codes = self.subspaces(k).codes
             # counted (and refused above the cap) without building the
             # point list
             v = self._capped_count(0)
-            if k == self.n:
-                table = np.arange(v, dtype=_index_dtype(v))[None, :]
+            if k in (0, self.n):
+                table = np.arange(v, dtype=_index_dtype(v)).reshape(
+                    (-1, 1) if k == 0 else (1, -1))
             else:
                 theta = (gauss_binom(k + 1, 1, self.q) if self.kind == "PG"
                          else self.q ** k)
                 digits = self._digit_table(k + 1)
+                _, lead = self._coefficients(k + 1)
                 table = np.empty((len(codes), theta), dtype=_index_dtype(v))
                 # the keys are B x theta' for the theta' points c.M
                 step = max(1, _CHUNK // digits.shape[1])
                 for lo in range(0, len(codes), step):
                     mats = codes[lo:lo + step]
-                    pos, hit = self._locate(mats, digits)
+                    keys = _digit_keys(digits, mats, self.q)
+                    # c.M is led where M's row at c's leading 1 is; found
+                    # after the keys, so that it adds nothing to their peak
+                    pos, hit = self._rank(
+                        (mats != 0).argmax(axis=2)[:, lead], keys=keys)
                     assert (hit.sum(axis=1) == theta).all()
                     # in PG every point is a hit
                     table[lo:lo + len(mats)] = (
@@ -639,45 +613,45 @@ class Geometry:
     def sub_table(self, k: int, j: int) -> np.ndarray:
         """N x m array whose row i lists, ascending, the positions in
         subspaces(j) of the j-spaces in k-space i, for 0 <= j < k (the point
-        table for j = 0), in _index_dtype of the j-level's count.  They are
-        C.M for M the k-space's RREF matrix and C the j-spaces of PG(k,q),
-        and C.M is in RREF, as _locate's c.M is normalized: C's pivots move
-        to M's, and C -> C.M keeps the order.  In AG, M's column 0 is e_0,
-        so C.M is affine exactly when C is, and C runs over AG(k,q)'s
-        j-level.
-
-        Below the top level no matrix C.M is formed: each row of C is a
-        point of PG(k,q), so _digit_keys gives the keys of the rows of every
-        C.M at once from the digit table D_(k+1), and the key of C.M is
-        composed from theirs as _keys composes it: read as base-q^(n+1)
-        digits where the j-level's keys are int64, as big-endian bytes
-        where they are bytes."""
+        table for j = 0), in _index_dtype of the j-level's count, derived
+        from the point table.  In PG they are C.M for M the k-space's RREF
+        matrix and C the j-spaces of PG(k,q); C.M is in RREF (C's pivots
+        move to M's) and C -> C.M keeps the order (see point_table).  The
+        rows of C are points of PG(k,q), so the rows of C.M are the point
+        table's entries at their positions, and C.M's key is composed from
+        those entries' point keys as _keys composes it: base-q^(n+1) digits
+        where the j-level's keys are int64, big-endian bytes otherwise.  In
+        AG they are the closure's rows for the affine k-flats without the
+        j-spaces at infinity, which come first (see count_at_infinity)."""
         codes = self.subspaces(k).codes
         if not 0 <= j < k:
             raise InvalidRange(f"j={j} not in [0, {k})")
         if j == 0:
             return self.point_table(k)
         if (k, j) not in self._tables:
-            coeffs = geometry(self.kind, k, self.q).subspaces(j).codes
             level = self.subspaces(j)
-            table = np.empty((len(codes), len(coeffs)),
-                             dtype=_index_dtype(len(level)))
-            if k == self.n:
-                # the whole space holds every j-space; D_(n+1) would have
-                # q^(n+1) rows for this one
-                table[0] = np.arange(len(level))
+            dtype = _index_dtype(len(level))
+            if self.kind == "AG":
+                full = self.closure().sub_table(k, j)[
+                    self.count_at_infinity(k):]
+                shift = self.count_at_infinity(j)
+                table = (full[full >= shift] - shift).astype(dtype).reshape(
+                    len(codes), -1)
             else:
-                digits = self._digit_table(k + 1)
+                pg = geometry("PG", k, self.q)
                 # the position of each row of C among the points of PG(k,q)
-                rows = geometry("PG", k, self.q).subspace_index(
-                    0, coeffs.reshape(-1, 1, k + 1)).reshape(-1, j + 1)
+                rows = pg.subspace_index(0, pg.subspaces(j).codes.reshape(
+                    -1, 1, k + 1)).reshape(-1, j + 1)
+                points = self.point_table(k)
+                point_keys = self.subspaces(0).keys
                 place = (self.q ** ((self.n + 1)
                                     * np.arange(j, -1, -1, dtype=np.int64))
                          if level.keys.dtype == np.int64 else None)
+                table = np.empty((len(codes), len(rows)), dtype=dtype)
                 step = max(1, _CHUNK // rows.size)
                 for lo in range(0, len(codes), step):
-                    keys = _digit_keys(digits, codes[lo:lo + step],
-                                       self.q)[:, rows]
+                    keys = point_keys.take(
+                        points[lo:lo + step].take(rows, axis=1))
                     keys = (_byte_keys(keys) if place is None
                             else keys @ place).ravel()
                     pos = _search(level.keys, keys)
@@ -693,7 +667,7 @@ class Geometry:
 
         One matrix, so no stack: its points c.M come from ``_combine`` as a
         theta x ncols array, each led at the pivot of M's row at c's
-        leading 1 (see _locate), and are ranked by ``_rank``."""
+        leading 1 (see point_table), and are ranked by ``_rank``."""
         if sub.ncols != self.n + 1:
             raise DimensionMismatch(
                 f"subspace of {sub.ncols} coordinates in {self!r}, which "
@@ -743,7 +717,7 @@ class Geometry:
 def _basis_columns(q: int, k: int) -> list:
     """The columns of a k-space's ascending point-table row that hold the
     rows of its RREF matrix, in row order: row i is the point at position
-    (q^(k-i) - 1)/(q - 1) (see Geometry._locate).  So a k-space lies in a
+    (q^(k-i) - 1)/(q - 1) (see Geometry.point_table).  So a k-space lies in a
     subspace exactly when the points in these k+1 columns do.
 
     Projective rows only: an AG point table omits the points at infinity,

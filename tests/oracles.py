@@ -7,8 +7,14 @@ one parameter at a time.
 * ``rational_is_cl``: the CL decision by echelon reduction or kernel
   orthogonality over the incidence matrix as exact rationals
   (``clgeom.linalg``), against ``clcore.is_cl``'s design identity.
+* ``span`` and ``meet``: the span and the intersection of two subspaces
+  by row reduction (Zassenhaus for the meet), for ``project_subspace`` and
+  the tests' pairwise references.
 * ``project_subspace``: one projected image by Zassenhaus meets, against
-  ``clcore.project``.
+  ``clcore.project``; it raises ``NotContaining`` and ``NotSkew``.
+* ``locate_by_combine``: the point positions of a stack of matrices from
+  ``geometry._combine``'s field products, against the point table's digit
+  route.
 * ``pg_to_ag_oracle``: ``pg_to_ag`` with the coordinate change found by an
   RREF rank loop and applied entry by entry.
 * ``field_reduction_spread_subspaces``: the field-reduction spread with
@@ -61,14 +67,13 @@ from clgeom.clcore import (
     _resolve_point,
 )
 from clgeom.errors import (
+    ClgeomError,
     DimensionMismatch,
     DimensionTooLarge,
     DimensionTooSmall,
     GuardViolated,
     MemberInsideHyperplane,
-    NotContaining,
     NotDivisible,
-    NotSkew,
     PointNotInSubspace,
 )
 from clgeom.ff import FieldCtx, ff_extend
@@ -76,13 +81,13 @@ from clgeom.geometry import (
     Geometry,
     Subspace,
     _blocks_of,
+    _combine,
     _enumerate_pg,
     _keys,
     canonical_complement,
     gauss_binom,
     geometry,
     make_subspace,
-    meet,
     point_in_subspace,
     rref,
 )
@@ -209,8 +214,51 @@ def rational_is_cl(F: KFamily, method: str) -> CLReport:
 
 
 # ---------------------------------------------------------------------------
-# projection, one subspace at a time
+# point positions from field products
 # ---------------------------------------------------------------------------
+
+def locate_by_combine(geom: Geometry, mats: np.ndarray):
+    """Positions among geom's points of the points c.M of a stack of RREF
+    matrices (B x r x ncols), for every coefficient vector c of
+    ``Geometry._coefficients``, as a B x theta array, and a mask of the
+    hits; in AG the misses are the points at infinity.  c.M comes from
+    ``_combine``'s field products, each led where M's row at c's leading
+    1 is, and ``Geometry._rank`` ranks it: the reference for the point
+    table's keys summed from the digit table."""
+    coeffs, lead = geom._coefficients(mats.shape[1])
+    vecs = _combine(geom.field, coeffs, mats)
+    return geom._rank((mats != 0).argmax(axis=2)[:, lead], vecs)
+
+
+# ---------------------------------------------------------------------------
+# span, meet and projection, one subspace at a time
+# ---------------------------------------------------------------------------
+
+class NotContaining(ClgeomError):
+    """The projection centre is not contained in the given subspace."""
+
+
+class NotSkew(ClgeomError):
+    """The screen subspace meets the projection centre."""
+
+
+def span(field: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
+    if a.ncols != b.ncols:
+        raise DimensionMismatch("span of subspaces from different spaces")
+    return make_subspace(list(a.mat) + list(b.mat), field, a.ncols)
+
+
+def meet(field: FieldCtx, a: Subspace, b: Subspace) -> Subspace:
+    """Intersection of row spaces (Zassenhaus); empty meet has k = -1."""
+    if a.ncols != b.ncols:
+        raise DimensionMismatch("meet of subspaces from different spaces")
+    nc = a.ncols
+    zero = (0,) * nc
+    rows = [tuple(r) + tuple(r) for r in a.mat] + [tuple(r) + zero for r in b.mat]
+    red, _ = rref(rows, field)
+    inter = [r[nc:] for r in red if not any(r[:nc])]
+    return make_subspace(inter, field, nc)
+
 
 def subspace_contains(field: FieldCtx, outer: Subspace, inner: Subspace) -> bool:
     return all(point_in_subspace(field, row, outer) for row in inner.mat)

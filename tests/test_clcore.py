@@ -39,7 +39,6 @@ from clgeom.geometry import (
     gauss_binom,
     geometry,
     make_subspace,
-    meet,
     point_in_subspace,
 )
 from clgeom.sieve import x_max_param
@@ -47,6 +46,7 @@ from oracles import (
     drudge_full_rows,
     indices_inside_full_rows,
     int64_tables,
+    meet,
     pg_to_ag_oracle,
     project_full_rows,
     project_subspace,

@@ -564,11 +564,14 @@ def test_benchmark_tracer_hooks_install(tmp_path):
 
 
 def test_benchmark_workloads_run_tiny():
-    """The benchmark's verify-batch and decide-cold workloads, on their tiny
-    inputs, run the library (verify-batch also builds families from
-    Python sets) and find every answer right."""
+    """Every benchmark workload, on its tiny inputs, runs the library
+    (verify-batch also builds families from Python sets, enumerate-cache
+    reads incidence, point_masks and points, sieve-sweep passes dps=) and
+    finds every answer right, so a break in a name the benchmark calls
+    shows here first."""
     run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
-    for workload in ("verify-batch", "decide-cold"):
+    for workload in ("verify-batch", "decide-cold", "enumerate-cache",
+                     "sieve-sweep"):
         proc = subprocess.run(
             [sys.executable, str(run_py), "--workload", workload, "--tiny",
              "--seed", "1", "--seconds", "1"],

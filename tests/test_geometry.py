@@ -3,6 +3,7 @@ import importlib
 import json
 import random
 import time
+import tracemalloc
 from functools import cached_property
 from itertools import combinations, product
 from pathlib import Path
@@ -14,9 +15,7 @@ from hypothesis import given, settings, strategies as st
 from clgeom.errors import (
     DimensionMismatch,
     InvalidRange,
-    NotContaining,
     NotDivisible,
-    NotSkew,
     TooManySubspaces,
 )
 from clgeom import ff
@@ -35,15 +34,18 @@ from clgeom.geometry import (
     gauss_binom,
     geometry,
     make_subspace,
-    meet,
     point_in_subspace,
     rref,
-    span,
 )
 from oracles import (
+    NotContaining,
+    NotSkew,
     enumerate_pg_mixed_radix,
     field_reduction_spread_subspaces,
+    locate_by_combine,
+    meet,
     project_subspace,
+    span,
     subspace_contains,
 )
 
@@ -243,8 +245,8 @@ def test_level_matches_enumeration_oracle(kind, n, q, k):
                for c in sum(s.mat, s.pivots) + (s.ncols,))
     with pytest.raises(IndexError):
         level[len(mats)]
-    # the table the parent route built from the oracle's matrices
-    pos, hit = g._locate(np.array(mats, dtype=np.int64))
+    # the table from the oracle's matrices by field products
+    pos, hit = locate_by_combine(g, np.array(mats, dtype=np.int64))
     assert np.array_equal(g.point_table(k),
                           pos[hit].reshape(len(mats), -1))
     order = np.arange(len(mats))
@@ -309,9 +311,10 @@ def test_blocks_of_inverts_point_table(kind, n, q, k):
 
 @pytest.mark.parametrize("kind,n,q,k", LEVELS)
 def test_locate_ranks_match_binary_search(kind, n, q, k):
-    """_locate's closed-form ranks against a binary search of each vector's
-    key among the point keys, on every block of the closure's level; in AG
-    the blocks through points at infinity (X0 = 0) miss exactly there."""
+    """_rank's closed-form ranks of the combine route's points against a
+    binary search of each vector's key among the point keys, on every block
+    of the closure's level; in AG the blocks through points at infinity
+    (X0 = 0) miss exactly there."""
     g = geometry(kind, n, q)
     point_keys = g.subspaces(0).keys
     coeffs = (np.ones((1, 1), dtype=np.int64) if k == 0 else
@@ -321,7 +324,7 @@ def test_locate_ranks_match_binary_search(kind, n, q, k):
     keys = vecs @ q ** np.arange(n, -1, -1, dtype=np.int64)
     want = np.minimum(np.searchsorted(point_keys, keys), len(point_keys) - 1)
     want_hit = point_keys[want] == keys
-    pos, hit = g._locate(mats)
+    pos, hit = locate_by_combine(g, mats)
     assert np.array_equal(hit, want_hit)
     assert np.array_equal(pos[hit], want[want_hit])
     if kind == "PG":
@@ -333,40 +336,39 @@ def test_locate_ranks_match_binary_search(kind, n, q, k):
 @pytest.mark.parametrize("kind,n,q,k",
                          LEVELS + [("PG", 2, 43, 1), ("AG", 2, 43, 1)])
 def test_digit_route_matches_combine_route(kind, n, q, k):
-    """_locate reading the digit table D_(k+1), as the bulk builds do, gives
-    the positions and hits of its _combine route, that of points_of, on
-    every block of the closure's level, and over GF(43), a prime past the
-    oracle geometries' fields."""
+    """The point table, whose keys are summed from the digit table D_(k+1)
+    for 0 < k < n, lists the hits of the _combine route (tests/oracles.py,
+    the route of points_of) at their positions on every block of the
+    level, and over GF(43), a prime past the oracle geometries' fields."""
     g = geometry(kind, n, q)
-    codes = g.closure().subspaces(k).codes
-    pos, hit = g._locate(codes.astype(np.int64))
-    digit_pos, digit_hit = g._locate(codes, g._digit_table(k + 1))
-    assert np.array_equal(digit_hit, hit)
-    assert np.array_equal(digit_pos, pos)
+    codes = g.subspaces(k).codes
+    pos, hit = locate_by_combine(g, codes.astype(np.int64))
+    assert np.array_equal(g.point_table(k), pos[hit].reshape(len(codes), -1))
 
 
 @pytest.mark.parametrize("kind", ["PG", "AG"])
 def test_digit_route_keys_past_sixteen_bits(kind):
     """A point led at column i has a key below 2 q^(n-i), so the keys of
     PG(2,191) reach 2 * 191^2 - 1 = 72961, past 16 bits: on every 37th
-    line the digit route gives the positions and hits of the _combine
-    route, which D_r and its key sums in int16 or uint16 would not."""
+    line the point table, summed from D_2, lists the hits of the _combine
+    route at their positions, which D_r and its key sums in int16 or
+    uint16 would not."""
     g = geometry(kind, 2, 191)
     assert g.subspaces(0).keys[-1] == 2 * 191 ** 2 - 1
-    codes = g.closure().subspaces(1).codes[::37]
-    pos, hit = g._locate(codes.astype(np.int64))
-    digit_pos, digit_hit = g._locate(codes, g._digit_table(2))
-    assert np.array_equal(digit_hit, hit)
-    assert np.array_equal(digit_pos, pos)
+    codes = g.subspaces(1).codes[::37]
+    pos, hit = locate_by_combine(g, codes.astype(np.int64))
+    assert np.array_equal(g.point_table(1)[::37],
+                          pos[hit].reshape(len(codes), -1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_digit_tables_stay_within_their_level(q, monkeypatch):
-    """The point and sub tables of every level below the top one read
-    D_(k+1), one of q^(k+1) x theta entries, never more than the table's
-    own (as many in AG's hyperplanes, nearly as many in PG's: the tightest
-    levels); the top level's tables and a single subspace's points build
-    none."""
+    """The point table of every level strictly between the points and the
+    whole space reads D_(k+1), one of q^(k+1) x theta entries, never more
+    than the table's own (as many in AG's hyperplanes, nearly as many in
+    PG's: the tightest levels); the point tables of k = 0 and k = n, every
+    sub table (once the point tables it refines are built, the closure's
+    in AG) and a single subspace's points build none."""
     built = []
     digit_table = Geometry._digit_table
 
@@ -381,13 +383,16 @@ def test_digit_tables_stay_within_their_level(q, monkeypatch):
         g.points_of(g.subspaces(1)[-1])
         assert built == []
         for k in range(n + 1):
-            theta = gauss_binom(k + 1, 1, q)
-            for j in range(max(k, 1)):
-                table = g.sub_table(k, j) if j else g.point_table(k)
-                assert [d.shape for d in built] == (
-                    [(q ** (k + 1), theta)] if k < n else [])
-                assert sum(d.size for d in built) <= table.size
-                built.clear()
+            table = g.point_table(k)
+            assert [d.shape for d in built] == (
+                [(q ** (k + 1), gauss_binom(k + 1, 1, q))] if 0 < k < n
+                else [])
+            assert sum(d.size for d in built) <= table.size
+            g.closure().point_table(k)
+            built.clear()
+            for j in range(1, k):
+                g.sub_table(k, j)
+                assert built == []
 
 
 @pytest.mark.parametrize("n,q,k", [(6, 2, 2), (5, 3, 1), (4, 4, 2),
@@ -410,10 +415,10 @@ def test_enumeration_matches_mixed_radix_counter(n, q, k):
     ("PG", 5, 2, 3), ("PG", 6, 2, 3), ("AG", 5, 2, 3), ("PG", 3, 8, 2),
     ("AG", 3, 9, 2), ("PG", 4, 3, 3), ("PG", 8, 2, 7)])
 def test_sub_table_digit_route_matches_combine_route(kind, n, q, k):
-    """Sub tables whose keys are composed from the rows' point keys (read
-    from D_(k+1)) equal C.M from _combine looked up by subspace_index, on
-    hyperplanes too, where D_(k+1) is nearly the size of the point table,
-    and with byte keys (PG(8,2)'s 6-spaces).  Each j whose C.M stack has
+    """Sub tables whose keys are composed from the point keys of the point
+    table's entries (the closure's rows in AG) equal C.M from _combine
+    looked up by subspace_index, on hyperplanes too, and with byte keys
+    (PG(8,2)'s 6-spaces).  Each j whose C.M stack has
     at most 10^7 entries: for PG(8,2) j = 6 alone."""
     g = geometry(kind, n, q)
     codes = g.subspaces(k).codes.astype(np.int64)
@@ -447,6 +452,24 @@ def test_sub_table_byte_key_route():
     for row, points in zip(table[::100], g.point_table(7)[::100]):
         for s in row[::50]:
             assert np.isin(g.points_of(level[s]), points).all()
+
+
+def test_sub_table_builds_no_digit_table():
+    """A sub table is derived from the point table it refines: after
+    PG(3,16)'s plane table and line level, the plane-to-line table (4369 x
+    273 uint32, 4.8 MB) is built within its own bytes and 1 MB of chunks,
+    with no digit table D_3 (4096 x 273 int32, 4.5 MB) beside it."""
+    g = Geometry("PG", 3, ff_create(2, 4))
+    g.point_table(2)
+    g.subspaces(1)
+    tracemalloc.start()
+    try:
+        table = g.sub_table(2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes > 4_500_000
+    assert peak < table.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16])
@@ -837,7 +860,7 @@ def test_points_of_refuses_another_width(kind, monkeypatch):
     """A subspace of the wrong number of coordinates is refused by name,
     before the lookup runs."""
     g = geometry(kind, 3, 2)
-    monkeypatch.setattr(Geometry, "_locate", None)
+    monkeypatch.setattr(Geometry, "_rank", None)
     for ncols in (3, 5):
         for rows in ([], [[1] + [0] * (ncols - 1)],
                      [[int(i == j) for j in range(ncols)]
