@@ -92,11 +92,18 @@ class KFamily:
     the points, the members through each) and the meet profile.  No view
     copies the members' rows of the point table: the routes read them
     through ``indices``.  The arrays are read-only; ``size`` is the length
-    of ``indices``."""
+    of ``indices``.  Members are integer positions: a float or a bool is
+    refused with ValueError."""
 
     def __init__(self, geom: Geometry, k: int, members):
         self.geom = geom
         self.k = k
+        if not (isinstance(members, np.ndarray) and members.dtype.kind in "iu"):
+            members = list(members)
+            # the int64 cast would take 1.7 as 1 and True as 1
+            if any(issubclass(t, bool) or not issubclass(t, numbers.Integral)
+                   for t in set(map(type, members))):
+                raise ValueError("member indices must be integers")
         try:
             idx = np.sort(members.astype(np.int64, copy=False)
                           if isinstance(members, np.ndarray)
@@ -537,9 +544,8 @@ def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
     inverse = np.zeros(geom.q, dtype=np.int64)
     factors = np.flatnonzero(np.bincount(lead))
     inverse[factors] = field.inv_all(factors.tolist())
-    images = _combine(field, inverse[lead][:, None, None], images)
-    perm = geom.subspace_index(0, images)
-    assert (perm >= 0).all()
+    images = _combine(field, inverse[lead][:, None, None], images)[:, 0]
+    perm = geom._rank((images != 0).argmax(axis=1), images)
     ag = geometry("AG", geom.n, geom.q)
     out = _blocks_of(ag, F.k, _gather(perm, geom.point_table(F.k), F.indices))
     inside = np.flatnonzero(out < 0)
@@ -672,11 +678,10 @@ def check_affine_line(F: KFamily) -> CheckReport:
     # the second RREF row of an affine line is its direction, the point
     # at infinity of its closure, ranked in closed form; the points at
     # infinity (X0 = 0) are the closure's first (q^n - 1)/(q - 1)
-    closure = geom.closure()
     directions = geom.subspaces(1).codes.take(F.indices, axis=0)[:, 1]
-    ranks, _ = closure._rank((directions != 0).argmax(axis=1), directions)
+    ranks = geom._rank((directions != 0).argmax(axis=1), directions)
     through = np.bincount(ranks, minlength=gauss_binom(n, 1, q)).tolist()
-    points = closure.subspaces(0).codes[:len(through), 0]
+    points = geom.closure().subspaces(0).codes[:len(through), 0]
     violations += [("infinite-point", tuple(points[i].tolist()), x, count)
                    for i, count in enumerate(through) if count != x]
     return CheckReport(not violations, violations)

@@ -191,12 +191,8 @@ def _run_check(fam, name: str, rng: random.Random):
         return not bad, bad
     if name == "spread":
         S = field_reduction_spread(geom.n, k, geom.q)
-        if geom.kind == "AG":
-            # keep only elements not inside the hyperplane at infinity,
-            # the closure's k-spaces before the affine ones
-            shift = geom.count_at_infinity(k)
-            S = S[S >= shift] - shift
-        ok = clcore.check_spread(fam, S)
+        # in AG, the elements not inside the hyperplane at infinity
+        ok = clcore.check_spread(fam, geom.from_closure(k, S))
         return ok, [] if ok else [f"spread intersection != x = {fam.x}"]
     if name == "drudge":
         dims = range(k + 1, geom.n)

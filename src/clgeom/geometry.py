@@ -10,20 +10,24 @@ in X0 = 0.
 
 Each k-level (``Geometry.subspaces``) is one ``SubspaceLevel``: a numpy
 array of the canonical matrices' codes, from which ``Subspace`` objects are
-built only on demand; ``Geometry.subspace_index`` finds any stack of
-matrices by binary search over the level's sorted keys.  The level is
-written pivot pattern by pivot pattern into one array, each pattern's free
-entries as a q x ... x q grid with arange(q) broadcast along one axis per
-entry (no counter, no division), and gathered once in key order (see
-``_enumerate_pg``).  The points of PG(n,q) are the rows of its 0-level.
-Enumerations are kept in memory and nothing is stored on disk.
+built only on demand.  The level is written pivot pattern by pivot
+pattern into one array, each pattern's free entries as a q x ... x q grid
+with arange(q) broadcast along one axis per entry (no counter, no
+division), and gathered once in key order (see ``_enumerate_pg``).  The
+points of PG(n,q) are the rows of its 0-level.  Enumerations are kept in
+memory and nothing is stored on disk.
+
+One route finds each object: ``Geometry._rank`` a normalized vector among
+the closure's points, in closed form; ``_spaces_of`` a subspace, from its
+RREF rows' point keys; ``Geometry.from_closure`` AG's positions from the
+closure's.  ``Geometry.subspace_index`` validates and finds untrusted
+matrices (family JSON, anchor coordinates) in the level's sorted keys.
 
 The one form of incidence is the point table (``Geometry.point_table``),
 stored, as every sub table is, in the smallest unsigned dtype that holds
 its entries (``_index_dtype``), and built in numpy from a level's codes
 with no search: the points of a k-space are the combinations c.M of its
-matrix's rows, and a normalized point's index among the sorted points is
-a closed form of its base-q key (see ``Geometry._rank``).  A single
+matrix's rows, and each is ranked by ``Geometry._rank``.  A single
 subspace (``Geometry.points_of``) gets its c.M from ``_combine`` (over
 GF(p^h), h > 1, gathered from the field's q x q add and mul tables).  The
 point table reads them from the digit table D_r of r = k+1 rows instead:
@@ -35,9 +39,9 @@ between the points and the whole space, never holds more entries than
 that table, and nothing else reads it (see ``Geometry._digit_table``).
 ``Geometry.sub_table`` gives the j-spaces in each k-space, derived from
 the point table: in PG a j-space's rows are the table's entries at fixed
-columns, keyed from their point keys, and in AG the closure's rows drop
-the j-spaces at infinity.  The dense incidence matrix and the point
-bitmasks are views derived from the table on request.
+columns, found by ``_spaces_of``, and in AG the closure's rows drop the
+j-spaces at infinity.  The dense incidence matrix and the point bitmasks
+are views derived from the table on request.
 """
 
 from __future__ import annotations
@@ -246,13 +250,13 @@ def _keys(mats: np.ndarray, q: int) -> np.ndarray:
     ordered as the matrices are lexicographically: the base-q number of
     the entries as an int64 while q^(r*ncols) < 2^63, otherwise the rows'
     base-q numbers (each below q^ncols < 2^63, see Geometry.subspaces) as
-    big-endian bytes (_byte_keys).  Neither builds an int64 copy of the
+    big-endian bytes (see _compose).  Neither builds an int64 copy of the
     stack."""
     b, r, ncols = mats.shape
     if q ** (r * ncols) >= 2 ** 63:
         assert q ** ncols < 2 ** 63
         rows = _keys(mats.reshape(b * r, 1, ncols), q)
-        return _byte_keys(rows.reshape(b, r))
+        return _compose(rows.reshape(b, r), q, ncols)
     flat = mats.reshape(b, r * ncols)
     key = np.zeros(b, dtype=np.int64)
     # _CHUNK rows at a time, so each column pass stays in cache
@@ -264,12 +268,14 @@ def _keys(mats: np.ndarray, q: int) -> np.ndarray:
     return key
 
 
-def _byte_keys(rows: np.ndarray) -> np.ndarray:
-    """The byte keys of matrices from their rows' keys (... x r, each
-    non-negative and below 2^63): the rows' big-endian int64 bytes read as
-    one string, whose byte order is the rows' lexicographic order."""
+def _compose(rows: np.ndarray, q: int, ncols: int) -> np.ndarray:
+    """_keys of r x ncols matrices from their rows' keys (... x r, each below
+    q^ncols < 2^63): base-q^ncols digits while q^(r*ncols) < 2^63, else the
+    rows' big-endian int64 bytes read as one string, in the rows' order."""
     r = rows.shape[-1]
-    return np.ascontiguousarray(rows, dtype=">i8").view(f"S{8 * r}")[..., 0]
+    if q ** (r * ncols) >= 2 ** 63:
+        return np.ascontiguousarray(rows, dtype=">i8").view(f"S{8 * r}")[..., 0]
+    return rows @ q ** (ncols * np.arange(r - 1, -1, -1, dtype=np.int64))
 
 
 def _search(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -432,6 +438,15 @@ class Geometry:
         first, so k-space i is the closure's k-space i + this (0 in PG)."""
         return self.closure().subspace_count(k) - self.subspace_count(k)
 
+    def from_closure(self, k: int, pos: np.ndarray) -> np.ndarray:
+        """Positions among this geometry's k-spaces of the closure's at pos:
+        pos itself in PG; in AG, flat, without those inside X0 = 0 and the
+        rest shifted by count_at_infinity(k)."""
+        if self.kind == "PG":
+            return pos
+        shift = self.count_at_infinity(k)
+        return pos[pos >= shift] - shift
+
     def _capped_count(self, k: int) -> int:
         """subspace_count(k), refused above SUBSPACE_CAP.
 
@@ -527,33 +542,32 @@ class Geometry:
         return digits
 
     def _rank(self, lead: np.ndarray, vecs=None, keys=None):
-        """Positions among the points of normalized vectors, given by their
-        codes (vecs, ... x ncols) or by their base-q keys, whose leading 1s
-        sit in the columns lead, and a mask of the hits.
+        """Positions among the closure's points (see from_closure) of
+        normalized vectors, given by their codes (vecs, ... x ncols) or by
+        their base-q keys, whose leading 1s sit in the columns lead.
 
         A normalized vector whose leading 1 sits in column i has key L + t
         with t < L = q^(n-i), and the points before it are the (L-1)/(q-1)
         points led further right and the t points led at i with smaller
-        keys, so its index is key - L + (L-1)/(q-1); in AG, where every
-        point is led at column 0, it is key - q^n.  A gather of the
-        0-level's keys at these ranks checks the hits; a key that ranks
-        outside the points is clipped to a miss (a miss's position means
-        nothing)."""
+        keys, so its index is key - L + (L-1)/(q-1).  A gather of the
+        closure's point keys at these ranks asserts that every vector is a
+        point (a key that ranks outside the points is clipped to a miss):
+        untrusted vectors are found by subspace_index instead."""
         if self._ranks is None:
-            # the points' base-q keys, ascending; with at most SUBSPACE_CAP
-            # points (in the closure for AG) they are int64 (see _keys)
-            point_keys = self.subspaces(0).keys
+            # the closure's point keys, ascending; with at most SUBSPACE_CAP
+            # points they are int64 (see _keys)
+            point_keys = self.closure().subspaces(0).keys
             q, n = self.q, self.n
             weights = q ** np.arange(n, -1, -1, dtype=np.int64)
             # key - offsets[i] is the rank of a point led at column i
-            offsets = (weights - (weights - 1) // (q - 1)
-                       if self.kind == "PG" else np.full(n + 1, q ** n))
+            offsets = weights - (weights - 1) // (q - 1)
             self._ranks = weights, offsets, point_keys
         weights, offsets, point_keys = self._ranks
         if keys is None:
             keys = vecs @ weights
         pos = keys - offsets[lead]
-        return pos, point_keys.take(pos, mode="clip") == keys
+        assert (point_keys.take(pos, mode="clip") == keys).all()
+        return pos
 
     def point_table(self, k: int) -> np.ndarray:
         """N x theta array whose row j lists, ascending, the indices of the
@@ -575,9 +589,9 @@ class Geometry:
 
         For 0 < k < n the keys of the c.M are summed chunk by chunk from
         the digit table D_(k+1) by _digit_keys, with no field product, and
-        ranked in closed form by _rank; in AG the misses are the points at
-        infinity.  k = 0 and k = n need neither: each point is its own
-        0-space, and the whole space holds every point."""
+        ranked in closed form by _rank, and read through from_closure.
+        k = 0 and k = n need neither: each point is its own 0-space, and
+        the whole space holds every point."""
         if k not in self._tables:
             codes = self.subspaces(k).codes
             # counted (and refused above the cap) without building the
@@ -599,13 +613,10 @@ class Geometry:
                     keys = _digit_keys(digits, mats, self.q)
                     # c.M is led where M's row at c's leading 1 is; found
                     # after the keys, so that it adds nothing to their peak
-                    pos, hit = self._rank(
+                    pos = self._rank(
                         (mats != 0).argmax(axis=2)[:, lead], keys=keys)
-                    assert (hit.sum(axis=1) == theta).all()
-                    # in PG every point is a hit
-                    table[lo:lo + len(mats)] = (
-                        pos if self.kind == "PG"
-                        else pos[hit].reshape(len(mats), theta))
+                    table[lo:lo + len(mats)] = self.from_closure(
+                        0, pos).reshape(len(mats), theta)
             table.setflags(write=False)
             self._tables[k] = table
         return self._tables[k]
@@ -617,46 +628,35 @@ class Geometry:
         from the point table.  In PG they are C.M for M the k-space's RREF
         matrix and C the j-spaces of PG(k,q); C.M is in RREF (C's pivots
         move to M's) and C -> C.M keeps the order (see point_table).  The
-        rows of C are points of PG(k,q), so the rows of C.M are the point
-        table's entries at their positions, and C.M's key is composed from
-        those entries' point keys as _keys composes it: base-q^(n+1) digits
-        where the j-level's keys are int64, big-endian bytes otherwise.  In
-        AG they are the closure's rows for the affine k-flats without the
-        j-spaces at infinity, which come first (see count_at_infinity)."""
+        rows of C are points of PG(k,q), ranked by _rank, so the rows of
+        C.M are the point table's entries at those positions, and
+        _spaces_of finds C.M from them.  In AG they are the closure's rows
+        for the affine k-flats, read through from_closure."""
         codes = self.subspaces(k).codes
         if not 0 <= j < k:
             raise InvalidRange(f"j={j} not in [0, {k})")
         if j == 0:
             return self.point_table(k)
         if (k, j) not in self._tables:
-            level = self.subspaces(j)
-            dtype = _index_dtype(len(level))
+            dtype = _index_dtype(len(self.subspaces(j)))
             if self.kind == "AG":
                 full = self.closure().sub_table(k, j)[
                     self.count_at_infinity(k):]
-                shift = self.count_at_infinity(j)
-                table = (full[full >= shift] - shift).astype(dtype).reshape(
+                table = self.from_closure(j, full).astype(dtype).reshape(
                     len(codes), -1)
             else:
                 pg = geometry("PG", k, self.q)
                 # the position of each row of C among the points of PG(k,q)
-                rows = pg.subspace_index(0, pg.subspaces(j).codes.reshape(
-                    -1, 1, k + 1)).reshape(-1, j + 1)
+                vecs = pg.subspaces(j).codes
+                rows = pg._rank((vecs != 0).argmax(axis=2), vecs)
                 points = self.point_table(k)
-                point_keys = self.subspaces(0).keys
-                place = (self.q ** ((self.n + 1)
-                                    * np.arange(j, -1, -1, dtype=np.int64))
-                         if level.keys.dtype == np.int64 else None)
                 table = np.empty((len(codes), len(rows)), dtype=dtype)
                 step = max(1, _CHUNK // rows.size)
                 for lo in range(0, len(codes), step):
-                    keys = point_keys.take(
-                        points[lo:lo + step].take(rows, axis=1))
-                    keys = (_byte_keys(keys) if place is None
-                            else keys @ place).ravel()
-                    pos = _search(level.keys, keys)
+                    pos = _spaces_of(self, j,
+                                     points[lo:lo + step].take(rows, axis=1))
                     assert (pos >= 0).all()
-                    table[lo:lo + step] = pos.reshape(-1, len(rows))
+                    table[lo:lo + step] = pos
             table.setflags(write=False)
             self._tables[k, j] = table
         return self._tables[k, j]
@@ -667,7 +667,7 @@ class Geometry:
 
         One matrix, so no stack: its points c.M come from ``_combine`` as a
         theta x ncols array, each led at the pivot of M's row at c's
-        leading 1 (see point_table), and are ranked by ``_rank``."""
+        leading 1 (see point_table), ranked by ``_rank``, then from_closure."""
         if sub.ncols != self.n + 1:
             raise DimensionMismatch(
                 f"subspace of {sub.ncols} coordinates in {self!r}, which "
@@ -680,8 +680,8 @@ class Geometry:
         coeffs, lead = self._coefficients(len(mat))
         vecs = (mat if len(mat) == 1
                 else _combine(self.field, coeffs, mat[None])[0])
-        pos, hit = self._rank(np.array(sub.pivots)[lead], vecs)
-        return pos[hit]
+        return self.from_closure(
+            0, self._rank(np.array(sub.pivots)[lead], vecs))
 
     def incidence(self, k: int) -> np.ndarray:
         """0/1 point-(k-space) incidence matrix (P_n for PG, A_n for AG),
@@ -727,22 +727,29 @@ def _basis_columns(q: int, k: int) -> list:
     return [(q ** (k - i) - 1) // (q - 1) for i in range(k + 1)]
 
 
+def _spaces_of(geom: Geometry, j: int, rows: np.ndarray) -> np.ndarray:
+    """Positions in geom.subspaces(j) of the j-spaces whose RREF rows are
+    the closure's points at the indices rows (... x (j+1)), -1 for a
+    j-space that is not among them (in AG one inside X0 = 0): the rows'
+    point keys composed by _compose and searched in the level's keys."""
+    if not rows.size:
+        return np.empty(rows.shape[:-1], dtype=np.intp)
+    keys = _compose(geom.closure().subspaces(0).keys.take(rows), geom.q,
+                    geom.n + 1)
+    return _search(geom.subspaces(j).keys, keys.ravel()).reshape(keys.shape)
+
+
 def _blocks_of(geom: Geometry, k: int, rows: np.ndarray) -> np.ndarray:
     """Positions in geom.subspaces(k) of the k-spaces whose points are the
     rows of `rows` (B x theta indices among the closure's points, in any
     order), the inverse of the point table.
 
     The matrices' rows are the points in the basis columns of the sorted
-    rows (see _basis_columns), so they are gathered from the 0-level's
-    codes and found by one subspace_index call.  A row that is not the
+    rows (see _basis_columns), found by _spaces_of.  A row that is not the
     point set of a k-space is not detected, and may give -1 or any
     position."""
-    points = geom.closure().subspaces(0).codes[:, 0]
-    lead = _basis_columns(geom.q, k)
-    # take along axis 0 gathers whole rows, several times faster than
-    # fancy indexing, whatever the dtype of rows
-    return geom.subspace_index(
-        k, points.take(np.sort(rows, axis=1)[:, lead], axis=0))
+    return _spaces_of(geom, k,
+                      np.sort(rows, axis=1)[:, _basis_columns(geom.q, k)])
 
 
 _GEOMETRIES: dict = {}
@@ -799,9 +806,9 @@ def field_reduction_spread(n: int, k: int, q: int) -> np.ndarray:
         lam = np.flatnonzero(
             coords[np.arange(ext.q), (coords != 0).argmax(axis=1)] == 1)
         w = _enumerate_pg(ext.q, (n + 1) // d, 1)[0]
-        vecs = coords[_combine(ext, lam[:, None], w)]
-        rows = geom.subspace_index(0, vecs.reshape(-1, 1, n + 1))
+        vecs = coords[_combine(ext, lam[:, None], w)].reshape(-1, n + 1)
+        rows = geom._rank((vecs != 0).argmax(axis=1), vecs)
         spread = _blocks_of(geom, k, rows.reshape(len(w), len(lam)))
-        assert (rows >= 0).all() and (spread >= 0).all()
+        assert (spread >= 0).all()
     spread.setflags(write=False)
     return spread

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
@@ -61,9 +62,16 @@ from .errors import GuardViolated
 # trivial parameters
 # ---------------------------------------------------------------------------
 
-def check_config(space: str, n: int, k: int, q: int) -> None:
-    """Refuse a geometry outside the rules' domain: PG or AG, 0 < k < n and
-    q >= 2, and q^(n+1) below 2^4096."""
+def check_config(space: str, n: int, k: int, q: int) -> tuple:
+    """Refuse a geometry outside the rules' domain: PG or AG, integers
+    (numpy's too, not bool) 0 < k < n and q >= 2, and q^(n+1) below
+    2^4096.  Returns n, k and q as Python ints."""
+    if not isinstance(space, str) or not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            for v in (n, k, q)):
+        raise GuardViolated(f"malformed config {space!r},{n!r},{k!r},{q!r}: "
+                            "need a str space and integers n, k and q")
+    n, k, q = int(n), int(k), int(q)
     if space not in ("PG", "AG") or not (0 < k < n) or q < 2:
         raise GuardViolated(f"malformed config {space},{n},{k},{q}: "
                             "need PG or AG, 0 < k < n and q >= 2")
@@ -73,6 +81,7 @@ def check_config(space: str, n: int, k: int, q: int) -> None:
     if (n + 1) * q.bit_length() > 4096:
         raise GuardViolated(f"config {space},{n},{k},{q} too large: need "
                             "(n+1) * bit_length(q) <= 4096")
+    return n, k, q
 
 
 def _x_max_ratio(space: str, n: int, k: int, q: int) -> tuple:
@@ -584,8 +593,9 @@ def sieve(space: str, n: int, k: int, q: int, x_range=None,
     residue); a congruence is evaluated at most once per residue and call,
     and only at the residues read.  The cost grows with the number of
     runs, not of x."""
-    space = space.upper()
-    check_config(space, n, k, q)
+    if isinstance(space, str):
+        space = space.upper()
+    n, k, q = check_config(space, n, k, q)
     num, den = _x_max_ratio(space, n, k, q)
     lo, hi = x_range or (None, None)
     lo, hi = _range_end(lo, 0), _range_end(hi, num // den)

@@ -223,11 +223,14 @@ def locate_by_combine(geom: Geometry, mats: np.ndarray):
     ``Geometry._coefficients``, as a B x theta array, and a mask of the
     hits; in AG the misses are the points at infinity.  c.M comes from
     ``_combine``'s field products, each led where M's row at c's leading
-    1 is, and ``Geometry._rank`` ranks it: the reference for the point
-    table's keys summed from the digit table."""
+    1 is, and ``Geometry._rank`` ranks it among the closure's points,
+    whose first count_at_infinity(0) are the points at infinity in AG: the
+    reference for the point table's keys summed from the digit table."""
     coeffs, lead = geom._coefficients(mats.shape[1])
     vecs = _combine(geom.field, coeffs, mats)
-    return geom._rank((mats != 0).argmax(axis=2)[:, lead], vecs)
+    pos = geom._rank((mats != 0).argmax(axis=2)[:, lead], vecs)
+    shift = geom.count_at_infinity(0)
+    return pos - shift, pos >= shift
 
 
 # ---------------------------------------------------------------------------

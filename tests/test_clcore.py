@@ -1600,6 +1600,26 @@ def test_family_refuses_members_out_of_range(members):
         cc.KFamily(geometry("PG", 3, 2), 1, members)
 
 
+@pytest.mark.parametrize("members", [
+    [1.7, 2], np.array([1.9, 3.2]), [True, 3], np.array([True, False]),
+    [np.True_], [np.float64(1)], np.array([1, 2], dtype=object) / 1],
+    ids=["floats", "float-array", "bool", "bool-array", "numpy-bool",
+         "numpy-float", "object-floats"])
+def test_family_refuses_non_integer_members(members):
+    """A float or a bool is no member index: the int64 cast would truncate
+    1.7 to 1 and take True as 1."""
+    with pytest.raises(ValueError, match="must be integers"):
+        cc.KFamily(geometry("PG", 3, 2), 1, members)
+
+
+def test_family_takes_numpy_integers():
+    geom = geometry("PG", 3, 2)
+    want = cc.KFamily(geom, 1, [2, 3])
+    for members in ([np.int64(3), np.uint8(2)], np.array([3, 2], dtype=object),
+                    np.array([3, 2], dtype=np.uint16)):
+        assert cc.KFamily(geom, 1, members) == want
+
+
 def test_one_member_family_past_the_cap_builds():
     """PG(30,2) has about 7.7e17 lines, far past the enumeration cap; a
     family of one of them builds without touching the level."""

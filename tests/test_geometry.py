@@ -18,7 +18,7 @@ from clgeom.errors import (
     NotDivisible,
     TooManySubspaces,
 )
-from clgeom import ff
+from clgeom import cli, ff
 from clgeom.clcore import KFamily, ag_to_pg
 from clgeom.ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 from clgeom.geometry import (
@@ -200,6 +200,60 @@ def test_points_of_subspaces_at_infinity():
             assert got == expect
             assert len(got) == (3 ** k if any(r[0] for r in sub.mat) else 0)
     assert g.points_of(make_subspace([], g.field, 4)).tolist() == []
+
+
+@pytest.mark.parametrize("kind,n,q", [g for g in ORACLE_GEOMS if g[0] == "AG"])
+def test_ag_ranks_are_the_closure_ranks(kind, n, q):
+    """An AG geometry ranks every point of its closure, those at infinity
+    too, as the closure does, from codes and from keys: one ranking."""
+    g = geometry(kind, n, q)
+    points = g.closure().subspaces(0)
+    vecs = points.codes[:, 0]
+    lead = (vecs != 0).argmax(axis=1)
+    for geom in (g, g.closure()):
+        assert np.array_equal(geom._rank(lead, vecs), np.arange(len(vecs)))
+        assert np.array_equal(geom._rank(lead, keys=points.keys),
+                              np.arange(len(vecs)))
+
+
+@pytest.mark.parametrize("kind,n,q", [g for g in ORACLE_GEOMS if g[0] == "AG"])
+def test_from_closure_drops_the_spaces_at_infinity(kind, n, q, monkeypatch):
+    """from_closure is the identity in PG.  In AG the point tables, sub
+    tables, points_of and the CLI's spread equal the closure's with the
+    k-spaces inside X0 = 0 dropped and the others renumbered in order,
+    told apart here by the codes' column 0."""
+    g = geometry(kind, n, q)
+    closure = g.closure()
+    pos = np.arange(5)
+    # renumber[k][i]: the position among g's k-spaces of the closure's
+    # k-space i, -1 for one inside X0 = 0
+    renumber = []
+    for k in range(n + 1):
+        assert closure.from_closure(k, pos) is pos
+        affine = closure.subspaces(k).codes[:, :, 0].any(axis=1)
+        renumber.append(np.where(affine, np.cumsum(affine) - 1, -1))
+
+    def reference(j, rows):
+        rows = renumber[j][rows]
+        return rows[rows >= 0].reshape(len(rows), -1)
+
+    spreads = []
+    monkeypatch.setattr(cli.clcore, "check_spread",
+                        lambda F, S: spreads.append(S) or True)
+    for k in range(n + 1):
+        affine = renumber[k] >= 0
+        assert np.array_equal(g.point_table(k), reference(
+            0, closure.point_table(k)[affine]))
+        for j in range(1, k):
+            assert np.array_equal(g.sub_table(k, j), reference(
+                j, closure.sub_table(k, j)[affine]))
+        for sub in closure.subspaces(k):
+            assert np.array_equal(g.points_of(sub), reference(
+                0, closure.points_of(sub)[None])[0])
+        if (n + 1) % (k + 1) == 0:
+            cli._run_check(KFamily(g, k, [0]), "spread", random.Random(0))
+            want = renumber[k][field_reduction_spread(n, k, q)]
+            assert np.array_equal(spreads.pop(), want[want >= 0])
 
 
 def enumerate_oracle(kind, n, q, k):

@@ -762,6 +762,21 @@ def test_malformed_config():
         sieve("PG", 3, 1, 2, x_range=(5, 2))
 
 
+@pytest.mark.parametrize("config", [
+    ("PG", 7, True, 3), ("PG", 7, 1, 3.0), ("PG", 7.5, 1, 3), (3, 7, 1, 3),
+    ("PG", 7, 1, np.True_), ("AG", 4, 1, np.float64(2)), ("PG", 3, "1", 2)])
+def test_sieve_refuses_non_integer_config(config):
+    """A bool is not taken as 1, and a float, a str or a non-str space is
+    refused by name rather than failing inside the rules."""
+    with pytest.raises(GuardViolated, match="integers n, k and q"):
+        sieve(*config)
+
+
+def test_sieve_takes_numpy_integer_config():
+    r = sieve("pg", np.int64(3), np.int32(1), np.uint8(3))
+    assert r.to_csv() == sieve("PG", 3, 1, 3).to_csv()
+
+
 @pytest.mark.parametrize("x_range", [(2.5, 10), (0, 10.0), (F(1, 2), 10),
                                      ("3", 10), (True, 10), (0, False),
                                      (np.True_, 10), (np.float64(2), 10)])
