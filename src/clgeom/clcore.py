@@ -36,7 +36,6 @@ as falsification tools.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -66,6 +65,7 @@ from .geometry import (
     _basis_columns,
     _blocks_of,
     _combine,
+    _integers,
     Geometry,
     Subspace,
     canonical_complement,
@@ -100,9 +100,7 @@ class KFamily:
         self.k = k
         if not (isinstance(members, np.ndarray) and members.dtype.kind in "iu"):
             members = list(members)
-            # the int64 cast would take 1.7 as 1 and True as 1
-            if any(issubclass(t, bool) or not issubclass(t, numbers.Integral)
-                   for t in set(map(type, members))):
+            if not _integers(members):
                 raise ValueError("member indices must be integers")
         try:
             idx = np.sort(members.astype(np.int64, copy=False)
@@ -276,8 +274,8 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
 def _resolve_point(geom: Geometry, point) -> int:
     if point is None:
         return 0
-    # numpy integers are Integral too, such as np.flatnonzero hands out
-    if isinstance(point, numbers.Integral):
+    # numpy integers too, such as np.flatnonzero hands out; not a bool
+    if _integers([point]):
         point = int(point)
         if not 0 <= point < len(geom.subspaces(0)):
             raise AnchorInvalid(f"point index {point} out of range")
@@ -287,8 +285,8 @@ def _resolve_point(geom: Geometry, point) -> int:
     except TypeError:
         raise AnchorInvalid(
             f"{point!r} is neither a point index nor coordinates") from None
-    # int() would truncate 1.9 to 1; numpy integers are Integral too
-    if not all(isinstance(c, numbers.Integral) for c in coords):
+    # int() would truncate 1.9 to 1 and take True as 1
+    if not _integers(coords):
         raise AnchorInvalid(f"{coords} has a coordinate that is no integer")
     pt = tuple(map(int, coords))
     # codes only, so that the lookup sees no entry past int64
@@ -573,7 +571,8 @@ def _pair_profile(F: KFamily) -> np.ndarray:
 
     From degree sums over the sub tables, column by column, with no pair
     counted: summed over K's j-spaces, the members through each give
-    s_j = sum_{d >= j} c_d [d+1 j+1]_q (AG: q^(d-j) [d j]_q).  Two k-spaces
+    s_j = sum_{d >= j} c_d m_dj, m_dj the j-spaces of a d-space (affine
+    d-flat), subspace_count(j) of geometry(kind, d, q).  Two k-spaces
     (affine k-flats that meet) meet in at least a (2k-n)-space, so with
     c_k = chi, back-substitution from j = k-1 down to max(0, 2k-n) gives
     every c_d for d >= 0, and c_-1 is the rest of |L|."""
@@ -586,9 +585,7 @@ def _pair_profile(F: KFamily) -> np.ndarray:
             table, F.indices, geom.subspace_count(j))
         s = _row_reduce(deg, table)
         for d in range(j + 1, k + 1):
-            s -= prof[:, d + 1] * (
-                gauss_binom(d + 1, j + 1, q) if geom.kind == "PG"
-                else q ** (d - j) * gauss_binom(d, j, q))
+            s -= prof[:, d + 1] * geometry(geom.kind, d, q).subspace_count(j)
         prof[:, j + 1] = s
     prof[:, 0] = F.size - prof[:, 1:].sum(axis=1)
     prof.setflags(write=False)
@@ -649,6 +646,9 @@ def check_spread(F: KFamily, S) -> bool:
     For AG families the spread must partition the affine points; parallel
     elements sharing a point at infinity are fine."""
     geom, k = F.geom, F.k
+    if not (isinstance(S, np.ndarray) or _integers(S)):
+        # np.asarray would read [False, 10] as [0, 10]
+        raise NotASpread("element is not a k-space of the geometry")
     idxs = np.asarray(S).ravel()
     if idxs.dtype.kind not in "iu":
         # a float, a bool or a position past 64 bits is no position
@@ -677,10 +677,10 @@ def check_affine_line(F: KFamily) -> CheckReport:
         F, F._profile[:, 0], (x * factor, (x - 1) * factor))]
     # the second RREF row of an affine line is its direction, the point
     # at infinity of its closure, ranked in closed form; the points at
-    # infinity (X0 = 0) are the closure's first (q^n - 1)/(q - 1)
+    # infinity (X0 = 0) are the closure's first count_at_infinity(0)
     directions = geom.subspaces(1).codes.take(F.indices, axis=0)[:, 1]
     ranks = geom._rank((directions != 0).argmax(axis=1), directions)
-    through = np.bincount(ranks, minlength=gauss_binom(n, 1, q)).tolist()
+    through = np.bincount(ranks, minlength=geom.count_at_infinity(0)).tolist()
     points = geom.closure().subspaces(0).codes[:len(through), 0]
     violations += [("infinite-point", tuple(points[i].tolist()), x, count)
                    for i, count in enumerate(through) if count != x]
@@ -716,6 +716,8 @@ def check_drudge_identity(F: KFamily, p, tau: Subspace) -> bool:
 def check_aid_identity(F: KFamily, K: int, t: int) -> bool:
     """The parameter equals the stated average of restricted parameters over
     all t-spaces through a fixed k-space K, given by its index."""
+    if not _integers([K]):
+        raise InvalidRange(f"k-space index {K!r} is not an integer")
     count = F.geom.subspace_count(F.k)
     if not 0 <= K < count:
         raise InvalidRange(f"k-space index {K} not in [0, {count})")

@@ -19,9 +19,11 @@ memory and nothing is stored on disk.
 
 One route finds each object: ``Geometry._rank`` a normalized vector among
 the closure's points, in closed form; ``_spaces_of`` a subspace, from its
-RREF rows' point keys; ``Geometry.from_closure`` AG's positions from the
-closure's.  ``Geometry.subspace_index`` validates and finds untrusted
-matrices (family JSON, anchor coordinates) in the level's sorted keys.
+RREF rows' point keys.  ``Geometry.subspace_index`` validates and finds
+untrusted matrices (family JSON, anchor coordinates) in the level's sorted
+keys.  Four methods of ``Geometry`` know what AG is: ``closure``,
+``subspace_count`` (every count), ``subspaces`` (the closure level's tail)
+and ``from_closure`` (AG's positions from the closure's).
 
 The one form of incidence is the point table (``Geometry.point_table``),
 stored, as every sub table is, in the smallest unsigned dtype that holds
@@ -38,14 +40,15 @@ and no ``% p``.  D_r is built afresh for each point table strictly
 between the points and the whole space, never holds more entries than
 that table, and nothing else reads it (see ``Geometry._digit_table``).
 ``Geometry.sub_table`` gives the j-spaces in each k-space, derived from
-the point table: in PG a j-space's rows are the table's entries at fixed
-columns, found by ``_spaces_of``, and in AG the closure's rows drop the
-j-spaces at infinity.  The dense incidence matrix and the point bitmasks
-are views derived from the table on request.
+the closure's point table in one loop for both kinds: a j-space's rows are
+the table's entries at fixed columns, found by ``_spaces_of``, and read
+through ``from_closure``.  The dense incidence matrix and the point
+bitmasks are views derived from the table on request.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -67,6 +70,14 @@ SUBSPACE_CAP = 10 ** 6
 # entries of one numpy chunk in the point table, sub table and mask
 # builders; small chunks keep the temporaries in cache and the peak memory flat
 _CHUNK = 1 << 14
+
+
+def _integers(items) -> bool:
+    """Whether every item is an integer (numpy integers too) and none a
+    bool: an int64 cast would take 1.7 as 1 and True as 1, and numpy
+    reads a bool index as a mask."""
+    return all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
+               for t in set(map(type, items)))
 
 
 def _index_dtype(count: int) -> np.dtype:
@@ -100,10 +111,6 @@ def gauss0(n: int, k: int, q: int) -> int:
     if k < 0 or k > n or n < 0:
         return 0
     return gauss_binom(n, k, q)
-
-
-def projective_point_count(n: int, q: int) -> int:
-    return (q ** (n + 1) - 1) // (q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +425,9 @@ class Geometry:
         callers outside the library, whose routes read the level itself."""
         return list(map(tuple, self.subspaces(0).codes[:, 0].tolist()))
 
-    @property
+    @cached_property
     def num_points(self) -> int:
-        if self.kind == "PG":
-            return projective_point_count(self.n, self.q)
-        return self.q ** self.n
+        return self.subspace_count(0)
 
     # -- subspaces --
 
@@ -588,10 +593,11 @@ class Geometry:
         read the matrices' rows from there (see _basis_columns).
 
         For 0 < k < n the keys of the c.M are summed chunk by chunk from
-        the digit table D_(k+1) by _digit_keys, with no field product, and
-        ranked in closed form by _rank, and read through from_closure.
-        k = 0 and k = n need neither: each point is its own 0-space, and
-        the whole space holds every point."""
+        the digit table D_(k+1) by _digit_keys, with no field product,
+        ranked in closed form by _rank, and read through from_closure,
+        which keeps num_points of geometry(kind, k, q) per row.  k = 0 and
+        k = n need neither: each point is its own 0-space, and the whole
+        space holds every point."""
         if k not in self._tables:
             codes = self.subspaces(k).codes
             # counted (and refused above the cap) without building the
@@ -601,8 +607,7 @@ class Geometry:
                 table = np.arange(v, dtype=_index_dtype(v)).reshape(
                     (-1, 1) if k == 0 else (1, -1))
             else:
-                theta = (gauss_binom(k + 1, 1, self.q) if self.kind == "PG"
-                         else self.q ** k)
+                theta = geometry(self.kind, k, self.q).num_points
                 digits = self._digit_table(k + 1)
                 _, lead = self._coefficients(k + 1)
                 table = np.empty((len(codes), theta), dtype=_index_dtype(v))
@@ -625,38 +630,36 @@ class Geometry:
         """N x m array whose row i lists, ascending, the positions in
         subspaces(j) of the j-spaces in k-space i, for 0 <= j < k (the point
         table for j = 0), in _index_dtype of the j-level's count, derived
-        from the point table.  In PG they are C.M for M the k-space's RREF
-        matrix and C the j-spaces of PG(k,q); C.M is in RREF (C's pivots
-        move to M's) and C -> C.M keeps the order (see point_table).  The
-        rows of C are points of PG(k,q), ranked by _rank, so the rows of
-        C.M are the point table's entries at those positions, and
-        _spaces_of finds C.M from them.  In AG they are the closure's rows
-        for the affine k-flats, read through from_closure."""
-        codes = self.subspaces(k).codes
+        from the closure's point table in one loop for PG and AG.  The
+        closure's j-spaces in its k-space M are C.M for C the j-spaces of
+        PG(k,q); C.M is in RREF (C's pivots move to M's) and C -> C.M keeps
+        the order (see point_table).  The rows of C are points of PG(k,q),
+        ranked by _rank, so the rows of C.M are the point table's entries
+        at those positions, and _spaces_of finds C.M from them.  In AG,
+        from_closure drops the j-spaces inside X0 = 0, as many in every row
+        (they come first), which leaves m of them per row."""
+        count = len(self.subspaces(k))
         if not 0 <= j < k:
             raise InvalidRange(f"j={j} not in [0, {k})")
         if j == 0:
             return self.point_table(k)
         if (k, j) not in self._tables:
-            dtype = _index_dtype(len(self.subspaces(j)))
-            if self.kind == "AG":
-                full = self.closure().sub_table(k, j)[
-                    self.count_at_infinity(k):]
-                table = self.from_closure(j, full).astype(dtype).reshape(
-                    len(codes), -1)
-            else:
-                pg = geometry("PG", k, self.q)
-                # the position of each row of C among the points of PG(k,q)
-                vecs = pg.subspaces(j).codes
-                rows = pg._rank((vecs != 0).argmax(axis=2), vecs)
-                points = self.point_table(k)
-                table = np.empty((len(codes), len(rows)), dtype=dtype)
-                step = max(1, _CHUNK // rows.size)
-                for lo in range(0, len(codes), step):
-                    pos = _spaces_of(self, j,
-                                     points[lo:lo + step].take(rows, axis=1))
-                    assert (pos >= 0).all()
-                    table[lo:lo + step] = pos
+            closure = self.closure()
+            pg = geometry("PG", k, self.q)
+            # the position of each row of C among the points of PG(k,q)
+            vecs = pg.subspaces(j).codes
+            cols = pg._rank((vecs != 0).argmax(axis=2), vecs)
+            rows = closure.point_table(k)[self.count_at_infinity(k):]
+            table = np.empty(
+                (count, geometry(self.kind, k, self.q).subspace_count(j)),
+                dtype=_index_dtype(len(self.subspaces(j))))
+            step = max(1, _CHUNK // cols.size)
+            for lo in range(0, count, step):
+                pos = _spaces_of(closure, j,
+                                 rows[lo:lo + step].take(cols, axis=1))
+                assert (pos >= 0).all()
+                table[lo:lo + step] = self.from_closure(j, pos).reshape(
+                    len(pos), -1)
             table.setflags(write=False)
             self._tables[k, j] = table
         return self._tables[k, j]
@@ -756,7 +759,17 @@ _GEOMETRIES: dict = {}
 
 
 def geometry(kind: str, n: int, q: int) -> Geometry:
-    """Construct (and cache) the geometry of the given kind and order."""
+    """Construct (and cache) the geometry of the given kind and order.
+
+    n and q are integers (numpy integers too), refused otherwise, bools
+    among them, before the cache is read: 2.0 would be cached under 2's
+    key, and True taken as 1."""
+    # the common case, two ints, skips the slower ABC checks
+    if type(n) is not int or type(q) is not int:
+        if not _integers((n, q)):
+            raise ValueError(
+                f"dimension and order must be integers, got {n!r}, {q!r}")
+        n, q = int(n), int(q)
     p, h = factor_prime_power(q)
     key = (kind, p, h, n)
     if key not in _GEOMETRIES:

@@ -287,6 +287,74 @@ def test_construct_trivial_takes_numpy_point_indices():
             cc.construct_trivial(geom, 1, "point_pencil", point=p)
 
 
+def test_bool_is_no_anchor_point():
+    """A bool is no point index and no coordinate, though int() would
+    take True as 1: each is refused as an invalid anchor."""
+    geom = geometry("PG", 3, 2)
+    for point in (True, False, np.True_, (0, 0, 0, True)):
+        with pytest.raises(AnchorInvalid):
+            cc.construct_trivial(geom, 1, "point_pencil", point=point)
+
+
+def test_aid_identity_refuses_bool_and_float_k_space():
+    """K is an integer: numpy would read True as a mask of the profile
+    and refuse 1.0 as an index, so both are refused as an out-of-range K
+    is."""
+    fam = cc.construct_trivial(geometry("PG", 4, 2), 1, "point_pencil")
+    for K in (True, False, np.True_, 1.0, np.float64(1)):
+        with pytest.raises(InvalidRange):
+            cc.check_aid_identity(fam, K, 3)
+    assert cc.check_aid_identity(fam, np.int64(1), 3)
+
+
+def test_spread_check_refuses_bool_elements():
+    """np.asarray would read [False, 10, ...] as [0, 10, ...], the spread
+    whose first element is line 0."""
+    geom = geometry("PG", 3, 2)
+    pencil = cc.construct_trivial(geom, 1, "point_pencil")
+    S = field_reduction_spread(3, 1, 2).tolist()
+    assert S[0] == 0 and cc.check_spread(pencil, S)
+    for bad in ([False] + S[1:], [np.False_] + S[1:], [0.0] + S[1:]):
+        with pytest.raises(NotASpread):
+            cc.check_spread(pencil, bad)
+    assert cc.check_spread(pencil, [np.int64(s) for s in S])
+
+
+def _guarded_calls() -> dict:
+    """One call per kind guard: the affine family AG(4,2) k=1 where a
+    projective one is needed, with arguments that pass every check made
+    before the guard, and the two other guards of ag_to_pg and pg_to_ag."""
+    ag = geometry("AG", 4, 2)
+    fam = cc.construct_trivial(ag, 1, "point_pencil")
+    pg = geometry("PG", 4, 2)
+    solid, point = pg.subspaces(3)[0], pg.subspaces(0)[0]
+    pencil = cc.construct_trivial(pg, 1, "point_pencil")
+    return {
+        "restrict": lambda: cc.restrict(fam, solid),
+        "project": lambda: cc.project(fam, point),
+        "pg_to_ag": lambda: cc.pg_to_ag(fam),
+        "check_disjoint_count": lambda: cc.check_disjoint_count(fam),
+        "check_meet_profile": lambda: cc.check_meet_profile(fam, 1),
+        "check_drudge_identity":
+            lambda: cc.check_drudge_identity(fam, 0, solid),
+        "check_aid_identity": lambda: cc.check_aid_identity(fam, 0, 3),
+        "find_skew_space": lambda: cc.find_skew_space(fam),
+        "ag_to_pg": lambda: cc.ag_to_pg(pencil),
+        "pg_to_ag_plane": lambda: cc.pg_to_ag(pencil, pg.subspaces(2)[0]),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "restrict", "project", "pg_to_ag", "check_disjoint_count",
+    "check_meet_profile", "check_drudge_identity", "check_aid_identity",
+    "find_skew_space", "ag_to_pg", "pg_to_ag_plane"])
+def test_kind_guards(name):
+    """Every transform and checker stated for one kind refuses the other
+    with GuardViolated, and pg_to_ag refuses a plane of PG(4,2) as its H."""
+    with pytest.raises(GuardViolated):
+        _guarded_calls()[name]()
+
+
 # -- counting identity checkers ---------------------------------------------
 
 def corrupted(fam):

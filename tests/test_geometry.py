@@ -19,7 +19,7 @@ from clgeom.errors import (
     TooManySubspaces,
 )
 from clgeom import cli, ff
-from clgeom.clcore import KFamily, ag_to_pg
+from clgeom.clcore import KFamily, ag_to_pg, check_drudge_identity
 from clgeom.ff import FieldCtx, factor_prime_power, ff_create, ff_extend
 from clgeom.geometry import (
     Geometry,
@@ -524,6 +524,47 @@ def test_sub_table_builds_no_digit_table():
         tracemalloc.stop()
     assert table.nbytes > 4_500_000
     assert peak < table.nbytes + 2 ** 20
+
+
+def test_ag_sub_table_builds_no_closure_sub_table(monkeypatch):
+    """AG's sub tables run the loop PG's do, over the closure's point table
+    rows of the affine k-flats: after AG(3,16)'s levels and the closure's
+    plane table, the plane-to-line table (4368 x 272 uint32, 4.8 MB) is
+    built within its own bytes and 1 MB, and the closure's table of the
+    same size is never built beside it."""
+    monkeypatch.setattr(geometry_module, "_GEOMETRIES", {})
+    g = geometry("AG", 3, 16)
+    g.subspaces(2)
+    g.subspaces(1)
+    g.closure().point_table(2)
+    tracemalloc.start()
+    try:
+        table = g.sub_table(2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (4368, 272) and table.dtype == np.uint32
+    assert (2, 1) not in g.closure()._tables
+    assert peak < table.nbytes + 2 ** 20
+
+
+@pytest.mark.parametrize("n,q", [
+    (2.0, 2), (2.5, 2), (True, 2), (np.True_, 2), (2, 2.0), (2, True),
+    ("2", 2)], ids=repr)
+def test_geometry_refuses_non_integer_dimension_and_order(n, q, monkeypatch):
+    """A bool or a non-integer n or q is refused before the cache is read,
+    so it caches nothing: 2.0 would be cached under PG(2,2)'s key and
+    poison it, and True would be taken as 1.  numpy integers are ints."""
+    monkeypatch.setattr(geometry_module, "_GEOMETRIES", {})
+    with pytest.raises(ValueError):
+        geometry("PG", n, q)
+    assert geometry_module._GEOMETRIES == {}
+    g = geometry("PG", 2, 2)
+    assert type(g.n) is int and len(g.subspaces(1)) == 7
+    assert geometry("PG", np.int64(2), np.uint8(2)) is g
+    pencil = KFamily(geometry("PG", 3, 2), 1, range(7))
+    assert isinstance(check_drudge_identity(
+        pencil, 0, geometry("PG", 3, 2).subspaces(2)[0]), bool)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16])
