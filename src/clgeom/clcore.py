@@ -4,10 +4,10 @@ and brute-force verification of every counting identity.
 A family is the ascending array of its members' indices into its geometry's
 enumeration, and every route reads that array.  The CL decision tests whether
 its 0/1 characteristic vector lies in the rational row space of the
-point-(k-space) incidence matrix P.  Points and k-spaces form a 2-design, so
-P P^T = (r-lambda) I + lambda J and the test is a closed-form integer
-identity over the geometry's point table (see ``is_cl``); no rational
-matrix is built.
+point-(k-space) incidence matrix P.  Points and k-spaces form a 2-design
+whose r and lambda are Gaussian binomials, so P P^T = (r-lambda) I +
+lambda J and the test is a closed-form integer identity over the
+geometry's point table (see ``is_cl``); no rational matrix is built.
 
 Every route here reads incidence from the point table, and the points of
 other subspaces from ``Geometry.points_of``.  A family's points are read
@@ -81,6 +81,15 @@ from .sieve import x_max_param
 # families
 # ---------------------------------------------------------------------------
 
+def _dimension(k) -> int:
+    """k as an int, refused with ValueError unless it is an integer (numpy
+    integers too) and no bool, before any cache is read: the caches would
+    take 1.0 and True as 1."""
+    if not _integers([k]):
+        raise ValueError(f"dimension k must be an integer, got {k!r}")
+    return int(k)
+
+
 class KFamily:
     """An immutable set of k-spaces of a geometry, with exact parameter,
     stored once as ``indices``: their positions in ``geom.subspaces(k)``,
@@ -92,12 +101,12 @@ class KFamily:
     the points, the members through each) and the meet profile.  No view
     copies the members' rows of the point table: the routes read them
     through ``indices``.  The arrays are read-only; ``size`` is the length
-    of ``indices``.  Members are integer positions: a float or a bool is
-    refused with ValueError."""
+    of ``indices``.  k and the members are integers (numpy integers too): a
+    float or a bool is refused with ValueError."""
 
     def __init__(self, geom: Geometry, k: int, members):
         self.geom = geom
-        self.k = k
+        self.k = _dimension(k)
         if not (isinstance(members, np.ndarray) and members.dtype.kind in "iu"):
             members = list(members)
             if not _integers(members):
@@ -180,18 +189,26 @@ def is_cl(F: KFamily) -> CLReport:
     AG, Im(A^T)) by the 2-design identity of the point table.
 
     Points against k-spaces of PG(n,q), and points against k-flats of
-    AG(n,q), form a 2-(v, theta, lambda) design with every point on r
-    blocks, so P P^T = (r-lambda) I + lambda J and r - lambda + v lambda =
-    r theta.  For r > lambda the orthogonal projection of chi onto Im(P^T)
-    is (P^T P chi - lambda theta |L| / r) / (r - lambda), so chi lies in
+    AG(n,q), form a 2-(v, theta, lambda) design: every point lies on
+    r = [n k]_q blocks and every two on lambda = [n-1 k-1]_q (0 for k =
+    0), closed forms with nothing read off the table.  So P P^T =
+    (r-lambda) I + lambda J and r - lambda + v lambda = r theta.  For
+    r > lambda the orthogonal projection of chi onto Im(P^T) is
+    (P^T P chi - lambda theta |L| / r) / (r - lambda), so chi lies in
     Im(P^T) exactly when r P^T P chi - lambda theta |L| == r (r-lambda) chi.
     For k = n (one block, r = lambda) both sides vanish, as they should:
     Im(P^T) is then all of R^1.
     """
-    geom = F.geom
-    table = geom.point_table(F.k)
-    theta = table.shape[1]
-    r, lam = _design(geom, F.k)
+    geom, k = F.geom, F.k
+    table = geom.point_table(k)
+    nblocks, theta = table.shape
+    # the k-spaces through a point, and through two points
+    r, lam = gauss_binom(geom.n, k, geom.q), gauss0(geom.n - 1, k - 1, geom.q)
+    # Every term of the identity lies in [0, r*theta*N] (a <= r,
+    # b <= r*theta, lambda <= r, |L| <= N).  Counting incidences both ways,
+    # N*theta = v*r, so r*theta*N = v*r^2; the int64 sums are exact while
+    # that is below 2^63.
+    assert r * theta * nblocks < 2 ** 63
     b = _row_reduce(F.degrees, table)  # P^T P chi
     # r P^T P chi - lambda theta |L| - r (r-lambda) chi, in place
     b *= r
@@ -199,29 +216,8 @@ def is_cl(F: KFamily) -> CLReport:
     b[F.indices] -= r * (r - lam)
     ok = not b.any()
     x = F.x
-    assert 0 <= x <= x_max_param(geom.kind, geom.n, F.k, geom.q)
+    assert 0 <= x <= x_max_param(geom.kind, geom.n, k, geom.q)
     return CLReport(ok, x, "design-identity")
-
-
-@cache
-def _design(geom: Geometry, k: int) -> tuple:
-    """r and lambda of the points and k-spaces' 2-design, read off the
-    point table and checked once per geometry and k."""
-    table = geom.point_table(k)
-    nblocks, theta = table.shape
-    v = geom.num_points
-    on = _counts(table, None, v)
-    r = int(on[0])
-    assert len(on) == v and (on == r).all(), "not every point lies on r blocks"
-    lam, rest = divmod(r * (theta - 1), v - 1)
-    assert rest == 0, "points and blocks do not form a 2-design"
-    assert r - lam + v * lam == r * theta
-    # Every term of is_cl's identity lies in [0, r*theta*N] (a <= r,
-    # b <= r*theta, lambda <= r, |L| <= N).  Counting incidences both ways,
-    # N*theta = v*r, so r*theta*N = v*r^2; the int64 sums are exact while
-    # that is below 2^63.
-    assert r * theta * nblocks < 2 ** 63
-    return r, lam
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +237,7 @@ def construct_trivial(geom: Geometry, k: int, kind: str, point=None,
                       complement_of: bool = False) -> KFamily:
     """Build a trivial family: empty, point_pencil, hyperplane_class,
     pencil_plus_hyperplane, or the complement of any of these."""
+    k = _dimension(k)
     # refuses a geometry past SUBSPACE_CAP before an anchor of n+1
     # coordinates is built
     geom.subspaces(k)
@@ -354,17 +351,16 @@ def _rows_holding(table: np.ndarray, points,
     return np.arange(len(table)) if keep is None else keep
 
 
-def _counts(table: np.ndarray, rows: np.ndarray | None,
+def _counts(table: np.ndarray, rows: np.ndarray,
             minlength: int) -> np.ndarray:
-    """np.bincount(table[rows].ravel(), minlength=minlength), rows None
-    for every row, with no copy of the rows counted: they are gathered in
-    pieces of _CHUNK entries, or of minlength if that is more, so adding
-    up the pieces' counts costs no more than gathering them."""
+    """np.bincount(table[rows].ravel(), minlength=minlength), with no copy
+    of the rows counted: they are gathered in pieces of _CHUNK entries, or
+    of minlength if that is more, so adding up the pieces' counts costs no
+    more than gathering them."""
     step = max(1, max(_CHUNK, minlength) // table.shape[1])
     out = np.zeros(minlength, dtype=np.intp)
-    for lo in range(0, len(table) if rows is None else len(rows), step):
-        part = (table[lo:lo + step] if rows is None
-                else table.take(rows[lo:lo + step], axis=0))
+    for lo in range(0, len(rows), step):
+        part = table.take(rows[lo:lo + step], axis=0)
         # an entry past minlength lengthens the counts, as in bincount
         counts = np.bincount(part.ravel(), minlength=len(out))
         counts[:len(out)] += out
@@ -543,7 +539,7 @@ def pg_to_ag(F: KFamily, H: Subspace | None = None) -> KFamily:
     factors = np.flatnonzero(np.bincount(lead))
     inverse[factors] = field.inv_all(factors.tolist())
     images = _combine(field, inverse[lead][:, None, None], images)[:, 0]
-    perm = geom._rank((images != 0).argmax(axis=1), images)
+    perm = geom._rank(images)
     ag = geometry("AG", geom.n, geom.q)
     out = _blocks_of(ag, F.k, _gather(perm, geom.point_table(F.k), F.indices))
     inside = np.flatnonzero(out < 0)
@@ -631,8 +627,8 @@ def check_meet_profile(F: KFamily, i: int) -> CheckReport:
     """Brute-force (k-i)-space meet counts against the two-case formula."""
     if F.geom.kind != "PG":
         raise GuardViolated("meet-profile identity is projective")
-    if not 1 <= i <= F.k + 1:
-        raise GuardViolated(f"i must be in [1, k+1], got {i}")
+    if not (_integers([i]) and 1 <= i <= F.k + 1):
+        raise GuardViolated(f"i must be an integer in [1, k+1], got {i!r}")
     expected = tuple(meet_profile_expected(F, i, member)
                      for member in (False, True))
     violations = _violations(F, F._profile[:, F.k - i + 1], expected)
@@ -679,7 +675,7 @@ def check_affine_line(F: KFamily) -> CheckReport:
     # at infinity of its closure, ranked in closed form; the points at
     # infinity (X0 = 0) are the closure's first count_at_infinity(0)
     directions = geom.subspaces(1).codes.take(F.indices, axis=0)[:, 1]
-    ranks = geom._rank((directions != 0).argmax(axis=1), directions)
+    ranks = geom._rank(directions)
     through = np.bincount(ranks, minlength=geom.count_at_infinity(0)).tolist()
     points = geom.closure().subspaces(0).codes[:len(through), 0]
     violations += [("infinite-point", tuple(points[i].tolist()), x, count)
@@ -733,8 +729,9 @@ def _aid_value(F: KFamily, K: int, t: int) -> Fraction:
     is a weighted sum of K's meet profile."""
     geom, k = F.geom, F.k
     n, q = geom.n, geom.q
-    if not (2 * k + 1 <= t <= n - 1 and n >= 2 * k + 2):
-        raise GuardViolated("requires 2k+1 <= t <= n-1 and n >= 2k+2")
+    if not (_integers([t]) and 2 * k + 1 <= t <= n - 1 and n >= 2 * k + 2):
+        raise GuardViolated(
+            f"requires an integer 2k+1 <= t <= n-1 and n >= 2k+2, got t={t!r}")
     if geom.kind != "PG":
         raise GuardViolated("averaging identity is projective")
     prof = F._profile[K]

@@ -18,12 +18,13 @@ points of PG(n,q) are the rows of its 0-level.  Enumerations are kept in
 memory and nothing is stored on disk.
 
 One route finds each object: ``Geometry._rank`` a normalized vector among
-the closure's points, in closed form; ``_spaces_of`` a subspace, from its
-RREF rows' point keys.  ``Geometry.subspace_index`` validates and finds
-untrusted matrices (family JSON, anchor coordinates) in the level's sorted
-keys.  Four methods of ``Geometry`` know what AG is: ``closure``,
-``subspace_count`` (every count), ``subspaces`` (the closure level's tail)
-and ``from_closure`` (AG's positions from the closure's).
+the closure's points, in closed form from its key; ``_spaces_of`` a
+subspace, from its RREF rows' point keys.  ``Geometry.subspace_index``
+validates and finds untrusted matrices (family JSON, anchor coordinates)
+in the level's sorted keys.  Four methods of ``Geometry`` know what AG
+is: ``closure``, ``subspace_count`` (every count), ``subspaces`` (the
+closure level's tail) and ``from_closure`` (AG's positions from the
+closure's).
 
 The one form of incidence is the point table (``Geometry.point_table``),
 stored, as every sub table is, in the smallest unsigned dtype that holds
@@ -33,12 +34,13 @@ matrix's rows, and each is ranked by ``Geometry._rank``.  A single
 subspace (``Geometry.points_of``) gets its c.M from ``_combine`` (over
 GF(p^h), h > 1, gathered from the field's q x q add and mul tables).  The
 point table reads them from the digit table D_r of r = k+1 rows instead:
-row t of D_r holds c.col for every coefficient vector c, where col is the
-column of GF(q)^r whose base-q digits are t, so a block's points are
-D_r's rows at its columns' digits, summed into keys with no field product
-and no ``% p``.  D_r is built afresh for each point table strictly
-between the points and the whole space, never holds more entries than
-that table, and nothing else reads it (see ``Geometry._digit_table``).
+row t of D_r holds the code c.col for every coefficient vector c, where
+col is the column of GF(q)^r whose base-q digits are t, so a block's
+points are D_r's rows at its columns' digits, summed into keys with no
+field product and no ``% p``.  D_r is built afresh for each point table
+strictly between the points and the whole space, in the codes' dtype,
+never holds more entries or bytes than that table, and nothing else reads
+it (see ``Geometry._digit_table``).
 ``Geometry.sub_table`` gives the j-spaces in each k-space, derived from
 the closure's point table in one loop for both kinds: a j-space's rows are
 the table's entries at fixed columns, found by ``_spaces_of``, and read
@@ -332,14 +334,18 @@ def _digit_keys(digits: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     x ncols) for every coefficient vector c of Geometry._coefficients, read
     from its digit table D_r (see Geometry._digit_table): column j of M is
     the base-q number t_j of its r entries, and the key of c.M is the
-    Horner sum over j of D_r[t_j, c]: no field product and no division."""
+    Horner sum over j of D_r[t_j, c]: no field product and no division.
+
+    int32 holds the keys: n >= 2, the closure has at most SUBSPACE_CAP
+    points, so q < 1000, and every key is below q^(n+1) = (q-1) * (the
+    closure's point count) + 1 < 2^31."""
     r = mats.shape[1]
     # ncols x B, so that each column's digits are contiguous
     cols = np.ascontiguousarray(mats[:, 0].T, dtype=np.intp)
     for i in range(1, r):
         cols *= q
         cols += mats[:, i].T
-    keys = digits.take(cols[0], axis=0)
+    keys = digits.take(cols[0], axis=0).astype(np.int32)
     for t in cols[1:]:
         keys *= q
         keys += digits.take(t, axis=0)
@@ -395,8 +401,8 @@ class Geometry:
         self.n = n
         self.field = field
         self.q = field.q
-        # _rank's weights, rank offsets and point keys, and the
-        # coefficient vectors and their leading columns by row count
+        # _rank's weights, powers of q, rank offsets and point keys, and
+        # the coefficient vectors by row count
         self._ranks = None
         self._coeffs = {}
         self._subspaces = {}
@@ -507,19 +513,19 @@ class Geometry:
 
     # -- incidence --
 
-    def _coefficients(self, r: int):
+    def _coefficients(self, r: int) -> np.ndarray:
         """The coefficient vectors c of the points c.M of an r-row matrix
         M, the points of PG(r-1,q) in order (PG(0,q) has the one point
-        (1)), as an int64 theta x r array, with their leading columns."""
+        (1)), as an int64 theta x r array."""
         if r not in self._coeffs:
-            coeffs = (np.ones((1, 1), dtype=np.int64) if r == 1 else
-                      geometry("PG", r - 1, self.q).subspaces(0).codes[:, 0]
-                      .astype(np.int64))
-            self._coeffs[r] = coeffs, (coeffs != 0).argmax(axis=1)
+            self._coeffs[r] = (
+                np.ones((1, 1), dtype=np.int64) if r == 1 else
+                geometry("PG", r - 1, self.q).subspaces(0).codes[:, 0]
+                .astype(np.int64))
         return self._coeffs[r]
 
     def _digit_table(self, r: int) -> np.ndarray:
-        """D_r, the q^r x theta int32 array whose row t holds c.col for
+        """D_r, the q^r x theta array whose row t holds the code c.col for
         every coefficient vector c of _coefficients(r) (theta of them),
         where col is the vector of GF(q)^r with the base-q digits t = sum
         col_i q^(r-1-i): _combine over the q^r columns, chunk by chunk,
@@ -530,47 +536,53 @@ class Geometry:
         of theta points each, and AG(n,q) has q^(n-k) [n,k]_q >= q^r theta
         / q^k k-spaces of q^k points each.
 
-        int32 holds it and the keys summed from it: n >= 2, the closure has
-        at most SUBSPACE_CAP points, so q < 1000, and every key is below
-        q^(n+1) = (q-1) * (the closure's point count) + 1 < 2^31.  So D_r
-        has at most as many entries as the table, but up to twice its bytes
-        where the table is uint16 (see _index_dtype)."""
-        coeffs, _ = self._coefficients(r)
+        Its entries are field codes, stored in np.min_scalar_type(q - 1),
+        the codes' dtype, no wider than the table's _index_dtype of the
+        point count (q - 1 < v - 1), so D_r holds no more bytes than the
+        table either; _digit_keys sums the keys in int32."""
+        coeffs = self._coefficients(r)
         # the columns as the rows of a q^r x r array, each multiplied by
         # the r x theta array of the coefficient vectors
         cols = np.indices((self.q,) * r).reshape(r, -1).T
-        digits = np.empty((len(cols), len(coeffs)), dtype=np.int32)
+        digits = np.empty((len(cols), len(coeffs)),
+                          dtype=np.min_scalar_type(self.q - 1))
         step = max(1, _CHUNK // len(coeffs))
         for lo in range(0, len(cols), step):
             digits[lo:lo + step] = _combine(
                 self.field, cols[lo:lo + step], coeffs.T[None])[0]
         return digits
 
-    def _rank(self, lead: np.ndarray, vecs=None, keys=None):
+    def _rank(self, vecs=None, keys=None):
         """Positions among the closure's points (see from_closure) of
         normalized vectors, given by their codes (vecs, ... x ncols) or by
-        their base-q keys, whose leading 1s sit in the columns lead.
+        their base-q keys.
 
-        A normalized vector whose leading 1 sits in column i has key L + t
-        with t < L = q^(n-i), and the points before it are the (L-1)/(q-1)
-        points led further right and the t points led at i with smaller
-        keys, so its index is key - L + (L-1)/(q-1).  A gather of the
-        closure's point keys at these ranks asserts that every vector is a
-        point (a key that ranks outside the points is clipped to a miss):
-        untrusted vectors are found by subspace_index instead."""
+        A normalized vector led at column n-m has key q^m + t with t <
+        q^m, so its key lies in [q^m, 2q^m) for exactly one m, found by
+        one searchsorted over the powers of q.  The points before it are
+        the (q^m-1)/(q-1) points led further right and the t points led at
+        n-m with smaller keys, so its index is key - q^m + (q^m-1)/(q-1).
+        A gather of the closure's point keys at these ranks asserts that
+        every vector is a point (a key that ranks outside the points is
+        clipped to a miss): untrusted vectors are found by subspace_index
+        instead."""
         if self._ranks is None:
             # the closure's point keys, ascending; with at most SUBSPACE_CAP
             # points they are int64 (see _keys)
             point_keys = self.closure().subspaces(0).keys
-            q, n = self.q, self.n
-            weights = q ** np.arange(n, -1, -1, dtype=np.int64)
-            # key - offsets[i] is the rank of a point led at column i
-            offsets = weights - (weights - 1) // (q - 1)
-            self._ranks = weights, offsets, point_keys
-        weights, offsets, point_keys = self._ranks
+            q = self.q
+            powers = q ** np.arange(self.n + 1, dtype=np.int64)
+            # key - offsets[m + 1] is the rank of a key in [q^m, 2q^m), at
+            # m + 1 = powers.searchsorted(key, "right"); offsets[0] = 0
+            # leaves a key below 1, no point, to the assert
+            offsets = np.concatenate(([0], powers - (powers - 1) // (q - 1)))
+            self._ranks = powers[::-1].copy(), powers, offsets, point_keys
+        weights, powers, offsets, point_keys = self._ranks
         if keys is None:
             keys = vecs @ weights
-        pos = keys - offsets[lead]
+        # the method, not np.searchsorted, whose dispatch costs more than
+        # the search on points_of's few keys
+        pos = keys - offsets[powers.searchsorted(keys, "right")]
         assert (point_keys.take(pos, mode="clip") == keys).all()
         return pos
 
@@ -594,7 +606,7 @@ class Geometry:
 
         For 0 < k < n the keys of the c.M are summed chunk by chunk from
         the digit table D_(k+1) by _digit_keys, with no field product,
-        ranked in closed form by _rank, and read through from_closure,
+        ranked by _rank from the keys alone, and read through from_closure,
         which keeps num_points of geometry(kind, k, q) per row.  k = 0 and
         k = n need neither: each point is its own 0-space, and the whole
         space holds every point."""
@@ -609,17 +621,12 @@ class Geometry:
             else:
                 theta = geometry(self.kind, k, self.q).num_points
                 digits = self._digit_table(k + 1)
-                _, lead = self._coefficients(k + 1)
                 table = np.empty((len(codes), theta), dtype=_index_dtype(v))
                 # the keys are B x theta' for the theta' points c.M
                 step = max(1, _CHUNK // digits.shape[1])
                 for lo in range(0, len(codes), step):
                     mats = codes[lo:lo + step]
-                    keys = _digit_keys(digits, mats, self.q)
-                    # c.M is led where M's row at c's leading 1 is; found
-                    # after the keys, so that it adds nothing to their peak
-                    pos = self._rank(
-                        (mats != 0).argmax(axis=2)[:, lead], keys=keys)
+                    pos = self._rank(keys=_digit_keys(digits, mats, self.q))
                     table[lo:lo + len(mats)] = self.from_closure(
                         0, pos).reshape(len(mats), theta)
             table.setflags(write=False)
@@ -647,8 +654,7 @@ class Geometry:
             closure = self.closure()
             pg = geometry("PG", k, self.q)
             # the position of each row of C among the points of PG(k,q)
-            vecs = pg.subspaces(j).codes
-            cols = pg._rank((vecs != 0).argmax(axis=2), vecs)
+            cols = pg._rank(pg.subspaces(j).codes)
             rows = closure.point_table(k)[self.count_at_infinity(k):]
             table = np.empty(
                 (count, geometry(self.kind, k, self.q).subspace_count(j)),
@@ -669,8 +675,8 @@ class Geometry:
         arbitrary subspace (given in the closure's coordinates for AG).
 
         One matrix, so no stack: its points c.M come from ``_combine`` as a
-        theta x ncols array, each led at the pivot of M's row at c's
-        leading 1 (see point_table), ranked by ``_rank``, then from_closure."""
+        theta x ncols array, each already normalized (see point_table),
+        ranked by ``_rank`` from its key, then from_closure."""
         if sub.ncols != self.n + 1:
             raise DimensionMismatch(
                 f"subspace of {sub.ncols} coordinates in {self!r}, which "
@@ -680,11 +686,9 @@ class Geometry:
         if sub.k == self.n:
             return np.arange(self._capped_count(0))
         mat = np.array(sub.mat, dtype=np.int64)
-        coeffs, lead = self._coefficients(len(mat))
-        vecs = (mat if len(mat) == 1
-                else _combine(self.field, coeffs, mat[None])[0])
-        return self.from_closure(
-            0, self._rank(np.array(sub.pivots)[lead], vecs))
+        vecs = (mat if len(mat) == 1 else _combine(
+            self.field, self._coefficients(len(mat)), mat[None])[0])
+        return self.from_closure(0, self._rank(vecs))
 
     def incidence(self, k: int) -> np.ndarray:
         """0/1 point-(k-space) incidence matrix (P_n for PG, A_n for AG),
@@ -820,7 +824,7 @@ def field_reduction_spread(n: int, k: int, q: int) -> np.ndarray:
             coords[np.arange(ext.q), (coords != 0).argmax(axis=1)] == 1)
         w = _enumerate_pg(ext.q, (n + 1) // d, 1)[0]
         vecs = coords[_combine(ext, lam[:, None], w)].reshape(-1, n + 1)
-        rows = geom._rank((vecs != 0).argmax(axis=1), vecs)
+        rows = geom._rank(vecs)
         spread = _blocks_of(geom, k, rows.reshape(len(w), len(lam)))
         assert (spread >= 0).all()
     spread.setflags(write=False)

@@ -162,8 +162,12 @@ def classification_threshold(n: int, k: int, q: int) -> _Root:
     return _Root(1, 1, 0, 1, *_c8(n, k, q))
 
 
+@cache
 def step_factor(k: int, q: int) -> _Root:
-    """The per-step factor of the lifted lower bounds: C(3k+2,k,q) - 1."""
+    """The per-step factor of the lifted lower bounds: C(3k+2,k,q) - 1,
+    built once per (k, q) and shared (a _Root is immutable), as
+    improved_lift_bound, hyperplane_average_bound and the bounds printout
+    each read it."""
     return classification_threshold(3 * k + 2, k, q).lift(1, 1, -1)
 
 
@@ -213,14 +217,6 @@ def _root_below(xn: int, xd: int, bound: _Root) -> bool:
     an, ad, bn, bd, c8n, c8d = bound
     u = (xn * bd - bn * xd) * ad
     return u <= 0 or u ** 8 * c8d < (xd * bd * an) ** 8 * c8n
-
-
-def _below(x, bound) -> bool:
-    """Exact x < bound, for an integer or rational x and a rational bound
-    or a _Root."""
-    if not isinstance(bound, _Root):
-        return x < bound
-    return _root_below(x.numerator, x.denominator, bound)
 
 
 def exact_floor(bound, scale: int = 1) -> int:

@@ -148,10 +148,16 @@ def test_design_route_agrees_with_oracles(kind, n, q, k):
         assert rep.is_cl == rational_is_cl(fam, "kernel").is_cl, fam
         verdicts.append(rep.is_cl)
     assert True in verdicts
-    # r and lambda, read off the point table once per geometry and k, are
-    # the k-spaces through a point and through two points
-    assert cc._design(geom, k) == (gauss_binom(n, k, q),
-                                   gauss0(n - 1, k - 1, q))
+    # is_cl's r and lambda, the k-spaces through a point and through two
+    # points, are the table's: every point lies on r rows, and the 2-design
+    # counts lambda (v-1) = r (theta-1) and r - lambda + v lambda = r theta
+    r, lam = gauss_binom(n, k, q), gauss0(n - 1, k - 1, q)
+    table = geom.point_table(k)
+    v, theta = geom.num_points, table.shape[1]
+    assert np.array_equal(np.bincount(table.ravel(), minlength=v),
+                          np.full(v, r))
+    assert lam * (v - 1) == r * (theta - 1)
+    assert r - lam + v * lam == r * theta
     if 0 < k < n and geom.num_points < geom.subspace_count(k):
         # Im(P^T) is a proper subspace: the swaps must leave it
         assert False in verdicts
@@ -1392,7 +1398,8 @@ def _counts_case(case):
         assert len(rows) > 3 * (_CHUNK // table.shape[1])
         return table, rows, 820
     if case == "whole":
-        return geometry("PG", 5, 3).point_table(1), None, 364
+        table = geometry("PG", 5, 3).point_table(1)
+        return table, np.arange(len(table)), 364
     if case == "sub-table":
         # int32, and more counts (33880 planes) than a piece has entries
         table = geometry("PG", 5, 3).sub_table(3, 2)
@@ -1407,9 +1414,8 @@ def _counts_case(case):
 def test_counts_match_bincount(case):
     """_counts is np.bincount over the selected rows, gathered in pieces."""
     table, rows, minlength = _counts_case(case)
-    picked = table if rows is None else table[rows]
-    assert np.array_equal(cc._counts(table, rows, minlength),
-                          np.bincount(picked.ravel(), minlength=minlength))
+    want = np.bincount(table[rows].ravel(), minlength=minlength)
+    assert np.array_equal(cc._counts(table, rows, minlength), want)
 
 
 # Point tables at the edges of their dtypes: uint8 with entries up to 255
@@ -1686,6 +1692,49 @@ def test_family_takes_numpy_integers():
     for members in ([np.int64(3), np.uint8(2)], np.array([3, 2], dtype=object),
                     np.array([3, 2], dtype=np.uint16)):
         assert cc.KFamily(geom, 1, members) == want
+
+
+@pytest.mark.parametrize("k", [1.0, True, np.float64(1), np.True_, "1"],
+                         ids=["float", "bool", "numpy-float", "numpy-bool",
+                              "str"])
+def test_family_and_construction_refuse_non_integer_k(k):
+    """k is refused before any cache is read, so the refusal does not
+    depend on whether the k-level is cached: the caches would take 1.0
+    and True as 1.  A fresh Geometry shows that nothing was built."""
+    fresh, cached = Geometry("PG", 4, ff_create(2)), geometry("PG", 4, 2)
+    cached.point_table(1)
+    for geom in (fresh, cached):
+        with pytest.raises(ValueError, match="must be an integer"):
+            cc.KFamily(geom, k, [0, 1])
+        with pytest.raises(ValueError, match="must be an integer"):
+            cc.construct_trivial(geom, k, "point_pencil")
+    assert not fresh._subspaces and not fresh._tables
+
+
+def test_family_and_construction_take_numpy_integer_k():
+    geom = geometry("PG", 4, 2)
+    want = cc.construct_trivial(geom, 1, "point_pencil")
+    for k in (np.int64(1), np.uint8(1)):
+        fam = cc.construct_trivial(geom, k, "point_pencil")
+        assert fam == want and type(fam.k) is int
+        assert cc.KFamily(geom, k, want.indices) == want
+
+
+@pytest.mark.parametrize("i,t", [(1.0, 3.0), (True, True),
+                                 (np.float64(1), np.float64(3)),
+                                 (np.True_, np.True_)],
+                         ids=["float", "bool", "numpy-float", "numpy-bool"])
+def test_meet_profile_and_aid_refuse_non_integer_i_and_t(i, t):
+    """i and t are integers, refused with GuardViolated as their range
+    checks refuse them: i = True ran as i = 1, and i = 1.0 or t = 3.0
+    raised TypeError."""
+    fam = cc.construct_trivial(geometry("PG", 4, 2), 1, "point_pencil")
+    with pytest.raises(GuardViolated, match="integer"):
+        cc.check_meet_profile(fam, i)
+    with pytest.raises(GuardViolated, match="integer"):
+        cc.check_aid_identity(fam, 0, t)
+    assert cc.check_meet_profile(fam, np.int64(1)).ok
+    assert cc.check_aid_identity(fam, 0, np.int64(3))
 
 
 def test_one_member_family_past_the_cap_builds():

@@ -50,7 +50,7 @@ GRID = [(k, q, n) for k in (1, 2, 3)
 def test_bounds_decimals_bracket_the_bound_on_grid(capsys):
     from fractions import Fraction
 
-    from clgeom.sieve import (_below, classification_threshold,
+    from clgeom.sieve import (_root_below, classification_threshold,
                               hyperplane_average_bound, improved_lift_bound,
                               step_factor)
     micro = Fraction(1, 10 ** 6)
@@ -69,8 +69,11 @@ def test_bounds_decimals_bracket_the_bound_on_grid(capsys):
                 name, d = line.split()[:2]
                 bound = exact[name]()
                 # d <= bound < d + 10^-6; the bound is irrational
-                assert _below(Fraction(d), bound), line
-                assert not _below(Fraction(d) + micro, bound), line
+                low, high = Fraction(d), Fraction(d) + micro
+                assert _root_below(low.numerator, low.denominator,
+                                   bound), line
+                assert not _root_below(high.numerator, high.denominator,
+                                       bound), line
                 rows += 1
     assert rows == 3924
 

@@ -209,11 +209,15 @@ def test_ag_ranks_are_the_closure_ranks(kind, n, q):
     g = geometry(kind, n, q)
     points = g.closure().subspaces(0)
     vecs = points.codes[:, 0]
-    lead = (vecs != 0).argmax(axis=1)
     for geom in (g, g.closure()):
-        assert np.array_equal(geom._rank(lead, vecs), np.arange(len(vecs)))
-        assert np.array_equal(geom._rank(lead, keys=points.keys),
+        assert np.array_equal(geom._rank(vecs), np.arange(len(vecs)))
+        assert np.array_equal(geom._rank(keys=points.keys),
                               np.arange(len(vecs)))
+    # keys of no point: zero, a lead of 2 (q > 2) and past the last point
+    bad = [0, 2 * q ** n] + [2 * q ** m for m in range(n) if q > 2]
+    for key in bad:
+        with pytest.raises(AssertionError):
+            g._rank(keys=np.array([key]))
 
 
 @pytest.mark.parametrize("kind,n,q", [g for g in ORACLE_GEOMS if g[0] == "AG"])

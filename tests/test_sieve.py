@@ -24,8 +24,8 @@ from clgeom.sieve import (
     _CHUNK,
     _Root,
     _RuleTable,
-    _below,
     _c8,
+    _root_below,
     _threshold,
     affine_condition,
     affine_pencil_bound,
@@ -131,10 +131,17 @@ def test_step_factor_value():
     assert exact_floor(step_factor(1, 7), 1000) == 15958
 
 
+def test_step_factor_is_built_once():
+    """The two lifted bounds and the bounds printout share one step factor
+    per (k, q), whose C^8 at PG(2047,3) k=681 runs to 1.5 million bits."""
+    assert step_factor(681, 3) is step_factor(681, 3)
+    assert step_factor(1, 7) != step_factor(1, 5)
+
+
 def test_classification_threshold_guard():
     with pytest.raises(GuardViolated):
         classification_threshold(4, 1, 2)
-    assert _below(0, classification_threshold(5, 1, 2))
+    assert _root_below(0, 1, classification_threshold(5, 1, 2))
 
 
 def test_exact_bounds():
@@ -154,8 +161,8 @@ def test_paper_example_values():
     for bound, paper in ((improved_lift_bound(8, 1, 7), F(5476998, 1000)),
                          (hyperplane_average_bound(8, 1, 7),
                           F(54829585, 10000))):
-        assert _below(paper - F(1, 2), bound)
-        assert not _below(paper + F(1, 2), bound)
+        for x, below in ((paper - F(1, 2), True), (paper + F(1, 2), False)):
+            assert _root_below(x.numerator, x.denominator, bound) == below
     assert exact_floor(improved_lift_bound(8, 1, 7), 10 ** 6) == 5476997617
 
 
@@ -172,8 +179,8 @@ def test_exact_floor():
     # step factors are negative at q = 2, k >= 4
     D = step_factor(4, 2)
     d = exact_floor(D, 10 ** 6)
-    assert d < 0 and _below(F(d, 10 ** 6), D)
-    assert not _below(F(d + 1, 10 ** 6), D)
+    assert d < 0 and _root_below(d, 10 ** 6, D)
+    assert not _root_below(d + 1, 10 ** 6, D)
 
 
 def test_lift_bound():
@@ -280,11 +287,11 @@ def test_exact_below_matches_200_digit_mpmath():
                             if x < 0:
                                 continue
                             assert abs(x - v) > mpmath.mpf(10) ** -150
-                            assert _below(F(x), root) == (x < v), \
+                            assert _root_below(x, 1, root) == (x < v), \
                                 (rid, n, k, q, x)
                             checked += 1
-                    assert t == 0 or _below(F(t - 1), root)
-                    assert not _below(F(t), root)
+                    assert t == 0 or _root_below(t - 1, 1, root)
+                    assert not _root_below(t, 1, root)
     assert checked > 500
 
 
@@ -298,7 +305,8 @@ def _threshold_by_search(bound):
         a8c8 = bound.an ** 8 * bound.c8n // (bound.ad ** 8 * bound.c8d)
         low = r(r(r(a8c8))) + Fraction(bound.bn, bound.bd)
     t = max(0, math.ceil(low))
-    while _below(t, bound):
+    while (_root_below(t, 1, bound) if isinstance(bound, _Root)
+           else t < bound):
         t += 1
     return t
 
