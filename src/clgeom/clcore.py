@@ -102,11 +102,13 @@ class KFamily:
     copies the members' rows of the point table: the routes read them
     through ``indices``.  The arrays are read-only; ``size`` is the length
     of ``indices``.  k and the members are integers (numpy integers too): a
-    float or a bool is refused with ValueError."""
+    float or a bool is refused with ValueError, and a k outside [0, n] with
+    InvalidRange, whether or not there are members."""
 
     def __init__(self, geom: Geometry, k: int, members):
         self.geom = geom
         self.k = _dimension(k)
+        count = geom.subspace_count(self.k)
         if not (isinstance(members, np.ndarray) and members.dtype.kind in "iu"):
             members = list(members)
             if not _integers(members):
@@ -117,7 +119,7 @@ class KFamily:
                           else np.fromiter(members, dtype=np.int64))
         except OverflowError:
             raise ValueError("member index out of range") from None
-        if len(idx) and (idx[0] < 0 or int(idx[-1]) >= geom.subspace_count(k)):
+        if len(idx) and (idx[0] < 0 or int(idx[-1]) >= count):
             raise ValueError("member index out of range")
         # drop repeats: the entries equal to the one before them
         repeats = idx[1:] == idx[:-1]

@@ -3,6 +3,9 @@
 Subcommands compose the library modules 1:1: bounds, sieve, construct,
 verify, project, enumerate.  Exit codes: 0 success / all checks pass,
 1 a verification failed, 2 usage or configuration error.
+
+The geometry commands import ``clcore`` and ``geometry`` when they run,
+so that ``bounds`` and ``sieve`` load no numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from . import clcore
 from .sieve import (
     bound_rules,
     check_config,
@@ -26,7 +28,6 @@ from .sieve import (
 )
 from .errors import ClgeomError, GuardViolated
 from .ff import factor_prime_power
-from .geometry import _CHUNK, field_reduction_spread, geometry, make_subspace
 
 DEFAULT_SEED = 2024
 
@@ -117,6 +118,9 @@ _KINDS = {
 
 
 def cmd_construct(args) -> int:
+    from . import clcore
+    from .geometry import geometry
+
     geom = geometry(args.space, args.n, args.q)
     point = None
     if args.point:
@@ -161,6 +165,8 @@ def _draw_flag(geom, i: int, rng: random.Random):
     dimension i.  The stabilizer of p is transitive on the i-spaces through
     p and keeps this draw, so tau is uniform among them; every point lies
     on equally many i-spaces, so (p, tau) is a uniform incident pair."""
+    from .geometry import make_subspace
+
     points = geom.subspaces(0).codes[:, 0]
     p = rng.randrange(len(points))
     while True:
@@ -173,6 +179,9 @@ def _draw_flag(geom, i: int, rng: random.Random):
 
 def _run_check(fam, name: str, rng: random.Random):
     """Returns (ok, violations)."""
+    from . import clcore
+    from .geometry import field_reduction_spread
+
     geom, k = fam.geom, fam.k
     if name == "cl":
         rep = clcore.is_cl(fam)
@@ -221,6 +230,8 @@ def _run_check(fam, name: str, rng: random.Random):
 
 
 def cmd_verify(args) -> int:
+    from . import clcore
+
     fam = clcore.load_family(args.family)
     if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -259,6 +270,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from . import clcore
+
     fam = clcore.load_family(args.family)
     if fam.geom.kind != "PG":
         raise GuardViolated("projection is defined on projective families")
@@ -276,6 +289,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .geometry import _CHUNK, geometry
+
     geom = geometry(args.space, args.n, args.q)
     subs = geom.subspaces(args.k)
     if args.count_only:

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DivisionByZero, GuardViolated, NotPrime, OrderTooLarge
 
 MAX_ORDER = 1 << 20
@@ -338,9 +336,13 @@ class FieldCtx:
         the numpy form of the field for ``geometry._combine``, which
         gathers whole arrays of sums and products from them.  None for a
         field without log/exp tables (GF(p), and past ``_TABLE_MAX``).
-        Built on first use, so that creating a field stays cheap."""
+        Built on first use, so that creating a field stays cheap, and
+        numpy is imported here, so that ``factor_prime_power`` and the
+        sieve path load none."""
         if self._exp is None:
             return None
+        import numpy as np
+
         q, p = self.q, self.p
         code = np.min_scalar_type(q - 1)
         log = np.array(self._log)

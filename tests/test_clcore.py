@@ -1711,6 +1711,17 @@ def test_family_and_construction_refuse_non_integer_k(k):
     assert not fresh._subspaces and not fresh._tables
 
 
+@pytest.mark.parametrize("k", [7, -1, 5], ids=["7", "-1", "n+1"])
+def test_family_refuses_k_outside_range_without_members(k):
+    """An empty member list has no index to check against the level, so
+    the range of k is checked first: such a family was built, and then its
+    x, chi and is_cl raised InvalidRange."""
+    geom = geometry("PG", 4, 2)
+    for members in ([], np.array([], dtype=np.int64), [0]):
+        with pytest.raises(InvalidRange):
+            cc.KFamily(geom, k, members)
+
+
 def test_family_and_construction_take_numpy_integer_k():
     geom = geometry("PG", 4, 2)
     want = cc.construct_trivial(geom, 1, "point_pencil")

@@ -242,7 +242,7 @@ def test_from_closure_drops_the_spaces_at_infinity(kind, n, q, monkeypatch):
         return rows[rows >= 0].reshape(len(rows), -1)
 
     spreads = []
-    monkeypatch.setattr(cli.clcore, "check_spread",
+    monkeypatch.setattr("clgeom.clcore.check_spread",
                         lambda F, S: spreads.append(S) or True)
     for k in range(n + 1):
         affine = renumber[k] >= 0

@@ -430,6 +430,30 @@ def test_sieve_and_cli_import_no_mpmath():
     assert "c-interval" in report.entry(2).rules
 
 
+@pytest.mark.parametrize("code", [
+    "import clgeom.cli\n"
+    "clgeom.cli.main(['bounds', '-n', '8', '-k', '1', '-q', '7'])\n",
+    "import clgeom.cli\n"
+    "clgeom.cli.main(['sieve', '-n', '8', '-k', '1', '-q', '7',\n"
+    "                 '--x-min', '0', '--x-max', '100'])\n",
+    "from clgeom.sieve import sieve\n"
+    "sieve('PG', 8, 1, 7, x_range=(0, 100))\n"],
+    ids=["cli-bounds", "cli-sieve", "sieve"])
+def test_sieve_path_imports_no_numpy(code):
+    """The sieve and bounds need no geometry: neither numpy nor the
+    geometry modules are imported on their path, from the package's
+    exports through the CLI."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys\n" + code +
+            "print([m for m in ('numpy', 'clgeom.clcore', 'clgeom.geometry')"
+            " if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_import_builds_no_digit_table():
     # the writers' digit strings are built on the first write, so the
     # import, and every run that writes no report, does none of that work
