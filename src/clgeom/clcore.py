@@ -36,10 +36,12 @@ as falsification tools.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, islice
+from operator import eq
 
 import numpy as np
 
@@ -183,7 +185,7 @@ class CLReport:
 @dataclass
 class CheckReport:
     ok: bool
-    violations: list = dc_field(default_factory=list)
+    violations: Sequence = dc_field(default_factory=list)
 
 
 def is_cl(F: KFamily) -> CLReport:
@@ -590,15 +592,60 @@ def _pair_profile(F: KFamily) -> np.ndarray:
     return prof
 
 
-def _violations(F: KFamily, actual: np.ndarray, expected: tuple) -> list:
-    """(K, expected, actual) for each K, ascending, whose entry of the
-    profile column `actual` is not expected[chi(K)]."""
-    chi = F.chi
-    # counts are never negative, so -1 stands for a non-integer prediction
-    wanted = np.array([e.numerator if e.denominator == 1 else -1
-                       for e in expected])[chi]
-    return [(K, expected[chi[K]], int(actual[K]))
-            for K in np.flatnonzero(actual != wanted).tolist()]
+class Violations(Sequence):
+    """A checker's violations, read-only: prefix + (K, expected[chi(K)],
+    column[K]) for each k-space K, ascending, whose entry of the profile
+    column is not its prediction, then the tuples of rest.
+
+    Only the failing positions are stored, beside the column and chi
+    (views the family keeps anyway); each tuple is built when it is read,
+    by index, by slice (a list) or by iteration, so a family that misses
+    the identity at every k-space costs one array of positions.  It
+    compares equal to a list of the same tuples, as a list would."""
+
+    def __init__(self, chi: np.ndarray, column: np.ndarray, expected: tuple,
+                 prefix: tuple = (), rest=()):
+        # counts are never negative, so -1 stands for a non-integer
+        # prediction
+        wanted = np.array([e.numerator if e.denominator == 1 else -1
+                           for e in expected])[chi]
+        self._positions = np.flatnonzero(column != wanted)
+        self._chi, self._column = chi, column
+        self._expected, self._prefix = expected, prefix
+        self._rest = list(rest)
+
+    def _build(self, positions: np.ndarray) -> list:
+        return [self._prefix + (K, self._expected[c], a) for K, c, a in zip(
+            positions.tolist(), self._chi.take(positions).tolist(),
+            self._column.take(positions).tolist())]
+
+    def __len__(self) -> int:
+        return len(self._positions) + len(self._rest)
+
+    def __getitem__(self, j):
+        # normalised like a list's index or slice, IndexError included
+        r = range(len(self))[j]
+        if isinstance(r, int):
+            return self[r:r + 1][0]
+        m = len(self._positions)
+        picks = np.arange(r.start, r.stop, r.step)
+        built = self._build(self._positions.take(picks[picks < m]))
+        rest = [self._rest[i - m] for i in picks[picks >= m].tolist()]
+        # the positions come before rest, and after it when read backwards
+        return built + rest if r.step > 0 else rest + built
+
+    def __iter__(self):
+        for lo in range(0, len(self._positions), _CHUNK):
+            yield from self._build(self._positions[lo:lo + _CHUNK])
+        yield from self._rest
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Violations)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return f"Violations(len={len(self)})"
 
 
 def check_disjoint_count(F: KFamily) -> CheckReport:
@@ -633,7 +680,7 @@ def check_meet_profile(F: KFamily, i: int) -> CheckReport:
         raise GuardViolated(f"i must be an integer in [1, k+1], got {i!r}")
     expected = tuple(meet_profile_expected(F, i, member)
                      for member in (False, True))
-    violations = _violations(F, F._profile[:, F.k - i + 1], expected)
+    violations = Violations(F.chi, F._profile[:, F.k - i + 1], expected)
     return CheckReport(not violations, violations)
 
 
@@ -671,8 +718,6 @@ def check_affine_line(F: KFamily) -> CheckReport:
     n, q = geom.n, geom.q
     x = F.x
     factor = q * q * gauss0(n - 2, 1, q) + 1
-    violations = [("line",) + v for v in _violations(
-        F, F._profile[:, 0], (x * factor, (x - 1) * factor))]
     # the second RREF row of an affine line is its direction, the point
     # at infinity of its closure, ranked in closed form; the points at
     # infinity (X0 = 0) are the closure's first count_at_infinity(0)
@@ -680,8 +725,10 @@ def check_affine_line(F: KFamily) -> CheckReport:
     ranks = geom._rank(directions)
     through = np.bincount(ranks, minlength=geom.count_at_infinity(0)).tolist()
     points = geom.closure().subspaces(0).codes[:len(through), 0]
-    violations += [("infinite-point", tuple(points[i].tolist()), x, count)
-                   for i, count in enumerate(through) if count != x]
+    violations = Violations(
+        F.chi, F._profile[:, 0], (x * factor, (x - 1) * factor), ("line",),
+        [("infinite-point", tuple(points[i].tolist()), x, count)
+         for i, count in enumerate(through) if count != x])
     return CheckReport(not violations, violations)
 
 
@@ -800,28 +847,40 @@ def family_to_dict(F: KFamily) -> dict:
     return {**_family_head(F), "members": codes.tolist()}
 
 
-def family_json(F: KFamily) -> str:
-    """json.dumps(family_to_dict(F), indent=1) + "\\n", byte for byte.
+def iter_family_json(F: KFamily):
+    """The pieces of `family_json`: the header, the members in pieces of at
+    most _CHUNK codes, then the tail.
 
     The indenting encoder is pure Python, so the header goes through
-    json.dumps with no members, and every member through one %-template
-    of its (k+1)(n+1) codes, one per line in that encoder's layout."""
+    json.dumps with no members, and each piece of members through one
+    %-template of their (k+1)(n+1) codes each, one member per line in that
+    encoder's layout."""
     head = json.dumps({**_family_head(F), "members": []}, indent=1)
-    codes = F.geom.subspaces(F.k).codes.take(F.indices, axis=0)
-    if not len(codes):
-        return head + "\n"
+    if not F.size:
+        yield head + "\n"
+        return
+    codes = F.geom.subspaces(F.k).codes
     _, r, ncols = codes.shape
     row = "   [\n" + ",\n".join(["    %d"] * ncols) + "\n   ]"
     member = "  [\n" + ",\n".join([row] * r) + "\n  ]"
-    body = ",\n".join(member % tuple(m)
-                      for m in codes.reshape(len(codes), -1).tolist())
-    # head ends in "[]\n}"
-    return f"{head[:-4]}[\n{body}\n ]\n}}\n"
+    step = max(1, _CHUNK // (r * ncols))
+    yield f"{head[:-4]}[\n"  # head ends in "[]\n}"
+    for lo in range(0, F.size, step):
+        part = F.indices[lo:lo + step]
+        text = ",\n".join([member] * len(part)) % tuple(
+            codes.take(part, axis=0).ravel().tolist())
+        yield f",\n{text}" if lo else text
+    yield "\n ]\n}\n"
+
+
+def family_json(F: KFamily) -> str:
+    """json.dumps(family_to_dict(F), indent=1) + "\\n", byte for byte."""
+    return "".join(iter_family_json(F))
 
 
 def save_family(F: KFamily, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(family_json(F))
+        fh.writelines(iter_family_json(F))
 
 
 def _header_int(data: dict, key: str) -> int:
@@ -920,21 +979,33 @@ def family_from_dict(data: dict) -> KFamily:
 def _member_codes(members: list, r: int, ncols: int) -> np.ndarray:
     """The longest prefix of the members in which each is a list of r lists
     of ncols ints (not bools) that fit in int64, as a u x r x ncols int64
-    array.  The lookup refuses entries outside [0, q)."""
-    u = _first_not(members, list, r)
-    rows = list(chain.from_iterable(islice(members, u)))
-    u = _first_not(rows, list, ncols) // r
-    entries = list(chain.from_iterable(islice(rows, u * r)))
-    # the exact type: bool is a subclass of int
-    u = _first_not(entries, int) // (r * ncols)
-    del entries[u * r * ncols:]
-    try:
-        codes = np.array(entries, dtype=np.int64)
-    except OverflowError:
-        u = next(i for i, c in enumerate(entries)
-                 if not -2 ** 63 <= c < 2 ** 63) // (r * ncols)
-        codes = np.array(entries[:u * r * ncols], dtype=np.int64)
-    return codes.reshape(u, r, ncols)
+    array.  The lookup refuses entries outside [0, q).
+
+    The members are checked and converted in pieces of at most _CHUNK
+    codes, into one array, so no list of every row or code is built."""
+    size = r * ncols
+    codes = np.empty((len(members), r, ncols), dtype=np.int64)
+    flat = codes.reshape(-1)
+    step = max(1, _CHUNK // size)
+    for lo in range(0, len(members), step):
+        piece = members[lo:lo + step]
+        u = _first_not(piece, list, r)
+        rows = list(chain.from_iterable(islice(piece, u)))
+        u = _first_not(rows, list, ncols) // r
+        entries = list(chain.from_iterable(islice(rows, u * r)))
+        # the exact type: bool is a subclass of int
+        u = _first_not(entries, int) // size
+        del entries[u * size:]
+        try:
+            part = np.array(entries, dtype=np.int64)
+        except OverflowError:
+            u = next(i for i, c in enumerate(entries)
+                     if not -2 ** 63 <= c < 2 ** 63) // size
+            part = np.array(entries[:u * size], dtype=np.int64)
+        flat[lo * size:(lo + u) * size] = part
+        if u < len(piece):
+            return codes[:lo + u]
+    return codes
 
 
 def _first_not(items: list, kind: type, length: int | None = None) -> int:

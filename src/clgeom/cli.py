@@ -128,13 +128,18 @@ def cmd_construct(args) -> int:
     fam = clcore.construct_trivial(geom, args.k, _KINDS[args.kind],
                                    point=point,
                                    complement_of=args.complement)
-    text = clcore.family_json(fam)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}: {fam.size} members, x = {fam.x}")
+    return _write_family(fam, args.output)
+
+
+def _write_family(fam, output) -> int:
+    """The family file of fam, written in pieces to output or stdout."""
+    from . import clcore
+
+    if output:
+        clcore.save_family(fam, output)
+        print(f"wrote {output}: {fam.size} members, x = {fam.x}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(clcore.iter_family_json(fam))
     return 0
 
 
@@ -277,15 +282,7 @@ def cmd_project(args) -> int:
         raise GuardViolated("projection is defined on projective families")
     pi = clcore.subspace_from_codes(json.loads(args.pi), fam.geom.field,
                                     fam.geom.n + 1, "--pi")
-    image = clcore.project(fam, pi)
-    text = clcore.family_json(image)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}: {image.size} members, x = {image.x}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_family(clcore.project(fam, pi), args.output)
 
 
 def cmd_enumerate(args) -> int:
@@ -301,8 +298,9 @@ def cmd_enumerate(args) -> int:
     _, r, ncols = subs.codes.shape
     row = "[" + ", ".join(["%d"] * ncols) + "]"
     line = "[" + ", ".join([row] * r) + "]\n"
-    for lo in range(0, len(subs), _CHUNK):
-        chunk = subs.codes[lo:lo + _CHUNK].reshape(-1, r * ncols).tolist()
+    step = max(1, _CHUNK // (r * ncols))
+    for lo in range(0, len(subs), step):
+        chunk = subs.codes[lo:lo + step].reshape(-1, r * ncols).tolist()
         sys.stdout.writelines(line % tuple(m) for m in chunk)
     return 0
 

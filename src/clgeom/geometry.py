@@ -242,8 +242,11 @@ class SubspaceLevel(Sequence):
         return _subspace_of(self.codes[operator.index(j)].tolist())
 
     def __iter__(self):
-        for lo in range(0, len(self.codes), _CHUNK):
-            for mat in self.codes[lo:lo + _CHUNK].tolist():
+        # one tolist() of _CHUNK codes at a time
+        _, r, ncols = self.codes.shape
+        step = max(1, _CHUNK // (r * ncols))
+        for lo in range(0, len(self.codes), step):
+            for mat in self.codes[lo:lo + step].tolist():
                 yield _subspace_of(mat)
 
 

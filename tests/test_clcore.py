@@ -911,6 +911,62 @@ def test_refusing_an_unparsable_last_member_checks_only_it(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("fault,message", [
+    (lambda mat: [[True if c == 1 else c for c in mat[0]], mat[1]],
+     "entry True is not a code in [0, 3)"),
+    (lambda mat: [mat[0], mat[1][:-1]],
+     "expected a list of at most 6 rows of 6 codes"),
+    (lambda mat: [mat[0], mat[1][:-1] + [2 ** 63]],
+     f"entry {2 ** 63} is not a code in [0, 3)")],
+    ids=["bool", "short-row", "past-int64"])
+def test_load_family_names_a_fault_in_a_later_piece(fault, message,
+                                                    tmp_path):
+    """The members are read in pieces of _CHUNK codes; a fault in a later
+    piece (in its middle, at its first member, at its last) is named by
+    its index in the whole list."""
+    fam = cc.construct_trivial(geometry("PG", 5, 3), 1, "point_pencil",
+                               complement_of=True)
+    step = _CHUNK // 12
+    data = cc.family_to_dict(fam)
+    members = data["members"]
+    path = tmp_path / "fam.json"
+    for mi in (3 * step + 5, 5 * step, 5 * step - 1):
+        saved = members[mi]
+        members[mi] = fault(saved)
+        path.write_text(json.dumps(data))
+        members[mi] = saved
+        with pytest.raises(FamilyFormatError) as exc:
+            cc.load_family(str(path))
+        assert str(exc.value) == f"member {mi}: {message}"
+
+
+def test_family_file_pieces_trace_little(tmp_path):
+    """save_family writes the PG(6,3) k=1 pencil complement (98735
+    members, 12.5 MB of JSON) in pieces, tracing under 2 MB; _member_codes
+    reads its parsed members tracing no more than their array and 1 MB:
+    no string of the whole file, no list of every row or code."""
+    geom = geometry("PG", 6, 3)
+    fam = cc.construct_trivial(geom, 1, "point_pencil", complement_of=True)
+    path = tmp_path / "fam.json"
+    tracemalloc.start()
+    try:
+        cc.save_family(fam, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+    members = json.loads(path.read_text())["members"]
+    tracemalloc.start()
+    try:
+        codes = cc._member_codes(members, 2, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(codes, geom.subspaces(1).codes.take(fam.indices,
+                                                               axis=0))
+    assert peak <= codes.nbytes + 2 ** 20, (peak, codes.nbytes)
+
+
 def test_family_rejects_affine_member_at_infinity():
     d = cc.family_to_dict(
         cc.construct_trivial(geometry("AG", 3, 2), 1, "point_pencil"))
@@ -1057,6 +1113,45 @@ def test_violation_lists_of_non_cl_families(kind, n, q, k):
                 K, e, a = v[-3:]
                 assert type(K) is int and type(a) is int
                 assert type(e) is Fraction
+
+
+def test_violations_are_built_when_read():
+    """Read by index, by slice (either way, across the line violations and
+    the points at infinity after them) or by iteration, a violation list
+    gives the tuples of its full list; it counts, tests and compares as
+    that list does."""
+    reports = []
+    for kind, n, q, k in (("PG", 4, 2, 1), ("PG", 3, 3, 1), ("AG", 3, 3, 1)):
+        geom = geometry(kind, n, q)
+        rng = random.Random(f"read{kind}{n}{q}")
+        fam = cc.KFamily(geom, k, rng.sample(range(geom.subspace_count(k)),
+                                             17))
+        if kind == "AG":
+            reports.append(cc.check_affine_line(fam))
+        else:
+            reports += [cc.check_disjoint_count(fam),
+                        cc.check_meet_profile(fam, 1)]
+    reports.append(cc.check_disjoint_count(
+        cc.construct_trivial(geometry("PG", 4, 2), 1, "point_pencil")))
+    for rep in reports:
+        got = rep.violations
+        full = list(got)
+        m = len(full)
+        assert rep.ok is (not got) is (m == 0)
+        assert len(got) == m and got == full and full == got
+        assert got[:10] == full[:10]
+        if not m:
+            continue
+        assert got != full[:-1] and got != tuple(full)
+        assert any(v[0] == "infinite-point" for v in full) is (
+            rep is reports[-2])
+        for j in (0, m // 2, m - 1, -1, -m):
+            assert got[j] == full[j]
+        for sl in (slice(None, None, -1), slice(m - 3, 2, -2),
+                   slice(-5, None), slice(1, None, 3), slice(m, None)):
+            assert got[sl] == full[sl]
+        with pytest.raises(IndexError):
+            got[m]
 
 
 def restrict_based_aid_value(F, K, t):
@@ -1558,13 +1653,26 @@ def test_centre_of_another_width_is_dimension_mismatch():
     lambda: cc.construct_trivial(geometry("AG", 3, 4), 1, "point_pencil"),
     lambda: cc.construct_trivial(geometry("PG", 4, 3), 1, "hyperplane_class",
                                  complement_of=True),
-    lambda: cc.construct_trivial(geometry("PG", 4, 2), 4, "point_pencil")],
-    ids=["empty", "one-member", "gf4", "ag-gf4", "complement", "k=n"])
+    lambda: cc.construct_trivial(geometry("PG", 4, 2), 4, "point_pencil"),
+    # 10890 members of 12 codes: eight pieces, the last one short
+    lambda: cc.construct_trivial(geometry("PG", 5, 3), 1, "point_pencil",
+                                 complement_of=True),
+    # two whole pieces, and one member past them
+    lambda: cc.KFamily(geometry("PG", 5, 3), 1, range(2 * (_CHUNK // 12))),
+    lambda: cc.KFamily(geometry("PG", 5, 3), 1,
+                       range(2 * (_CHUNK // 12) + 1))],
+    ids=["empty", "one-member", "gf4", "ag-gf4", "complement", "k=n",
+         "pieces", "piece-boundary", "past-boundary"])
 def test_family_json_is_indented_dumps(make, tmp_path):
     """family_json and save_family write json.dumps(indent=1) byte for
-    byte."""
+    byte, and iter_family_json yields the header, the members in pieces
+    of at most _CHUNK codes, then the tail."""
     fam = make()
     want = json.dumps(cc.family_to_dict(fam), indent=1) + "\n"
+    pieces = list(cc.iter_family_json(fam))
+    assert "".join(pieces) == want
+    step = _CHUNK // ((fam.k + 1) * (fam.geom.n + 1))
+    assert len(pieces) == (2 + -(-fam.size // step) if fam.size else 1)
     assert cc.family_json(fam) == want
     path = tmp_path / "fam.json"
     cc.save_family(fam, str(path))
